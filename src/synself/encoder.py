@@ -8,6 +8,8 @@ line, one JSON config line, then length-prefixed named float64 tensors.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -155,7 +157,9 @@ def backward(
         for ci in reversed(range(convs_per_block)):
             li -= 1
             d_pre = nc.relu_backward(cache["conv_pre"][li], d_x).d_input
-            g = nc.conv3d_backward(cache["conv_inputs"][li], params[f"block{bi}.conv{ci}.w"], d_pre)
+            # the first conv's input is the raw patch: its gradient has no reader
+            g = nc.conv3d_backward(cache["conv_inputs"][li], params[f"block{bi}.conv{ci}.w"], d_pre,
+                                   need_dx=li > 0)
             grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = g.d_params
             d_x = g.d_input
     return grads
@@ -185,7 +189,16 @@ def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse a checkpoint container; any malformed byte raises CheckpointError."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read_exact(n: int, what: str) -> bytes:
+            # bounded by the bytes left, so a corrupt length never asks for more
+            if n > size - f.tell():
+                raise CheckpointError(f"{path}: truncated {what}")
+            return f.read(n)
+
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: magic mismatch: got {magic!r}, want {MAGIC!r}")
@@ -196,41 +209,38 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             config = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: bad config line: {e}") from e
+        if not isinstance(config, dict):
+            raise CheckpointError(f"{path}: config line is not a JSON object")
         tensors: dict[str, np.ndarray] = {}
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) < 4:
-                raise CheckpointError(f"{path}: truncated tensor record header")
-            (name_len,) = struct.unpack("<I", head)
-            nb = f.read(name_len)
-            if len(nb) < name_len:
-                raise CheckpointError(f"{path}: truncated tensor name")
-            name = nb.decode("utf-8")
-            rb = f.read(4)
-            if len(rb) < 4:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            (rank,) = struct.unpack("<I", rb)
-            eb = f.read(8 * rank)
-            if len(eb) < 8 * rank:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            shape = struct.unpack(f"<{rank}Q", eb)
-            count = int(np.prod(shape)) if rank else 1
-            data = f.read(8 * count)
-            if len(data) < 8 * count:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        while f.tell() < size:
+            (name_len,) = struct.unpack("<I", read_exact(4, "tensor record header"))
+            try:
+                name = read_exact(name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from e
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+            what = f"tensor {name!r}"
+            (rank,) = struct.unpack("<I", read_exact(4, what))
+            shape = struct.unpack(f"<{rank}Q", read_exact(8 * rank, what))
+            data = read_exact(8 * math.prod(shape), what)
+            try:
+                tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            except ValueError as e:  # an empty tensor with an absurd extent
+                raise CheckpointError(f"{path}: bad shape {shape} for {what}: {e}") from e
     return config, tensors
 
 
-def _config_from_json(obj: dict) -> EncoderConfig:
+def _config_from_json(obj: dict, path) -> EncoderConfig:
     known = {f: obj[f] for f in ("patch_side", "channels", "convs_per_block", "h_dim", "z_dim", "init_seed") if f in obj}
     missing = {"patch_side", "channels", "h_dim", "z_dim"} - set(known)
     if missing:
-        raise CheckpointError(f"checkpoint config missing fields {sorted(missing)}")
-    known["channels"] = tuple(known["channels"])
-    return EncoderConfig(**known)
+        raise CheckpointError(f"{path}: checkpoint config missing fields {sorted(missing)}")
+    try:
+        known["channels"] = tuple(known["channels"])
+        return EncoderConfig(**known)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad encoder config: {e}") from e
 
 
 def save(params: dict[str, np.ndarray], cfg: EncoderConfig, path) -> None:
@@ -239,10 +249,7 @@ def save(params: dict[str, np.ndarray], cfg: EncoderConfig, path) -> None:
 
 def load(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
     config, tensors = read_container(path)
-    try:
-        cfg = _config_from_json(config)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: bad encoder config: {e}") from e
+    cfg = _config_from_json(config, path)
     params = {}
     for name, shape in param_shapes(cfg).items():
         if name not in tensors:

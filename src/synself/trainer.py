@@ -185,11 +185,20 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
 
 
 def load_train_state(path) -> tuple[TrainState, enc.EncoderConfig]:
+    """Resume state from a checkpoint; malformed bytes raise CheckpointError."""
     config, tensors = enc.read_container(path)
-    cfg_enc = enc._config_from_json(config)
+    cfg_enc = enc._config_from_json(config, path)
     ts = config.get("train_state")
     if ts is None:
         raise TrainError(f"{path}: checkpoint has no train_state; cannot resume from it")
+    rng = np.random.default_rng(0)
+    try:
+        step = ts["step"]
+        rng.bit_generator.state = ts["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise enc.CheckpointError(f"{path}: bad train_state: {e!r}") from e
+    if type(step) is not int or step < 0:
+        raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
     params, adam_m, adam_v = {}, {}, {}
     for name, shape in enc.param_shapes(cfg_enc).items():
         for prefix, dest in (("", params), ("adam.m.", adam_m), ("adam.v.", adam_v)):
@@ -201,9 +210,7 @@ def load_train_state(path) -> tuple[TrainState, enc.EncoderConfig]:
                     f"{path}: tensor {key!r} has shape {tensors[key].shape}, expected {shape}"
                 )
             dest[name] = tensors[key]
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = ts["rng_state"]
-    return TrainState(int(ts["step"]), params, adam_m, adam_v, rng), cfg_enc
+    return TrainState(step, params, adam_m, adam_v, rng), cfg_enc
 
 
 def train(

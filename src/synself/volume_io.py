@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,15 +183,22 @@ class EmbeddingMatrix:
 
 
 def _atomic_write(path, write_fn) -> None:
-    """Write via a temp file + rename so failures leave no partial file."""
-    tmp = f"{path}.tmp"
+    """Write via a unique temp file beside ``path``, fsync, then rename over it.
+
+    A failure leaves ``path`` as it was and removes the temp file. The temp name
+    is random and opened with O_EXCL, so no existing file is ever renamed over
+    ``path``; the mode is the default 0o666 less the umask.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with open(tmp, "wb") as f:
+        with open(fd, "wb") as f:
             write_fn(f)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

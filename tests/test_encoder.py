@@ -1,10 +1,27 @@
+import dataclasses
+import json
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synself import encoder as enc
 from oracles import grad_close
 
 SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
+
+
+def tensor_record(name: bytes, shape, data: bytes = b"") -> bytes:
+    """One raw container record, so a test can write what write_container never would."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape) + data)
+
+
+def container_bytes(*records: bytes) -> bytes:
+    return enc.MAGIC + json.dumps(dataclasses.asdict(SMALL)).encode() + b"\n" + b"".join(records)
 
 
 def rand_patch(rng, s):
@@ -176,8 +193,6 @@ class TestCheckpoint:
             enc.load(p)
 
     def test_edited_config_shape_disagreement(self, tmp_path):
-        import json
-
         params = enc.init(SMALL, seed=9)
         p = tmp_path / "ck.dckpt"
         enc.save(params, SMALL, p)
@@ -190,3 +205,44 @@ class TestCheckpoint:
         p.write_bytes(raw[:nl] + json.dumps(cfg, separators=(",", ":"), sort_keys=True).encode() + b"\n" + raw[nl2:])
         with pytest.raises(enc.CheckpointError, match="config/shape disagreement"):
             enc.load(p)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        one = np.ones(1).tobytes()
+        p.write_bytes(container_bytes(tensor_record(b"a", (1,), one), tensor_record(b"a", (1,), one)))
+        with pytest.raises(enc.CheckpointError, match="duplicate tensor 'a'"):
+            enc.read_container(p)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(container_bytes(tensor_record(b"\xff\xfe", (1,), np.ones(1).tobytes())))
+        with pytest.raises(enc.CheckpointError, match="not UTF-8"):
+            enc.read_container(p)
+
+    def test_corrupt_shape_rejected_before_reading(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        data = np.ones(4).tobytes()
+        for shape in [(2**62, 2), (4, 2**63 + 1), (0, 2**62)]:
+            p.write_bytes(container_bytes(tensor_record(b"a", shape, data)))
+            with pytest.raises(enc.CheckpointError, match="tensor 'a'"):
+                enc.read_container(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_container_typed_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = f"{tmp}/ck.dckpt"
+            enc.save(enc.init(SMALL, seed=10), SMALL, p)
+            with open(p, "rb") as f:
+                raw = bytearray(f.read())
+            if data.draw(st.booleans(), label="truncate"):
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+            else:
+                bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+                raw[bit // 8] ^= 1 << (bit % 8)
+            with open(p, "wb") as f:
+                f.write(raw)
+            try:
+                enc.load(p)
+            except enc.CheckpointError:
+                pass

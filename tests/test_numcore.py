@@ -15,6 +15,21 @@ def rand_conv_case(rng, c_in=None, c_out=None, k=3, spatial=None):
     return x, wts, b
 
 
+# (k, (D,H,W)): non-cubic extents, and extents of 1 or below k, where a
+# row or plane wrap in the flat padded grid would leak into a kept output
+SHAPE_CASES = [
+    (1, (3, 4, 5)),
+    (3, (1, 1, 1)),
+    (3, (1, 2, 3)),
+    (3, (4, 1, 6)),
+    (3, (2, 5, 3)),
+    (5, (1, 1, 1)),
+    (5, (1, 2, 3)),
+    (5, (4, 1, 6)),
+    (5, (3, 6, 2)),
+]
+
+
 class TestConvForward:
     def test_identity_1x1_kernel(self):
         rng = np.random.default_rng(0)
@@ -32,11 +47,12 @@ class TestConvForward:
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(42)
-        for _ in range(6):
-            x, w, b = rand_conv_case(rng)
+        cases = [rand_conv_case(rng) for _ in range(6)]
+        cases += [rand_conv_case(rng, k=k, spatial=spatial) for k, spatial in SHAPE_CASES]
+        for x, w, b in cases:
             got = nc.conv3d_forward(x, w, b)
             want = conv3d_loops(x, w, b)
-            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-12, (w.shape, x.shape)
 
     def test_shape_mismatch(self):
         with pytest.raises(nc.ShapeError):
@@ -61,8 +77,9 @@ class TestConvBackward:
 
     def test_finite_differences_all_operands(self):
         rng = np.random.default_rng(3)
-        for _ in range(3):
-            x, w, b = rand_conv_case(rng, spatial=(3, 3, 3))
+        cases = [rand_conv_case(rng, spatial=(3, 3, 3)) for _ in range(3)]
+        cases += [rand_conv_case(rng, k=k, spatial=spatial) for k, spatial in SHAPE_CASES]
+        for x, w, b in cases:
             d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
             g = nc.conv3d_backward(x, w, d_y)
 
@@ -75,9 +92,20 @@ class TestConvBackward:
             def loss_b(bv):
                 return float(np.sum(nc.conv3d_forward(x, w, bv) * d_y))
 
-            assert grad_close(g.d_input, central_diff(loss_x, x), 1e-6)
-            assert grad_close(g.d_params[0], central_diff(loss_w, w), 1e-6)
-            assert grad_close(g.d_params[1], central_diff(loss_b, b), 1e-6)
+            assert grad_close(g.d_input, central_diff(loss_x, x), 1e-6), (w.shape, x.shape)
+            assert grad_close(g.d_params[0], central_diff(loss_w, w), 1e-6), (w.shape, x.shape)
+            assert grad_close(g.d_params[1], central_diff(loss_b, b), 1e-6), (w.shape, x.shape)
+
+    def test_need_dx_false_skips_only_the_input_gradient(self):
+        rng = np.random.default_rng(13)
+        for k, spatial in [(3, (4, 5, 3))] + SHAPE_CASES[:3]:
+            x, w, _ = rand_conv_case(rng, k=k, spatial=spatial)
+            d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
+            full = nc.conv3d_backward(x, w, d_y)
+            partial = nc.conv3d_backward(x, w, d_y, need_dx=False)
+            assert partial.d_input is None
+            for a, b in zip(full.d_params, partial.d_params, strict=True):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestMaxPool:

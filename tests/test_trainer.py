@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,45 @@ class TestTrainLoop:
         )
         with pytest.raises(tr.TrainError, match="encoder config"):
             tr.train(other, ds, tmp_path / "x", resume_from=tmp_path / "run" / "ckpt_000002.dckpt")
+
+    def test_malformed_train_state_rejected(self, tmp_path):
+        cfg = tiny_config(steps=2)
+        tr.train(cfg, tiny_dataset(), tmp_path / "run")
+        raw = (tmp_path / "run" / "ckpt_final.dckpt").read_bytes()
+        start = len(enc.MAGIC)
+        end = raw.index(b"\n", start) + 1
+        good = json.loads(raw[start:end])
+        rng_state = good["train_state"]["rng_state"]
+        bad_states = [
+            {"step": "2", "rng_state": rng_state},
+            {"step": -1, "rng_state": rng_state},
+            {"step": 2.5, "rng_state": rng_state},
+            {"step": 2},
+            {"step": 2, "rng_state": "PCG64"},
+            {"step": 2, "rng_state": {**rng_state, "bit_generator": "MT19937"}},
+            {"step": 2, "rng_state": {**rng_state, "state": {"state": -1, "inc": 1}}},
+            [2, rng_state],
+        ]
+        p = tmp_path / "bad.dckpt"
+        for ts in bad_states:
+            p.write_bytes(raw[:start] + json.dumps({**good, "train_state": ts}).encode() + b"\n" + raw[end:])
+            with pytest.raises(enc.CheckpointError, match="train_state"):
+                tr.load_train_state(p)
+
+    def test_existing_tmp_file_survives_metrics_write(self, tmp_path):
+        target = tmp_path / "metrics.csv"
+        bystander = tmp_path / "metrics.csv.tmp"
+        bystander.write_bytes(b"user data\n")
+        row = {"step": 1, "loss": 0.5, "grad_norm": 1.0, "pos_cos": 0.1, "neg_cos": 0.0}
+        tr.write_metrics([row], target)
+        assert bystander.read_bytes() == b"user data\n"
+        assert target.read_text().splitlines()[1].startswith("1,0.5,")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["metrics.csv", "metrics.csv.tmp"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "metrics.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(KeyError):
+            tr.write_metrics([{"step": 1}], target)
+        assert target.read_bytes() == b"old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["metrics.csv"]
