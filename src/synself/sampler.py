@@ -9,6 +9,8 @@ divided by 255 when applied.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -127,22 +129,6 @@ def apply_octahedral(patch: np.ndarray, element: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _octahedral_inverse_table() -> list[int]:
-    probe = np.arange(27.0).reshape(3, 3, 3)
-    table = []
-    for g in range(len(OCTAHEDRAL_GROUP)):
-        fwd = apply_octahedral(probe, g)
-        inv = next(
-            h for h in range(len(OCTAHEDRAL_GROUP))
-            if np.array_equal(apply_octahedral(fwd, h), probe)
-        )
-        table.append(inv)
-    return table
-
-
-OCTAHEDRAL_INVERSE = _octahedral_inverse_table()
-
-
 def augment(patch: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
     """Octahedral symmetry, then x*a+b, then Gaussian noise, then clamp to [0,1].
 
@@ -178,29 +164,64 @@ def _pair_dist_nm(a: SynapseRecord, b: SynapseRecord, voxel_size) -> float:
     )
 
 
-def eligible_supervoxels(dataset, cfg: SamplerConfig) -> dict[int, list]:
+class AllPairs(Sequence):
+    """The C(k,2) pairs (recs[i], recs[j]), i < j, in row-major order, built on demand.
+
+    Index r maps to the r-th tuple of ``[(a, b) for i, a in enumerate(recs)
+    for b in recs[i + 1:]]`` without building that O(k^2) list.
+    """
+
+    __slots__ = ("recs",)
+
+    def __init__(self, recs: list[SynapseRecord]):
+        self.recs = recs
+
+    def __len__(self) -> int:
+        k = len(self.recs)
+        return k * (k - 1) // 2
+
+    def __getitem__(self, r: int) -> tuple[SynapseRecord, SynapseRecord]:
+        n = len(self)
+        if not -n <= r < n:
+            raise IndexError(f"pair index {r} out of range for {n} pairs")
+        r %= n
+        # q counts back from the last pair. The rows after row i hold T(t) = t(t+1)/2
+        # pairs with t = k-2-i, so row i has the largest t with T(t) <= q.
+        k = len(self.recs)
+        q = n - 1 - r
+        t = (math.isqrt(8 * q + 1) - 1) // 2
+        i = k - 2 - t
+        j = k - 1 - (q - t * (t + 1) // 2)
+        return self.recs[i], self.recs[j]
+
+
+def eligible_supervoxels(dataset, cfg: SamplerConfig) -> dict[int, Sequence]:
     """Map supervoxel id -> candidate positive pairs (or singleton views).
 
     In "distinct_synapses" mode the candidates are synapse pairs within the
-    optional nanometer cap; in "augment_same" mode they are single synapses.
+    optional nanometer cap; with no cap they are an :class:`AllPairs` view, so
+    a supervoxel with k synapses costs O(k), not O(k^2). In "augment_same" mode
+    they are single synapses.
     """
     by_sv: dict[int, list[SynapseRecord]] = {}
     for rec in dataset.synapses:
         by_sv.setdefault(rec.supervoxel_id, []).append(rec)
     voxel_size = dataset.intensity.header.voxel_size_nm
-    out: dict[int, list] = {}
+    out: dict[int, Sequence] = {}
     for sv in sorted(by_sv):
         recs = by_sv[sv]
         if cfg.pair_mode == "augment_same":
             out[sv] = [(r, r) for r in recs]
             continue
-        pairs = [
-            (a, b)
-            for i, a in enumerate(recs)
-            for b in recs[i + 1:]
-            if cfg.max_pair_dist_nm is None
-            or _pair_dist_nm(a, b, voxel_size) <= cfg.max_pair_dist_nm
-        ]
+        if cfg.max_pair_dist_nm is None:
+            pairs = AllPairs(recs)
+        else:
+            pairs = [
+                (a, b)
+                for i, a in enumerate(recs)
+                for b in recs[i + 1:]
+                if _pair_dist_nm(a, b, voxel_size) <= cfg.max_pair_dist_nm
+            ]
         if pairs:
             out[sv] = pairs
     return out
@@ -232,7 +253,3 @@ def sample_batch(dataset, cfg: SamplerConfig, rng: np.random.Generator) -> PairB
         out_ids[row] = sv
     return PairBatch(views_a, views_b, out_ids)
 
-
-def worker_rng(seed: int, worker_index: int) -> np.random.Generator:
-    """Stream-splitting rule for parallel samplers: seed XOR worker_index."""
-    return np.random.default_rng(seed ^ worker_index)

@@ -1,16 +1,17 @@
 """Contrastive training loop: sample pairs, NT-Xent over projections, Adam.
 
 Every artifact is a deterministic function of (config, dataset): the sampler
-rng is owned by the train state and saved in checkpoints, view forwards are
-reduced in a fixed order regardless of worker count, and metrics/checkpoint
-files carry no clocks or hostnames. Checkpoints reuse the encoder container
-format; encoder.load() can open them directly and ignores the extra
-optimizer tensors and the train_state config key.
+rng and the logged metrics rows are owned by the train state and saved in
+checkpoints, view forwards are reduced in a fixed order regardless of worker
+count, and metrics/checkpoint files carry no clocks or hostnames. Checkpoints
+reuse the encoder container format; encoder.load() can open them directly and
+ignores the extra optimizer tensors and the train_state config key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -22,6 +23,8 @@ from . import ntxent
 from . import sampler as sp
 
 METRICS_COLUMNS = ("step", "loss", "grad_norm", "pos_cos", "neg_cos")
+# a resumed run may only extend these; every other TrainConfig field shapes the result
+RESUMABLE_FIELDS = ("steps", "checkpoint_every")
 
 
 class TrainError(RuntimeError):
@@ -67,17 +70,7 @@ class TrainState:
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
     rng: np.random.Generator
-
-    def copy(self) -> "TrainState":
-        clone = np.random.default_rng(0)
-        clone.bit_generator.state = self.rng.bit_generator.state
-        return TrainState(
-            self.step,
-            {k: v.copy() for k, v in self.params.items()},
-            {k: v.copy() for k, v in self.adam_m.items()},
-            {k: v.copy() for k, v in self.adam_v.items()},
-            clone,
-        )
+    rows: list[dict] = field(default_factory=list)  # metrics rows logged so far
 
 
 def init_state(cfg: TrainConfig) -> TrainState:
@@ -158,6 +151,10 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig, pool: ThreadPoolExe
     }
 
 
+def _is_logged(step: int, cfg: TrainConfig) -> bool:
+    return step % cfg.log_every == 0 or step == cfg.steps
+
+
 def write_metrics(rows: list[dict], path) -> None:
     from .volume_io import _atomic_write
 
@@ -173,9 +170,24 @@ def write_metrics(rows: list[dict], path) -> None:
     _atomic_write(path, body)
 
 
+def _as_json(cfg) -> dict:
+    """asdict(cfg) as it reads back from a checkpoint (tuples become lists)."""
+    return json.loads(json.dumps(asdict(cfg)))
+
+
+def _valid_row(row) -> bool:
+    return (isinstance(row, dict) and set(row) == set(METRICS_COLUMNS) and type(row["step"]) is int
+            and all(type(row[c]) is float for c in METRICS_COLUMNS[1:]))
+
+
 def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
     config = asdict(cfg.encoder)
-    config["train_state"] = {"step": state.step, "rng_state": state.rng.bit_generator.state}
+    config["train_state"] = {
+        "step": state.step,
+        "rng_state": state.rng.bit_generator.state,
+        "rows": state.rows,
+        "config": asdict(cfg),
+    }
     tensors = dict(state.params)
     for k, v in state.adam_m.items():
         tensors[f"adam.m.{k}"] = v
@@ -184,8 +196,11 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
     enc.write_container(path, config, tensors)
 
 
-def load_train_state(path) -> tuple[TrainState, enc.EncoderConfig]:
-    """Resume state from a checkpoint; malformed bytes raise CheckpointError."""
+def load_train_state(path) -> tuple[TrainState, dict]:
+    """Resume state from a checkpoint, with the TrainConfig it was saved under as JSON.
+
+    Malformed bytes raise CheckpointError.
+    """
     config, tensors = enc.read_container(path)
     cfg_enc = enc._config_from_json(config, path)
     ts = config.get("train_state")
@@ -193,12 +208,17 @@ def load_train_state(path) -> tuple[TrainState, enc.EncoderConfig]:
         raise TrainError(f"{path}: checkpoint has no train_state; cannot resume from it")
     rng = np.random.default_rng(0)
     try:
-        step = ts["step"]
+        step, rows, train_cfg = ts["step"], ts["rows"], ts["config"]
         rng.bit_generator.state = ts["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise enc.CheckpointError(f"{path}: bad train_state: {e!r}") from e
     if type(step) is not int or step < 0:
         raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
+    if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
+        raise enc.CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
+    # the tensors are shaped by the container's encoder config, so the two must agree
+    if not isinstance(train_cfg, dict) or train_cfg.get("encoder") != _as_json(cfg_enc):
+        raise enc.CheckpointError(f"{path}: bad train_state: config disagrees with the encoder config")
     params, adam_m, adam_v = {}, {}, {}
     for name, shape in enc.param_shapes(cfg_enc).items():
         for prefix, dest in (("", params), ("adam.m.", adam_m), ("adam.v.", adam_v)):
@@ -210,7 +230,7 @@ def load_train_state(path) -> tuple[TrainState, enc.EncoderConfig]:
                     f"{path}: tensor {key!r} has shape {tensors[key].shape}, expected {shape}"
                 )
             dest[name] = tensors[key]
-    return TrainState(step, params, adam_m, adam_v, rng), cfg_enc
+    return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg
 
 
 def train(
@@ -220,29 +240,36 @@ def train(
     threads: int = 1,
     resume_from=None,
 ) -> tuple[TrainState, list[dict]]:
-    """Run cfg.steps total steps, writing checkpoints and metrics.csv to out_dir."""
+    """Run cfg.steps total steps, writing checkpoints and metrics.csv to out_dir.
+
+    Resuming continues the checkpoint's run: its metrics rows are kept, and a
+    config that differs in any field besides RESUMABLE_FIELDS raises TrainError.
+    """
     os.makedirs(out_dir, exist_ok=True)
     if resume_from is None:
         state = init_state(cfg)
     else:
-        state, ck_enc = load_train_state(resume_from)
-        if ck_enc != cfg.encoder:
-            raise TrainError(
-                f"{resume_from}: checkpoint encoder config {ck_enc} != train config {cfg.encoder}"
-            )
+        state, ck_cfg = load_train_state(resume_from)
+        want = _as_json(cfg)
+        for name in (n for n in want if n not in RESUMABLE_FIELDS):
+            if ck_cfg.get(name) != want[name]:
+                raise TrainError(
+                    f"{resume_from}: checkpoint {name} config {ck_cfg.get(name)} != train config {want[name]}"
+                )
+        # the earlier run also logged its last step, which this run may not log
+        state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    rows = []
     try:
         while state.step < cfg.steps:
             metrics = train_step(state, dataset, cfg, pool)
             t = state.step
-            if t % cfg.log_every == 0 or t == cfg.steps:
-                rows.append(metrics)
+            if _is_logged(t, cfg):
+                state.rows.append(metrics)
             if t % cfg.checkpoint_every == 0 or t == cfg.steps:
                 save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
     finally:
         if pool is not None:
             pool.shutdown()
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))
-    write_metrics(rows, os.path.join(out_dir, "metrics.csv"))
-    return state, rows
+    write_metrics(state.rows, os.path.join(out_dir, "metrics.csv"))
+    return state, state.rows

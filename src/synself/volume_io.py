@@ -9,10 +9,12 @@ layout matches the file payload exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,14 +107,6 @@ class SegmentationVolume(_BaseVolume):
     _header_dtype = "u64"
 
 
-def check_same_geometry(a: _BaseVolume, b: _BaseVolume) -> None:
-    if a.header.dims != b.header.dims or a.header.voxel_size_nm != b.header.voxel_size_nm:
-        raise VolumeFormatError(
-            f"volume geometry mismatch: {a.header.dims}/{a.header.voxel_size_nm} vs "
-            f"{b.header.dims}/{b.header.voxel_size_nm}"
-        )
-
-
 @dataclass(frozen=True)
 class SynapseRecord:
     id: int
@@ -141,12 +135,9 @@ class EmbeddingMatrix:
     synapse_ids: list[int]
     values: np.ndarray  # (M, D) float64
     kind: str = "penultimate"
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self._skip_checks:
-            return
         if self.kind not in EMBEDDING_KINDS:
             raise VolumeFormatError(f"embedding kind must be one of {EMBEDDING_KINDS}, got {self.kind!r}")
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
@@ -173,9 +164,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def row_of(self, synapse_id: int) -> np.ndarray:
-        return self.values[self.synapse_ids.index(synapse_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +224,24 @@ def read_volume(path) -> IntensityVolume | SegmentationVolume:
             raise VolumeFormatError(
                 f"{path}: malformed header at byte offset 0: need keys dims, dtype, voxel_size_nm"
             )
-        if head["dtype"] not in DTYPE_WIDTH:
+        dims, dtype, voxel_size = head["dims"], head["dtype"], head["voxel_size_nm"]
+        if not isinstance(dtype, str) or dtype not in DTYPE_WIDTH:
+            raise VolumeFormatError(f"{path}: unknown dtype {dtype!r} in header at byte offset 0")
+        # exact JSON types, so 2.5 is not truncated to 2 and "222" is not read as three digits
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
             raise VolumeFormatError(
-                f"{path}: unknown dtype {head['dtype']!r} in header at byte offset 0"
+                f"{path}: malformed header at byte offset 0: dims must be a list of integers, got {dims!r}"
+            )
+        if not isinstance(voxel_size, list) or any(
+            type(v) not in (int, float) or not math.isfinite(v) for v in voxel_size
+        ):
+            raise VolumeFormatError(
+                f"{path}: malformed header at byte offset 0: "
+                f"voxel_size_nm must be a list of finite numbers, got {voxel_size!r}"
             )
         try:
-            header = VolumeHeader(tuple(head["dims"]), head["dtype"], tuple(head["voxel_size_nm"]))
-        except (TypeError, VolumeFormatError) as e:
+            header = VolumeHeader(tuple(dims), dtype, tuple(voxel_size))
+        except VolumeFormatError as e:
             raise VolumeFormatError(f"{path}: malformed header at byte offset 0: {e}") from e
         payload_offset = len(line)
         expected = header.n_voxels * DTYPE_WIDTH[header.dtype]
@@ -268,8 +267,6 @@ SYNAPSE_COLUMNS = ["id", "x", "y", "z", "supervoxel_id", "class_label"]
 
 def write_synapse_table(records: list[SynapseRecord], path) -> None:
     def body(f):
-        import io
-
         text = io.TextIOWrapper(f, encoding="utf-8", newline="")
         w = csv.writer(text, lineterminator="\n")
         w.writerow(SYNAPSE_COLUMNS)
@@ -293,8 +290,18 @@ def _parse_int(value: str, column: str, row: int, path) -> int:
         ) from None
 
 
+def _read_utf8(path) -> str:
+    """The file's text with newlines kept as they are; bytes that are not UTF-8 raise."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise VolumeFormatError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def read_synapse_table(path) -> list[SynapseRecord]:
-    with open(path, newline="", encoding="utf-8") as f:
+    with io.StringIO(_read_utf8(path), newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -352,7 +359,7 @@ def write_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
-    with open(path, encoding="utf-8") as f:
+    with io.StringIO(_read_utf8(path), newline=None) as f:
         kind_line = f.readline().rstrip("\n")
         if not kind_line.startswith("# kind="):
             raise VolumeFormatError(f"{path}: first line must be '# kind=<kind>', got {kind_line!r}")

@@ -195,3 +195,26 @@ def greedy_select_loops(points, ids, labeled_rows, k):
         chosen_rows.append(best_row)
         chosen.append(ids[best_row])
     return chosen
+
+
+def eligible_supervoxels_lists(dataset, cfg):
+    """Every supervoxel's candidate pairs as a fully built list, by the definition."""
+    by_sv = {}
+    for rec in dataset.synapses:
+        by_sv.setdefault(rec.supervoxel_id, []).append(rec)
+    voxel_size = dataset.intensity.header.voxel_size_nm
+    out = {}
+    for sv in sorted(by_sv):
+        recs = by_sv[sv]
+        if cfg.pair_mode == "augment_same":
+            out[sv] = [(r, r) for r in recs]
+            continue
+        pairs = []
+        for i, a in enumerate(recs):
+            for b in recs[i + 1:]:
+                dist = np.sqrt(sum(((pa - pb) * s) ** 2 for pa, pb, s in zip(a.pos, b.pos, voxel_size)))
+                if cfg.max_pair_dist_nm is None or dist <= cfg.max_pair_dist_nm:
+                    pairs.append((a, b))
+        if pairs:
+            out[sv] = pairs
+    return out

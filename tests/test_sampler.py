@@ -1,9 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from synself import sampler as sp
 from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
-from oracles import extract_patch_loops
+from oracles import eligible_supervoxels_lists, extract_patch_loops
 
 
 def ramp_volume(dims=(20, 18, 16)):
@@ -47,6 +50,22 @@ class TestExtractPatch:
             assert np.array_equal(got, want)
 
 
+def octahedral_inverse_table() -> list[int]:
+    probe = np.arange(27.0).reshape(3, 3, 3)
+    table = []
+    for g in range(len(sp.OCTAHEDRAL_GROUP)):
+        fwd = sp.apply_octahedral(probe, g)
+        inv = next(
+            h for h in range(len(sp.OCTAHEDRAL_GROUP))
+            if np.array_equal(sp.apply_octahedral(fwd, h), probe)
+        )
+        table.append(inv)
+    return table
+
+
+OCTAHEDRAL_INVERSE = octahedral_inverse_table()
+
+
 class TestOctahedral:
     def test_group_has_48_distinct_elements(self):
         probe = np.arange(27.0).reshape(3, 3, 3)
@@ -58,7 +77,7 @@ class TestOctahedral:
         patch = rng.uniform(size=(5, 5, 5))
         for g in range(48):
             fwd = sp.apply_octahedral(patch, g)
-            back = sp.apply_octahedral(fwd, sp.OCTAHEDRAL_INVERSE[g])
+            back = sp.apply_octahedral(fwd, OCTAHEDRAL_INVERSE[g])
             assert np.array_equal(back, patch)
 
 
@@ -200,7 +219,61 @@ class TestSampleBatch:
         sd = np.sqrt(n_batches * p * (1 - p))
         assert np.all(np.abs(counts[1:] - n_batches * p) <= 4 * sd)
 
-    def test_worker_rng_split_rule(self):
-        a = sp.worker_rng(100, 0)
-        b = sp.worker_rng(100, 1)
-        assert a.integers(1 << 30) != b.integers(1 << 30)
+
+def clustered_dataset(sizes):
+    """Supervoxel sv+1 holds sizes[sv] synapses at pseudo-random positions on a ramp volume."""
+    rng = np.random.default_rng(11)
+    recs = []
+    for sv, k in enumerate(sizes):
+        for _ in range(k):
+            pos = tuple(int(c) for c in rng.integers(0, 24, size=3))
+            recs.append(SynapseRecord(len(recs), pos, sv + 1))
+    return sp.Dataset(ramp_volume((24, 24, 24)), recs)
+
+
+class TestCandidatePairs:
+    def test_all_pairs_equal_the_built_list(self):
+        for k in range(41):
+            ds = clustered_dataset([k])
+            want = eligible_supervoxels_lists(ds, sp.SamplerConfig()).get(1, [])
+            pairs = sp.AllPairs(ds.synapses)
+            assert len(pairs) == len(want) == math.comb(k, 2)
+            assert [pairs[r] for r in range(len(pairs))] == want
+            assert [pairs[r] for r in range(-len(pairs), 0)] == want
+            with pytest.raises(IndexError):
+                pairs[len(pairs)]
+
+    @pytest.mark.parametrize("mode, cap", [
+        ("distinct_synapses", None),
+        ("distinct_synapses", 80.0),
+        ("augment_same", None),
+    ])
+    def test_batches_match_the_built_lists(self, monkeypatch, mode, cap):
+        ds = clustered_dataset([1, 2, 3, 5, 8, 13, 21, 34])
+        cfg = sp.SamplerConfig(patch_side=4, pair_mode=mode, max_pair_dist_nm=cap, batch_pairs=3)
+        eligible = sp.eligible_supervoxels(ds, cfg)
+        assert {sv: list(p) for sv, p in eligible.items()} == eligible_supervoxels_lists(ds, cfg)
+
+        def twenty_batches():
+            rng = np.random.default_rng(5)
+            return [sp.sample_batch(ds, cfg, rng) for _ in range(20)]
+
+        got = twenty_batches()
+        monkeypatch.setattr(sp, "eligible_supervoxels", eligible_supervoxels_lists)
+        want = twenty_batches()
+        for b1, b2 in zip(got, want):
+            assert b1.views_a.tobytes() == b2.views_a.tobytes()
+            assert b1.views_b.tobytes() == b2.views_b.tobytes()
+            assert np.array_equal(b1.supervoxel_ids, b2.supervoxel_ids)
+
+    def test_large_supervoxel_counts_pairs_without_building_them(self):
+        ds = clustered_dataset([5000, 2])
+        tracemalloc.start()
+        try:
+            eligible = sp.eligible_supervoxels(ds, sp.SamplerConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(eligible[1]) == math.comb(5000, 2)
+        assert eligible[1][-1] == (ds.synapses[4998], ds.synapses[4999])
+        assert peak < 1 << 20  # the 12.5M built tuples would take about 1 GB

@@ -135,6 +135,21 @@ class TestTrainLoop:
         for k in s_full.params:
             assert s_full.params[k].tobytes() == s_res.params[k].tobytes()
 
+    @pytest.mark.parametrize("log_every", [2, 3])
+    def test_resumed_metrics_csv_bit_identical(self, tmp_path, log_every):
+        ds = tiny_dataset()
+        full_cfg = tiny_config(steps=4, log_every=log_every)
+        _, full_rows = tr.train(full_cfg, ds, tmp_path / "full")
+
+        tr.train(tiny_config(steps=2, log_every=log_every), ds, tmp_path / "half")
+        _, res_rows = tr.train(full_cfg, ds, tmp_path / "resumed",
+                               resume_from=tmp_path / "half" / "ckpt_final.dckpt")
+        assert res_rows == full_rows
+        want = (tmp_path / "full" / "metrics.csv").read_bytes()
+        assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == want
+        assert (tmp_path / "resumed" / "ckpt_final.dckpt").read_bytes() == \
+            (tmp_path / "full" / "ckpt_final.dckpt").read_bytes()
+
     def test_checkpoint_next_step_metrics_match(self, tmp_path):
         ds = tiny_dataset()
         cfg = tiny_config(steps=8, checkpoint_every=4, log_every=1)
@@ -175,6 +190,19 @@ class TestTrainLoop:
         with pytest.raises(tr.TrainError, match="encoder config"):
             tr.train(other, ds, tmp_path / "x", resume_from=tmp_path / "run" / "ckpt_000002.dckpt")
 
+    @pytest.mark.parametrize("changed", [
+        {"sampler": sp.SamplerConfig(patch_side=8, batch_pairs=3, seed=0,
+                                     augment=sp.AugmentConfig(max_jitter_vox=0))},
+        {"lr": 2e-3},
+    ])
+    def test_resume_with_changed_config_rejected(self, tmp_path, changed):
+        ds = tiny_dataset()
+        tr.train(tiny_config(steps=2), ds, tmp_path / "run")
+        name = next(iter(changed))
+        with pytest.raises(tr.TrainError, match=f"checkpoint {name} config"):
+            tr.train(tiny_config(steps=4, **changed), ds, tmp_path / "x",
+                     resume_from=tmp_path / "run" / "ckpt_final.dckpt")
+
     def test_malformed_train_state_rejected(self, tmp_path):
         cfg = tiny_config(steps=2)
         tr.train(cfg, tiny_dataset(), tmp_path / "run")
@@ -182,16 +210,24 @@ class TestTrainLoop:
         start = len(enc.MAGIC)
         end = raw.index(b"\n", start) + 1
         good = json.loads(raw[start:end])
-        rng_state = good["train_state"]["rng_state"]
+        ts = good["train_state"]
+        rng_state = ts["rng_state"]
         bad_states = [
-            {"step": "2", "rng_state": rng_state},
-            {"step": -1, "rng_state": rng_state},
-            {"step": 2.5, "rng_state": rng_state},
-            {"step": 2},
-            {"step": 2, "rng_state": "PCG64"},
-            {"step": 2, "rng_state": {**rng_state, "bit_generator": "MT19937"}},
-            {"step": 2, "rng_state": {**rng_state, "state": {"state": -1, "inc": 1}}},
+            {**ts, "step": "2"},
+            {**ts, "step": -1},
+            {**ts, "step": 2.5},
+            {k: v for k, v in ts.items() if k != "rng_state"},
+            {**ts, "rng_state": "PCG64"},
+            {**ts, "rng_state": {**rng_state, "bit_generator": "MT19937"}},
+            {**ts, "rng_state": {**rng_state, "state": {"state": -1, "inc": 1}}},
             [2, rng_state],
+            {k: v for k, v in ts.items() if k != "rows"},
+            {**ts, "rows": {}},
+            {**ts, "rows": [{**ts["rows"][0], "loss": "0.5"}]},
+            {**ts, "rows": [{"step": 2}]},
+            {k: v for k, v in ts.items() if k != "config"},
+            {**ts, "config": [ts["config"]]},
+            {**ts, "config": {**ts["config"], "encoder": {**ts["config"]["encoder"], "h_dim": 9}}},
         ]
         p = tmp_path / "bad.dckpt"
         for ts in bad_states:

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,31 @@ from synself.volume_io import (
     write_synapse_table,
     write_volume,
 )
+
+
+def corrupted(data, raw: bytes) -> bytes:
+    """raw truncated, or with one bit flipped, as Hypothesis draws it."""
+    raw = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+    raw[bit // 8] ^= 1 << (bit % 8)
+    return bytes(raw)
+
+
+def read_corrupted_or_typed_error(data, write, read, name):
+    """Write a valid file, corrupt it, read it back: it parses or raises VolumeFormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        p = f"{tmp}/{name}"
+        write(p)
+        with open(p, "rb") as f:
+            raw = f.read()
+        with open(p, "wb") as f:
+            f.write(corrupted(data, raw))
+        try:
+            read(p)
+        except VolumeFormatError:
+            pass
 
 
 def make_intensity(dims, values):
@@ -104,6 +131,24 @@ class TestVolumeErrors:
             msgs.add(str(e.value))
         assert len(msgs) == 1
 
+    def test_header_json_types_checked(self, tmp_path):
+        p = tmp_path / "bad.vol"
+        for head, match in [
+            (b'{"dims":[2,2,2],"dtype":["u8"],"voxel_size_nm":[8,8,8]}', "unknown dtype"),
+            (b'{"dims":[2.5,2,2],"dtype":"u8","voxel_size_nm":[8,8,8]}', "dims"),
+            (b'{"dims":"222","dtype":"u8","voxel_size_nm":[8,8,8]}', "dims"),
+            (b'{"dims":[2,2,2],"dtype":"u8","voxel_size_nm":[8,NaN,8]}', "voxel_size_nm"),
+        ]:
+            p.write_bytes(head + b"\n" + bytes(8))
+            with pytest.raises(VolumeFormatError, match=match):
+                read_volume(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_volume_typed_error(self, data):
+        vol = make_intensity((3, 4, 5), np.arange(60))
+        read_corrupted_or_typed_error(data, lambda p: write_volume(vol, p), read_volume, "v.vol")
+
     def test_unwritable_path_leaves_no_partial_file(self, tmp_path):
         vol = make_intensity((1, 1, 1), [0])
         target = tmp_path / "nodir" / "v.vol"
@@ -186,6 +231,19 @@ class TestSynapseTable:
         with pytest.raises(VolumeFormatError, match="positive label"):
             SynapseRecord(0, (0, 0, 0), 0)
 
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        p = tmp_path / "syn.csv"
+        p.write_bytes(b"id,x,y,z,supervoxel_id,class_label\n7,1\xff,0,0,3,\n")
+        with pytest.raises(VolumeFormatError, match="UTF-8"):
+            read_synapse_table(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_table_typed_error(self, data):
+        records = [SynapseRecord(i, (i, 2 * i, 3), 1 + i % 3, None if i % 2 else i) for i in range(6)]
+        read_corrupted_or_typed_error(
+            data, lambda p: write_synapse_table(records, p), read_synapse_table, "syn.csv")
+
     def test_bounds_check(self):
         header = VolumeHeader((4, 4, 4), "u8")
         check_synapses_in_bounds([SynapseRecord(0, (3, 3, 3), 1)], header)
@@ -234,6 +292,19 @@ class TestEmbeddings:
         with pytest.raises(VolumeFormatError, match="non-numeric"):
             read_embeddings(p)
 
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        p.write_bytes(b"# kind=penultimate\nid,e0\n0,0.5\xc3\n")
+        with pytest.raises(VolumeFormatError, match="UTF-8"):
+            read_embeddings(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_embeddings_typed_error(self, data):
+        emb = EmbeddingMatrix([3, 1, 4], np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]]), "projected")
+        read_corrupted_or_typed_error(
+            data, lambda p: write_embeddings(emb, p), read_embeddings, "emb.csv")
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(VolumeFormatError, match="duplicate"):
             EmbeddingMatrix([1, 1], np.zeros((2, 2)) + 0.5)
@@ -241,8 +312,6 @@ class TestEmbeddings:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 6))
     def test_round_trip_property(self, seed, m, d):
-        import tempfile
-
         rng = np.random.default_rng(seed)
         vals = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 8)
         emb = EmbeddingMatrix(list(range(m)), vals, "penultimate")
