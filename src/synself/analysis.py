@@ -262,10 +262,9 @@ def ari(a, b) -> float:
 # supervoxel concordance
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+def _cosines(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
     # sqrt of the product keeps cos(u, u) == 1 exactly
-    denom = max(float(np.sqrt((u @ u) * (v @ v))), 1e-300)
-    return float(u @ v) / denom
+    return dots / np.maximum(np.sqrt(sq_a * sq_b), 1e-300)
 
 
 def concordance(
@@ -276,40 +275,47 @@ def concordance(
 ) -> tuple[float, float]:
     """(intra, inter): mean cosine within supervoxels vs across supervoxels.
 
-    Intra enumerates every within-supervoxel pair; inter uses a seeded sample
-    of `sample` cross-supervoxel pairs (all of them when fewer exist).
+    Intra covers every within-supervoxel pair, from one Gram matrix per
+    supervoxel; inter uses a seeded sample of `sample` cross-supervoxel pairs
+    (all of them when fewer exist). A pair's cosine is u.v / sqrt((u.u)(v.v)),
+    with the denominator floored at 1e-300, so a zero row has cosine 0 and two
+    equal rows have cosine exactly 1. Pairs are averaged in row-major order.
     """
     by_id = {rec.id: rec.supervoxel_id for rec in synapses}
     try:
         sv = np.array([by_id[i] for i in emb.synapse_ids])
     except KeyError as e:
         raise AnalysisError(f"embedding id {e.args[0]} missing from synapse table") from None
-    x = emb.values
+    x = np.ascontiguousarray(emb.values)
     m = x.shape[0]
-    intra_vals = []
+    # einsum sums every dot product in its own loop over the columns, with no
+    # BLAS blocking, so the Gram entry of two equal rows equals their squared norm
+    sq = np.einsum("ij,ij->i", x, x)
+    intra_parts = []
     for label in np.unique(sv):
         rows = np.nonzero(sv == label)[0]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                intra_vals.append(_cosine(x[rows[i]], x[rows[j]]))
-    if not intra_vals:
+        i, j = np.triu_indices(len(rows), 1)
+        xs = x[rows]
+        gram = np.einsum("id,jd->ij", xs, xs)
+        intra_parts.append(_cosines(gram[i, j], sq[rows[i]], sq[rows[j]]))
+    intra_vals = np.concatenate(intra_parts)
+    if intra_vals.size == 0:
         raise AnalysisError("no supervoxel has two embedded synapses; intra undefined")
 
-    cross_total = m * (m - 1) // 2 - len(intra_vals)
+    cross_total = m * (m - 1) // 2 - intra_vals.size
     if cross_total == 0:
         raise AnalysisError("no cross-supervoxel pairs; inter undefined")
-    inter_vals = []
     if cross_total <= sample:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if sv[i] != sv[j]:
-                    inter_vals.append(_cosine(x[i], x[j]))
+        i, j = np.nonzero(np.triu(sv[:, None] != sv[None, :], 1))
     else:
         rng = np.random.default_rng(seed)
-        while len(inter_vals) < sample:
-            i, j = rng.integers(m, size=2)
-            if i != j and sv[i] != sv[j]:
-                inter_vals.append(_cosine(x[i], x[j]))
+        pairs = []
+        while len(pairs) < sample:
+            a, b = rng.integers(m, size=2)
+            if a != b and sv[a] != sv[b]:
+                pairs.append((a, b))
+        i, j = np.array(pairs).T
+    inter_vals = _cosines(np.einsum("ij,ij->i", x[i], x[j]), sq[i], sq[j])
     return float(np.mean(intra_vals)), float(np.mean(inter_vals))
 
 

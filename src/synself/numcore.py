@@ -188,7 +188,7 @@ def maxpool3d_backward(x: Tensor, d_output: Tensor, window: int = 2, stride: int
     c, d2, h2, w2 = am.shape
     dz, rem = np.divmod(am, 4)
     dy, dx = np.divmod(rem, 2)
-    ci, zi, yi, xi = np.indices((c, d2, h2, w2), sparse=False)
+    ci, zi, yi, xi = np.indices((c, d2, h2, w2), sparse=True)
     d_x = np.zeros_like(x)
     d_x[ci, zi * 2 + dz, yi * 2 + dy, xi * 2 + dx] = d_output
     return LayerGrads(d_x, [])

@@ -162,16 +162,18 @@ def _place_sites(lo, hi, margin, n_sites, min_sep, rng, sv_label):
             f"supervoxel {sv_label}: cell {lo}..{hi} too small for morphology margin {margin}"
         )
     min_sep2 = min_sep * min_sep
+    sites = np.empty((n_sites, 3), dtype=np.int64)
     for _ in range(PLACEMENT_RESTARTS):
-        sites: list[tuple[int, int, int]] = []
-        attempts = 0
-        while len(sites) < n_sites and attempts < PLACEMENT_ATTEMPTS_PER_SITE * n_sites:
+        placed = attempts = 0
+        while placed < n_sites and attempts < PLACEMENT_ATTEMPTS_PER_SITE * n_sites:
             attempts += 1
-            cand = tuple(int(rng.integers(a, b)) for a, b in zip(los, his))
-            if all(sum((c - s) ** 2 for c, s in zip(cand, st)) >= min_sep2 for st in sites):
-                sites.append(cand)
-        if len(sites) == n_sites:
-            return sites
+            cand = [int(rng.integers(a, b)) for a, b in zip(los, his)]
+            # exact integer squared distances to every accepted site
+            if placed == 0 or ((sites[:placed] - cand) ** 2).sum(axis=1).min() >= min_sep2:
+                sites[placed] = cand
+                placed += 1
+        if placed == n_sites:
+            return [tuple(site) for site in sites.tolist()]
     raise GenerationError(
         f"supervoxel {sv_label}: placement infeasible after "
         f"{PLACEMENT_RESTARTS}x{PLACEMENT_ATTEMPTS_PER_SITE * n_sites} rejection-sampling attempts"

@@ -242,8 +242,10 @@ def train(
 ) -> tuple[TrainState, list[dict]]:
     """Run cfg.steps total steps, writing checkpoints and metrics.csv to out_dir.
 
-    Resuming continues the checkpoint's run: its metrics rows are kept, and a
-    config that differs in any field besides RESUMABLE_FIELDS raises TrainError.
+    metrics.csv is rewritten with every checkpoint, so after a crash it holds
+    the rows of the latest checkpoint. Resuming continues the checkpoint's run:
+    its metrics rows are kept, and a config that differs in any field besides
+    RESUMABLE_FIELDS raises TrainError.
     """
     os.makedirs(out_dir, exist_ok=True)
     if resume_from is None:
@@ -258,6 +260,7 @@ def train(
                 )
         # the earlier run also logged its last step, which this run may not log
         state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
+    metrics_path = os.path.join(out_dir, "metrics.csv")
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         while state.step < cfg.steps:
@@ -267,9 +270,10 @@ def train(
                 state.rows.append(metrics)
             if t % cfg.checkpoint_every == 0 or t == cfg.steps:
                 save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
+                write_metrics(state.rows, metrics_path)
     finally:
         if pool is not None:
             pool.shutdown()
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))
-    write_metrics(state.rows, os.path.join(out_dir, "metrics.csv"))
+    write_metrics(state.rows, metrics_path)
     return state, state.rows

@@ -171,11 +171,13 @@ class EmbeddingMatrix:
 
 
 def _atomic_write(path, write_fn) -> None:
-    """Write via a unique temp file beside ``path``, fsync, then rename over it.
+    """Write via a unique temp file beside ``path``, fsync, rename over it, then
+    fsync the directory where the platform can open one, so the rename survives
+    a power loss.
 
-    A failure leaves ``path`` as it was and removes the temp file. The temp name
-    is random and opened with O_EXCL, so no existing file is ever renamed over
-    ``path``; the mode is the default 0o666 less the umask.
+    A failure before the rename leaves ``path`` as it was and removes the temp
+    file. The temp name is random and opened with O_EXCL, so no existing file is
+    ever renamed over ``path``; the mode is the default 0o666 less the umask.
     """
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
@@ -188,6 +190,12 @@ def _atomic_write(path, write_fn) -> None:
     except BaseException:
         os.remove(tmp)
         raise
+    if hasattr(os, "O_DIRECTORY"):
+        dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 def write_volume(vol: IntensityVolume | SegmentationVolume, path) -> None:

@@ -6,6 +6,9 @@ it shares no code path with the implementations it checks.
 
 import numpy as np
 
+from synself.analysis import AnalysisError
+from synself.synthgen import PLACEMENT_ATTEMPTS_PER_SITE, PLACEMENT_RESTARTS, GenerationError
+
 
 def conv3d_loops(x, w, b):
     """Direct 7-nested-loop 3D correlation with same padding."""
@@ -218,3 +221,66 @@ def eligible_supervoxels_lists(dataset, cfg):
         if pairs:
             out[sv] = pairs
     return out
+
+
+def _cosine_loops(u, v):
+    # sqrt of the product keeps cos(u, u) == 1 exactly
+    denom = max(float(np.sqrt((u @ u) * (v @ v))), 1e-300)
+    return float(u @ v) / denom
+
+
+def concordance_loops(emb, synapses, sample=10_000, seed=0):
+    """Intra/inter mean cosine, one pair at a time in row-major order."""
+    by_id = {rec.id: rec.supervoxel_id for rec in synapses}
+    sv = np.array([by_id[i] for i in emb.synapse_ids])
+    x = emb.values
+    m = x.shape[0]
+    intra_vals = []
+    for label in np.unique(sv):
+        rows = np.nonzero(sv == label)[0]
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                intra_vals.append(_cosine_loops(x[rows[i]], x[rows[j]]))
+    if not intra_vals:
+        raise AnalysisError("no supervoxel has two embedded synapses; intra undefined")
+    cross_total = m * (m - 1) // 2 - len(intra_vals)
+    if cross_total == 0:
+        raise AnalysisError("no cross-supervoxel pairs; inter undefined")
+    inter_vals = []
+    if cross_total <= sample:
+        for i in range(m):
+            for j in range(i + 1, m):
+                if sv[i] != sv[j]:
+                    inter_vals.append(_cosine_loops(x[i], x[j]))
+    else:
+        rng = np.random.default_rng(seed)
+        while len(inter_vals) < sample:
+            i, j = rng.integers(m, size=2)
+            if i != j and sv[i] != sv[j]:
+                inter_vals.append(_cosine_loops(x[i], x[j]))
+    return float(np.mean(intra_vals)), float(np.mean(inter_vals))
+
+
+def place_sites_loops(lo, hi, margin, n_sites, min_sep, rng, sv_label):
+    """Rejection-sample sites, testing each candidate against the accepted ones one by one."""
+    los = [l + margin for l in lo]
+    his = [h - margin for h in hi]  # exclusive
+    if any(a >= b for a, b in zip(los, his)):
+        raise GenerationError(
+            f"supervoxel {sv_label}: cell {lo}..{hi} too small for morphology margin {margin}"
+        )
+    min_sep2 = min_sep * min_sep
+    for _ in range(PLACEMENT_RESTARTS):
+        sites = []
+        attempts = 0
+        while len(sites) < n_sites and attempts < PLACEMENT_ATTEMPTS_PER_SITE * n_sites:
+            attempts += 1
+            cand = tuple(int(rng.integers(a, b)) for a, b in zip(los, his))
+            if all(sum((c - s) ** 2 for c, s in zip(cand, st)) >= min_sep2 for st in sites):
+                sites.append(cand)
+        if len(sites) == n_sites:
+            return sites
+    raise GenerationError(
+        f"supervoxel {sv_label}: placement infeasible after "
+        f"{PLACEMENT_RESTARTS}x{PLACEMENT_ATTEMPTS_PER_SITE * n_sites} rejection-sampling attempts"
+    )

@@ -9,7 +9,7 @@ from synself import analysis as an
 from synself import encoder as enc
 from synself import sampler as sp
 from synself.volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, VolumeHeader
-from oracles import ari_pair_loops, nmi_loops
+from oracles import ari_pair_loops, concordance_loops, nmi_loops
 
 
 def ramp_dataset():
@@ -228,6 +228,35 @@ class TestConcordance:
         emb = EmbeddingMatrix(list(range(4)), np.tile([1.0, 2.0], (4, 1)))
         intra, inter = an.concordance(emb, self.recs([1, 1, 2, 2]))
         assert intra == 1.0 and inter == 1.0
+
+    def test_identical_wide_embeddings(self):
+        # at this size the entries of a BLAS Gram matrix of equal rows differ in
+        # their last bits, so the cosine of two equal rows would not be exactly 1
+        row = np.random.default_rng(3).normal(size=64)
+        emb = EmbeddingMatrix(list(range(80)), np.tile(row, (80, 1)))
+        intra, inter = an.concordance(emb, self.recs([1] * 40 + [2] * 40))
+        assert intra == 1.0 and inter == 1.0
+
+    # sample 50 takes the sampled inter path, 10_000 the exhaustive one
+    @pytest.mark.parametrize("sample", [50, 10_000])
+    def test_matches_the_pairwise_loops(self, sample):
+        rng = np.random.default_rng(17)
+        svs = [1] * 23 + [2] * 9 + [3] + [4] * 2 + [5] * 14
+        svs = [svs[i] for i in rng.permutation(len(svs))]
+        x = rng.normal(size=(len(svs), 64)) * rng.uniform(0.01, 100.0, size=(len(svs), 1))
+        emb = EmbeddingMatrix(list(range(len(svs))), x)
+        got = an.concordance(emb, self.recs(svs), sample=sample, seed=4)
+        want = concordance_loops(emb, self.recs(svs), sample=sample, seed=4)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_zero_row_has_cosine_zero(self):
+        x = np.random.default_rng(5).normal(size=(6, 8))
+        x[1] = 0.0
+        emb = EmbeddingMatrix(list(range(6)), x)
+        recs = self.recs([1, 1, 1, 2, 2, 2])
+        got = an.concordance(emb, recs)
+        assert np.isfinite(got).all()
+        assert np.allclose(got, concordance_loops(emb, recs), rtol=0.0, atol=1e-12)
 
     def test_orthogonal_supervoxels(self):
         emb = EmbeddingMatrix(

@@ -5,6 +5,7 @@ import pytest
 
 from synself import synthgen as sg
 from synself.volume_io import read_synapse_table, read_volume
+from oracles import place_sites_loops
 
 
 def small_config(**kw):
@@ -85,6 +86,28 @@ class TestGenerate:
     def test_infeasible_placement_reports_supervoxel(self):
         with pytest.raises(sg.GenerationError, match="supervoxel"):
             sg.generate(small_config(dims=(20, 20, 10), synapses_per_supervoxel=30))
+
+    @pytest.mark.parametrize("cfg", [
+        sg.GenConfig(seed=4),
+        sg.GenConfig(seed=4, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
+    ], ids=["default", "dense"])
+    def test_placement_matches_the_loops(self, monkeypatch, cfg):
+        got = sg.generate(cfg)
+        monkeypatch.setattr(sg, "_place_sites", place_sites_loops)
+        want = sg.generate(cfg)
+        assert got.intensity.voxels.tobytes() == want.intensity.voxels.tobytes()
+        assert got.segmentation.voxels.tobytes() == want.segmentation.voxels.tobytes()
+        assert got.synapses == want.synapses
+        assert all(type(c) is int for r in got.synapses for c in r.pos)
+
+    def test_infeasible_placement_error_matches_the_loops(self, monkeypatch):
+        cfg = small_config(dims=(20, 20, 10), synapses_per_supervoxel=30)
+        with pytest.raises(sg.GenerationError) as got:
+            sg.generate(cfg)
+        monkeypatch.setattr(sg, "_place_sites", place_sites_loops)
+        with pytest.raises(sg.GenerationError) as want:
+            sg.generate(cfg)
+        assert str(got.value) == str(want.value)
 
     def test_recoverability_zero_noise_threshold_classifier(self):
         # radii differ by >= 2: counting non-background voxels in a centered

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -150,6 +152,24 @@ class TestTrainLoop:
         assert (tmp_path / "resumed" / "ckpt_final.dckpt").read_bytes() == \
             (tmp_path / "full" / "ckpt_final.dckpt").read_bytes()
 
+    def test_crash_leaves_the_latest_checkpoints_metrics(self, tmp_path, monkeypatch):
+        ds = tiny_dataset()
+        cfg = tiny_config(steps=8, checkpoint_every=2, log_every=1)
+        real_step = tr.train_step
+
+        def step_crashing_at_5(state, *args):
+            if state.step == 4:
+                raise RuntimeError("crash at step 5")
+            return real_step(state, *args)
+
+        monkeypatch.setattr(tr, "train_step", step_crashing_at_5)
+        with pytest.raises(RuntimeError, match="crash at step 5"):
+            tr.train(cfg, ds, tmp_path / "run")
+        state, _ = tr.load_train_state(tmp_path / "run" / "ckpt_000004.dckpt")
+        assert [r["step"] for r in state.rows] == [1, 2, 3, 4]
+        tr.write_metrics(state.rows, tmp_path / "want.csv")
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_checkpoint_next_step_metrics_match(self, tmp_path):
         ds = tiny_dataset()
         cfg = tiny_config(steps=8, checkpoint_every=4, log_every=1)
@@ -244,6 +264,22 @@ class TestTrainLoop:
         assert bystander.read_bytes() == b"user data\n"
         assert target.read_text().splitlines()[1].startswith("1,0.5,")
         assert sorted(f.name for f in tmp_path.iterdir()) == ["metrics.csv", "metrics.csv.tmp"]
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="no directory fsync on this platform")
+    def test_write_fsyncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        target = tmp_path / "metrics.csv"
+        real_fsync = os.fsync
+        synced = []  # (is a directory, inode, target exists) per fsync
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode), st.st_ino, target.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        row = {"step": 1, "loss": 0.5, "grad_norm": 1.0, "pos_cos": 0.1, "neg_cos": 0.0}
+        tr.write_metrics([row], target)
+        assert (True, tmp_path.stat().st_ino, True) in synced
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "metrics.csv"
