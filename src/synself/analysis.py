@@ -9,14 +9,13 @@ power iteration, and a stable SVG emitter.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoder as enc
 from . import sampler as sp
-from .volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord
+from .volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, _atomic_write, check_synapses_in_bounds
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10_000
@@ -38,11 +37,10 @@ def embed_all(
     synapses: list[SynapseRecord],
     patch_side: int,
     layer: str = "h",
-    threads: int = 1,
 ) -> EmbeddingMatrix:
     """One embedding row per synapse, in table order, without augmentation."""
     params, cfg = enc.load(checkpoint_path)
-    return embed_with_params(params, cfg, volume, synapses, patch_side, layer, threads)
+    return embed_with_params(params, cfg, volume, synapses, patch_side, layer)
 
 
 def embed_with_params(
@@ -52,8 +50,8 @@ def embed_with_params(
     synapses: list[SynapseRecord],
     patch_side: int | None = None,
     layer: str = "h",
-    threads: int = 1,
 ) -> EmbeddingMatrix:
+    """:func:`embed_all` with parameters in memory; a synapse outside the volume raises VolumeFormatError."""
     if patch_side is not None and patch_side != cfg.patch_side:
         raise AnalysisError(
             f"requested patch_side {patch_side} != checkpoint patch_side {cfg.patch_side}"
@@ -62,18 +60,12 @@ def embed_with_params(
         raise AnalysisError(f"layer must be 'h' or 'z', got {layer!r}")
     if not synapses:
         raise AnalysisError("no synapses to embed")
-    side = cfg.patch_side
-
-    def one(rec: SynapseRecord) -> np.ndarray:
-        patch = sp.extract_patch(volume, rec.pos, side)
+    check_synapses_in_bounds(synapses, volume.header)
+    rows = []
+    for rec in synapses:
+        patch = sp.extract_patch(volume, rec.pos, cfg.patch_side)
         h, z, _ = enc.forward(params, patch[None, :, :, :], cfg)
-        return h if layer == "h" else z
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, synapses))
-    else:
-        rows = [one(rec) for rec in synapses]
+        rows.append(h if layer == "h" else z)
     kind = "penultimate" if layer == "h" else "projected"
     return EmbeddingMatrix([r.id for r in synapses], np.stack(rows), kind)
 
@@ -376,7 +368,4 @@ def emit_scatter(coords: np.ndarray, labels, path) -> None:
             f'font-size="12">{lab}</text></g>'
         )
     parts.append("</svg>")
-
-    from .volume_io import _atomic_write
-
     _atomic_write(path, lambda f: f.write("\n".join(parts).encode("utf-8")))

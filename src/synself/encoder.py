@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numcore as nc
+from .volume_io import _atomic_write
 
 MAGIC = b"DCKPT1\n"
 
@@ -135,7 +136,6 @@ def backward(
     cache: dict,
     d_z: np.ndarray,
     d_h: np.ndarray | None = None,
-    cfg: EncoderConfig | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact parameter gradients; d_h is added at the penultimate junction."""
     h = cache["h"]
@@ -170,8 +170,6 @@ def backward(
 
 
 def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    from .volume_io import _atomic_write
-
     def body(f):
         f.write(MAGIC)
         f.write(json.dumps(config, separators=(",", ":"), sort_keys=True).encode("utf-8"))

@@ -40,10 +40,6 @@ class LayerGrads:
     d_params: list[Tensor]
 
 
-def as_tensor(x) -> Tensor:
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeError(msg)
@@ -94,7 +90,7 @@ def _conv_shapes(x: Tensor, weights: Tensor, bias: Tensor | None):
     return c_out, c_in, k
 
 
-def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """out[o,z,y,x] = bias[o] + sum_{c,dz,dy,dx} w[o,c,dz,dy,dx] * in[c,z+dz-p,y+dy-p,x+dx-p].
 
     k GEMMs, one per dz: ``w[:, :, dz]`` (Cout x Cin*k*k) times the column
@@ -103,7 +99,6 @@ def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) ->
     matrix, Cin*k*k rows by Dp*Hp*Wp: about k times smaller than the
     D*H*W by Cin*k^3 im2col matrix (2.8x at 80^3, k=3).
     """
-    _check(stride == 1, "only stride-1 convolutions are supported")
     c_out, _, k = _conv_shapes(x, weights, bias)
     _, d, h, w = x.shape
     cols, hp, wp = _shifted_columns(x, k)
@@ -137,9 +132,7 @@ def _weight_grad(x: Tensor, d_output: Tensor, k: int) -> Tensor:
     return d_weights
 
 
-def conv3d_backward(
-    x: Tensor, weights: Tensor, d_output: Tensor, stride: int = 1, need_dx: bool = True
-) -> LayerGrads:
+def conv3d_backward(x: Tensor, weights: Tensor, d_output: Tensor, need_dx: bool = True) -> LayerGrads:
     """Gradients of :func:`conv3d_forward`: d_input (None unless need_dx), [d_weights, d_bias].
 
     ``d_w[:, :, dz]`` is the zero-padded d_output times the transposed dz column
@@ -148,7 +141,6 @@ def conv3d_backward(
     A caller whose input is raw data (the encoder's first conv) passes
     ``need_dx=False``: nothing reads that gradient, and it is the costlier half.
     """
-    _check(stride == 1, "only stride-1 convolutions are supported")
     c_out, c_in, k = _conv_shapes(x, weights, None)
     _check(d_output.shape == (c_out,) + x.shape[1:],
            f"conv3d d_output shape {d_output.shape} != {(c_out,) + x.shape[1:]}")
@@ -174,13 +166,11 @@ def _pool_windows(x: Tensor):
     return win.transpose(0, 1, 3, 5, 2, 4, 6).reshape(c, d // 2, h // 2, w // 2, 8)
 
 
-def maxpool3d_forward(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    _check(window == 2 and stride == 2, "only 2x2x2/stride-2 pooling is supported")
+def maxpool3d_forward(x: Tensor) -> Tensor:
     return _pool_windows(x).max(axis=-1)
 
 
-def maxpool3d_backward(x: Tensor, d_output: Tensor, window: int = 2, stride: int = 2) -> LayerGrads:
-    _check(window == 2 and stride == 2, "only 2x2x2/stride-2 pooling is supported")
+def maxpool3d_backward(x: Tensor, d_output: Tensor) -> LayerGrads:
     win = _pool_windows(x)
     _check(d_output.shape == win.shape[:4],
            f"maxpool3d d_output shape {d_output.shape} != {win.shape[:4]}")

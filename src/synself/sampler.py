@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .volume_io import IntensityVolume, SegmentationVolume, SynapseRecord
+from .volume_io import IntensityVolume, SegmentationVolume, SynapseRecord, check_synapses_in_bounds
 
 
 class SamplingError(ValueError):
@@ -76,11 +76,15 @@ class PairBatch:
 
 @dataclass
 class Dataset:
-    """Minimal sampling source: an intensity volume plus its synapse table."""
+    """Minimal sampling source: an intensity volume plus its synapse table,
+    whose synapses must lie inside it (else VolumeFormatError)."""
 
     intensity: IntensityVolume
     synapses: list[SynapseRecord]
     segmentation: SegmentationVolume | None = None
+
+    def __post_init__(self):
+        check_synapses_in_bounds(self.synapses, self.intensity.header)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ construction and class is recoverable from local appearance.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ from .volume_io import (
     VolumeFormatError,
     VolumeHeader,
     _atomic_write,
+    _read_utf8,
     write_synapse_table,
     write_volume,
 )
@@ -336,8 +339,6 @@ def inject_false_merge(ph: Phantom, sv_a: int, sv_b: int):
 
 def write_classes(class_of_supervoxel: dict[int, int], path) -> None:
     def body(f):
-        import io
-
         text = io.TextIOWrapper(f, encoding="utf-8", newline="")
         w = csv.writer(text, lineterminator="\n")
         w.writerow(["supervoxel_id", "class"])
@@ -350,7 +351,9 @@ def write_classes(class_of_supervoxel: dict[int, int], path) -> None:
 
 
 def read_classes(path) -> dict[int, int]:
-    with open(path, newline="", encoding="utf-8") as f:
+    """supervoxel id -> class; malformed bytes, a repeated id, an id <= 0 or a
+    class < 0 raise VolumeFormatError."""
+    with io.StringIO(_read_utf8(path), newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["supervoxel_id", "class"]:
@@ -360,15 +363,20 @@ def read_classes(path) -> dict[int, int]:
             if len(row) != 2:
                 raise VolumeFormatError(f"{path}: row {row_i} has {len(row)} fields, expected 2")
             try:
-                out[int(row[0])] = int(row[1])
+                sv, cls = int(row[0]), int(row[1])
             except ValueError:
                 raise VolumeFormatError(f"{path}: non-integer entry at row {row_i}") from None
+            if sv in out:
+                raise VolumeFormatError(f"{path}: duplicate supervoxel id {sv} at row {row_i}")
+            if sv <= 0 or cls < 0:
+                raise VolumeFormatError(
+                    f"{path}: row {row_i}: need supervoxel id > 0 and class >= 0, got {sv},{cls}"
+                )
+            out[sv] = cls
     return out
 
 
 def save_phantom(ph: Phantom, out_dir) -> None:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     write_volume(ph.intensity, os.path.join(out_dir, "intensity.vol"))
     write_volume(ph.segmentation, os.path.join(out_dir, "segmentation.vol"))

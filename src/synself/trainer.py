@@ -2,10 +2,10 @@
 
 Every artifact is a deterministic function of (config, dataset): the sampler
 rng and the logged metrics rows are owned by the train state and saved in
-checkpoints, view forwards are reduced in a fixed order regardless of worker
-count, and metrics/checkpoint files carry no clocks or hostnames. Checkpoints
-reuse the encoder container format; encoder.load() can open them directly and
-ignores the extra optimizer tensors and the train_state config key.
+checkpoints, view gradients are summed in view order, and metrics/checkpoint
+files carry no clocks or hostnames. Checkpoints reuse the encoder container
+format; encoder.load() can open them directly and ignores the extra optimizer
+tensors and the train_state config key.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from . import encoder as enc
 from . import ntxent
 from . import sampler as sp
+from .volume_io import _atomic_write
 
 METRICS_COLUMNS = ("step", "loss", "grad_norm", "pos_cos", "neg_cos")
 # a resumed run may only extend these; every other TrainConfig field shapes the result
@@ -89,33 +89,23 @@ def _batch_fingerprint(views: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(views).tobytes()).hexdigest()[:12]
 
 
-def train_step(state: TrainState, dataset, cfg: TrainConfig, pool: ThreadPoolExecutor | None = None):
+def train_step(state: TrainState, dataset, cfg: TrainConfig):
     """Advance one step in place; returns the step's metrics dict."""
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
-    n = cfg.sampler.batch_pairs
     views = np.concatenate([batch.views_a, batch.views_b], axis=0)
-    pairing = ntxent.views_pairing(n)
+    pairing = ntxent.views_pairing(cfg.sampler.batch_pairs)
 
-    def fwd(i):
-        _, z, cache = enc.forward(state.params, views[i][None, :, :, :], cfg.encoder)
-        return z, cache
-
-    if pool is None:
-        results = [fwd(i) for i in range(2 * n)]
-    else:
-        results = list(pool.map(fwd, range(2 * n)))
-    z_rows = np.stack([r[0] for r in results])
+    z_rows, caches = [], []
+    for view in views:
+        _, z, cache = enc.forward(state.params, view[None, :, :, :], cfg.encoder)
+        z_rows.append(z)
+        caches.append(cache)
+    z_rows = np.stack(z_rows)
     value, d_z = ntxent.loss(z_rows, pairing, cfg.ntxent.temperature)
 
-    def bwd(i):
-        return enc.backward(state.params, results[i][1], d_z[i], None)
-
-    if pool is None:
-        per_view = [bwd(i) for i in range(2 * n)]
-    else:
-        per_view = list(pool.map(bwd, range(2 * n)))
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    for g in per_view:  # fixed view order keeps the reduction deterministic
+    for cache, d_view in zip(caches, d_z):  # fixed view order keeps the reduction deterministic
+        g = enc.backward(state.params, cache, d_view)
         for k in grads:
             grads[k] += g[k]
 
@@ -156,8 +146,6 @@ def _is_logged(step: int, cfg: TrainConfig) -> bool:
 
 
 def write_metrics(rows: list[dict], path) -> None:
-    from .volume_io import _atomic_write
-
     def body(f):
         lines = [",".join(METRICS_COLUMNS)]
         for r in rows:
@@ -237,7 +225,6 @@ def train(
     cfg: TrainConfig,
     dataset,
     out_dir,
-    threads: int = 1,
     resume_from=None,
 ) -> tuple[TrainState, list[dict]]:
     """Run cfg.steps total steps, writing checkpoints and metrics.csv to out_dir.
@@ -261,19 +248,14 @@ def train(
         # the earlier run also logged its last step, which this run may not log
         state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while state.step < cfg.steps:
-            metrics = train_step(state, dataset, cfg, pool)
-            t = state.step
-            if _is_logged(t, cfg):
-                state.rows.append(metrics)
-            if t % cfg.checkpoint_every == 0 or t == cfg.steps:
-                save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
-                write_metrics(state.rows, metrics_path)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while state.step < cfg.steps:
+        metrics = train_step(state, dataset, cfg)
+        t = state.step
+        if _is_logged(t, cfg):
+            state.rows.append(metrics)
+        if t % cfg.checkpoint_every == 0 or t == cfg.steps:
+            save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
+            write_metrics(state.rows, metrics_path)
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))
     write_metrics(state.rows, metrics_path)
     return state, state.rows

@@ -82,11 +82,6 @@ class _BaseVolume:
     def voxel(self, x: int, y: int, z: int):
         return self.voxels[z, y, x]
 
-    def in_bounds(self, pos: tuple[int, int, int]) -> bool:
-        nx, ny, nz = self.header.dims
-        x, y, z = pos
-        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz
-
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)

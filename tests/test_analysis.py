@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from synself import analysis as an
 from synself import encoder as enc
 from synself import sampler as sp
-from synself.volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, VolumeHeader
+from synself.volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, VolumeFormatError, VolumeHeader
 from oracles import ari_pair_loops, concordance_loops, nmi_loops
 
 
@@ -59,13 +59,10 @@ class TestEmbedAll:
         with pytest.raises(an.AnalysisError, match="patch_side"):
             an.embed_all(ck, vol, recs, patch_side=16)
 
-    def test_threads_do_not_change_rows(self, tmp_path):
+    def test_synapse_outside_the_volume_rejected(self):
         vol, recs = ramp_dataset()
-        ck = tmp_path / "ck.dckpt"
-        enc.save(enc.init(SMALL), SMALL, ck)
-        a = an.embed_all(ck, vol, recs, patch_side=8, threads=1)
-        b = an.embed_all(ck, vol, recs, patch_side=8, threads=4)
-        assert a.values.tobytes() == b.values.tobytes()
+        with pytest.raises(VolumeFormatError, match="outside volume"):
+            an.embed_with_params(enc.init(SMALL), SMALL, vol, recs + [SynapseRecord(9, (500, 500, 500), 1)])
 
     def test_row_order_follows_table_order(self, tmp_path):
         vol, recs = ramp_dataset()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from synself import sampler as sp
-from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
+from synself.volume_io import IntensityVolume, SynapseRecord, VolumeFormatError, VolumeHeader
 from oracles import eligible_supervoxels_lists, extract_patch_loops
 
 
@@ -145,6 +145,11 @@ class TestSampleBatch:
         # on a ramp volume, views from distinct centers must differ
         for row in range(4):
             assert not np.array_equal(batch.views_a[row], batch.views_b[row])
+
+    def test_synapse_outside_the_volume_rejected(self):
+        recs = [SynapseRecord(0, (4, 4, 4), 1), SynapseRecord(1, (4, 24, 4), 1)]
+        with pytest.raises(VolumeFormatError, match="outside volume"):
+            sp.Dataset(ramp_volume((24, 24, 24)), recs)
 
     def test_distance_cap_excludes_supervoxel(self):
         d = 5

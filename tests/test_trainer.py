@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from synself import encoder as enc
+from synself import ntxent
 from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
@@ -68,18 +69,35 @@ class TestTrainStep:
         assert all(np.array_equal(s1.params[k], s2.params[k]) for k in s1.params)
         assert s1.rng.bit_generator.state == s2.rng.bit_generator.state
 
-    def test_thread_pool_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_step_sums_view_gradients_in_view_order(self):
         ds = tiny_dataset()
         cfg = tiny_config()
-        s1 = tr.init_state(cfg)
-        s2 = tr.init_state(cfg)
-        m1 = tr.train_step(s1, ds, cfg, pool=None)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            m2 = tr.train_step(s2, ds, cfg, pool=pool)
-        assert m1 == m2
-        assert all(np.array_equal(s1.params[k], s2.params[k]) for k in s1.params)
+        state = tr.init_state(cfg)
+        metrics = tr.train_step(state, ds, cfg)
+
+        ref = tr.init_state(cfg)
+        batch = sp.sample_batch(ds, cfg.sampler, ref.rng)
+        views = np.concatenate([batch.views_a, batch.views_b])
+        outs = [enc.forward(ref.params, v[None], cfg.encoder) for v in views]
+        z_rows = np.stack([z for _, z, _ in outs])
+        pairing = ntxent.views_pairing(cfg.sampler.batch_pairs)
+        loss, d_z = ntxent.loss(z_rows, pairing, cfg.ntxent.temperature)
+        per_view = [enc.backward(ref.params, cache, d_z[i]) for i, (_, _, cache) in enumerate(outs)]
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        sq_sum = 0.0
+        for k, p in ref.params.items():
+            g = np.zeros_like(p)
+            for view_grads in per_view:
+                g += view_grads[k]
+            sq_sum += float(np.sum(g * g))
+            m = 0.0 + (1 - b1) * g  # first Adam step from zero moments
+            v = 0.0 + (1 - b2) * g * g
+            want = p - cfg.lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + cfg.adam_eps)
+            assert state.params[k].tobytes() == want.tobytes(), k
+        pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows, pairing)
+        assert metrics == {"step": 1, "loss": loss, "grad_norm": float(np.sqrt(sq_sum)),
+                           "pos_cos": pos_cos, "neg_cos": neg_cos}
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_loss_decreases_on_frozen_tiny_problem(self):
         ds = tiny_dataset(seed=1)
