@@ -1,10 +1,11 @@
 """Embedding extraction and quantitative structure analysis.
 
-Embeds every synapse with the trained encoder (penultimate h by default),
-projects to 2D with deflated power-iteration PCA, clusters with k-means, and
-scores agreement against labels (NMI/ARI) and supervoxel concordance. All
-routines are deterministic: seeded k-means with fixed tie rules, fixed-start
-power iteration, and a stable SVG emitter.
+Embeds every synapse as the trained encoder's penultimate h (the projection
+z exists only for the training loss), projects to 2D with deflated
+power-iteration PCA, clusters with k-means, and scores agreement against
+labels (NMI/ARI) and supervoxel concordance. All routines are deterministic:
+seeded k-means with fixed tie rules, fixed-start power iteration, and a
+stable SVG emitter.
 """
 
 from __future__ import annotations
@@ -36,11 +37,15 @@ def embed_all(
     volume: IntensityVolume,
     synapses: list[SynapseRecord],
     patch_side: int,
-    layer: str = "h",
 ) -> EmbeddingMatrix:
-    """One embedding row per synapse, in table order, without augmentation."""
+    """One h row per synapse, in table order, without augmentation; patch_side
+    must be the checkpoint's."""
     params, cfg = enc.load(checkpoint_path)
-    return embed_with_params(params, cfg, volume, synapses, patch_side, layer)
+    if patch_side != cfg.patch_side:
+        raise AnalysisError(
+            f"requested patch_side {patch_side} != checkpoint patch_side {cfg.patch_side}"
+        )
+    return embed_with_params(params, cfg, volume, synapses)
 
 
 def embed_with_params(
@@ -48,26 +53,17 @@ def embed_with_params(
     cfg: enc.EncoderConfig,
     volume: IntensityVolume,
     synapses: list[SynapseRecord],
-    patch_side: int | None = None,
-    layer: str = "h",
 ) -> EmbeddingMatrix:
     """:func:`embed_all` with parameters in memory; a synapse outside the volume raises VolumeFormatError."""
-    if patch_side is not None and patch_side != cfg.patch_side:
-        raise AnalysisError(
-            f"requested patch_side {patch_side} != checkpoint patch_side {cfg.patch_side}"
-        )
-    if layer not in ("h", "z"):
-        raise AnalysisError(f"layer must be 'h' or 'z', got {layer!r}")
     if not synapses:
         raise AnalysisError("no synapses to embed")
     check_synapses_in_bounds(synapses, volume.header)
     rows = []
     for rec in synapses:
         patch = sp.extract_patch(volume, rec.pos, cfg.patch_side)
-        h, z, _ = enc.forward(params, patch[None, :, :, :], cfg)
-        rows.append(h if layer == "h" else z)
-    kind = "penultimate" if layer == "h" else "projected"
-    return EmbeddingMatrix([r.id for r in synapses], np.stack(rows), kind)
+        h, _ = enc.forward(params, patch[None, :, :, :], cfg)
+        rows.append(h)
+    return EmbeddingMatrix([r.id for r in synapses], np.stack(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """VGG-style volumetric encoder: conv blocks -> penultimate h -> projected z.
 
+:func:`forward` stops at h, the representation that embedding reads; only
+training calls :func:`project` for the unit-norm z that the loss compares.
+
 Parameters are a name->tensor dict in a canonical order derived purely from
 ``EncoderConfig``. Checkpoints are a bit-exact binary container: the magic
 line, one JSON config line, then length-prefixed named float64 tensors.
@@ -11,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,13 +75,9 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_count(cfg: EncoderConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
-
-
-def init(cfg: EncoderConfig, seed: int | None = None) -> dict[str, np.ndarray]:
-    """He-uniform weights (bound sqrt(6/fan_in)), zero biases; deterministic in seed."""
-    rng = np.random.default_rng(cfg.init_seed if seed is None else seed)
+def init(cfg: EncoderConfig) -> dict[str, np.ndarray]:
+    """He-uniform weights (bound sqrt(6/fan_in)), zero biases; deterministic in cfg.init_seed."""
+    rng = np.random.default_rng(cfg.init_seed)
     params = {}
     for name, shape in param_shapes(cfg).items():
         if name.endswith(".b"):
@@ -91,10 +90,10 @@ def init(cfg: EncoderConfig, seed: int | None = None) -> dict[str, np.ndarray]:
 
 
 def forward(params: dict[str, np.ndarray], patch: np.ndarray, cfg: EncoderConfig):
-    """Run the encoder on one (1,s,s,s) patch.
+    """Run the conv blocks and the h head on one (1,s,s,s) patch.
 
-    Returns (h, z, cache): penultimate h, unit-norm projection z, and the
-    activation cache consumed by :func:`backward`.
+    Returns (h, cache): the penultimate h, and the activation cache that
+    :func:`project` extends and :func:`backward` consumes.
     """
     s = cfg.patch_side
     if patch.shape != (1, s, s, s):
@@ -116,8 +115,6 @@ def forward(params: dict[str, np.ndarray], patch: np.ndarray, cfg: EncoderConfig
     flat = x.reshape(-1)
     h_pre = nc.dense_forward(flat, params["head_h.w"], params["head_h.b"])
     h = nc.relu_forward(h_pre)
-    z_pre = nc.dense_forward(h, params["head_z.w"], params["head_z.b"])
-    z = nc.l2_normalize_forward(z_pre)
     cache = {
         "conv_inputs": conv_inputs,
         "conv_pre": conv_pre,
@@ -126,42 +123,41 @@ def forward(params: dict[str, np.ndarray], patch: np.ndarray, cfg: EncoderConfig
         "flat": flat,
         "h_pre": h_pre,
         "h": h,
-        "z_pre": z_pre,
     }
-    return h, z, cache
+    return h, cache
 
 
-def backward(
-    params: dict[str, np.ndarray],
-    cache: dict,
-    d_z: np.ndarray,
-    d_h: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Exact parameter gradients; d_h is added at the penultimate junction."""
-    h = cache["h"]
+def project(params: dict[str, np.ndarray], cache: dict) -> np.ndarray:
+    """Unit-norm projection z of the cached h; records z_pre in the cache for :func:`backward`.
+
+    A zero z_pre has no direction and raises ValueError.
+    """
+    z_pre = nc.dense_forward(cache["h"], params["head_z.w"], params["head_z.b"])
+    z = nc.l2_normalize_forward(z_pre)
+    cache["z_pre"] = z_pre
+    return z
+
+
+def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact parameter gradients, given the loss gradient d_z at z = project(params, cache)."""
     grads = {}
-    d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64)).d_input
-    gz = nc.dense_backward(h, params["head_z.w"], d_zpre)
-    grads["head_z.w"], grads["head_z.b"] = gz.d_params
-    d_h_total = gz.d_input if d_h is None else gz.d_input + d_h
-    d_hpre = nc.relu_backward(cache["h_pre"], d_h_total).d_input
-    gh = nc.dense_backward(cache["flat"], params["head_h.w"], d_hpre)
-    grads["head_h.w"], grads["head_h.b"] = gh.d_params
-    d_x = gh.d_input.reshape(cache["pooled_shape"])
+    d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64))
+    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"], params["head_z.w"], d_zpre)
+    d_hpre = nc.relu_backward(cache["h_pre"], d_h)
+    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(cache["flat"], params["head_h.w"], d_hpre)
+    d_x = d_flat.reshape(cache["pooled_shape"])
 
     n_blocks = len(cache["pool_inputs"])
     convs_per_block = len(cache["conv_inputs"]) // n_blocks
     li = len(cache["conv_inputs"])  # walks conv layers from the end
     for bi in reversed(range(n_blocks)):
-        d_x = nc.maxpool3d_backward(cache["pool_inputs"][bi], d_x).d_input
+        d_x = nc.maxpool3d_backward(cache["pool_inputs"][bi], d_x)
         for ci in reversed(range(convs_per_block)):
             li -= 1
-            d_pre = nc.relu_backward(cache["conv_pre"][li], d_x).d_input
+            d_pre = nc.relu_backward(cache["conv_pre"][li], d_x)
             # the first conv's input is the raw patch: its gradient has no reader
-            g = nc.conv3d_backward(cache["conv_inputs"][li], params[f"block{bi}.conv{ci}.w"], d_pre,
-                                   need_dx=li > 0)
-            grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = g.d_params
-            d_x = g.d_input
+            d_x, grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = nc.conv3d_backward(
+                cache["conv_inputs"][li], params[f"block{bi}.conv{ci}.w"], d_pre, need_dx=li > 0)
     return grads
 
 
@@ -230,7 +226,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _config_from_json(obj: dict, path) -> EncoderConfig:
-    known = {f: obj[f] for f in ("patch_side", "channels", "convs_per_block", "h_dim", "z_dim", "init_seed") if f in obj}
+    known = {f.name: obj[f.name] for f in fields(EncoderConfig) if f.name in obj}
     missing = {"patch_side", "channels", "h_dim", "z_dim"} - set(known)
     if missing:
         raise CheckpointError(f"{path}: checkpoint config missing fields {sorted(missing)}")
@@ -241,6 +237,23 @@ def _config_from_json(obj: dict, path) -> EncoderConfig:
         raise CheckpointError(f"{path}: bad encoder config: {e}") from e
 
 
+def _params_from(tensors: dict[str, np.ndarray], cfg: EncoderConfig, path, prefix: str = ""):
+    """name -> tensor ``prefix + name`` for every parameter of cfg; a missing or
+    misshapen tensor raises CheckpointError."""
+    out = {}
+    for name, shape in param_shapes(cfg).items():
+        key = prefix + name
+        if key not in tensors:
+            raise CheckpointError(f"{path}: config/shape disagreement: tensor {key!r} missing")
+        if tensors[key].shape != shape:
+            raise CheckpointError(
+                f"{path}: config/shape disagreement: tensor {key!r} has shape "
+                f"{tensors[key].shape}, config implies {shape}"
+            )
+        out[name] = tensors[key]
+    return out
+
+
 def save(params: dict[str, np.ndarray], cfg: EncoderConfig, path) -> None:
     write_container(path, asdict(cfg), params)
 
@@ -248,14 +261,4 @@ def save(params: dict[str, np.ndarray], cfg: EncoderConfig, path) -> None:
 def load(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
     config, tensors = read_container(path)
     cfg = _config_from_json(config, path)
-    params = {}
-    for name, shape in param_shapes(cfg).items():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: config/shape disagreement: tensor {name!r} missing")
-        if tensors[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: config/shape disagreement: tensor {name!r} has shape "
-                f"{tensors[name].shape}, config implies {shape}"
-            )
-        params[name] = tensors[name]
-    return params, cfg
+    return _params_from(tensors, cfg, path), cfg

@@ -2,9 +2,11 @@
 
 Tensors are plain C-ordered ``numpy.ndarray`` of float64. Every backward here
 returns exact gradients of the corresponding forward map; the test suite pins
-them against central finite differences and nested-loop oracles. Convolutions
-are stride-1 with same padding (k odd) only, pooling is disjoint 2x2x2 —
-the minimal vocabulary for a VGG-style volumetric encoder.
+them against central finite differences and nested-loop oracles. A backward
+returns what its caller reads: d_input alone for relu, pooling and l2
+normalisation, and (d_input, d_weights, d_bias) for dense and conv layers.
+Convolutions are stride-1 with same padding (k odd) only, pooling is disjoint
+2x2x2 — the minimal vocabulary for a VGG-style volumetric encoder.
 
 Convolutions run on a flat padded grid: the zero-padded input is flattened
 per channel, so every kernel tap is a constant shift of the flat index. The
@@ -19,8 +21,6 @@ its input is raw data, as the encoder's first layer does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 Tensor = np.ndarray
@@ -30,14 +30,6 @@ ZERO_NORM_TOL = 1e-12
 
 class ShapeError(ValueError):
     """Operand shapes are inconsistent with the operation's contract."""
-
-
-@dataclass
-class LayerGrads:
-    """Gradient of a layer: with respect to its input and to each parameter."""
-
-    d_input: Tensor | None
-    d_params: list[Tensor]
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -132,8 +124,10 @@ def _weight_grad(x: Tensor, d_output: Tensor, k: int) -> Tensor:
     return d_weights
 
 
-def conv3d_backward(x: Tensor, weights: Tensor, d_output: Tensor, need_dx: bool = True) -> LayerGrads:
-    """Gradients of :func:`conv3d_forward`: d_input (None unless need_dx), [d_weights, d_bias].
+def conv3d_backward(
+    x: Tensor, weights: Tensor, d_output: Tensor, need_dx: bool = True
+) -> tuple[Tensor | None, Tensor, Tensor]:
+    """Gradients of :func:`conv3d_forward`: (d_input or None unless need_dx, d_weights, d_bias).
 
     ``d_w[:, :, dz]`` is the zero-padded d_output times the transposed dz column
     window of the forward. d_input is the same-padded correlation of d_output
@@ -150,7 +144,7 @@ def conv3d_backward(x: Tensor, weights: Tensor, d_output: Tensor, need_dx: bool 
     if need_dx:
         w_flip = np.ascontiguousarray(weights.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1])
         d_x = conv3d_forward(d_output, w_flip, np.zeros(c_in))
-    return LayerGrads(d_x, [d_weights, d_bias])
+    return d_x, d_weights, d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def maxpool3d_forward(x: Tensor) -> Tensor:
     return _pool_windows(x).max(axis=-1)
 
 
-def maxpool3d_backward(x: Tensor, d_output: Tensor) -> LayerGrads:
+def maxpool3d_backward(x: Tensor, d_output: Tensor) -> Tensor:
     win = _pool_windows(x)
     _check(d_output.shape == win.shape[:4],
            f"maxpool3d d_output shape {d_output.shape} != {win.shape[:4]}")
@@ -181,7 +175,7 @@ def maxpool3d_backward(x: Tensor, d_output: Tensor) -> LayerGrads:
     ci, zi, yi, xi = np.indices((c, d2, h2, w2), sparse=True)
     d_x = np.zeros_like(x)
     d_x[ci, zi * 2 + dz, yi * 2 + dy, xi * 2 + dx] = d_output
-    return LayerGrads(d_x, [])
+    return d_x
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +186,9 @@ def relu_forward(x: Tensor) -> Tensor:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x: Tensor, d_output: Tensor) -> LayerGrads:
+def relu_backward(x: Tensor, d_output: Tensor) -> Tensor:
     _check(x.shape == d_output.shape, f"relu d_output shape {d_output.shape} != {x.shape}")
-    return LayerGrads(d_output * (x > 0.0), [])
+    return d_output * (x > 0.0)
 
 
 def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -205,11 +199,11 @@ def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return weights @ x + bias
 
 
-def dense_backward(x: Tensor, weights: Tensor, d_output: Tensor) -> LayerGrads:
+def dense_backward(x: Tensor, weights: Tensor, d_output: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     m, n = weights.shape
     _check(x.shape == (n,) and d_output.shape == (m,),
            f"dense backward shapes {x.shape}/{d_output.shape} != ({n},)/({m},)")
-    return LayerGrads(weights.T @ d_output, [np.outer(d_output, x), d_output.copy()])
+    return weights.T @ d_output, np.outer(d_output, x), d_output.copy()
 
 
 def l2_normalize_forward(v: Tensor) -> Tensor:
@@ -220,10 +214,10 @@ def l2_normalize_forward(v: Tensor) -> Tensor:
     return v / norm
 
 
-def l2_normalize_backward(v: Tensor, d_output: Tensor) -> LayerGrads:
+def l2_normalize_backward(v: Tensor, d_output: Tensor) -> Tensor:
     _check(v.shape == d_output.shape, f"l2_normalize d_output shape {d_output.shape} != {v.shape}")
     norm = float(np.linalg.norm(v))
     if norm < ZERO_NORM_TOL:
         raise ValueError(f"l2_normalize: vector norm {norm} below {ZERO_NORM_TOL}")
     z = v / norm
-    return LayerGrads((d_output - z * (z @ d_output)) / norm, [])
+    return (d_output - z * (z @ d_output)) / norm

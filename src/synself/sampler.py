@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .volume_io import IntensityVolume, SegmentationVolume, SynapseRecord, check_synapses_in_bounds
+from .volume_io import IntensityVolume, SynapseRecord, check_synapses_in_bounds
 
 
 class SamplingError(ValueError):
@@ -54,7 +54,6 @@ class SamplerConfig:
     max_pair_dist_nm: float | None = None
     batch_pairs: int = 16
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.patch_side < 4:
@@ -81,7 +80,6 @@ class Dataset:
 
     intensity: IntensityVolume
     synapses: list[SynapseRecord]
-    segmentation: SegmentationVolume | None = None
 
     def __post_init__(self):
         check_synapses_in_bounds(self.synapses, self.intensity.header)

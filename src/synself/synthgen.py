@@ -8,8 +8,6 @@ construction and class is recoverable from local appearance.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,10 +18,7 @@ from .volume_io import (
     IntensityVolume,
     SegmentationVolume,
     SynapseRecord,
-    VolumeFormatError,
     VolumeHeader,
-    _atomic_write,
-    _read_utf8,
     write_synapse_table,
     write_volume,
 )
@@ -337,48 +332,8 @@ def inject_false_merge(ph: Phantom, sv_a: int, sv_b: int):
 # on-disk layout
 
 
-def write_classes(class_of_supervoxel: dict[int, int], path) -> None:
-    def body(f):
-        text = io.TextIOWrapper(f, encoding="utf-8", newline="")
-        w = csv.writer(text, lineterminator="\n")
-        w.writerow(["supervoxel_id", "class"])
-        for sv in sorted(class_of_supervoxel):
-            w.writerow([sv, class_of_supervoxel[sv]])
-        text.flush()
-        text.detach()
-
-    _atomic_write(path, body)
-
-
-def read_classes(path) -> dict[int, int]:
-    """supervoxel id -> class; malformed bytes, a repeated id, an id <= 0 or a
-    class < 0 raise VolumeFormatError."""
-    with io.StringIO(_read_utf8(path), newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["supervoxel_id", "class"]:
-            raise VolumeFormatError(f"{path}: bad classes header {header}")
-        out = {}
-        for row_i, row in enumerate(reader):
-            if len(row) != 2:
-                raise VolumeFormatError(f"{path}: row {row_i} has {len(row)} fields, expected 2")
-            try:
-                sv, cls = int(row[0]), int(row[1])
-            except ValueError:
-                raise VolumeFormatError(f"{path}: non-integer entry at row {row_i}") from None
-            if sv in out:
-                raise VolumeFormatError(f"{path}: duplicate supervoxel id {sv} at row {row_i}")
-            if sv <= 0 or cls < 0:
-                raise VolumeFormatError(
-                    f"{path}: row {row_i}: need supervoxel id > 0 and class >= 0, got {sv},{cls}"
-                )
-            out[sv] = cls
-    return out
-
-
 def save_phantom(ph: Phantom, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_volume(ph.intensity, os.path.join(out_dir, "intensity.vol"))
     write_volume(ph.segmentation, os.path.join(out_dir, "segmentation.vol"))
     write_synapse_table(ph.synapses, os.path.join(out_dir, "synapses.csv"))
-    write_classes(ph.class_of_supervoxel, os.path.join(out_dir, "classes.csv"))

@@ -97,8 +97,14 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
 
     z_rows, caches = [], []
     for view in views:
-        _, z, cache = enc.forward(state.params, view[None, :, :, :], cfg.encoder)
-        z_rows.append(z)
+        _, cache = enc.forward(state.params, view[None, :, :, :], cfg.encoder)
+        try:
+            z_rows.append(enc.project(state.params, cache))
+        except ValueError as e:
+            raise TrainError(
+                f"zero projection at step {state.step + 1} "
+                f"(batch fingerprint {_batch_fingerprint(views)}): {e}"
+            ) from e
         caches.append(cache)
     z_rows = np.stack(z_rows)
     value, d_z = ntxent.loss(z_rows, pairing, cfg.ntxent.temperature)
@@ -207,17 +213,8 @@ def load_train_state(path) -> tuple[TrainState, dict]:
     # the tensors are shaped by the container's encoder config, so the two must agree
     if not isinstance(train_cfg, dict) or train_cfg.get("encoder") != _as_json(cfg_enc):
         raise enc.CheckpointError(f"{path}: bad train_state: config disagrees with the encoder config")
-    params, adam_m, adam_v = {}, {}, {}
-    for name, shape in enc.param_shapes(cfg_enc).items():
-        for prefix, dest in (("", params), ("adam.m.", adam_m), ("adam.v.", adam_v)):
-            key = prefix + name
-            if key not in tensors:
-                raise TrainError(f"{path}: missing tensor {key!r}")
-            if tensors[key].shape != shape:
-                raise TrainError(
-                    f"{path}: tensor {key!r} has shape {tensors[key].shape}, expected {shape}"
-                )
-            dest[name] = tensors[key]
+    params, adam_m, adam_v = (enc._params_from(tensors, cfg_enc, path, prefix)
+                              for prefix in ("", "adam.m.", "adam.v."))
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg
 
 

@@ -20,8 +20,6 @@ import numpy as np
 
 HEADER_MAX_BYTES = 65536
 DTYPE_WIDTH = {"u8": 1, "u64": 8}
-EMBEDDING_KINDS = ("penultimate", "projected")
-UNIT_NORM_TOL = 1e-9
 
 
 class VolumeFormatError(ValueError):
@@ -50,12 +48,6 @@ class VolumeHeader:
         return nx * ny * nz
 
 
-def linear_index(x: int, y: int, z: int, dims: tuple[int, int, int]) -> int:
-    """Flat payload index of voxel (x, y, z); x varies fastest."""
-    nx, ny, _ = dims
-    return x + nx * (y + ny * z)
-
-
 class _BaseVolume:
     """Shared behaviour for intensity/segmentation volumes.
 
@@ -78,9 +70,6 @@ class _BaseVolume:
             )
         self.header = header
         self.voxels = np.ascontiguousarray(voxels)
-
-    def voxel(self, x: int, y: int, z: int):
-        return self.voxels[z, y, x]
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,12 +118,9 @@ class EmbeddingMatrix:
 
     synapse_ids: list[int]
     values: np.ndarray  # (M, D) float64
-    kind: str = "penultimate"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.kind not in EMBEDDING_KINDS:
-            raise VolumeFormatError(f"embedding kind must be one of {EMBEDDING_KINDS}, got {self.kind!r}")
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise VolumeFormatError(f"embedding matrix must be M x D with M,D >= 1, got shape {self.values.shape}")
         if len(self.synapse_ids) != self.values.shape[0]:
@@ -143,22 +129,6 @@ class EmbeddingMatrix:
             )
         if len(set(self.synapse_ids)) != len(self.synapse_ids):
             raise VolumeFormatError("duplicate synapse ids in embedding matrix")
-        if self.kind == "projected":
-            norms = np.linalg.norm(self.values, axis=1)
-            bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise VolumeFormatError(
-                    f"projected embedding row for id {self.synapse_ids[i]} has norm {norms[i]!r}, expected 1"
-                )
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +322,7 @@ def _fmt17(v: float) -> str:
 
 def write_embeddings(emb: EmbeddingMatrix, path) -> None:
     def body(f):
-        lines = [f"# kind={emb.kind}"]
-        lines.append("id," + ",".join(f"e{j}" for j in range(emb.dim)))
+        lines = ["id," + ",".join(f"e{j}" for j in range(emb.values.shape[1]))]
         for rid, row in zip(emb.synapse_ids, emb.values):
             lines.append(f"{rid}," + ",".join(_fmt17(v) for v in row))
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -363,10 +332,6 @@ def write_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 def read_embeddings(path) -> EmbeddingMatrix:
     with io.StringIO(_read_utf8(path), newline=None) as f:
-        kind_line = f.readline().rstrip("\n")
-        if not kind_line.startswith("# kind="):
-            raise VolumeFormatError(f"{path}: first line must be '# kind=<kind>', got {kind_line!r}")
-        kind = kind_line[len("# kind="):]
         header = f.readline().rstrip("\n").split(",")
         if len(header) < 2 or header[0] != "id" or header[1:] != [f"e{j}" for j in range(len(header) - 1)]:
             raise VolumeFormatError(f"{path}: bad embedding header {header}")
@@ -385,4 +350,4 @@ def read_embeddings(path) -> EmbeddingMatrix:
                 raise VolumeFormatError(f"{path}: non-numeric entry at data row {row_i}") from None
     if not rows:
         raise VolumeFormatError(f"{path}: embedding matrix has no rows")
-    return EmbeddingMatrix(ids, np.array(rows, dtype=np.float64), kind)
+    return EmbeddingMatrix(ids, np.array(rows, dtype=np.float64))

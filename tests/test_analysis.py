@@ -36,11 +36,10 @@ class TestEmbedAll:
         ck = tmp_path / "ck.dckpt"
         enc.save(params, SMALL, ck)
         emb = an.embed_all(ck, vol, recs, patch_side=8)
-        assert emb.kind == "penultimate"
         assert emb.values.shape == (4, 6)
         for i, rec in enumerate(recs):
             patch = sp.extract_patch(vol, rec.pos, 8)
-            h, _, _ = enc.forward(params, patch[None], SMALL)
+            h, _ = enc.forward(params, patch[None], SMALL)
             assert np.array_equal(emb.values[i], h)
 
     def test_duplicate_position_identical_rows(self, tmp_path):
@@ -63,6 +62,17 @@ class TestEmbedAll:
         vol, recs = ramp_dataset()
         with pytest.raises(VolumeFormatError, match="outside volume"):
             an.embed_with_params(enc.init(SMALL), SMALL, vol, recs + [SynapseRecord(9, (500, 500, 500), 1)])
+
+    def test_zero_projection_still_embeds(self, monkeypatch):
+        # a zero patch under zero biases gives z_pre = 0, which has no unit
+        # direction; embedding reads only h, so it returns a finite row
+        vol = IntensityVolume(VolumeHeader((16, 16, 16), "u8"), np.zeros((16, 16, 16), np.uint8))
+        calls = []
+        real = enc.forward
+        monkeypatch.setattr(enc, "forward", lambda *a: calls.append(1) or real(*a))
+        emb = an.embed_with_params(enc.init(SMALL), SMALL, vol, [SynapseRecord(0, (8, 8, 8), 1)])
+        assert emb.values.shape == (1, SMALL.h_dim) and np.isfinite(emb.values).all()
+        assert len(calls) == 1  # one encoder.forward per synapse, the call the benchmark paces
 
     def test_row_order_follows_table_order(self, tmp_path):
         vol, recs = ramp_dataset()

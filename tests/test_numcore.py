@@ -63,17 +63,17 @@ class TestConvBackward:
     def test_zero_d_output(self):
         rng = np.random.default_rng(1)
         x, w, b = rand_conv_case(rng)
-        g = nc.conv3d_backward(x, w, np.zeros((w.shape[0],) + x.shape[1:]))
-        assert not g.d_input.any()
-        assert not g.d_params[0].any()
-        assert not g.d_params[1].any()
+        d_x, d_w, d_b = nc.conv3d_backward(x, w, np.zeros((w.shape[0],) + x.shape[1:]))
+        assert not d_x.any()
+        assert not d_w.any()
+        assert not d_b.any()
 
     def test_bias_grad_is_channel_sum(self):
         rng = np.random.default_rng(2)
         x, w, b = rand_conv_case(rng)
         d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
-        g = nc.conv3d_backward(x, w, d_y)
-        assert np.allclose(g.d_params[1], d_y.sum(axis=(1, 2, 3)), atol=1e-12)
+        _, _, d_b = nc.conv3d_backward(x, w, d_y)
+        assert np.allclose(d_b, d_y.sum(axis=(1, 2, 3)), atol=1e-12)
 
     def test_finite_differences_all_operands(self):
         rng = np.random.default_rng(3)
@@ -81,7 +81,7 @@ class TestConvBackward:
         cases += [rand_conv_case(rng, k=k, spatial=spatial) for k, spatial in SHAPE_CASES]
         for x, w, b in cases:
             d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
-            g = nc.conv3d_backward(x, w, d_y)
+            d_x, d_w, d_b = nc.conv3d_backward(x, w, d_y)
 
             def loss_x(xv):
                 return float(np.sum(nc.conv3d_forward(xv, w, b) * d_y))
@@ -92,19 +92,19 @@ class TestConvBackward:
             def loss_b(bv):
                 return float(np.sum(nc.conv3d_forward(x, w, bv) * d_y))
 
-            assert grad_close(g.d_input, central_diff(loss_x, x), 1e-6), (w.shape, x.shape)
-            assert grad_close(g.d_params[0], central_diff(loss_w, w), 1e-6), (w.shape, x.shape)
-            assert grad_close(g.d_params[1], central_diff(loss_b, b), 1e-6), (w.shape, x.shape)
+            assert grad_close(d_x, central_diff(loss_x, x), 1e-6), (w.shape, x.shape)
+            assert grad_close(d_w, central_diff(loss_w, w), 1e-6), (w.shape, x.shape)
+            assert grad_close(d_b, central_diff(loss_b, b), 1e-6), (w.shape, x.shape)
 
     def test_need_dx_false_skips_only_the_input_gradient(self):
         rng = np.random.default_rng(13)
         for k, spatial in [(3, (4, 5, 3))] + SHAPE_CASES[:3]:
             x, w, _ = rand_conv_case(rng, k=k, spatial=spatial)
             d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
-            full = nc.conv3d_backward(x, w, d_y)
-            partial = nc.conv3d_backward(x, w, d_y, need_dx=False)
-            assert partial.d_input is None
-            for a, b in zip(full.d_params, partial.d_params, strict=True):
+            _, *full = nc.conv3d_backward(x, w, d_y)
+            d_x, *partial = nc.conv3d_backward(x, w, d_y, need_dx=False)
+            assert d_x is None
+            for a, b in zip(full, partial, strict=True):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -114,11 +114,11 @@ class TestMaxPool:
         y = nc.maxpool3d_forward(x)
         assert np.array_equal(y, np.full((1, 2, 2, 2), 2.5))
         d_y = np.ones((1, 2, 2, 2))
-        g = nc.maxpool3d_backward(x, d_y)
+        d_x = nc.maxpool3d_backward(x, d_y)
         # gradient routed to the first (lowest linear index) voxel of each window
         want = np.zeros_like(x)
         want[0, ::2, ::2, ::2] = 1.0
-        assert np.array_equal(g.d_input, want)
+        assert np.array_equal(d_x, want)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -137,31 +137,31 @@ class TestMaxPool:
             # inputs spaced well apart so FD never crosses a tie
             x = rng.permutation(np.arange(2 * 4 * 4 * 4, dtype=float)).reshape(2, 4, 4, 4)
             d_y = rng.normal(size=(2, 2, 2, 2))
-            g = nc.maxpool3d_backward(x, d_y)
+            d_x = nc.maxpool3d_backward(x, d_y)
 
             def loss(xv):
                 return float(np.sum(nc.maxpool3d_forward(xv) * d_y))
 
-            assert grad_close(g.d_input, central_diff(loss, x), 1e-6)
+            assert grad_close(d_x, central_diff(loss, x), 1e-6)
 
 
 class TestPointwiseAndDense:
     def test_relu_all_negative(self):
         x = -np.abs(np.random.default_rng(6).normal(size=(2, 3, 3, 3))) - 0.1
         assert not nc.relu_forward(x).any()
-        assert not nc.relu_backward(x, np.ones_like(x)).d_input.any()
+        assert not nc.relu_backward(x, np.ones_like(x)).any()
 
     def test_relu_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 4))
         x[np.abs(x) < 1e-3] += 0.1  # keep FD away from the kink
         d_y = rng.normal(size=x.shape)
-        g = nc.relu_backward(x, d_y)
+        d_x = nc.relu_backward(x, d_y)
 
         def loss(xv):
             return float(np.sum(nc.relu_forward(xv) * d_y))
 
-        assert grad_close(g.d_input, central_diff(loss, x), 1e-6)
+        assert grad_close(d_x, central_diff(loss, x), 1e-6)
 
     def test_dense_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -171,11 +171,11 @@ class TestPointwiseAndDense:
             w = rng.normal(size=(m, n))
             b = rng.normal(size=m)
             d_y = rng.normal(size=m)
-            g = nc.dense_backward(x, w, d_y)
+            d_x, d_w, d_b = nc.dense_backward(x, w, d_y)
 
-            assert grad_close(g.d_input, central_diff(lambda xv: float(nc.dense_forward(xv, w, b) @ d_y), x), 1e-6)
-            assert grad_close(g.d_params[0], central_diff(lambda wv: float(nc.dense_forward(x, wv, b) @ d_y), w), 1e-6)
-            assert grad_close(g.d_params[1], central_diff(lambda bv: float(nc.dense_forward(x, w, bv) @ d_y), b), 1e-6)
+            assert grad_close(d_x, central_diff(lambda xv: float(nc.dense_forward(xv, w, b) @ d_y), x), 1e-6)
+            assert grad_close(d_w, central_diff(lambda wv: float(nc.dense_forward(x, wv, b) @ d_y), w), 1e-6)
+            assert grad_close(d_b, central_diff(lambda bv: float(nc.dense_forward(x, w, bv) @ d_y), b), 1e-6)
 
     def test_l2_normalize_345(self):
         assert np.allclose(nc.l2_normalize_forward(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
@@ -192,12 +192,12 @@ class TestPointwiseAndDense:
             v = rng.normal(size=int(rng.integers(2, 8)))
             v += np.sign(v) * 0.1
             d_y = rng.normal(size=v.shape)
-            g = nc.l2_normalize_backward(v, d_y)
+            d_v = nc.l2_normalize_backward(v, d_y)
 
             def loss(vv):
                 return float(nc.l2_normalize_forward(vv) @ d_y)
 
-            assert grad_close(g.d_input, central_diff(loss, v), 1e-6)
+            assert grad_close(d_v, central_diff(loss, v), 1e-6)
 
     def test_output_norm_is_one(self):
         rng = np.random.default_rng(10)

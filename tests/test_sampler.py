@@ -124,7 +124,7 @@ def two_synapse_dataset(n_supervoxels, spacing=4, dims=(24, 24, 24)):
 class TestSampleBatch:
     def test_forced_enumeration(self):
         ds = two_synapse_dataset(4)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT, seed=0)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT)
         batch = sp.sample_batch(ds, cfg, np.random.default_rng(0))
         assert sorted(batch.supervoxel_ids) == [1, 2, 3, 4]
         # identity augment + label-encoding volume: the center voxel names the supervoxel
@@ -140,7 +140,7 @@ class TestSampleBatch:
             recs.append(SynapseRecord(2 * sv - 2, (2 * sv, 4, 4), sv))
             recs.append(SynapseRecord(2 * sv - 1, (2 * sv, 10, 4), sv))
         ds = sp.Dataset(vol, recs)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT, seed=0)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT)
         batch = sp.sample_batch(ds, cfg, np.random.default_rng(1))
         # on a ramp volume, views from distinct centers must differ
         for row in range(4):
@@ -156,7 +156,7 @@ class TestSampleBatch:
         ds = two_synapse_dataset(3, spacing=d + 1)
         cfg = sp.SamplerConfig(
             patch_side=4, batch_pairs=2, max_pair_dist_nm=8.0 * d,
-            augment=sp.IDENTITY_AUGMENT, seed=0,
+            augment=sp.IDENTITY_AUGMENT,
         )
         eligible = sp.eligible_supervoxels(ds, cfg)
         assert eligible == {}
@@ -168,7 +168,7 @@ class TestSampleBatch:
         ds = two_synapse_dataset(3, spacing=d)
         cfg = sp.SamplerConfig(
             patch_side=4, batch_pairs=3, max_pair_dist_nm=8.0 * d,
-            augment=sp.IDENTITY_AUGMENT, seed=0,
+            augment=sp.IDENTITY_AUGMENT,
         )
         assert sorted(sp.eligible_supervoxels(ds, cfg)) == [1, 2, 3]
 
@@ -192,7 +192,7 @@ class TestSampleBatch:
 
     def test_distinct_supervoxels_invariant(self):
         ds = two_synapse_dataset(8)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=5, seed=0)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=5)
         rng = np.random.default_rng(0)
         for _ in range(50):
             batch = sp.sample_batch(ds, cfg, rng)
@@ -200,7 +200,7 @@ class TestSampleBatch:
 
     def test_same_seed_identical_sequence(self):
         ds = two_synapse_dataset(6)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=3, seed=0)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=3)
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
@@ -213,7 +213,7 @@ class TestSampleBatch:
     def test_selection_roughly_uniform(self):
         # smoke-scale version of the acceptance uniformity run
         ds = two_synapse_dataset(10)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT, seed=0)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT)
         rng = np.random.default_rng(7)
         n_batches = 2000
         counts = np.zeros(11)

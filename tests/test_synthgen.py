@@ -2,13 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from synself import synthgen as sg
-from synself.volume_io import VolumeFormatError, read_synapse_table, read_volume
+from synself.volume_io import read_synapse_table, read_volume
 from oracles import place_sites_loops
-from test_volume_io import read_corrupted_or_typed_error
 
 
 def small_config(**kw):
@@ -230,23 +227,7 @@ class TestPersistence:
         assert read_volume(tmp_path / "intensity.vol") == ph.intensity
         assert read_volume(tmp_path / "segmentation.vol") == ph.segmentation
         assert read_synapse_table(tmp_path / "synapses.csv") == ph.synapses
-        assert sg.read_classes(tmp_path / "classes.csv") == ph.class_of_supervoxel
-
-    @pytest.mark.parametrize("body, match", [
-        (b"supervoxel_id,class\n1,0\n2,\xff\n", "UTF-8"),
-        (b"supervoxel_id,class\n1,3\n2,0\n1,3\n", "duplicate supervoxel id 1"),
-        (b"supervoxel_id,class\n0,1\n", "supervoxel id > 0"),
-        (b"supervoxel_id,class\n-4,-2\n", "supervoxel id > 0"),
-        (b"supervoxel_id,class\n4,-2\n", "class >= 0"),
-    ])
-    def test_bad_classes_file_rejected(self, tmp_path, body, match):
-        p = tmp_path / "classes.csv"
-        p.write_bytes(body)
-        with pytest.raises(VolumeFormatError, match=match):
-            sg.read_classes(p)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_truncated_or_bit_flipped_classes_typed_error(self, data):
-        classes = {1: 0, 2: 1, 7: 3, 12: 0, 30: 2}
-        read_corrupted_or_typed_error(data, lambda p: sg.write_classes(classes, p), sg.read_classes, "classes.csv")
+        # the table's class labels already record every supervoxel's class
+        table = read_synapse_table(tmp_path / "synapses.csv")
+        assert {r.supervoxel_id: r.class_label for r in table} == ph.class_of_supervoxel
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["intensity.vol", "segmentation.vol", "synapses.csv"]

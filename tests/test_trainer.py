@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 
@@ -10,6 +11,7 @@ from synself import ntxent
 from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
+from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
 
 
 def tiny_dataset(seed=0):
@@ -37,7 +39,7 @@ def tiny_config(steps=5, **kw):
         checkpoint_every=100,
         log_every=2,
         seed=3,
-        sampler=sp.SamplerConfig(patch_side=8, batch_pairs=2, seed=0,
+        sampler=sp.SamplerConfig(patch_side=8, batch_pairs=2,
                                  augment=sp.AugmentConfig(max_jitter_vox=0)),
         encoder=enc.EncoderConfig(patch_side=8, channels=(3, 5), convs_per_block=2,
                                   h_dim=8, z_dim=4, init_seed=1),
@@ -78,11 +80,11 @@ class TestTrainStep:
         ref = tr.init_state(cfg)
         batch = sp.sample_batch(ds, cfg.sampler, ref.rng)
         views = np.concatenate([batch.views_a, batch.views_b])
-        outs = [enc.forward(ref.params, v[None], cfg.encoder) for v in views]
-        z_rows = np.stack([z for _, z, _ in outs])
+        caches = [enc.forward(ref.params, v[None], cfg.encoder)[1] for v in views]
+        z_rows = np.stack([enc.project(ref.params, cache) for cache in caches])
         pairing = ntxent.views_pairing(cfg.sampler.batch_pairs)
         loss, d_z = ntxent.loss(z_rows, pairing, cfg.ntxent.temperature)
-        per_view = [enc.backward(ref.params, cache, d_z[i]) for i, (_, _, cache) in enumerate(outs)]
+        per_view = [enc.backward(ref.params, cache, d_z[i]) for i, cache in enumerate(caches)]
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         sq_sum = 0.0
         for k, p in ref.params.items():
@@ -112,7 +114,7 @@ class TestTrainStep:
         ds = tiny_dataset()
         cfg = tiny_config(steps=10)
         state = tr.init_state(cfg)
-        n_params = enc.param_count(cfg.encoder)
+        n_params = sum(math.prod(s) for s in enc.param_shapes(cfg.encoder).values())
         for _ in range(10):
             before = {k: v.copy() for k, v in state.params.items()}
             tr.train_step(state, ds, cfg)
@@ -120,6 +122,18 @@ class TestTrainStep:
                 float(np.sum((state.params[k] - before[k]) ** 2)) for k in before
             )
             assert np.sqrt(delta_sq) <= cfg.lr * np.sqrt(n_params) * (1 + 1e-6)
+
+    def test_zero_projection_is_a_train_error(self):
+        # all-zero views under zero biases give z_pre = 0: no unit direction exists
+        dims = (32, 32, 16)
+        vol = IntensityVolume(VolumeHeader(dims, "u8"), np.zeros((16, 32, 32), np.uint8))
+        recs = [SynapseRecord(i, (8 + 16 * (i // 4), 8 + 8 * (i % 2), 8), 1 + i // 2) for i in range(8)]
+        ds = sp.Dataset(vol, recs)
+        cfg = tiny_config(sampler=sp.SamplerConfig(patch_side=8, batch_pairs=2, augment=sp.IDENTITY_AUGMENT))
+        batch = sp.sample_batch(ds, cfg.sampler, np.random.default_rng(cfg.seed))
+        fingerprint = tr._batch_fingerprint(np.concatenate([batch.views_a, batch.views_b]))
+        with pytest.raises(tr.TrainError, match=f"step 1 .*batch fingerprint {fingerprint}"):
+            tr.train_step(tr.init_state(cfg), ds, cfg)
 
     def test_moments_stay_finite(self):
         ds = tiny_dataset()
@@ -229,7 +243,7 @@ class TestTrainLoop:
             tr.train(other, ds, tmp_path / "x", resume_from=tmp_path / "run" / "ckpt_000002.dckpt")
 
     @pytest.mark.parametrize("changed", [
-        {"sampler": sp.SamplerConfig(patch_side=8, batch_pairs=3, seed=0,
+        {"sampler": sp.SamplerConfig(patch_side=8, batch_pairs=3,
                                      augment=sp.AugmentConfig(max_jitter_vox=0))},
         {"lr": 2e-3},
     ])
@@ -272,6 +286,24 @@ class TestTrainLoop:
             p.write_bytes(raw[:start] + json.dumps({**good, "train_state": ts}).encode() + b"\n" + raw[end:])
             with pytest.raises(enc.CheckpointError, match="train_state"):
                 tr.load_train_state(p)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("adam.m.head_z.b", "missing"),
+        ("head_h.b", "missing"),
+        ("adam.v.head_h.w", "misshapen"),
+        ("adam.m.block0.conv0.w", "misshapen"),
+    ])
+    def test_bad_tensor_is_a_checkpoint_error(self, tmp_path, key, edit):
+        tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
+        config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        if edit == "missing":
+            del tensors[key]
+        else:
+            tensors[key] = np.zeros(tensors[key].shape + (1,))
+        p = tmp_path / "bad.dckpt"
+        enc.write_container(p, config, tensors)
+        with pytest.raises(enc.CheckpointError, match=f"tensor '{key}'"):
+            tr.load_train_state(p)
 
     def test_existing_tmp_file_survives_metrics_write(self, tmp_path):
         target = tmp_path / "metrics.csv"

@@ -13,7 +13,6 @@ from synself.volume_io import (
     VolumeFormatError,
     VolumeHeader,
     check_synapses_in_bounds,
-    linear_index,
     read_embeddings,
     read_synapse_table,
     read_volume,
@@ -59,10 +58,10 @@ class TestVolumeRoundTrip:
         p = tmp_path / "v.vol"
         write_volume(vol, p)
         got = read_volume(p)
-        assert got.voxel(0, 0, 0) == 0
-        assert got.voxel(1, 0, 0) == 1
-        assert got.voxel(0, 1, 0) == 2
-        assert got.voxel(0, 0, 1) == 4
+        assert got.voxels[0, 0, 0] == 0
+        assert got.voxels[0, 0, 1] == 1
+        assert got.voxels[0, 1, 0] == 2
+        assert got.voxels[1, 0, 0] == 4
 
     def test_u8_single_voxel(self, tmp_path):
         vol = make_intensity((1, 1, 1), [255])
@@ -87,7 +86,7 @@ class TestVolumeRoundTrip:
         assert np.array_equal(read_volume(tmp_path / "seg.vol").voxels, labels)
 
     def test_payload_bytes_are_x_fastest(self, tmp_path):
-        # brute-force oracle: byte at header_len + linear_index equals voxel value
+        # brute-force oracle: byte at header_len + x + nx*(y + ny*z) equals voxel value
         rng = np.random.default_rng(11)
         dims = (4, 3, 2)
         vals = rng.integers(0, 256, size=(2, 3, 4), dtype=np.uint8)
@@ -96,10 +95,11 @@ class TestVolumeRoundTrip:
         write_volume(vol, p)
         raw = p.read_bytes()
         offset = raw.index(b"\n") + 1
+        nx, ny, _ = dims
         for z in range(2):
             for y in range(3):
                 for x in range(4):
-                    assert raw[offset + linear_index(x, y, z, dims)] == vals[z, y, x]
+                    assert raw[offset + x + nx * (y + ny * z)] == vals[z, y, x]
 
 
 class TestVolumeErrors:
@@ -170,22 +170,6 @@ class TestHeaderInvariants:
     def test_default_voxel_size_is_8nm(self):
         assert VolumeHeader((1, 1, 1), "u8").voxel_size_nm == (8.0, 8.0, 8.0)
 
-    @given(
-        dims=st.tuples(*[st.integers(1, 6)] * 3),
-        xyz=st.tuples(*[st.integers(0, 5)] * 3),
-    )
-    def test_linear_index_matches_nested_loop(self, dims, xyz):
-        x, y, z = (c % d for c, d in zip(xyz, dims))
-        # nested-loop oracle: position of (x,y,z) in x-fastest enumeration
-        count = 0
-        for zz in range(dims[2]):
-            for yy in range(dims[1]):
-                for xx in range(dims[0]):
-                    if (xx, yy, zz) == (x, y, z):
-                        oracle = count
-                    count += 1
-        assert linear_index(x, y, z, dims) == oracle
-
 
 class TestSynapseTable:
     def test_parse_row(self, tmp_path):
@@ -252,56 +236,45 @@ class TestSynapseTable:
 
 
 class TestEmbeddings:
-    def test_projected_345_serialization(self, tmp_path):
-        emb = EmbeddingMatrix([0], np.array([[0.6, 0.8]]), "projected")
-        p = tmp_path / "emb.csv"
-        write_embeddings(emb, p)
-        text = p.read_text().splitlines()
-        assert text[0] == "# kind=projected"
-        assert text[1] == "id,e0,e1"
-        assert text[2] == "0,0.59999999999999998,0.80000000000000004"
-        got = read_embeddings(p)
-        assert got.kind == "projected"
-        assert np.array_equal(got.values, emb.values)
-
-    def test_projected_non_unit_rejected(self, tmp_path):
-        p = tmp_path / "emb.csv"
-        p.write_text("# kind=projected\nid,e0,e1\n0,0.9,0\n")
-        with pytest.raises(VolumeFormatError, match="norm"):
-            read_embeddings(p)
-
     def test_random_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(9)
         vals = rng.normal(size=(20, 8))
-        emb = EmbeddingMatrix(list(range(20)), vals, "penultimate")
+        emb = EmbeddingMatrix(list(range(20)), vals)
         p = tmp_path / "emb.csv"
         write_embeddings(emb, p)
         got = read_embeddings(p)
         assert got.values.tobytes() == vals.tobytes()
         assert got.synapse_ids == emb.synapse_ids
 
+    def test_kind_line_rejected(self, tmp_path):
+        # files written with a '# kind=' first line, before embeddings held only h
+        p = tmp_path / "emb.csv"
+        p.write_text("# kind=penultimate\nid,e0,e1\n0,0.5,0.5\n")
+        with pytest.raises(VolumeFormatError, match="bad embedding header"):
+            read_embeddings(p)
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "emb.csv"
-        p.write_text("# kind=penultimate\nid,e0,e1\n0,0.5\n")
+        p.write_text("id,e0,e1\n0,0.5\n")
         with pytest.raises(VolumeFormatError, match="ragged"):
             read_embeddings(p)
 
     def test_non_numeric(self, tmp_path):
         p = tmp_path / "emb.csv"
-        p.write_text("# kind=penultimate\nid,e0\n0,zap\n")
+        p.write_text("id,e0\n0,zap\n")
         with pytest.raises(VolumeFormatError, match="non-numeric"):
             read_embeddings(p)
 
     def test_non_utf8_byte_rejected(self, tmp_path):
         p = tmp_path / "emb.csv"
-        p.write_bytes(b"# kind=penultimate\nid,e0\n0,0.5\xc3\n")
+        p.write_bytes(b"id,e0\n0,0.5\xc3\n")
         with pytest.raises(VolumeFormatError, match="UTF-8"):
             read_embeddings(p)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_truncated_or_bit_flipped_embeddings_typed_error(self, data):
-        emb = EmbeddingMatrix([3, 1, 4], np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]]), "projected")
+        emb = EmbeddingMatrix([3, 1, 4], np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]]))
         read_corrupted_or_typed_error(
             data, lambda p: write_embeddings(emb, p), read_embeddings, "emb.csv")
 
@@ -314,7 +287,7 @@ class TestEmbeddings:
     def test_round_trip_property(self, seed, m, d):
         rng = np.random.default_rng(seed)
         vals = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 8)
-        emb = EmbeddingMatrix(list(range(m)), vals, "penultimate")
+        emb = EmbeddingMatrix(list(range(m)), vals)
         with tempfile.TemporaryDirectory() as tmp:
             p = f"{tmp}/e.csv"
             write_embeddings(emb, p)
