@@ -1,6 +1,7 @@
 """Normalized temperature-scaled cross-entropy loss over paired embeddings.
 
-For 2N unit rows z_i with an involutive pairing p (no fixed points):
+For 2N unit rows laid out as [a_0..a_{N-1}, b_0..b_{N-1}], where the partner
+p(i) of row i is the other view of the same pair (i + N, or i - N):
 
     l_i  = -log( exp(z_i . z_p(i) / tau) / sum_{k != i} exp(z_i . z_k / tau) )
     loss = mean_i l_i
@@ -27,39 +28,25 @@ class NTXentConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
-def check_pairing(pairing: np.ndarray, n_rows: int) -> np.ndarray:
-    pairing = np.asarray(pairing, dtype=np.int64)
-    if pairing.shape != (n_rows,):
-        raise ValueError(f"pairing shape {pairing.shape} != ({n_rows},)")
-    idx = np.arange(n_rows)
-    if np.any(pairing == idx) or not np.array_equal(pairing[pairing], idx):
-        raise ValueError("pairing must be an involution without fixed points")
-    return pairing
+def _partners(z: np.ndarray) -> np.ndarray:
+    """Partner index p(i) of every row of a (2N, D) batch."""
+    if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2 != 0:
+        raise ValueError(f"z must be (2N, D) with N >= 1, got shape {z.shape}")
+    n = z.shape[0] // 2
+    return np.concatenate([np.arange(n) + n, np.arange(n)])
 
 
-def views_pairing(n_pairs: int) -> np.ndarray:
-    """Pairing for rows laid out as [a_0..a_{N-1}, b_0..b_{N-1}]."""
-    return np.concatenate([np.arange(n_pairs) + n_pairs, np.arange(n_pairs)])
-
-
-def loss(
-    z: np.ndarray,
-    pairing: np.ndarray,
-    temperature: float = 0.5,
-    check_norms: bool = True,
-) -> tuple[float, np.ndarray]:
+def loss(z: np.ndarray, temperature: float = 0.5, check_norms: bool = True) -> tuple[float, np.ndarray]:
     """Return (value, d_z) for a (2N, D) batch of row embeddings.
 
     check_norms=False skips the unit-row precondition; the finite-difference
     suite needs that to probe the loss at perturbed (non-unit) rows.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2 != 0:
-        raise ValueError(f"z must be (2N, D) with N >= 1, got shape {z.shape}")
+    pairing = _partners(z)
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     n2 = z.shape[0]
-    pairing = check_pairing(pairing, n2)
     if check_norms:
         norms = np.linalg.norm(z, axis=1)
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]
@@ -83,11 +70,11 @@ def loss(
     return value, d_z
 
 
-def batch_cosine_stats(z: np.ndarray, pairing: np.ndarray) -> tuple[float, float]:
+def batch_cosine_stats(z: np.ndarray) -> tuple[float, float]:
     """Mean positive-pair and mean negative cosine similarity of a unit-row batch."""
     z = np.asarray(z, dtype=np.float64)
+    pairing = _partners(z)
     n2 = z.shape[0]
-    pairing = check_pairing(pairing, n2)
     sim = z @ z.T
     idx = np.arange(n2)
     pos = float(sim[idx, pairing].mean())

@@ -1,9 +1,11 @@
 """Synthetic phantom volumes with per-supervoxel latent classes.
 
-Supervoxel territories are disjoint cells of a jittered grid partition, each
-assigned one class; every synapse site renders that class's morphology (core
-sphere, rim shell, dark bar), so same-supervoxel synapses share a class by
-construction and class is recoverable from local appearance.
+Supervoxel territories are disjoint axis-aligned boxes of a jittered grid
+partition, each assigned one class; every synapse site renders that class's
+morphology (core sphere, rim shell, dark bar), so same-supervoxel synapses share
+a class by construction and class is recoverable from local appearance. The
+phantom keeps the partition as its boxes (``Phantom.cells``) and each synapse's
+class in its record.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .volume_io import (
     IntensityVolume,
-    SegmentationVolume,
     SynapseRecord,
     VolumeHeader,
     write_synapse_table,
@@ -103,9 +104,10 @@ class GenConfig:
 @dataclass
 class Phantom:
     intensity: IntensityVolume
-    segmentation: SegmentationVolume
     synapses: list[SynapseRecord]
-    class_of_supervoxel: dict[int, int]
+    # supervoxel id -> (lo, hi) voxel corners (x, y, z) of its box, hi exclusive;
+    # the boxes partition the volume
+    cells: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]]
     merged_from: dict[int, int] = field(default_factory=dict)  # absorbed id -> surviving id
 
 
@@ -209,99 +211,95 @@ def generate(cfg: GenConfig) -> Phantom:
     rng = np.random.default_rng(cfg.seed)
     nx, ny, nz = cfg.dims
     gx, gy, gz = grid_shape(cfg.n_supervoxels, cfg.dims)
-    cuts_x = _jittered_cuts(nx, gx, rng)
-    cuts_y = _jittered_cuts(ny, gy, rng)
-    cuts_z = _jittered_cuts(nz, gz, rng)
+    cuts_x = _jittered_cuts(nx, gx, rng).tolist()
+    cuts_y = _jittered_cuts(ny, gy, rng).tolist()
+    cuts_z = _jittered_cuts(nz, gz, rng).tolist()
 
-    seg = np.zeros((nz, ny, nx), dtype=np.uint64)
-    cells = {}  # label -> (lo_xyz, hi_xyz)
+    cells = {}
     for iz in range(gz):
         for iy in range(gy):
             for ix in range(gx):
                 label = 1 + ix + gx * (iy + gy * iz)
-                lo = (cuts_x[ix], cuts_y[iy], cuts_z[iz])
-                hi = (cuts_x[ix + 1], cuts_y[iy + 1], cuts_z[iz + 1])
-                cells[label] = (lo, hi)
-                seg[lo[2]:hi[2], lo[1]:hi[1], lo[0]:hi[0]] = label
+                cells[label] = ((cuts_x[ix], cuts_y[iy], cuts_z[iz]),
+                                (cuts_x[ix + 1], cuts_y[iy + 1], cuts_z[iz + 1]))
 
     classes = np.array([1 + (i % cfg.n_classes) for i in range(cfg.n_supervoxels)])
     rng.shuffle(classes)
-    class_of_supervoxel = {label: int(classes[label - 1]) for label in range(1, cfg.n_supervoxels + 1)}
+    class_of = {label: int(classes[label - 1]) for label in range(1, cfg.n_supervoxels + 1)}
 
     min_sep = 2.0 * cfg.max_blob_radius
     canvas = np.full((nz, ny, nx), float(cfg.background_intensity))
     records = []
     next_id = 0
     for label in range(1, cfg.n_supervoxels + 1):
-        params = cfg.class_params[class_of_supervoxel[label] - 1]
+        params = cfg.class_params[class_of[label] - 1]
         margin = int(math.ceil(params.extent_vox)) + 1
         lo, hi = cells[label]
         sites = _place_sites(lo, hi, margin, cfg.synapses_per_supervoxel, min_sep, rng, label)
         for site in sites:
             bar_axis = int(rng.integers(3))
             _render_site(canvas, site, params, bar_axis)
-            records.append(
-                SynapseRecord(next_id, site, label, class_of_supervoxel[label])
-            )
+            records.append(SynapseRecord(next_id, site, label, class_of[label]))
             next_id += 1
 
     if cfg.noise_sigma > 0:
         canvas = canvas + rng.normal(0.0, cfg.noise_sigma, size=canvas.shape)
     voxels = np.rint(np.clip(canvas, 0.0, 255.0)).astype(np.uint8)
 
-    header_u8 = VolumeHeader(cfg.dims, "u8")
-    header_u64 = VolumeHeader(cfg.dims, "u64")
-    return Phantom(
-        IntensityVolume(header_u8, voxels),
-        SegmentationVolume(header_u64, seg),
-        records,
-        class_of_supervoxel,
-    )
+    return Phantom(IntensityVolume(VolumeHeader(cfg.dims), voxels), records, cells)
 
 
 def validate_phantom(ph: Phantom) -> None:
-    """Check the Dale invariant and synapse/segmentation consistency."""
+    """Check that every synapse lies in its supervoxel's box, or in the box of a
+    fragment merged into it, and that all synapses of one supervoxel share a
+    class (Dale)."""
+    boxes = {}  # surviving supervoxel id -> the boxes of every fragment merged into it
+    for sv, box in ph.cells.items():
+        while sv in ph.merged_from:
+            sv = ph.merged_from[sv]
+        boxes.setdefault(sv, []).append(box)
+    class_of = {}
     for rec in ph.synapses:
-        want = ph.class_of_supervoxel.get(rec.supervoxel_id)
+        if not any(all(l <= p < h for l, p, h in zip(lo, rec.pos, hi))
+                   for lo, hi in boxes.get(rec.supervoxel_id, ())):
+            raise GenerationError(
+                f"synapse {rec.id} at {rec.pos} lies outside the cell of supervoxel {rec.supervoxel_id}"
+            )
+        want = class_of.setdefault(rec.supervoxel_id, rec.class_label)
         if rec.class_label != want:
             raise GenerationError(
-                f"synapse {rec.id}: class {rec.class_label} != supervoxel {rec.supervoxel_id} class {want}"
-            )
-        x, y, z = rec.pos
-        got = int(ph.segmentation.voxels[z, y, x])
-        if got != rec.supervoxel_id:
-            raise GenerationError(
-                f"synapse {rec.id} at {rec.pos}: segmentation says {got}, record says {rec.supervoxel_id}"
+                f"synapse {rec.id}: class {rec.class_label} != class {want} of an earlier "
+                f"synapse of supervoxel {rec.supervoxel_id}"
             )
 
 
 def inject_false_merge(ph: Phantom, sv_a: int, sv_b: int):
-    """Relabel sv_b into sv_a, keeping class labels; returns the Dale-violating phantom.
+    """Relabel sv_b's synapses into sv_a, keeping class labels; returns the Dale-violating phantom.
 
     Returns (merged phantom, surviving supervoxel id, ground-truth boundary
     midpoint = midpoint of the closest cross-fragment synapse pair, in voxel
-    coordinates).
+    coordinates). The boxes stay as they were; ``merged_from`` records the merge.
     """
-    known = set(ph.class_of_supervoxel)
     for sv in (sv_a, sv_b):
-        if sv not in known:
+        if sv not in ph.cells:
             raise GenerationError(f"unknown supervoxel id {sv}")
     if sv_a == sv_b:
         raise GenerationError(f"cannot merge supervoxel {sv_a} with itself")
-    if ph.class_of_supervoxel[sv_a] == ph.class_of_supervoxel[sv_b]:
+    a_recs = [r for r in ph.synapses if r.supervoxel_id == sv_a]
+    b_recs = [r for r in ph.synapses if r.supervoxel_id == sv_b]
+    if not a_recs or not b_recs:
+        raise GenerationError(f"supervoxels {sv_a}/{sv_b} must both carry synapses")
+    shared = {r.class_label for r in a_recs} & {r.class_label for r in b_recs}
+    if shared:
         raise GenerationError(
-            f"supervoxels {sv_a} and {sv_b} share class {ph.class_of_supervoxel[sv_a]}; "
+            f"supervoxels {sv_a} and {sv_b} share class {min(shared)}; "
             "a same-class merge is undetectable and rejected"
         )
 
-    a_pos = [r.pos for r in ph.synapses if r.supervoxel_id == sv_a]
-    b_pos = [r.pos for r in ph.synapses if r.supervoxel_id == sv_b]
-    if not a_pos or not b_pos:
-        raise GenerationError(f"supervoxels {sv_a}/{sv_b} must both carry synapses")
     sx, sy, sz = ph.intensity.header.voxel_size_nm
     best = None
-    for pa in a_pos:
-        for pb in b_pos:
+    for pa in [r.pos for r in a_recs]:
+        for pb in [r.pos for r in b_recs]:
             d2 = (((pa[0] - pb[0]) * sx) ** 2 + ((pa[1] - pb[1]) * sy) ** 2
                   + ((pa[2] - pb[2]) * sz) ** 2)
             if best is None or d2 < best[0]:
@@ -309,23 +307,13 @@ def inject_false_merge(ph: Phantom, sv_a: int, sv_b: int):
     _, pa, pb = best
     midpoint = tuple((ca + cb) / 2.0 for ca, cb in zip(pa, pb))
 
-    seg = ph.segmentation.voxels.copy()
-    seg[seg == np.uint64(sv_b)] = np.uint64(sv_a)
     records = [
         SynapseRecord(r.id, r.pos, sv_a if r.supervoxel_id == sv_b else r.supervoxel_id, r.class_label)
         for r in ph.synapses
     ]
-    class_map = {k: v for k, v in ph.class_of_supervoxel.items() if k != sv_b}
     merged_from = dict(ph.merged_from)
     merged_from[sv_b] = sv_a
-    merged = Phantom(
-        ph.intensity,
-        SegmentationVolume(ph.segmentation.header, seg),
-        records,
-        class_map,
-        merged_from,
-    )
-    return merged, sv_a, midpoint
+    return Phantom(ph.intensity, records, ph.cells, merged_from), sv_a, midpoint
 
 
 # ---------------------------------------------------------------------------
@@ -335,5 +323,4 @@ def inject_false_merge(ph: Phantom, sv_a: int, sv_b: int):
 def save_phantom(ph: Phantom, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_volume(ph.intensity, os.path.join(out_dir, "intensity.vol"))
-    write_volume(ph.segmentation, os.path.join(out_dir, "segmentation.vol"))
     write_synapse_table(ph.synapses, os.path.join(out_dir, "synapses.csv"))

@@ -93,7 +93,6 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
     """Advance one step in place; returns the step's metrics dict."""
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
     views = np.concatenate([batch.views_a, batch.views_b], axis=0)
-    pairing = ntxent.views_pairing(cfg.sampler.batch_pairs)
 
     z_rows, caches = [], []
     for view in views:
@@ -107,7 +106,7 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
             ) from e
         caches.append(cache)
     z_rows = np.stack(z_rows)
-    value, d_z = ntxent.loss(z_rows, pairing, cfg.ntxent.temperature)
+    value, d_z = ntxent.loss(z_rows, cfg.ntxent.temperature)
 
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
     for cache, d_view in zip(caches, d_z):  # fixed view order keeps the reduction deterministic
@@ -137,7 +136,7 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         state.params[k] -= cfg.lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
     state.step = t
 
-    pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows, pairing)
+    pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows)
     return {
         "step": t,
         "loss": value,

@@ -1,9 +1,9 @@
 """Voxel volumes, synapse tables and embedding matrices, plus their on-disk formats.
 
-Volume files are a single JSON header line followed by the raw little-endian
-payload in x-fastest order: ``index(x, y, z) = x + nx * (y + ny * z)``.
-In-memory arrays are C-ordered with axes ``[z, y, x]`` so that the flat memory
-layout matches the file payload exactly.
+Volume files are a single JSON header line (``dims``, ``dtype`` which is always
+``"u8"``, ``voxel_size_nm``) followed by one byte per voxel in x-fastest order:
+``index(x, y, z) = x + nx * (y + ny * z)``. In-memory arrays are C-ordered with
+axes ``[z, y, x]`` so that the flat memory layout matches the file payload exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HEADER_MAX_BYTES = 65536
-DTYPE_WIDTH = {"u8": 1, "u64": 8}
 
 
 class VolumeFormatError(ValueError):
@@ -29,14 +28,11 @@ class VolumeFormatError(ValueError):
 @dataclass(frozen=True)
 class VolumeHeader:
     dims: tuple[int, int, int]  # (nx, ny, nz)
-    dtype: str
     voxel_size_nm: tuple[float, float, float] = (8.0, 8.0, 8.0)
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
             raise VolumeFormatError(f"dims must be three extents >= 1, got {self.dims}")
-        if self.dtype not in DTYPE_WIDTH:
-            raise VolumeFormatError(f"unknown dtype {self.dtype!r} (want 'u8' or 'u64')")
         if len(self.voxel_size_nm) != 3 or any(s <= 0 for s in self.voxel_size_nm):
             raise VolumeFormatError(f"voxel sizes must be > 0, got {self.voxel_size_nm}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -48,22 +44,12 @@ class VolumeHeader:
         return nx * ny * nz
 
 
-class _BaseVolume:
-    """Shared behaviour for intensity/segmentation volumes.
-
-    ``voxels`` has shape (nz, ny, nx) so voxel (x, y, z) is ``voxels[z, y, x]``.
-    """
-
-    _np_dtype: np.dtype
-    _header_dtype: str
+class IntensityVolume:
+    """u8 voxel grid; ``voxels`` has shape (nz, ny, nx) so voxel (x, y, z) is ``voxels[z, y, x]``."""
 
     def __init__(self, header: VolumeHeader, voxels: np.ndarray):
-        if header.dtype != self._header_dtype:
-            raise VolumeFormatError(
-                f"{type(self).__name__} requires dtype {self._header_dtype!r}, got {header.dtype!r}"
-            )
         nx, ny, nz = header.dims
-        voxels = np.asarray(voxels, dtype=self._np_dtype)
+        voxels = np.asarray(voxels, dtype=np.uint8)
         if voxels.shape != (nz, ny, nx):
             raise VolumeFormatError(
                 f"voxel array shape {voxels.shape} does not match dims (nx,ny,nz)={header.dims}"
@@ -77,18 +63,6 @@ class _BaseVolume:
             and other.header == self.header
             and np.array_equal(other.voxels, self.voxels)
         )
-
-
-class IntensityVolume(_BaseVolume):
-    _np_dtype = np.uint8
-    _header_dtype = "u8"
-
-
-class SegmentationVolume(_BaseVolume):
-    """Supervoxel label grid; label 0 means 'no segment'."""
-
-    _np_dtype = np.uint64
-    _header_dtype = "u64"
 
 
 @dataclass(frozen=True)
@@ -163,26 +137,23 @@ def _atomic_write(path, write_fn) -> None:
             os.close(dir_fd)
 
 
-def write_volume(vol: IntensityVolume | SegmentationVolume, path) -> None:
+def write_volume(vol: IntensityVolume, path) -> None:
     header = vol.header
     head = {
         "dims": list(header.dims),
-        "dtype": header.dtype,
+        "dtype": "u8",
         "voxel_size_nm": list(header.voxel_size_nm),
     }
-    payload = np.ascontiguousarray(vol.voxels).astype(
-        "<u1" if header.dtype == "u8" else "<u8", copy=False
-    )
 
     def body(f):
         f.write(json.dumps(head, separators=(",", ":")).encode("utf-8"))
         f.write(b"\n")
-        f.write(payload.tobytes())
+        f.write(vol.voxels.tobytes())
 
     _atomic_write(path, body)
 
 
-def read_volume(path) -> IntensityVolume | SegmentationVolume:
+def read_volume(path) -> IntensityVolume:
     with open(path, "rb") as f:
         line = f.readline(HEADER_MAX_BYTES)
         if not line.endswith(b"\n"):
@@ -198,7 +169,7 @@ def read_volume(path) -> IntensityVolume | SegmentationVolume:
                 f"{path}: malformed header at byte offset 0: need keys dims, dtype, voxel_size_nm"
             )
         dims, dtype, voxel_size = head["dims"], head["dtype"], head["voxel_size_nm"]
-        if not isinstance(dtype, str) or dtype not in DTYPE_WIDTH:
+        if dtype != "u8":
             raise VolumeFormatError(f"{path}: unknown dtype {dtype!r} in header at byte offset 0")
         # exact JSON types, so 2.5 is not truncated to 2 and "222" is not read as three digits
         if not isinstance(dims, list) or any(type(d) is not int for d in dims):
@@ -213,11 +184,11 @@ def read_volume(path) -> IntensityVolume | SegmentationVolume:
                 f"voxel_size_nm must be a list of finite numbers, got {voxel_size!r}"
             )
         try:
-            header = VolumeHeader(tuple(dims), dtype, tuple(voxel_size))
+            header = VolumeHeader(tuple(dims), tuple(voxel_size))
         except VolumeFormatError as e:
             raise VolumeFormatError(f"{path}: malformed header at byte offset 0: {e}") from e
         payload_offset = len(line)
-        expected = header.n_voxels * DTYPE_WIDTH[header.dtype]
+        expected = header.n_voxels
         data = f.read()
     if len(data) != expected:
         raise VolumeFormatError(
@@ -225,11 +196,7 @@ def read_volume(path) -> IntensityVolume | SegmentationVolume:
             f"expected {expected} bytes, got {len(data)}"
         )
     nx, ny, nz = header.dims
-    if header.dtype == "u8":
-        arr = np.frombuffer(data, dtype=np.uint8).reshape(nz, ny, nx).copy()
-        return IntensityVolume(header, arr)
-    arr = np.frombuffer(data, dtype="<u8").reshape(nz, ny, nx).astype(np.uint64)
-    return SegmentationVolume(header, arr)
+    return IntensityVolume(header, np.frombuffer(data, dtype=np.uint8).reshape(nz, ny, nx).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def ramp_dataset():
     dims = (32, 24, 16)
     nx, ny, nz = dims
     vox = (np.arange(nx * ny * nz) % 241).astype(np.uint8).reshape(nz, ny, nx)
-    vol = IntensityVolume(VolumeHeader(dims, "u8"), vox)
+    vol = IntensityVolume(VolumeHeader(dims), vox)
     recs = [
         SynapseRecord(0, (8, 8, 8), 1),
         SynapseRecord(1, (16, 8, 8), 1),
@@ -66,7 +66,7 @@ class TestEmbedAll:
     def test_zero_projection_still_embeds(self, monkeypatch):
         # a zero patch under zero biases gives z_pre = 0, which has no unit
         # direction; embedding reads only h, so it returns a finite row
-        vol = IntensityVolume(VolumeHeader((16, 16, 16), "u8"), np.zeros((16, 16, 16), np.uint8))
+        vol = IntensityVolume(VolumeHeader((16, 16, 16)), np.zeros((16, 16, 16), np.uint8))
         calls = []
         real = enc.forward
         monkeypatch.setattr(enc, "forward", lambda *a: calls.append(1) or real(*a))

@@ -12,18 +12,22 @@ def unit_rows(rng, n2, d):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def layout_pairing(n):
+    """Partner of each row laid out as [a_0..a_{N-1}, b_0..b_{N-1}]."""
+    return np.concatenate([np.arange(n) + n, np.arange(n)])
+
+
 class TestLossValue:
     def test_n1_exact_zero(self):
         rng = np.random.default_rng(0)
         z = unit_rows(rng, 2, 5)
-        value, d_z = ntxent.loss(z, ntxent.views_pairing(1), temperature=0.7)
+        value, d_z = ntxent.loss(z, temperature=0.7)
         assert value == 0.0
         assert not d_z.any()
 
     def test_hand_evaluated_n2_case(self):
-        z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        pairing = np.array([1, 0, 3, 2])
-        value, _ = ntxent.loss(z, pairing, temperature=1.0)
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])  # a_0, a_1, b_0, b_1
+        value, _ = ntxent.loss(z, temperature=1.0)
         # each of the four terms: -log(e / (e + 2)) = log(1 + 2/e)
         expected = np.log(1.0 + 2.0 / np.e)
         assert abs(value - expected) < 1e-12
@@ -36,16 +40,14 @@ class TestLossValue:
             d = int(rng.integers(2, 17))
             tau = float(rng.uniform(0.2, 1.5))
             z = unit_rows(rng, 2 * n, d)
-            pairing = ntxent.views_pairing(n)
-            value, _ = ntxent.loss(z, pairing, temperature=tau)
-            assert abs(value - ntxent_loops(z, pairing, tau)) <= 1e-10
+            value, _ = ntxent.loss(z, temperature=tau)
+            assert abs(value - ntxent_loops(z, layout_pairing(n), tau)) <= 1e-10
 
     def test_stable_equals_naive_on_well_scaled(self):
         rng = np.random.default_rng(2)
         z = unit_rows(rng, 12, 8)
-        pairing = ntxent.views_pairing(6)
-        value, _ = ntxent.loss(z, pairing, temperature=0.5)
-        assert abs(value - ntxent_loops(z, pairing, 0.5)) <= 1e-10
+        value, _ = ntxent.loss(z, temperature=0.5)
+        assert abs(value - ntxent_loops(z, layout_pairing(6), 0.5)) <= 1e-10
 
 
 class TestGradient:
@@ -54,16 +56,15 @@ class TestGradient:
         for _ in range(5):
             n = int(rng.integers(2, 5))
             z = unit_rows(rng, 2 * n, 4)
-            pairing = ntxent.views_pairing(n)
-            _, d_z = ntxent.loss(z, pairing, temperature=0.5)
+            _, d_z = ntxent.loss(z, temperature=0.5)
             eps = 1e-6
             flat = z.reshape(-1)
             for i in rng.choice(flat.size, size=min(12, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + eps
-                fp, _ = ntxent.loss(z, pairing, 0.5, check_norms=False)
+                fp, _ = ntxent.loss(z, 0.5, check_norms=False)
                 flat[i] = orig - eps
-                fm, _ = ntxent.loss(z, pairing, 0.5, check_norms=False)
+                fm, _ = ntxent.loss(z, 0.5, check_norms=False)
                 flat[i] = orig
                 numeric = (fp - fm) / (2 * eps)
                 assert grad_close(d_z.reshape(-1)[i], numeric, 1e-7)
@@ -73,11 +74,10 @@ class TestGradient:
 
         rng = np.random.default_rng(4)
         z = unit_rows(rng, 6, 3)
-        pairing = ntxent.views_pairing(3)
-        _, d_z = ntxent.loss(z, pairing, temperature=0.8)
+        _, d_z = ntxent.loss(z, temperature=0.8)
 
         def f(zv):
-            v, _ = ntxent.loss(zv, pairing, 0.8, check_norms=False)
+            v, _ = ntxent.loss(zv, 0.8, check_norms=False)
             return v
 
         assert grad_close(d_z, central_diff(f, z, eps=1e-6), 1e-7)
@@ -87,33 +87,29 @@ class TestProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 6))
     def test_permutation_equivariance(self, seed, n):
+        # reorder the pairs, and swap the a and b halves or not: the layout still holds
         rng = np.random.default_rng(seed)
         z = unit_rows(rng, 2 * n, 5)
-        pairing = ntxent.views_pairing(n)
-        perm = rng.permutation(2 * n)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(2 * n)
-        z_p = z[perm]
-        pairing_p = inv[pairing[perm]]
-        v1, g1 = ntxent.loss(z, pairing, 0.5)
-        v2, g2 = ntxent.loss(z_p, pairing_p, 0.5)
+        order = rng.permutation(n)
+        perm = np.concatenate([order + n, order] if rng.integers(2) else [order, order + n])
+        v1, g1 = ntxent.loss(z, 0.5)
+        v2, g2 = ntxent.loss(z[perm], 0.5)
         assert abs(v1 - v2) < 1e-12
         assert np.allclose(g2, g1[perm], atol=1e-12)
 
     def test_monotone_in_positive_similarity(self):
         # raise sim(z_0, partner) while holding other sims fixed: l_0 must not increase
         d = 4
-        pairing = np.array([1, 0, 3, 2])
 
         def l0(pos_sim):
-            # construct rows where z0.z1 = pos_sim and all other dots fixed at 0
+            # rows a_0, a_1, b_0, b_1 where z0.z2 = pos_sim and all other dots fixed at 0
             z = np.zeros((4, d))
             z[0] = [1, 0, 0, 0]
-            z[1] = [pos_sim, np.sqrt(1 - pos_sim**2), 0, 0]
-            z[2] = [0, 0, 1, 0]
+            z[2] = [pos_sim, np.sqrt(1 - pos_sim**2), 0, 0]
+            z[1] = [0, 0, 1, 0]
             z[3] = [0, 0, 0, 1]
             sims = z @ z.T
-            num = np.exp(sims[0, 1] / 0.5)
+            num = np.exp(sims[0, 2] / 0.5)
             den = sum(np.exp(sims[0, k] / 0.5) for k in (1, 2, 3))
             return -np.log(num / den)
 
@@ -125,10 +121,9 @@ class TestProperties:
     def test_rotation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         z = unit_rows(rng, 8, 5)
-        pairing = ntxent.views_pairing(4)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        v1, _ = ntxent.loss(z, pairing, 0.5)
-        v2, _ = ntxent.loss(z @ q, pairing, 0.5, check_norms=False)
+        v1, _ = ntxent.loss(z, 0.5)
+        v2, _ = ntxent.loss(z @ q, 0.5, check_norms=False)
         assert abs(v1 - v2) < 1e-10
 
 
@@ -136,32 +131,24 @@ class TestValidation:
     def test_non_unit_rows_rejected(self):
         z = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="norm"):
-            ntxent.loss(z, np.array([1, 0, 3, 2]))
+            ntxent.loss(z)
 
     def test_bad_temperature(self):
         rng = np.random.default_rng(5)
         z = unit_rows(rng, 4, 3)
         with pytest.raises(ValueError, match="temperature"):
-            ntxent.loss(z, ntxent.views_pairing(2), temperature=0.0)
+            ntxent.loss(z, temperature=0.0)
         with pytest.raises(ValueError, match="temperature"):
             ntxent.NTXentConfig(temperature=-1.0)
 
-    def test_bad_pairing(self):
-        rng = np.random.default_rng(6)
-        z = unit_rows(rng, 4, 3)
-        with pytest.raises(ValueError, match="involution"):
-            ntxent.loss(z, np.array([0, 1, 2, 3]))
-        with pytest.raises(ValueError, match="involution"):
-            ntxent.loss(z, np.array([1, 2, 3, 0]))
-
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ntxent.loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
+            ntxent.loss(np.zeros((0, 3)))
 
 
 class TestCosineStats:
     def test_orthogonal_pairs(self):
-        z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        pos, neg = ntxent.batch_cosine_stats(z, np.array([1, 0, 3, 2]))
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])  # a_0, a_1, b_0, b_1
+        pos, neg = ntxent.batch_cosine_stats(z)
         assert pos == 1.0
         assert neg == 0.0

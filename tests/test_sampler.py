@@ -12,7 +12,7 @@ from oracles import eligible_supervoxels_lists, extract_patch_loops
 def ramp_volume(dims=(20, 18, 16)):
     nx, ny, nz = dims
     vox = (np.arange(nx * ny * nz) % 251).astype(np.uint8).reshape(nz, ny, nx)
-    return IntensityVolume(VolumeHeader(dims, "u8"), vox)
+    return IntensityVolume(VolumeHeader(dims), vox)
 
 
 def labeled_volume(labels_of_pos, dims=(24, 24, 24)):
@@ -21,17 +21,17 @@ def labeled_volume(labels_of_pos, dims=(24, 24, 24)):
     vox = np.zeros((nz, ny, nx), np.uint8)
     for (x, y, z), sv in labels_of_pos.items():
         vox[z, y, x] = sv * 10
-    return IntensityVolume(VolumeHeader(dims, "u8"), vox)
+    return IntensityVolume(VolumeHeader(dims), vox)
 
 
 class TestExtractPatch:
     def test_constant_volume(self):
-        vol = IntensityVolume(VolumeHeader((8, 8, 8), "u8"), np.full((8, 8, 8), 128, np.uint8))
+        vol = IntensityVolume(VolumeHeader((8, 8, 8)), np.full((8, 8, 8), 128, np.uint8))
         patch = sp.extract_patch(vol, (3, 5, 2), 4)
         assert np.all(patch == 128 / 255.0)
 
     def test_corner_out_of_bounds_octants(self):
-        vol = IntensityVolume(VolumeHeader((8, 8, 8), "u8"), np.full((8, 8, 8), 200, np.uint8))
+        vol = IntensityVolume(VolumeHeader((8, 8, 8)), np.full((8, 8, 8), 200, np.uint8))
         patch = sp.extract_patch(vol, (0, 0, 0), 8)
         inside = patch[4:, 4:, 4:]
         assert np.all(inside == 200 / 255.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -24,6 +26,15 @@ def small_config(**kw):
     )
     base.update(kw)
     return sg.GenConfig(**base)
+
+
+def class_of(ph):
+    return {r.supervoxel_id: r.class_label for r in ph.synapses}
+
+
+def in_box(pos, box):
+    lo, hi = box
+    return all(l <= p < h for l, p, h in zip(lo, pos, hi))
 
 
 class TestGenerate:
@@ -58,9 +69,9 @@ class TestGenerate:
         b = sg.generate(small_config(seed=5))
         c = sg.generate(small_config(seed=6))
         assert np.array_equal(a.intensity.voxels, b.intensity.voxels)
-        assert np.array_equal(a.segmentation.voxels, b.segmentation.voxels)
+        assert a.cells == b.cells
         assert a.synapses == b.synapses
-        assert a.class_of_supervoxel == b.class_of_supervoxel
+        assert class_of(a) == class_of(b)
         assert [r.pos for r in a.synapses] != [r.pos for r in c.synapses]
 
     def test_dale_invariant_and_position_consistency(self):
@@ -70,6 +81,38 @@ class TestGenerate:
         for rec in ph.synapses:
             seen.setdefault(rec.supervoxel_id, set()).add(rec.class_label)
         assert all(len(v) == 1 for v in seen.values())
+
+    def test_validate_rejects_a_synapse_moved_into_another_cell(self):
+        ph = sg.generate(small_config(seed=7))
+        rec = ph.synapses[0]
+        other = next(sv for sv in ph.cells if sv != rec.supervoxel_id)
+        ph.synapses[0] = dataclasses.replace(rec, pos=ph.cells[other][0])
+        with pytest.raises(sg.GenerationError, match="outside the cell"):
+            sg.validate_phantom(ph)
+
+    def test_validate_rejects_a_class_unlike_its_supervoxel_mates(self):
+        ph = sg.generate(small_config(seed=7))
+        rec = ph.synapses[1]
+        assert rec.supervoxel_id == ph.synapses[0].supervoxel_id
+        ph.synapses[1] = dataclasses.replace(rec, class_label=3 - rec.class_label)
+        with pytest.raises(sg.GenerationError, match="class"):
+            sg.validate_phantom(ph)
+
+    @pytest.mark.parametrize("cfg", [
+        sg.GenConfig(seed=0),
+        sg.GenConfig(seed=0, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
+    ], ids=["default", "dense"])
+    def test_cells_partition_the_volume(self, cfg):
+        ph = sg.generate(cfg)
+        boxes = list(ph.cells.values())
+        assert sorted(ph.cells) == list(range(1, cfg.n_supervoxels + 1))
+        assert all(type(c) is int for lo, hi in boxes for c in lo + hi)
+        assert all(0 <= l < h <= n for lo, hi in boxes for l, h, n in zip(lo, hi, cfg.dims))
+        for i, (lo1, hi1) in enumerate(boxes):
+            for lo2, hi2 in boxes[i + 1:]:
+                assert any(h1 <= l2 or h2 <= l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+        assert sum(int(np.prod(np.subtract(hi, lo))) for lo, hi in boxes) == int(np.prod(cfg.dims))
+        assert all(in_box(r.pos, ph.cells[r.supervoxel_id]) for r in ph.synapses)
 
     def test_sites_respect_min_separation(self):
         cfg = small_config(seed=9, synapses_per_supervoxel=4, dims=(64, 64, 32))
@@ -96,7 +139,7 @@ class TestGenerate:
         monkeypatch.setattr(sg, "_place_sites", place_sites_loops)
         want = sg.generate(cfg)
         assert got.intensity.voxels.tobytes() == want.intensity.voxels.tobytes()
-        assert got.segmentation.voxels.tobytes() == want.segmentation.voxels.tobytes()
+        assert got.cells == want.cells
         assert got.synapses == want.synapses
         assert all(type(c) is int for r in got.synapses for c in r.pos)
 
@@ -166,7 +209,7 @@ class TestFalseMerge:
     def test_merge_two_singletons(self):
         cfg = small_config(seed=13, n_supervoxels=2, synapses_per_supervoxel=1)
         ph = sg.generate(cfg)
-        classes = ph.class_of_supervoxel
+        classes = class_of(ph)
         (a, b) = sorted(classes)
         assert classes[a] != classes[b]
         merged, kept, midpoint = sg.inject_false_merge(ph, a, b)
@@ -174,14 +217,28 @@ class TestFalseMerge:
         recs = [r for r in merged.synapses if r.supervoxel_id == a]
         assert len(recs) == 2
         assert len({r.class_label for r in recs}) == 2
-        assert not (merged.segmentation.voxels == np.uint64(b)).any()
+        assert not any(r.supervoxel_id == b for r in merged.synapses)
+        assert merged.cells == ph.cells
         assert merged.merged_from == {b: a}
+
+    def test_validate_counts_the_merged_fragments_boxes(self):
+        ph = sg.generate(small_config(seed=13, n_supervoxels=2, synapses_per_supervoxel=3))
+        classes = class_of(ph)
+        a, b = sorted(classes)
+        merged, _, _ = sg.inject_false_merge(ph, a, b)
+        with pytest.raises(sg.GenerationError, match="class"):  # Dale, not position
+            sg.validate_phantom(merged)
+        # the same relabelling with one class everywhere: valid only while b's box counts for a
+        one_class = [dataclasses.replace(r, class_label=classes[a]) for r in merged.synapses]
+        sg.validate_phantom(sg.Phantom(ph.intensity, one_class, ph.cells, merged.merged_from))
+        with pytest.raises(sg.GenerationError, match="outside the cell"):
+            sg.validate_phantom(sg.Phantom(ph.intensity, one_class, ph.cells))
 
     def test_same_class_merge_rejected(self):
         cfg = small_config(seed=15, n_supervoxels=4, n_classes=2)
         ph = sg.generate(cfg)
         by_class = {}
-        for sv, c in ph.class_of_supervoxel.items():
+        for sv, c in class_of(ph).items():
             by_class.setdefault(c, []).append(sv)
         twins = next(v for v in by_class.values() if len(v) >= 2)
         with pytest.raises(sg.GenerationError, match="same-class"):
@@ -195,7 +252,7 @@ class TestFalseMerge:
     def test_midpoint_matches_exhaustive_scan(self):
         cfg = small_config(seed=19, n_supervoxels=4, synapses_per_supervoxel=3)
         ph = sg.generate(cfg)
-        classes = ph.class_of_supervoxel
+        classes = class_of(ph)
         svs = sorted(classes)
         a = svs[0]
         b = next(s for s in svs if classes[s] != classes[a])
@@ -211,13 +268,15 @@ class TestFalseMerge:
 
     def test_original_phantom_untouched(self):
         ph = sg.generate(small_config(seed=21))
-        seg_before = ph.segmentation.voxels.copy()
-        classes = ph.class_of_supervoxel
+        cells_before = dict(ph.cells)
+        synapses_before = list(ph.synapses)
+        classes = class_of(ph)
         svs = sorted(classes)
         b = next(s for s in svs if classes[s] != classes[svs[0]])
         sg.inject_false_merge(ph, svs[0], b)
-        assert np.array_equal(ph.segmentation.voxels, seg_before)
-        assert b in ph.class_of_supervoxel
+        assert ph.cells == cells_before
+        assert ph.synapses == synapses_before
+        assert ph.merged_from == {}
 
 
 class TestPersistence:
@@ -225,9 +284,16 @@ class TestPersistence:
         ph = sg.generate(small_config(seed=23))
         sg.save_phantom(ph, tmp_path)
         assert read_volume(tmp_path / "intensity.vol") == ph.intensity
-        assert read_volume(tmp_path / "segmentation.vol") == ph.segmentation
         assert read_synapse_table(tmp_path / "synapses.csv") == ph.synapses
-        # the table's class labels already record every supervoxel's class
+        # every supervoxel carries a synapse, so the table records every supervoxel's class
         table = read_synapse_table(tmp_path / "synapses.csv")
-        assert {r.supervoxel_id: r.class_label for r in table} == ph.class_of_supervoxel
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["intensity.vol", "segmentation.vol", "synapses.csv"]
+        assert {r.supervoxel_id for r in table} == set(ph.cells)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["intensity.vol", "synapses.csv"]
+
+    def test_default_phantom_files_are_pinned(self, tmp_path):
+        sg.save_phantom(sg.generate(sg.GenConfig(seed=0)), tmp_path)
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert got == {
+            "intensity.vol": "4d81527320e82ce465d8610a115e31d5f3ff35dee59e0427ede1cb6a48b3d23e",
+            "synapses.csv": "fcd05952340355be05843f3f37602bb9a45c2d11e66091fa87af420bd357001c",
+        }

@@ -82,8 +82,7 @@ class TestTrainStep:
         views = np.concatenate([batch.views_a, batch.views_b])
         caches = [enc.forward(ref.params, v[None], cfg.encoder)[1] for v in views]
         z_rows = np.stack([enc.project(ref.params, cache) for cache in caches])
-        pairing = ntxent.views_pairing(cfg.sampler.batch_pairs)
-        loss, d_z = ntxent.loss(z_rows, pairing, cfg.ntxent.temperature)
+        loss, d_z = ntxent.loss(z_rows, cfg.ntxent.temperature)
         per_view = [enc.backward(ref.params, cache, d_z[i]) for i, cache in enumerate(caches)]
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         sq_sum = 0.0
@@ -96,7 +95,7 @@ class TestTrainStep:
             v = 0.0 + (1 - b2) * g * g
             want = p - cfg.lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + cfg.adam_eps)
             assert state.params[k].tobytes() == want.tobytes(), k
-        pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows, pairing)
+        pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows)
         assert metrics == {"step": 1, "loss": loss, "grad_norm": float(np.sqrt(sq_sum)),
                            "pos_cos": pos_cos, "neg_cos": neg_cos}
         assert state.rng.bit_generator.state == ref.rng.bit_generator.state
@@ -126,7 +125,7 @@ class TestTrainStep:
     def test_zero_projection_is_a_train_error(self):
         # all-zero views under zero biases give z_pre = 0: no unit direction exists
         dims = (32, 32, 16)
-        vol = IntensityVolume(VolumeHeader(dims, "u8"), np.zeros((16, 32, 32), np.uint8))
+        vol = IntensityVolume(VolumeHeader(dims), np.zeros((16, 32, 32), np.uint8))
         recs = [SynapseRecord(i, (8 + 16 * (i // 4), 8 + 8 * (i % 2), 8), 1 + i // 2) for i in range(8)]
         ds = sp.Dataset(vol, recs)
         cfg = tiny_config(sampler=sp.SamplerConfig(patch_side=8, batch_pairs=2, augment=sp.IDENTITY_AUGMENT))

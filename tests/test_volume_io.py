@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from synself.volume_io import (
     EmbeddingMatrix,
     IntensityVolume,
-    SegmentationVolume,
     SynapseRecord,
     VolumeFormatError,
     VolumeHeader,
@@ -49,7 +48,7 @@ def read_corrupted_or_typed_error(data, write, read, name):
 
 def make_intensity(dims, values):
     nx, ny, nz = dims
-    return IntensityVolume(VolumeHeader(dims, "u8"), np.asarray(values, np.uint8).reshape(nz, ny, nx))
+    return IntensityVolume(VolumeHeader(dims), np.asarray(values, np.uint8).reshape(nz, ny, nx))
 
 
 class TestVolumeRoundTrip:
@@ -68,29 +67,12 @@ class TestVolumeRoundTrip:
         write_volume(vol, tmp_path / "v.vol")
         assert read_volume(tmp_path / "v.vol") == vol
 
-    def test_u64_random_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        labels = rng.integers(0, 2**63, size=(3, 4, 5), dtype=np.uint64)
-        vol = SegmentationVolume(VolumeHeader((5, 4, 3), "u64"), labels)
-        write_volume(vol, tmp_path / "seg.vol")
-        got = read_volume(tmp_path / "seg.vol")
-        assert isinstance(got, SegmentationVolume)
-        assert np.array_equal(got.voxels, labels)
-        assert got.header == vol.header
-
-    def test_u64_8cube_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        labels = rng.integers(0, 2**64, size=(8, 8, 8), dtype=np.uint64)
-        vol = SegmentationVolume(VolumeHeader((8, 8, 8), "u64"), labels)
-        write_volume(vol, tmp_path / "seg.vol")
-        assert np.array_equal(read_volume(tmp_path / "seg.vol").voxels, labels)
-
     def test_payload_bytes_are_x_fastest(self, tmp_path):
         # brute-force oracle: byte at header_len + x + nx*(y + ny*z) equals voxel value
         rng = np.random.default_rng(11)
         dims = (4, 3, 2)
         vals = rng.integers(0, 256, size=(2, 3, 4), dtype=np.uint8)
-        vol = IntensityVolume(VolumeHeader(dims, "u8"), vals)
+        vol = IntensityVolume(VolumeHeader(dims), vals)
         p = tmp_path / "v.vol"
         write_volume(vol, p)
         raw = p.read_bytes()
@@ -111,9 +93,10 @@ class TestVolumeErrors:
 
     def test_unknown_dtype(self, tmp_path):
         p = tmp_path / "bad.vol"
-        p.write_bytes(b'{"dims":[1,1,1],"dtype":"f32","voxel_size_nm":[8,8,8]}\n' + bytes(4))
-        with pytest.raises(VolumeFormatError, match="unknown dtype"):
-            read_volume(p)
+        for dtype, width in ((b"f32", 4), (b"u64", 8)):
+            p.write_bytes(b'{"dims":[1,1,1],"dtype":"' + dtype + b'","voxel_size_nm":[8,8,8]}\n' + bytes(width))
+            with pytest.raises(VolumeFormatError, match="unknown dtype"):
+                read_volume(p)
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.vol"
@@ -161,14 +144,14 @@ class TestVolumeErrors:
 class TestHeaderInvariants:
     def test_bad_dims(self):
         with pytest.raises(VolumeFormatError):
-            VolumeHeader((0, 1, 1), "u8")
+            VolumeHeader((0, 1, 1))
 
     def test_bad_voxel_size(self):
         with pytest.raises(VolumeFormatError):
-            VolumeHeader((1, 1, 1), "u8", (8.0, 0.0, 8.0))
+            VolumeHeader((1, 1, 1), (8.0, 0.0, 8.0))
 
     def test_default_voxel_size_is_8nm(self):
-        assert VolumeHeader((1, 1, 1), "u8").voxel_size_nm == (8.0, 8.0, 8.0)
+        assert VolumeHeader((1, 1, 1)).voxel_size_nm == (8.0, 8.0, 8.0)
 
 
 class TestSynapseTable:
@@ -229,7 +212,7 @@ class TestSynapseTable:
             data, lambda p: write_synapse_table(records, p), read_synapse_table, "syn.csv")
 
     def test_bounds_check(self):
-        header = VolumeHeader((4, 4, 4), "u8")
+        header = VolumeHeader((4, 4, 4))
         check_synapses_in_bounds([SynapseRecord(0, (3, 3, 3), 1)], header)
         with pytest.raises(VolumeFormatError, match="outside volume"):
             check_synapses_in_bounds([SynapseRecord(1, (4, 0, 0), 1)], header)
