@@ -296,13 +296,16 @@ def concordance(
     if cross_total <= sample:
         i, j = np.nonzero(np.triu(sv[:, None] != sv[None, :], 1))
     else:
+        # draws in chunks of `sample` pairs are the same stream as one
+        # rng.integers(m, size=2) call per pair (PCG64 buffers its 32-bit
+        # half-words in its own state); the rng is local, so over-drawing is harmless
         rng = np.random.default_rng(seed)
-        pairs = []
-        while len(pairs) < sample:
-            a, b = rng.integers(m, size=2)
-            if a != b and sv[a] != sv[b]:
-                pairs.append((a, b))
-        i, j = np.array(pairs).T
+        i = j = np.empty(0, dtype=np.int64)
+        while i.size < sample:
+            a, b = rng.integers(m, size=(sample, 2)).T
+            keep = (a != b) & (sv[a] != sv[b])
+            i, j = np.concatenate([i, a[keep]]), np.concatenate([j, b[keep]])
+        i, j = i[:sample], j[:sample]
     inter_vals = _cosines(np.einsum("ij,ij->i", x[i], x[j]), sq[i], sq[j])
     return float(np.mean(intra_vals)), float(np.mean(inter_vals))
 

@@ -6,6 +6,19 @@ morphology (core sphere, rim shell, dark bar), so same-supervoxel synapses share
 a class by construction and class is recoverable from local appearance. The
 phantom keeps the partition as its boxes (``Phantom.cells``) and each synapse's
 class in its record.
+
+Rendering paints small integer paint codes, not intensities. Code 0 is the
+background, and class k (1-based) owns codes 3k-2, 3k-1 and 3k for its rim, bar
+and core; a float64 lookup table maps each code to its intensity. Each
+(class, bar axis) pair has one cached stamp, a cube of codes drawn rim, then
+bar, then core, so the bar crosses the rim and the core caps the centre. A
+site copies its stamp's nonzero codes onto the code volume, so a later site
+overwrites an earlier one where they overlap. Sites are placed at least the
+stamp's half-width inside their cell, so a stamp never needs clipping. The
+codes are then turned into bytes one z-plane at a time: look up the
+intensities, add that plane's Gaussian noise, clip to [0, 255] and round.
+Drawing the noise plane by plane gives the same values as one draw of the
+whole volume, so the bytes equal those of a float canvas finished at once.
 """
 
 from __future__ import annotations
@@ -54,6 +67,12 @@ class ClassParams:
     def extent_vox(self) -> float:
         return max(self.blob_radius_vox + self.rim_thickness_vox,
                    self.bar_half_length_vox + BAR_PERP_RADIUS_VOX)
+
+    @property
+    def half_width_vox(self) -> int:
+        """Half side of the class's stamp cube, and the placement margin that keeps
+        every stamp inside its site's cell."""
+        return int(math.ceil(self.extent_vox)) + 1
 
 
 # Default three-class morphology set: roughly matched integrated intensity so
@@ -180,30 +199,25 @@ def _place_sites(lo, hi, margin, n_sites, min_sep, rng, sv_label):
     )
 
 
-def _render_site(canvas: np.ndarray, center, params: ClassParams, bar_axis: int) -> None:
-    nx = canvas.shape[2]
-    ny = canvas.shape[1]
-    nz = canvas.shape[0]
-    cx, cy, cz = center
+def _stamp(params: ClassParams, bar_axis: int, rim_code: int, dtype) -> np.ndarray:
+    """Code cube of one site of a class, centred on the site: rim_code, rim_code+1
+    and rim_code+2 mark rim, bar and core; 0 leaves the volume as it is."""
+    b = params.half_width_vox
+    dz, dy, dx = np.ogrid[-b:b + 1, -b:b + 1, -b:b + 1]
+    d2 = dx * dx + dy * dy + dz * dz
     r = params.blob_radius_vox
     shell = r + params.rim_thickness_vox
-    box = int(math.ceil(params.extent_vox)) + 1
-    x0, x1 = max(cx - box, 0), min(cx + box + 1, nx)
-    y0, y1 = max(cy - box, 0), min(cy + box + 1, ny)
-    z0, z1 = max(cz - box, 0), min(cz + box + 1, nz)
-    dz, dy, dx = np.ogrid[z0 - cz:z1 - cz, y0 - cy:y1 - cy, x0 - cx:x1 - cx]
-    d2 = dx * dx + dy * dy + dz * dz
-    sub = canvas[z0:z1, y0:y1, x0:x1]
+    stamp = np.zeros((2 * b + 1,) * 3, dtype=dtype)
     # order matters: the bar crosses the rim but the core caps the center,
     # so the synapse-center voxel always reads core_intensity
-    sub[(d2 > r * r) & (d2 <= shell * shell)] = params.rim_intensity
+    stamp[(d2 > r * r) & (d2 <= shell * shell)] = rim_code
     along = (dx, dy, dz)[bar_axis]
-    perp2 = d2 - along * along
     bar = (np.abs(along) <= params.bar_half_length_vox) & (
-        perp2 <= BAR_PERP_RADIUS_VOX * BAR_PERP_RADIUS_VOX
+        d2 - along * along <= BAR_PERP_RADIUS_VOX * BAR_PERP_RADIUS_VOX
     )
-    sub[np.broadcast_to(bar, sub.shape)] = BAR_INTENSITY
-    sub[d2 <= r * r] = params.core_intensity
+    stamp[np.broadcast_to(bar, stamp.shape)] = rim_code + 1
+    stamp[d2 <= r * r] = rim_code + 2
+    return stamp
 
 
 def generate(cfg: GenConfig) -> Phantom:
@@ -227,24 +241,36 @@ def generate(cfg: GenConfig) -> Phantom:
     rng.shuffle(classes)
     class_of = {label: int(classes[label - 1]) for label in range(1, cfg.n_supervoxels + 1)}
 
+    lut = np.array([cfg.background_intensity] + [
+        v for p in cfg.class_params for v in (p.rim_intensity, BAR_INTENSITY, p.core_intensity)
+    ], dtype=np.float64)
+    code_dtype = np.min_scalar_type(len(lut) - 1)
+    stamps = [[_stamp(params, axis, 3 * k + 1, code_dtype) for axis in range(3)]
+              for k, params in enumerate(cfg.class_params)]  # [class - 1][bar axis]
+
     min_sep = 2.0 * cfg.max_blob_radius
-    canvas = np.full((nz, ny, nx), float(cfg.background_intensity))
+    codes = np.zeros((nz, ny, nx), dtype=code_dtype)
     records = []
     next_id = 0
     for label in range(1, cfg.n_supervoxels + 1):
-        params = cfg.class_params[class_of[label] - 1]
-        margin = int(math.ceil(params.extent_vox)) + 1
+        b = cfg.class_params[class_of[label] - 1].half_width_vox
         lo, hi = cells[label]
-        sites = _place_sites(lo, hi, margin, cfg.synapses_per_supervoxel, min_sep, rng, label)
+        sites = _place_sites(lo, hi, b, cfg.synapses_per_supervoxel, min_sep, rng, label)
         for site in sites:
-            bar_axis = int(rng.integers(3))
-            _render_site(canvas, site, params, bar_axis)
+            stamp = stamps[class_of[label] - 1][int(rng.integers(3))]
+            x, y, z = site
+            np.copyto(codes[z - b:z + b + 1, y - b:y + b + 1, x - b:x + b + 1], stamp,
+                      where=stamp != 0)
             records.append(SynapseRecord(next_id, site, label, class_of[label]))
             next_id += 1
 
-    if cfg.noise_sigma > 0:
-        canvas = canvas + rng.normal(0.0, cfg.noise_sigma, size=canvas.shape)
-    voxels = np.rint(np.clip(canvas, 0.0, 255.0)).astype(np.uint8)
+    voxels = np.empty((nz, ny, nx), dtype=np.uint8)
+    for z in range(nz):
+        plane = lut[codes[z]]
+        if cfg.noise_sigma > 0:
+            plane += rng.normal(0.0, cfg.noise_sigma, size=plane.shape)
+        np.clip(plane, 0.0, 255.0, out=plane)
+        voxels[z] = np.rint(plane)
 
     return Phantom(IntensityVolume(VolumeHeader(cfg.dims), voxels), records, cells)
 

@@ -4,8 +4,11 @@ Everything here is deliberately written as plain loops / direct summation so
 it shares no code path with the implementations it checks.
 """
 
+import math
+
 import numpy as np
 
+from synself import synthgen as sg
 from synself.analysis import AnalysisError
 from synself.synthgen import PLACEMENT_ATTEMPTS_PER_SITE, PLACEMENT_RESTARTS, GenerationError
 
@@ -284,3 +287,60 @@ def place_sites_loops(lo, hi, margin, n_sites, min_sep, rng, sv_label):
         f"supervoxel {sv_label}: placement infeasible after "
         f"{PLACEMENT_RESTARTS}x{PLACEMENT_ATTEMPTS_PER_SITE * n_sites} rejection-sampling attempts"
     )
+
+
+def render_site_loops(canvas, center, params, bar_axis):
+    """Paint one site's rim, bar and core intensities onto a float canvas, clipped
+    at the volume's edges."""
+    nz, ny, nx = canvas.shape
+    cx, cy, cz = center
+    r = params.blob_radius_vox
+    shell = r + params.rim_thickness_vox
+    box = int(math.ceil(params.extent_vox)) + 1
+    x0, x1 = max(cx - box, 0), min(cx + box + 1, nx)
+    y0, y1 = max(cy - box, 0), min(cy + box + 1, ny)
+    z0, z1 = max(cz - box, 0), min(cz + box + 1, nz)
+    dz, dy, dx = np.ogrid[z0 - cz:z1 - cz, y0 - cy:y1 - cy, x0 - cx:x1 - cx]
+    d2 = dx * dx + dy * dy + dz * dz
+    sub = canvas[z0:z1, y0:y1, x0:x1]
+    sub[(d2 > r * r) & (d2 <= shell * shell)] = params.rim_intensity
+    along = (dx, dy, dz)[bar_axis]
+    perp2 = d2 - along * along
+    bar = (np.abs(along) <= params.bar_half_length_vox) & (
+        perp2 <= sg.BAR_PERP_RADIUS_VOX * sg.BAR_PERP_RADIUS_VOX
+    )
+    sub[np.broadcast_to(bar, sub.shape)] = sg.BAR_INTENSITY
+    sub[d2 <= r * r] = params.core_intensity
+
+
+def generate_voxels_loops(cfg, reverse=False):
+    """The phantom's voxels from a float canvas painted site by site, with the
+    noise of the whole volume added at once, then clipped, rounded and cast.
+
+    The rng is drawn in generate's order. reverse=True paints the sites last to
+    first, so a test can show that a config's sites overlap.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    nx, ny, nz = cfg.dims
+    gx, gy, gz = sg.grid_shape(cfg.n_supervoxels, cfg.dims)
+    cuts = [sg._jittered_cuts(n, g, rng).tolist() for n, g in ((nx, gx), (ny, gy), (nz, gz))]
+    classes = np.array([1 + (i % cfg.n_classes) for i in range(cfg.n_supervoxels)])
+    rng.shuffle(classes)
+    painted = []
+    for iz in range(gz):
+        for iy in range(gy):
+            for ix in range(gx):
+                label = 1 + ix + gx * (iy + gy * iz)
+                lo = (cuts[0][ix], cuts[1][iy], cuts[2][iz])
+                hi = (cuts[0][ix + 1], cuts[1][iy + 1], cuts[2][iz + 1])
+                params = cfg.class_params[classes[label - 1] - 1]
+                margin = int(math.ceil(params.extent_vox)) + 1
+                for site in place_sites_loops(lo, hi, margin, cfg.synapses_per_supervoxel,
+                                              2.0 * cfg.max_blob_radius, rng, label):
+                    painted.append((site, params, int(rng.integers(3))))
+    canvas = np.full((nz, ny, nx), float(cfg.background_intensity))
+    for site, params, bar_axis in (painted[::-1] if reverse else painted):
+        render_site_loops(canvas, site, params, bar_axis)
+    if cfg.noise_sigma > 0:
+        canvas = canvas + rng.normal(0.0, cfg.noise_sigma, size=canvas.shape)
+    return np.rint(np.clip(canvas, 0.0, 255.0)).astype(np.uint8)

@@ -256,6 +256,17 @@ class TestConcordance:
         want = concordance_loops(emb, self.recs(svs), sample=sample, seed=4)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
+    # m = 480 and 4096 are the benchmark workloads' synapse counts; integer-valued
+    # rows make every dot product exact in any summation order, so equal results
+    # mean that the bulk draws picked the loop's pairs
+    @pytest.mark.parametrize("m", [480, 4096])
+    def test_sampled_pairs_equal_the_per_pair_draws(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.integers(-4, 5, size=(m, 8)).astype(float)
+        emb = EmbeddingMatrix(list(range(m)), x)
+        recs = self.recs([1 + i % (m // 8) for i in range(m)])
+        assert an.concordance(emb, recs) == concordance_loops(emb, recs)
+
     def test_zero_row_has_cosine_zero(self):
         x = np.random.default_rng(5).normal(size=(6, 8))
         x[1] = 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from synself import synthgen as sg
 from synself.volume_io import read_synapse_table, read_volume
-from oracles import place_sites_loops
+from oracles import generate_voxels_loops, place_sites_loops
 
 
 def small_config(**kw):
@@ -113,6 +114,49 @@ class TestGenerate:
                 assert any(h1 <= l2 or h2 <= l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
         assert sum(int(np.prod(np.subtract(hi, lo))) for lo, hi in boxes) == int(np.prod(cfg.dims))
         assert all(in_box(r.pos, ph.cells[r.supervoxel_id]) for r in ph.synapses)
+
+    @pytest.mark.parametrize("cfg", [
+        sg.GenConfig(seed=0),
+        sg.GenConfig(seed=1),
+        sg.GenConfig(seed=0, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
+        sg.GenConfig(seed=2, noise_sigma=0.0),
+        # exact halves exercise rint's round-half-to-even, with and without noise
+        sg.GenConfig(seed=3, noise_sigma=0.0, background_intensity=40.25, class_params=(
+            sg.ClassParams(2.0, 1.5, 3.0, 220.75, 110.5), *sg.DEFAULT_CLASS_PARAMS[1:])),
+        sg.GenConfig(seed=3, background_intensity=40.25, class_params=(
+            sg.ClassParams(2.0, 1.5, 3.0, 220.75, 110.5), *sg.DEFAULT_CLASS_PARAMS[1:])),
+        # eight sites to a cell of a small volume, so their stamps crowd each other
+        small_config(seed=8, synapses_per_supervoxel=8),
+    ], ids=["default", "seed1", "dense", "no-noise", "halves", "halves-noise", "crowded"])
+    def test_matches_the_float_canvas_renderer(self, cfg):
+        want = generate_voxels_loops(cfg)
+        assert sg.generate(cfg).intensity.voxels.tobytes() == want.tobytes()
+        # the sites overlap, so the result depends on painting them in order
+        assert not np.array_equal(want, generate_voxels_loops(cfg, reverse=True))
+
+    @pytest.mark.parametrize("cfg", [
+        sg.GenConfig(seed=0),
+        sg.GenConfig(seed=0, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
+    ], ids=["default", "dense"])
+    def test_stamps_fit_their_cells(self, cfg):
+        # what lets generate paint every stamp whole, with no clipping at the edges
+        ph = sg.generate(cfg)
+        for rec in ph.synapses:
+            b = cfg.class_params[rec.class_label - 1].half_width_vox
+            lo, hi = ph.cells[rec.supervoxel_id]
+            assert all(l <= p - b and p + b < h for l, p, h in zip(lo, rec.pos, hi))
+
+    def test_peak_memory_under_4_bytes_per_voxel(self):
+        cfg = sg.GenConfig(seed=0, dims=(96, 96, 96), n_supervoxels=8)
+        tracemalloc.start()
+        try:
+            sg.generate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one byte of codes and one of intensities per voxel, plus per-plane floats;
+        # a float64 canvas with its noise and sum takes over 24
+        assert peak < 4 * 96 ** 3
 
     def test_sites_respect_min_separation(self):
         cfg = small_config(seed=9, synapses_per_supervoxel=4, dims=(64, 64, 32))
