@@ -54,6 +54,55 @@ def maxpool3d_loops(x):
     return out
 
 
+def maxpool3d_backward_loops(x, d_output):
+    """Nested-loop pool gradient: each window's gradient goes to its first voxel,
+    in (dz, dy, dx) order, that holds the window's max."""
+    c, d, h, w = x.shape
+    d_x = np.zeros_like(x)
+    for ci in range(c):
+        for z in range(d // 2):
+            for y in range(h // 2):
+                for xx in range(w // 2):
+                    best, at = -np.inf, None
+                    for dz in range(2):
+                        for dy in range(2):
+                            for dx in range(2):
+                                v = x[ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx]
+                                if v > best:
+                                    best, at = v, (ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx)
+                    d_x[at] = d_output[ci, z, y, xx]
+    return d_x
+
+
+def conv3d_flat_grid(x, w, b):
+    """Same-padded 3D correlation on one whole flat padded grid, in one pass.
+
+    The reference for the bytes of ``numcore.conv3d_forward``: its z-slabs must
+    give exactly this. Column row (c,dy,dx) is flat padded channel c shifted
+    left by dy*Wp + dx, and output column q sums w[:, :, dz] times the column
+    window at q + dz*Hp*Wp, one GEMM per dz in dz order.
+    """
+    c_out, c_in, k, _, _ = w.shape
+    _, d, h, wd = x.shape
+    p = k // 2
+    dp, hp, wp = d + 2 * p, h + 2 * p, wd + 2 * p
+    n = dp * hp * wp
+    flat = np.zeros((c_in, n + (k - 1) * (wp + 1)))
+    flat[:, :n].reshape(c_in, dp, hp, wp)[:, p:p + d, p:p + h, p:p + wd] = x
+    cols = np.empty((c_in, k, k, n))
+    for dy in range(k):
+        for dx in range(k):
+            shift = dy * wp + dx
+            cols[:, dy, dx] = flat[:, shift:shift + n]
+    cols = cols.reshape(c_in * k * k, n)
+    plane = hp * wp
+    span = d * plane
+    out = w[:, :, 0].reshape(c_out, -1) @ cols[:, :span]
+    for dz in range(1, k):
+        out += w[:, :, dz].reshape(c_out, -1) @ cols[:, dz * plane:dz * plane + span]
+    return out.reshape(c_out, d, hp, wp)[:, :, :h, :wd] + b[:, None, None, None]
+
+
 def extract_patch_loops(vol_zyx, center, s):
     """Gather a centered cube voxel by voxel; out-of-bounds -> 0; scaled 1/255."""
     nz, ny, nx = vol_zyx.shape

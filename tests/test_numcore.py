@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from synself import numcore as nc
-from oracles import central_diff, conv3d_loops, grad_close, maxpool3d_loops
+from oracles import (central_diff, conv3d_flat_grid, conv3d_loops, grad_close,
+                     maxpool3d_backward_loops, maxpool3d_loops)
 
 
 def rand_conv_case(rng, c_in=None, c_out=None, k=3, spatial=None):
@@ -57,6 +60,49 @@ class TestConvForward:
     def test_shape_mismatch(self):
         with pytest.raises(nc.ShapeError):
             nc.conv3d_forward(np.zeros((2, 4, 4, 4)), np.zeros((1, 3, 3, 3, 3)), np.zeros(1))
+
+
+def _flip(w):
+    return np.ascontiguousarray(w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1])
+
+
+def _slab_bytes_exceeded(c_in, k, spatial):
+    # column bytes of the whole flat padded grid, the one-slab case
+    d, h, w = spatial
+    return 8 * c_in * k * k * (d + k - 1) * (h + k - 1) * (w + k - 1) > nc.SLAB_BYTES
+
+
+class TestConvSlabs:
+    # (c_in, c_out, k, (D,H,W)): c8-8 at 16^3 spans several slabs, and at
+    # D=13 the last one is short; c16-16 at 8^3 and c1-8 at 16^3 are the
+    # encoder's other block shapes, and the k=1 and k=5 shape cases follow
+    CASES = [(8, 8, 3, (16, 16, 16)), (8, 8, 3, (13, 16, 16)), (16, 16, 3, (8, 8, 8)),
+             (1, 8, 3, (16, 16, 16))] + [(None, None, k, sp) for k, sp in SHAPE_CASES if k != 3]
+
+    @pytest.mark.parametrize("c_in,c_out,k,spatial", CASES)
+    def test_bytes_match_one_flat_grid(self, c_in, c_out, k, spatial):
+        rng = np.random.default_rng(14)
+        x, w, b = rand_conv_case(rng, c_in=c_in, c_out=c_out, k=k, spatial=spatial)
+        d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
+        assert nc.conv3d_forward(x, w, b).tobytes() == conv3d_flat_grid(x, w, b).tobytes()
+        d_x, _, _ = nc.conv3d_backward(x, w, d_y)
+        assert d_x.tobytes() == conv3d_flat_grid(d_y, _flip(w), np.zeros(x.shape[0])).tobytes()
+
+    def test_c8_8_at_16_spans_several_slabs(self):
+        assert _slab_bytes_exceeded(8, 3, (13, 16, 16))
+        assert not _slab_bytes_exceeded(8, 3, (8, 8, 8))  # block 0 at 8^3 is one slab
+
+    def test_peak_memory_under_2_mb(self):
+        rng = np.random.default_rng(15)
+        x, w, b = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
+        tracemalloc.start()
+        try:
+            nc.conv3d_forward(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one whole-grid column matrix alone is 72 x 18^3 x 8 B = 3.36 MB
+        assert peak < 2_000_000
 
 
 class TestConvBackward:
@@ -126,6 +172,17 @@ class TestMaxPool:
             c = int(rng.integers(1, 4))
             x = rng.normal(size=(c, 4, 6, 2))
             assert np.array_equal(nc.maxpool3d_forward(x), maxpool3d_loops(x))
+
+    @pytest.mark.parametrize("shape", [(8, 16, 16, 16), (16, 8, 8, 8), (32, 4, 4, 4),
+                                       (8, 8, 8, 8), (16, 4, 4, 4), (32, 2, 2, 2), (3, 4, 6, 2)])
+    def test_tie_heavy_input_matches_loop_oracles(self, shape):
+        # the encoder's six pool shapes and a non-cubic one; most windows hold
+        # several voxels equal to their max
+        rng = np.random.default_rng(16)
+        x = np.maximum(rng.integers(-3, 3, shape), 0).astype(float)
+        d_y = rng.normal(size=(shape[0],) + tuple(e // 2 for e in shape[1:]))
+        assert np.array_equal(nc.maxpool3d_forward(x), maxpool3d_loops(x))
+        assert np.array_equal(nc.maxpool3d_backward(x, d_y), maxpool3d_backward_loops(x, d_y))
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(nc.ShapeError):
@@ -210,12 +267,18 @@ class TestPurity:
     def test_ops_do_not_mutate_inputs(self):
         rng = np.random.default_rng(11)
         x, w, b = rand_conv_case(rng, spatial=(4, 4, 4))
-        x0, w0, b0 = x.copy(), w.copy(), b.copy()
+        # c8-8 at 16^3 runs in several slabs, which write through views
+        x16, w16, b16 = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
+        before = [a.copy() for a in (x, w, b, x16, w16, b16)]
         nc.conv3d_forward(x, w, b)
         nc.conv3d_backward(x, w, np.ones((w.shape[0],) + x.shape[1:]))
+        nc.conv3d_forward(x16, w16, b16)
+        nc.conv3d_backward(x16, w16, np.ones((8, 16, 16, 16)))
         nc.maxpool3d_forward(x)
+        nc.maxpool3d_backward(x, np.ones((x.shape[0], 2, 2, 2)))
         nc.relu_forward(x)
-        assert np.array_equal(x, x0) and np.array_equal(w, w0) and np.array_equal(b, b0)
+        for a, a0 in zip((x, w, b, x16, w16, b16), before, strict=True):
+            assert np.array_equal(a, a0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
