@@ -8,22 +8,35 @@ normalisation, and (d_input, d_weights, d_bias) for dense and conv layers.
 Convolutions are stride-1 with same padding (k odd) only, pooling is disjoint
 2x2x2 — the minimal vocabulary for a VGG-style volumetric encoder.
 
-Convolutions run on a flat padded grid: the zero-padded input is flattened
-per channel, so every kernel tap is a constant shift of the flat index. The
-k*k (dy,dx) shifts are copied, one contiguous slice each, into a column
-matrix of Cin*k*k rows, and a conv is k GEMMs, one per dz, over windows of it
-that differ only in their start. The forward tiles the output over z-slabs
-whose columns fit in ``SLAB_BYTES``: each slab copies its rows, with k-1 halo
-planes, straight from the flat input, and its k GEMMs write that slab's
-output, so the columns are read back from cache rather than memory (c8-8 at
-16^3: 0.75 MB per slab, where the whole matrix is 3.4 MB). Every output
-element still sums the same Cin*k*k products per dz in the same order, so the
-slabs change no bit of the result; at 8^3 and below the encoder's convs fit
-in one slab. The input gradient is the flipped-kernel convolution, one more
-forward, so it gets the slabs too; a caller skips it (``need_dx=False``) when
-its input is raw data, as the encoder's first layer does. The weight gradient
-stays one whole-grid GEMM per dz: splitting its reduction over the output
-voxels into slabs would change the order of its sums, and so its bits.
+Convolutions run over z-slabs of column rows. The input is zero-padded as a
+4-D (C, D+k-1, H+k-1, W+k-1) array, and column row (c,dy,dx) of a slab of nz
+output planes is channel c over those planes and k-1 halo planes, shifted by
+(dy,dx) and cropped to HxW. A row holds one entry per output voxel and
+nothing else, and the dz window of a slab is its columns from dz*H*W on. One
+helper fills the slabs, each into one buffer whose size ``SLAB_BYTES`` caps,
+so the k GEMMs of a slab read its columns from cache rather than memory
+(c8-8 at 16^3: 0.74 MB per slab of 3 planes, where the whole grid would be
+2.65 MB). All three passes run that one slab loop:
+
+- the forward: per slab, k GEMMs, one per dz, write the slab's output in
+  place, then the bias is added;
+- the input gradient: the flipped-kernel correlation, one more forward; a
+  caller skips it (``need_dx=False``) when its input is raw data, as the
+  encoder's first layer does;
+- the weight gradient: ``d_w[dz] += d_output_slab @ window.T`` per slab, in z
+  order, reading d_output in place.
+
+Every output element of a forward sums the same Cin*k*k products per dz in
+the same order whatever the slab depth. OpenBLAS, though, computes the last
+columns of a GEMM whose column count is not a multiple of 8 (and every
+column of a one-row product) with other kernels, whose sum order can differ.
+Every slab and whole grid of the encoder's convs has a multiple of 8
+columns, so there the bits equal a whole-grid conv's (the tests pin them).
+The weight gradient is a sum over the
+output voxels, which the slabs group into partial sums, so its bits depend
+on the slab depth. It agrees with a tap-by-tap sum to within 3e-15 relative
+on the encoder's shapes, as one whole-grid GEMM does, but a training run's
+loss can differ in its last digits from a run under another grouping.
 
 Pooling takes the max of the two halves of each axis in turn (x, then y, then
 z) over strided views, with no copy of the windows. Its backward sends each
@@ -42,9 +55,10 @@ Tensor = np.ndarray
 ZERO_NORM_TOL = 1e-12
 
 # Column bytes of one conv z-slab, halo planes included: small enough that a
-# slab's columns stay in a 2 MiB L2 cache while its k GEMMs read them. For
-# c8-8 at 16^3 on a 2-vCPU x86-64 VM, budgets of 768 KiB to 1.25 MiB ran
-# alike, and 2 MiB (two slabs) was as slow as the whole grid.
+# slab's columns stay in a 2 MiB L2 cache while its k GEMMs read them. On a
+# 2-vCPU x86-64 VM, a whole 16^3 encoder step per view ran alike (within 3%)
+# with budgets of 768 KiB to 1.25 MiB, and 15-18% slower with 512 KiB (c8-8 in
+# one-plane slabs) or 1.5 MiB (c8-8 in two slabs of 8 planes).
 SLAB_BYTES = 768 << 10
 
 
@@ -53,42 +67,38 @@ class ShapeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# 3D convolution (stride 1, same padding) on a flat padded grid
+# 3D convolution (stride 1, same padding) over z-slabs of column rows
 #
-# With the input zero-padded by p = k//2 to (Dp,Hp,Wp), output voxel (z,y,x)
-# is computed at flat index q = z*Hp*Wp + y*Wp + x, and tap (dz,dy,dx) reads
-# flat index q + dz*Hp*Wp + dy*Wp + dx. Indices q with y >= H or x >= W are
-# junk outputs whose taps wrap into the next row or plane; they are cropped
-# off and feed no kept output, so the wrap is harmless.
+# With the input zero-padded by p = k//2 to xp, tap (dz,dy,dx) of output voxel
+# (z,y,x) reads xp[c, z+dz, y+dy, x+dx].
 
 
-def _flat_padded(x: Tensor, k: int) -> tuple[Tensor, int, int]:
-    """(C,D,H,W) -> the zero-padded input flattened per channel, Hp, Wp."""
+def _column_slabs(x: Tensor, k: int):
+    """Yield (z0, nz, cols) over the output z-slabs of a same-padded conv of x.
+
+    ``cols`` is (C*k*k, (nz+k-1)*H*W): row (c,dy,dx) is
+    ``xp[c, z0:z0+nz+k-1, dy:dy+H, dx:dx+W]`` flattened, so the window of
+    nz*H*W columns from dz*H*W on is the (c,dz,dy,dx) operand of the slab's
+    output voxels, in their order. The slab depth is the largest whose
+    columns fit ``SLAB_BYTES`` (at least one plane), and every slab is filled
+    into one buffer, so a caller must finish with ``cols`` before asking for
+    the next slab.
+    """
     c, d, h, w = x.shape
     p = k // 2
-    dp, hp, wp = d + 2 * p, h + 2 * p, w + 2 * p
-    n = dp * hp * wp
-    # (k-1)*(Wp+1) trailing zeros keep the last shifted slice in bounds; only
-    # junk outputs read them, and the weight gradient multiplies them by zero
-    flat = np.zeros((c, n + (k - 1) * (wp + 1)))
-    flat[:, :n].reshape(c, dp, hp, wp)[:, p:p + d, p:p + h, p:p + w] = x
-    return flat, hp, wp
-
-
-def _fill_columns(cols: Tensor, flat: Tensor, k: int, wp: int, start: int) -> None:
-    """Fill the (C*k*k, n) cols: row (c,dy,dx) is flat[c] from start + dy*Wp + dx.
-
-    The window of columns starting at dz*Hp*Wp is then the (c,dz,dy,dx)
-    operand of the output voxels from flat index ``start`` on. Each row is one
-    contiguous slice copy.
-    """
-    c = flat.shape[0]
-    n = cols.shape[1]
-    rows = cols.reshape(c, k, k, n)
-    for dy in range(k):
-        for dx in range(k):
-            shift = start + dy * wp + dx
-            rows[:, dy, dx] = flat[:, shift:shift + n]
+    xp = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p))
+    xp[:, p:p + d, p:p + h, p:p + w] = x
+    plane = h * w
+    rows = c * k * k
+    depth = max(1, min(d, SLAB_BYTES // (8 * rows * plane) - (k - 1)))
+    buf = np.empty(rows * (depth + k - 1) * plane)
+    for z0 in range(0, d, depth):
+        nz = min(depth, d - z0)
+        cols = buf[:rows * (nz + k - 1) * plane].reshape(c, k, k, nz + k - 1, h, w)
+        for dy in range(k):
+            for dx in range(k):
+                cols[:, dy, dx] = xp[:, z0:z0 + nz + k - 1, dy:dy + h, dx:dx + w]
+        yield z0, nz, cols.reshape(rows, -1)
 
 
 def _conv_shapes(x: Tensor, weights: Tensor, bias: Tensor | None):
@@ -111,58 +121,44 @@ def _conv_shapes(x: Tensor, weights: Tensor, bias: Tensor | None):
 def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """out[o,z,y,x] = bias[o] + sum_{c,dz,dy,dx} w[o,c,dz,dy,dx] * in[c,z+dz-p,y+dy-p,x+dx-p].
 
-    Per z-slab of ``depth`` output planes: the slab's columns (Cin*k*k rows by
-    (depth+k-1)*Hp*Wp) are copied from the flat padded input, then k GEMMs,
-    one per dz, ``w[:, :, dz]`` (Cout x Cin*k*k) times the column window at
-    offset dz*Hp*Wp, accumulate the slab's (Cout x depth*Hp*Wp) output, whose
-    padding columns are cropped as the bias is added.
+    Per z-slab of nz output planes, k GEMMs, one per dz, ``w[:, :, dz]``
+    (Cout x Cin*k*k) times the slab's column window at dz*H*W, accumulate the
+    slab's (Cout x nz*H*W) output in place, and the bias is added last.
     """
     c_out, c_in, k = _conv_shapes(x, weights, bias)
     _, d, h, w = x.shape
-    flat, hp, wp = _flat_padded(x, k)
-    plane = hp * wp
-    rows = c_in * k * k
-    depth = max(1, min(d, SLAB_BYTES // (8 * rows * plane) - (k - 1)))
-    w_dz = np.ascontiguousarray(weights.transpose(2, 0, 1, 3, 4)).reshape(k, c_out, rows)
-    col_buf = np.empty(rows * (depth + k - 1) * plane)
-    acc_buf = np.empty(c_out * depth * plane)
+    plane = h * w
+    w_dz = np.ascontiguousarray(weights.transpose(2, 0, 1, 3, 4)).reshape(k, c_out, -1)
     out = np.empty((c_out, d, h, w))
-    for z0 in range(0, d, depth):
-        nz = min(depth, d - z0)
+    out_flat = out.reshape(c_out, d * plane)
+    for z0, nz, cols in _column_slabs(x, k):
         span = nz * plane
-        cols = col_buf[:rows * (span + (k - 1) * plane)].reshape(rows, -1)
-        _fill_columns(cols, flat, k, wp, z0 * plane)
-        acc = acc_buf[:c_out * span].reshape(c_out, span)
+        acc = out_flat[:, z0 * plane:z0 * plane + span]
         np.matmul(w_dz[0], cols[:, :span], out=acc)
         for dz in range(1, k):
             acc += w_dz[dz] @ cols[:, dz * plane:dz * plane + span]
-        np.add(acc.reshape(c_out, nz, hp, wp)[:, :, :h, :w], bias[:, None, None, None],
-               out=out[:, z0:z0 + nz])
+        acc += bias[:, None]
     return out
 
 
 def _weight_grad(x: Tensor, d_output: Tensor, k: int) -> Tensor:
-    """d_weights of a conv: the padded d_output times each transposed dz window.
+    """d_weights of a conv: per slab, d_output's slab times each transposed dz window.
 
-    A function of its own so that its column matrix is freed before the
-    d_input conv builds its slabs: with both alive, the allocator returned and
-    re-faulted that memory on every call, which doubled the backward's time.
+    A function of its own so that its column buffer, which a live ``cols``
+    view would keep, is freed before the d_input conv fills its own: one c8-8
+    backward at 16^3 then peaks at 1.5 MiB.
     """
     c_in, d, h, w = x.shape
     c_out = d_output.shape[0]
-    flat, hp, wp = _flat_padded(x, k)
-    plane = hp * wp
-    span = d * plane
-    cols = np.empty((c_in * k * k, (d + k - 1) * plane))
-    _fill_columns(cols, flat, k, wp, 0)
-    d_padded = np.zeros((c_out, d, hp, wp))
-    d_padded[:, :, :h, :w] = d_output
-    d_padded = d_padded.reshape(c_out, span)
-    d_weights = np.empty((c_out, c_in, k, k, k))
-    for dz in range(k):
-        window = cols[:, dz * plane:dz * plane + span]
-        d_weights[:, :, dz] = (d_padded @ window.T).reshape(c_out, c_in, k, k)
-    return d_weights
+    plane = h * w
+    d_flat = d_output.reshape(c_out, d * plane)
+    d_w = np.zeros((k, c_out, c_in * k * k))
+    for z0, nz, cols in _column_slabs(x, k):
+        span = nz * plane
+        d_slab = d_flat[:, z0 * plane:z0 * plane + span]
+        for dz in range(k):
+            d_w[dz] += d_slab @ cols[:, dz * plane:dz * plane + span].T
+    return np.ascontiguousarray(d_w.reshape(k, c_out, c_in, k, k).transpose(1, 2, 0, 3, 4))
 
 
 def conv3d_backward(
@@ -170,9 +166,10 @@ def conv3d_backward(
 ) -> tuple[Tensor | None, Tensor, Tensor]:
     """Gradients of :func:`conv3d_forward`: (d_input or None unless need_dx, d_weights, d_bias).
 
-    ``d_w[:, :, dz]`` is the zero-padded d_output times the transposed dz column
-    window of the forward. d_input is the same-padded correlation of d_output
-    with the spatially flipped, channel-swapped kernel, i.e. one more forward.
+    ``d_w[:, :, dz]`` is d_output times the transposed dz column window of the
+    forward, summed slab by slab. d_input is the same-padded correlation of
+    d_output with the spatially flipped, channel-swapped kernel, i.e. one more
+    forward.
     A caller whose input is raw data (the encoder's first conv) passes
     ``need_dx=False``: nothing reads that gradient, and it is the costlier half.
     """

@@ -77,10 +77,12 @@ def maxpool3d_backward_loops(x, d_output):
 def conv3d_flat_grid(x, w, b):
     """Same-padded 3D correlation on one whole flat padded grid, in one pass.
 
-    The reference for the bytes of ``numcore.conv3d_forward``: its z-slabs must
-    give exactly this. Column row (c,dy,dx) is flat padded channel c shifted
-    left by dy*Wp + dx, and output column q sums w[:, :, dz] times the column
-    window at q + dz*Hp*Wp, one GEMM per dz in dz order.
+    The reference for the bytes of ``numcore.conv3d_forward``, which computes
+    only kept voxels, slab by slab: on the encoder's shapes it must give
+    exactly this. Column row (c,dy,dx) is flat padded channel c shifted left
+    by dy*Wp + dx, and output column q sums w[:, :, dz] times the column
+    window at q + dz*Hp*Wp, one GEMM per dz in dz order; columns whose taps
+    wrap into the next row or plane are cropped off.
     """
     c_out, c_in, k, _, _ = w.shape
     _, d, h, wd = x.shape
@@ -101,6 +103,25 @@ def conv3d_flat_grid(x, w, b):
     for dz in range(1, k):
         out += w[:, :, dz].reshape(c_out, -1) @ cols[:, dz * plane:dz * plane + span]
     return out.reshape(c_out, d, hp, wp)[:, :, :h, :wd] + b[:, None, None, None]
+
+
+def conv3d_weight_grad_taps(x, d_output, k):
+    """Weight gradient of a same-padded 3D correlation, one tap at a time.
+
+    d_w[:, :, dz, dy, dx] sums d_output times the zero-padded input shifted by
+    the tap, over every output voxel in one einsum: no slab, no column matrix.
+    """
+    c_in, d, h, wd = x.shape
+    p = k // 2
+    xp = np.zeros((c_in, d + 2 * p, h + 2 * p, wd + 2 * p))
+    xp[:, p:p + d, p:p + h, p:p + wd] = x
+    d_w = np.empty((d_output.shape[0], c_in, k, k, k))
+    for dz in range(k):
+        for dy in range(k):
+            for dx in range(k):
+                tap = xp[:, dz:dz + d, dy:dy + h, dx:dx + wd]
+                d_w[:, :, dz, dy, dx] = np.einsum("ozyx,czyx->oc", d_output, tap)
+    return d_w
 
 
 def extract_patch_loops(vol_zyx, center, s):
