@@ -240,6 +240,12 @@ def relu_forward(x: Tensor) -> Tensor:
 
 
 def relu_backward(x: Tensor, d_output: Tensor) -> Tensor:
+    """d_output where the relu passed its input, 0 elsewhere.
+
+    x may be the pre-activation or the relu output: ``relu(x) > 0`` exactly
+    where ``x > 0`` (a NaN or -0.0 input gives a NaN or zero output, and
+    neither is > 0), so both give the same bits.
+    """
     if x.shape != d_output.shape:
         raise ShapeError(f"relu d_output shape {d_output.shape} != {x.shape}")
     return d_output * (x > 0.0)

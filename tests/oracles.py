@@ -1,13 +1,15 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately written as plain loops / direct summation so
-it shares no code path with the implementations it checks.
+it shares no code path with the implementations it checks, except
+``encoder_backward_from_pre``, which says why it does.
 """
 
 import math
 
 import numpy as np
 
+from synself import numcore as nc
 from synself import synthgen as sg
 from synself.analysis import AnalysisError
 from synself.synthgen import PLACEMENT_ATTEMPTS_PER_SITE, PLACEMENT_RESTARTS, GenerationError
@@ -122,6 +124,45 @@ def conv3d_weight_grad_taps(x, d_output, k):
                 tap = xp[:, dz:dz + d, dy:dy + h, dx:dx + wd]
                 d_w[:, :, dz, dy, dx] = np.einsum("ozyx,czyx->oc", d_output, tap)
     return d_w
+
+
+def encoder_pre_activations(params, cache):
+    """Each conv's pre-relu output, recomputed from its cached input, and h's pre-activation."""
+    n_blocks = len(cache["pool_inputs"])
+    per_block = len(cache["conv_inputs"]) // n_blocks
+    names = (f"block{li // per_block}.conv{li % per_block}" for li in range(len(cache["conv_inputs"])))
+    conv_pre = [nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
+                for name, x in zip(names, cache["conv_inputs"])]
+    h_pre = nc.dense_forward(cache["flat"], params["head_h.w"], params["head_h.b"])
+    return conv_pre, h_pre
+
+
+def encoder_backward_from_pre(params, cache, d_z):
+    """The encoder backward that reads each relu mask from the pre-activation.
+
+    Not a loop oracle: it runs the same ``numcore`` layers as
+    ``encoder.backward`` and differs only in feeding ``relu_backward`` the
+    recomputed pre-activations where ``encoder.backward`` feeds it the cached
+    relu outputs, so the two must agree byte for byte.
+    """
+    conv_pre, h_pre = encoder_pre_activations(params, cache)
+    grads = {}
+    d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64))
+    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"], params["head_z.w"], d_zpre)
+    d_hpre = nc.relu_backward(h_pre, d_h)
+    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(cache["flat"], params["head_h.w"], d_hpre)
+    d_x = d_flat.reshape(cache["pooled_shape"])
+    n_blocks = len(cache["pool_inputs"])
+    per_block = len(conv_pre) // n_blocks
+    li = len(conv_pre)
+    for bi in reversed(range(n_blocks)):
+        d_x = nc.maxpool3d_backward(cache["pool_inputs"][bi], d_x)
+        for ci in reversed(range(per_block)):
+            li -= 1
+            d_pre = nc.relu_backward(conv_pre[li], d_x)
+            d_x, grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = nc.conv3d_backward(
+                cache["conv_inputs"][li], params[f"block{bi}.conv{ci}.w"], d_pre, need_dx=li > 0)
+    return grads
 
 
 def extract_patch_loops(vol_zyx, center, s):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synself import encoder as enc
-from oracles import grad_close
+from synself import numcore as nc
+from oracles import encoder_backward_from_pre, encoder_pre_activations, grad_close
 
 SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
+DEFAULT = enc.EncoderConfig()
 
 
 def tensor_record(name: bytes, shape, data: bytes = b"") -> bytes:
@@ -136,6 +138,41 @@ class TestBackward:
         grads = enc.backward(params, cache, np.zeros(SMALL.z_dim))
         assert all(not g.any() for g in grads.values())
 
+    @pytest.mark.parametrize("cfg", [DEFAULT, SMALL], ids=["16", "8"])
+    @pytest.mark.parametrize("case", ["random", "zero", "halves"])
+    def test_bytes_equal_backward_from_pre_activations(self, cfg, case):
+        # the relu masks come from the cached relu outputs; reading them from the
+        # recomputed pre-activations must give the same bytes, ties at 0.0 included
+        s = cfg.patch_side
+        rng = np.random.default_rng(s)
+        params = enc.init(cfg)  # zero biases
+        patch = np.zeros((1, s, s, s))
+        if case == "random":
+            patch = rand_patch(rng, s)
+        elif case == "halves":
+            patch[:, s // 2:] = 1.0
+        else:
+            # every activation of a zero patch is 0.0; a head bias gives z a direction
+            params["head_h.b"] = np.linspace(-1.0, 1.0, cfg.h_dim)
+        _, _, cache = forward_z(params, patch, cfg)
+        conv_pre, h_pre = encoder_pre_activations(params, cache)
+        if case == "zero":
+            assert all(not pre.any() for pre in conv_pre[:cfg.convs_per_block])
+        relu_outputs = []  # a conv's relu output is the next conv's input, or the pool's
+        for bi, pool_input in enumerate(cache["pool_inputs"]):
+            first = bi * cfg.convs_per_block
+            relu_outputs += cache["conv_inputs"][first + 1:first + cfg.convs_per_block] + [pool_input]
+        for pre, out in zip(conv_pre, relu_outputs):
+            assert nc.relu_forward(pre).tobytes() == out.tobytes()
+        assert nc.relu_forward(h_pre).tobytes() == cache["h"].tobytes()
+
+        d_z = rng.normal(size=cfg.z_dim)
+        got = enc.backward(params, cache, d_z)
+        want = encoder_backward_from_pre(params, cache, d_z)
+        assert set(got) == set(want) == set(params)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     def test_finite_differences_sampled_coordinates(self):
         # directional probe of every parameter tensor of a tiny encoder
         rng = np.random.default_rng(6)
@@ -163,6 +200,27 @@ class TestBackward:
                 flat[i] = orig
                 numeric = (fp - fm) / (2 * eps)
                 assert grad_close(grads[name].reshape(-1)[i], numeric, 1e-5), name
+
+
+class TestActivationCache:
+    def test_default_cache_size(self):
+        # each conv's relu output, once: no pre-activation copies (1.35 MiB with them)
+        patch = rand_patch(np.random.default_rng(11), 16)
+        _, cache = enc.forward(enc.init(DEFAULT), patch, DEFAULT)
+        bases = {}
+
+        def collect(obj):
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                bases[id(obj)] = obj
+            elif isinstance(obj, (list, tuple, dict)):
+                for item in (obj.values() if isinstance(obj, dict) else obj):
+                    collect(item)
+
+        collect(cache)
+        owned = sum(a.nbytes for a in bases.values() if a is not patch)
+        assert owned <= 0.75 * 2**20
 
 
 class TestCheckpoint:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,33 @@ class TestTrainStep:
         fingerprint = tr._batch_fingerprint(np.concatenate([batch.views_a, batch.views_b]))
         with pytest.raises(tr.TrainError, match=f"step 1 .*batch fingerprint {fingerprint}"):
             tr.train_step(tr.init_state(cfg), ds, cfg)
+
+    def test_nan_bias_is_a_non_finite_train_error(self):
+        # a NaN passes every relu unchanged and so reaches the loss and the gradients
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        state = tr.init_state(cfg)
+        state.params["block0.conv0.b"][0] = np.nan
+        batch = sp.sample_batch(ds, cfg.sampler, np.random.default_rng(cfg.seed))
+        fingerprint = tr._batch_fingerprint(np.concatenate([batch.views_a, batch.views_b]))
+        with pytest.raises(tr.TrainError,
+                           match=f"non-finite loss/gradient at step 1 .*batch fingerprint {fingerprint}"):
+            tr.train_step(state, ds, cfg)
+
+    def test_default_step_traced_peak(self):
+        # 32 views' activation caches, one copy of each activation (49 MiB with
+        # the pre-relu copies)
+        ph = sg.generate(sg.GenConfig())
+        ds = sp.Dataset(ph.intensity, ph.synapses)
+        cfg = tr.TrainConfig()
+        state = tr.init_state(cfg)
+        tracemalloc.start()
+        try:
+            tr.train_step(state, ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_moments_stay_finite(self):
         ds = tiny_dataset()
