@@ -1,11 +1,11 @@
 """Embedding extraction and quantitative structure analysis.
 
 Embeds every synapse as the trained encoder's penultimate h (the projection
-z exists only for the training loss), projects to 2D with deflated
-power-iteration PCA, clusters with k-means, and scores agreement against
-labels (NMI/ARI) and supervoxel concordance. All routines are deterministic:
-seeded k-means with fixed tie rules, fixed-start power iteration, and a
-stable SVG emitter.
+z exists only for the training loss), projects to 2D with PCA from one
+symmetric eigendecomposition of the covariance, clusters with k-means, and
+scores agreement against labels (NMI/ARI) and supervoxel concordance. All
+routines are deterministic: seeded k-means with fixed tie rules, a sign rule
+on every principal axis, and a stable SVG emitter.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from . import encoder as enc
 from . import sampler as sp
 from .volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, _atomic_write, check_synapses_in_bounds
 
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
+# an eigenvalue at or below this times max(total variance, 1) counts as zero
+RANK_REL_TOL = 1e-12
 KMEANS_MAX_ITER = 300
 CONCORDANCE_SAMPLE = 10_000
 
@@ -67,7 +67,7 @@ def embed_with_params(
 
 
 # ---------------------------------------------------------------------------
-# PCA via deflated power iteration
+# PCA
 
 
 @dataclass
@@ -78,12 +78,9 @@ class PCAResult:
     n_positive: int  # how many requested components had positive eigenvalues
 
 
-def _power_start(dim: int, component: int) -> np.ndarray:
-    v = np.random.default_rng(1000 + component).normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def pca_project(emb: EmbeddingMatrix, out_dim: int = 2) -> PCAResult:
+    """Top principal axes of the sample covariance, each signed so that its first
+    largest-magnitude entry is positive; axes past the rank (or past D) are zero rows."""
     x = emb.values
     m, d = x.shape
     if m <= out_dim:
@@ -91,33 +88,15 @@ def pca_project(emb: EmbeddingMatrix, out_dim: int = 2) -> PCAResult:
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (m - 1)
     total_var = float(np.trace(cov))
+    evals, evecs = np.linalg.eigh(cov)  # ascending
+    top = evals[::-1][:out_dim]
+    n_positive = int(np.count_nonzero(top > RANK_REL_TOL * max(total_var, 1.0)))
+    axes = evecs[:, ::-1][:, :n_positive].T
+    peaks = axes[np.arange(n_positive), np.argmax(np.abs(axes), axis=1)]
     components = np.zeros((out_dim, d))
+    components[:n_positive] = np.where(peaks[:, None] < 0, -axes, axes)
     eigenvalues = np.zeros(out_dim)
-    n_positive = 0
-    work = cov.copy()
-    for ci in range(out_dim):
-        v = _power_start(d, ci)
-        lam = 0.0
-        for _ in range(POWER_MAX_ITER):
-            w = work @ v
-            norm = np.linalg.norm(w)
-            if norm < POWER_TOL:
-                break
-            w /= norm
-            if np.linalg.norm(w - v) < POWER_TOL:
-                v = w
-                break
-            v = w
-        lam = float(v @ work @ v)
-        if lam <= max(POWER_TOL * max(total_var, 1.0), 0.0):
-            break  # rank deficient: remaining components stay zero
-        peak = np.argmax(np.abs(v))
-        if v[peak] < 0:
-            v = -v
-        components[ci] = v
-        eigenvalues[ci] = lam
-        n_positive += 1
-        work = work - lam * np.outer(v, v)
+    eigenvalues[:n_positive] = top[:n_positive]
     coords = centered @ components.T
     fractions = eigenvalues / total_var if total_var > 0 else eigenvalues
     return PCAResult(coords, components, fractions, n_positive)

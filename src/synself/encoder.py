@@ -239,6 +239,14 @@ def _config_from_json(obj: dict, path) -> EncoderConfig:
     missing = {"patch_side", "channels", "h_dim", "z_dim"} - set(known)
     if missing:
         raise CheckpointError(f"{path}: checkpoint config missing fields {sorted(missing)}")
+    # JSON 2.0 or 2.5 is no count: name the field, as read_volume does for dims,
+    # before EncoderConfig truncates it or a later shape computation trips on it
+    for name, v in known.items():
+        if name == "channels":
+            if not isinstance(v, list) or any(type(c) is not int for c in v):
+                raise CheckpointError(f"{path}: bad encoder config: channels must be a list of integers, got {v!r}")
+        elif type(v) is not int:
+            raise CheckpointError(f"{path}: bad encoder config: {name} must be an integer, got {v!r}")
     try:
         known["channels"] = tuple(known["channels"])
         return EncoderConfig(**known)

@@ -90,7 +90,6 @@ class GenConfig:
     dims: tuple[int, int, int] = (180, 144, 108)
     n_supervoxels: int = 60
     synapses_per_supervoxel: int = 8
-    n_classes: int = 3
     noise_sigma: float = 10.0
     class_params: tuple[ClassParams, ...] = DEFAULT_CLASS_PARAMS
     background_intensity: float = 40.0
@@ -98,22 +97,22 @@ class GenConfig:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "class_params", tuple(self.class_params))
-        if self.n_classes < 1:
-            raise GenerationError(f"n_classes must be >= 1, got {self.n_classes}")
+        if not self.class_params:
+            raise GenerationError("need at least one class in class_params")
         if self.n_supervoxels < self.n_classes:
             raise GenerationError(
                 f"n_supervoxels {self.n_supervoxels} must be >= n_classes {self.n_classes}"
             )
         if self.synapses_per_supervoxel < 1:
             raise GenerationError("synapses_per_supervoxel must be >= 1")
-        if len(self.class_params) != self.n_classes:
-            raise GenerationError(
-                f"{len(self.class_params)} class_params for n_classes={self.n_classes}"
-            )
         if self.noise_sigma < 0:
             raise GenerationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0 <= self.background_intensity <= 255:
             raise GenerationError("background_intensity must lie in [0,255]")
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_params)
 
     @property
     def max_blob_radius(self) -> float:

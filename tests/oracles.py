@@ -205,22 +205,6 @@ def central_diff(f, x, eps=1e-5):
     return g
 
 
-def central_diff_sampled(f, x, coords, eps=1e-5):
-    """Central differences at a chosen subset of flat coordinates."""
-    x = np.array(x, dtype=float)
-    flat = x.reshape(-1)
-    out = {}
-    for i in coords:
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x)
-        flat[i] = orig - eps
-        fm = f(x)
-        flat[i] = orig
-        out[i] = (fp - fm) / (2 * eps)
-    return out
-
-
 def ntxent_loops(z, pairing, tau):
     """Naive double-loop NT-Xent value (no log-sum-exp stabilization)."""
     n2 = z.shape[0]
@@ -274,44 +258,6 @@ def ari_pair_loops(a, b):
     if denom == 0:
         return 1.0
     return 2.0 * (ss * dd - sd * ds) / denom
-
-
-def coverage_loops(points, labeled_rows, r):
-    """Double-loop coverage fraction."""
-    m = len(points)
-    covered = 0
-    for i in range(m):
-        for j in labeled_rows:
-            if np.linalg.norm(points[i] - points[j]) <= r:
-                covered += 1
-                break
-    return covered / m
-
-
-def greedy_select_loops(points, ids, labeled_rows, k):
-    """Brute-force farthest-point greedy with lowest-id tie breaking."""
-    chosen = []
-    chosen_rows = []
-    ref_rows = list(labeled_rows)
-    m = len(points)
-    centroid = points.mean(axis=0)
-    for _ in range(k):
-        best_row, best_key = None, None
-        for i in range(m):
-            if i in ref_rows or i in chosen_rows:
-                continue
-            if ref_rows or chosen_rows:
-                dist = min(
-                    np.linalg.norm(points[i] - points[j]) for j in (ref_rows + chosen_rows)
-                )
-            else:
-                dist = np.linalg.norm(points[i] - centroid)
-            key = (-dist, ids[i])
-            if best_key is None or key < best_key:
-                best_key, best_row = key, i
-        chosen_rows.append(best_row)
-        chosen.append(ids[best_row])
-    return chosen
 
 
 def eligible_supervoxels_lists(dataset, cfg):

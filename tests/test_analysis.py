@@ -84,6 +84,16 @@ class TestEmbedAll:
         assert np.array_equal(rev.values, fwd.values[::-1])
 
 
+def near_degenerate_pair(rng, m, d, g):
+    """(m, d) data whose sample covariance has eigenvalues 1, 1 - g, then 0.5 down to
+    0.1, along random orthonormal axes."""
+    z = rng.normal(size=(m, d))
+    q, _ = np.linalg.qr(z - z.mean(axis=0))  # orthonormal columns, each of zero mean
+    axes, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    spectrum = np.concatenate([[1.0, 1.0 - g], np.linspace(0.5, 0.1, d - 2)])
+    return (q * np.sqrt((m - 1) * spectrum)) @ axes.T
+
+
 class TestPCA:
     def test_line_data_first_component(self):
         t = np.linspace(-2, 2, 9)
@@ -95,14 +105,20 @@ class TestPCA:
         assert res.n_positive == 1
 
     def test_matches_dense_eigensolver(self):
+        # reference: the SVD of the centred data, which shares no code with a
+        # covariance eigensolver; the last two inputs have lambda_2 = (1 - g) lambda_1
         rng = np.random.default_rng(0)
-        for m, d in ((30, 5), (80, 8), (200, 12)):
-            x = rng.normal(size=(m, d)) @ rng.normal(size=(d, d))
+        inputs = [rng.normal(size=(m, d)) @ rng.normal(size=(d, d)) for m, d in ((30, 5), (80, 8), (200, 12))]
+        inputs += [near_degenerate_pair(rng, 300, 8, g) for g in (1e-3, 1e-4)]
+        for x in inputs:
+            m = x.shape[0]
             res = an.pca_project(EmbeddingMatrix(list(range(m)), x), out_dim=2)
-            cov = np.cov(x, rowvar=False)
-            evals = np.sort(np.linalg.eigvalsh(cov))[::-1]
-            want = evals[:2] / np.trace(cov)
-            assert np.allclose(res.explained_variance, want, atol=1e-8)
+            _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+            var = s**2 / (m - 1)
+            assert np.allclose(res.explained_variance, var[:2] / var.sum(), rtol=0, atol=1e-10)
+            peaks = vt[np.arange(2), np.argmax(np.abs(vt[:2]), axis=1)]
+            want = vt[:2] * np.sign(peaks)[:, None]
+            assert np.allclose(res.components, want, rtol=0, atol=1e-10)
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(1)
@@ -137,6 +153,12 @@ class TestPCA:
         assert res.n_positive == 0
         assert not res.components.any()
         assert not res.coords.any()
+        # more components than dimensions: the rows past D stay zero
+        x = np.random.default_rng(8).normal(size=(10, 2))
+        res = an.pca_project(EmbeddingMatrix(list(range(10)), x), out_dim=3)
+        assert res.n_positive == 2
+        assert not res.components[2].any() and not res.coords[:, 2].any()
+        assert res.explained_variance[2] == 0.0
 
 
 class TestKMeans:

@@ -27,6 +27,15 @@ def container_bytes(*records: bytes) -> bytes:
     return enc.MAGIC + json.dumps(dataclasses.asdict(SMALL)).encode() + b"\n" + b"".join(records)
 
 
+def edit_config(path, **changes):
+    """Rewrite a checkpoint's JSON config line with `changes` applied."""
+    raw = path.read_bytes()
+    nl = raw.index(b"\n") + 1
+    nl2 = raw.index(b"\n", nl) + 1
+    cfg = {**json.loads(raw[nl:nl2]), **changes}
+    path.write_bytes(raw[:nl] + json.dumps(cfg, separators=(",", ":"), sort_keys=True).encode() + b"\n" + raw[nl2:])
+
+
 def rand_patch(rng, s):
     return rng.uniform(0.0, 1.0, size=(1, s, s, s))
 
@@ -249,17 +258,21 @@ class TestCheckpoint:
             enc.load(p)
 
     def test_edited_config_shape_disagreement(self, tmp_path):
-        params = init(9)
         p = tmp_path / "ck.dckpt"
-        enc.save(params, SMALL, p)
-        raw = p.read_bytes()
-        nl = raw.index(b"\n") + 1
-        nl2 = raw.index(b"\n", nl) + 1
-        cfg = json.loads(raw[nl:nl2])
-        cfg["channels"] = [2, 4]
-        # keep the config line length change legal: rewrite file wholesale
-        p.write_bytes(raw[:nl] + json.dumps(cfg, separators=(",", ":"), sort_keys=True).encode() + b"\n" + raw[nl2:])
+        enc.save(init(9), SMALL, p)
+        edit_config(p, channels=[2, 4])
         with pytest.raises(enc.CheckpointError, match="config/shape disagreement"):
+            enc.load(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("patch_side", 8.0), ("channels", [2.5, 3]), ("convs_per_block", 2.0),
+        ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0),
+    ])
+    def test_non_integer_config_field_named(self, tmp_path, field, value):
+        p = tmp_path / "ck.dckpt"
+        enc.save(init(9), SMALL, p)
+        edit_config(p, **{field: value})
+        with pytest.raises(enc.CheckpointError, match=f"{field} must be"):
             enc.load(p)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):

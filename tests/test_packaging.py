@@ -86,3 +86,24 @@ def test_every_public_name_is_used_outside_the_tests():
         if not any(id(node) not in enclosing for enclosing in refs.get(name, []))
     )
     assert unused == sorted(UNCALLED_UNTIL_THE_CLI)
+
+
+def test_every_oracle_is_used_by_a_test():
+    """A public function of tests/oracles.py that no test reads, directly or
+    through another oracle, checks nothing; delete it, or write the test that
+    compares against it."""
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    used = {
+        name
+        for p in sorted(tests.glob("test_*.py"))
+        for name, _ in _references(ast.parse(p.read_text(encoding="utf-8")))
+    }
+    todo = sorted(used & set(bodies))
+    while todo:
+        for name, _ in _references(bodies[todo.pop()]):
+            if name in bodies and name not in used:
+                used.add(name)
+                todo.append(name)
+    assert sorted(name for name in bodies if _public(name) and name not in used) == []

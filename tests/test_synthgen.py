@@ -17,7 +17,6 @@ def small_config(**kw):
         dims=(48, 48, 24),
         n_supervoxels=4,
         synapses_per_supervoxel=2,
-        n_classes=2,
         noise_sigma=0.0,
         class_params=(
             sg.ClassParams(2.0, 1.0, 3.0, 200.0, 120.0),
@@ -45,7 +44,6 @@ class TestGenerate:
             dims=(24, 24, 24),
             n_supervoxels=1,
             synapses_per_supervoxel=1,
-            n_classes=1,
             noise_sigma=0.0,
             class_params=(sg.ClassParams(2.0, 1.0, 3.0, 200.0, 120.0),),
             background_intensity=40.0,
@@ -204,7 +202,6 @@ class TestGenerate:
             dims=(96, 72, 48),
             n_supervoxels=12,
             synapses_per_supervoxel=2,
-            n_classes=3,
             noise_sigma=0.0,
             class_params=(
                 sg.ClassParams(2.0, 1.0, 3.0, 200.0, 120.0),
@@ -232,7 +229,7 @@ class TestGenerate:
         with pytest.raises(sg.GenerationError):
             small_config(n_supervoxels=1)  # V < K
         with pytest.raises(sg.GenerationError):
-            small_config(n_classes=3)  # class_params length mismatch
+            small_config(class_params=())  # no class
         with pytest.raises(sg.GenerationError):
             sg.ClassParams(0.0, 1.0, 1.0, 100.0, 50.0)
         with pytest.raises(sg.GenerationError):
@@ -279,7 +276,7 @@ class TestFalseMerge:
             sg.validate_phantom(sg.Phantom(ph.intensity, one_class, ph.cells))
 
     def test_same_class_merge_rejected(self):
-        cfg = small_config(seed=15, n_supervoxels=4, n_classes=2)
+        cfg = small_config(seed=15, n_supervoxels=4)
         ph = sg.generate(cfg)
         by_class = {}
         for sv, c in class_of(ph).items():

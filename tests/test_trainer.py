@@ -21,7 +21,6 @@ def tiny_dataset(seed=0):
         dims=(48, 48, 24),
         n_supervoxels=6,
         synapses_per_supervoxel=3,
-        n_classes=2,
         noise_sigma=4.0,
         class_params=(
             sg.ClassParams(1.5, 1.0, 2.0, 200.0, 120.0),
