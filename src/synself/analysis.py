@@ -21,6 +21,7 @@ from .volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, _atomic_
 # an eigenvalue at or below this times max(total variance, 1) counts as zero
 RANK_REL_TOL = 1e-12
 KMEANS_MAX_ITER = 300
+KMEANS_N_INIT = 10
 CONCORDANCE_SAMPLE = 10_000
 
 
@@ -138,7 +139,7 @@ def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     return labels, float(d2[np.arange(x.shape[0]), labels].sum())
 
 
-def kmeans(x: np.ndarray, k: int, seed: int = 0, n_init: int = 10) -> KMeansResult:
+def kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise AnalysisError(f"kmeans expects (M,D) data, got shape {x.shape}")
@@ -147,7 +148,7 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0, n_init: int = 10) -> KMeansResu
         raise AnalysisError(f"k must lie in [1, {m}], got {k}")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(KMEANS_N_INIT):
         centers = _kmeans_pp_centers(x, k, rng)
         labels, inertia = _assign(x, centers)
         history = [inertia]

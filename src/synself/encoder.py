@@ -38,7 +38,13 @@ class EncoderConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        object.__setattr__(self, "channels", tuple(self.channels))
+        # exact types, so 2.5 is not truncated to 2 and 8.0 does not pass for 8
+        for name in ("patch_side", "convs_per_block", "h_dim", "z_dim", "init_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if any(type(c) is not int for c in self.channels):
+            raise ValueError(f"channels must be integers, got {self.channels!r}")
         n_blocks = len(self.channels)
         if n_blocks < 1:
             raise ValueError("need at least one conv block")
@@ -239,14 +245,6 @@ def _config_from_json(obj: dict, path) -> EncoderConfig:
     missing = {"patch_side", "channels", "h_dim", "z_dim"} - set(known)
     if missing:
         raise CheckpointError(f"{path}: checkpoint config missing fields {sorted(missing)}")
-    # JSON 2.0 or 2.5 is no count: name the field, as read_volume does for dims,
-    # before EncoderConfig truncates it or a later shape computation trips on it
-    for name, v in known.items():
-        if name == "channels":
-            if not isinstance(v, list) or any(type(c) is not int for c in v):
-                raise CheckpointError(f"{path}: bad encoder config: channels must be a list of integers, got {v!r}")
-        elif type(v) is not int:
-            raise CheckpointError(f"{path}: bad encoder config: {name} must be an integer, got {v!r}")
     try:
         known["channels"] = tuple(known["channels"])
         return EncoderConfig(**known)

@@ -95,8 +95,14 @@ class GenConfig:
     background_intensity: float = 40.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "class_params", tuple(self.class_params))
+        # exact types, so 180.9 is not truncated to 180 and the rng is not handed 1.5
+        for name in ("seed", "n_supervoxels", "synapses_per_supervoxel"):
+            if type(getattr(self, name)) is not int:
+                raise GenerationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if len(self.dims) != 3 or any(type(d) is not int for d in self.dims):
+            raise GenerationError(f"dims must be three integers, got {self.dims!r}")
         if not self.class_params:
             raise GenerationError("need at least one class in class_params")
         if self.n_supervoxels < self.n_classes:

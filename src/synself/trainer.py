@@ -20,7 +20,7 @@ import numpy as np
 from . import encoder as enc
 from . import ntxent
 from . import sampler as sp
-from .volume_io import _atomic_write
+from .volume_io import _write_table
 
 METRICS_COLUMNS = ("step", "loss", "grad_norm", "pos_cos", "neg_cos")
 # a resumed run may only extend these; every other TrainConfig field shapes the result
@@ -151,16 +151,7 @@ def _is_logged(step: int, cfg: TrainConfig) -> bool:
 
 
 def write_metrics(rows: list[dict], path) -> None:
-    def body(f):
-        lines = [",".join(METRICS_COLUMNS)]
-        for r in rows:
-            lines.append(
-                f"{r['step']},{r['loss']:.17g},{r['grad_norm']:.17g},"
-                f"{r['pos_cos']:.17g},{r['neg_cos']:.17g}"
-            )
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-    _atomic_write(path, body)
+    _write_table(path, METRICS_COLUMNS, [[r[c] for c in METRICS_COLUMNS] for r in rows])
 
 
 def _as_json(cfg) -> dict:
@@ -249,7 +240,7 @@ def train(
         t = state.step
         if _is_logged(t, cfg):
             state.rows.append(metrics)
-        if t % cfg.checkpoint_every == 0 or t == cfg.steps:
+        if t % cfg.checkpoint_every == 0 and t < cfg.steps:  # the last step is ckpt_final
             save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
             write_metrics(state.rows, metrics_path)
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))

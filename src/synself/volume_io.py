@@ -4,12 +4,18 @@ Volume files are a single JSON header line (``dims``, ``dtype`` which is always
 ``"u8"``, ``voxel_size_nm``) followed by one byte per voxel in x-fastest order:
 ``index(x, y, z) = x + nx * (y + ny * z)``. In-memory arrays are C-ordered with
 axes ``[z, y, x]`` so that the flat memory layout matches the file payload exactly.
+
+Synapse tables, embedding matrices and the trainer's metrics are UTF-8 text
+tables: a header line of column names, then one line per row, fields separated
+by commas and lines ended by ``\n`` (``\r\n`` also reads). Nothing is quoted,
+since no field written here holds a comma or a line break; a quoted field in an
+input table is therefore a malformed field, not its unquoted value. An empty
+field stands for ``None``, and a float is written with 17 significant digits,
+which read back to the same float.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -31,12 +37,14 @@ class VolumeHeader:
     voxel_size_nm: tuple[float, float, float] = (8.0, 8.0, 8.0)
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
-            raise VolumeFormatError(f"dims must be three extents >= 1, got {self.dims}")
-        if len(self.voxel_size_nm) != 3 or any(s <= 0 for s in self.voxel_size_nm):
-            raise VolumeFormatError(f"voxel sizes must be > 0, got {self.voxel_size_nm}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "voxel_size_nm", tuple(float(s) for s in self.voxel_size_nm))
+        dims, sizes = tuple(self.dims), tuple(self.voxel_size_nm)
+        # exact types, so 2.5 is not truncated to 2 and True is not read as 1
+        if len(dims) != 3 or any(type(d) is not int or d < 1 for d in dims):
+            raise VolumeFormatError(f"dims must be three integers >= 1, got {self.dims!r}")
+        if len(sizes) != 3 or any(type(s) not in (int, float) or not 0 < s < math.inf for s in sizes):
+            raise VolumeFormatError(f"voxel_size_nm must be three finite sizes > 0, got {self.voxel_size_nm!r}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "voxel_size_nm", tuple(float(s) for s in sizes))
 
     @property
     def n_voxels(self) -> int:
@@ -73,17 +81,19 @@ class SynapseRecord:
     class_label: int | None = None
 
     def __post_init__(self):
-        if self.id < 0:
-            raise VolumeFormatError(f"synapse id must be non-negative, got {self.id}")
-        if self.supervoxel_id <= 0:
+        object.__setattr__(self, "pos", tuple(self.pos))
+        if type(self.id) is not int or self.id < 0:
+            raise VolumeFormatError(f"synapse id must be a non-negative integer, got {self.id!r}")
+        if tuple(map(type, self.pos)) != (int, int, int):
+            raise VolumeFormatError(f"synapse {self.id}: pos must be three integers, got {self.pos!r}")
+        if type(self.supervoxel_id) is not int or self.supervoxel_id <= 0:
             raise VolumeFormatError(
-                f"synapse {self.id}: supervoxel_id must be a positive label, got {self.supervoxel_id}"
+                f"synapse {self.id}: supervoxel_id must be a positive label, got {self.supervoxel_id!r}"
             )
-        if self.class_label is not None and self.class_label < 0:
+        if self.class_label is not None and (type(self.class_label) is not int or self.class_label < 0):
             raise VolumeFormatError(
-                f"synapse {self.id}: class_label must be non-negative, got {self.class_label}"
+                f"synapse {self.id}: class_label must be a non-negative integer, got {self.class_label!r}"
             )
-        object.__setattr__(self, "pos", tuple(int(c) for c in self.pos))
 
 
 @dataclass
@@ -171,18 +181,12 @@ def read_volume(path) -> IntensityVolume:
         dims, dtype, voxel_size = head["dims"], head["dtype"], head["voxel_size_nm"]
         if dtype != "u8":
             raise VolumeFormatError(f"{path}: unknown dtype {dtype!r} in header at byte offset 0")
-        # exact JSON types, so 2.5 is not truncated to 2 and "222" is not read as three digits
-        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
-            raise VolumeFormatError(
-                f"{path}: malformed header at byte offset 0: dims must be a list of integers, got {dims!r}"
-            )
-        if not isinstance(voxel_size, list) or any(
-            type(v) not in (int, float) or not math.isfinite(v) for v in voxel_size
-        ):
-            raise VolumeFormatError(
-                f"{path}: malformed header at byte offset 0: "
-                f"voxel_size_nm must be a list of finite numbers, got {voxel_size!r}"
-            )
+        # JSON lists, so "222" is not read as three digits; VolumeHeader checks the elements
+        for name, value in (("dims", dims), ("voxel_size_nm", voxel_size)):
+            if not isinstance(value, list):
+                raise VolumeFormatError(
+                    f"{path}: malformed header at byte offset 0: {name} must be a list, got {value!r}"
+                )
         try:
             header = VolumeHeader(tuple(dims), tuple(voxel_size))
         except VolumeFormatError as e:
@@ -200,25 +204,48 @@ def read_volume(path) -> IntensityVolume:
 
 
 # ---------------------------------------------------------------------------
-# synapse tables
-
-SYNAPSE_COLUMNS = ["id", "x", "y", "z", "supervoxel_id", "class_label"]
+# text tables
 
 
-def write_synapse_table(records: list[SynapseRecord], path) -> None:
-    def body(f):
-        text = io.TextIOWrapper(f, encoding="utf-8", newline="")
-        w = csv.writer(text, lineterminator="\n")
-        w.writerow(SYNAPSE_COLUMNS)
-        for r in records:
-            w.writerow(
-                [r.id, r.pos[0], r.pos[1], r.pos[2], r.supervoxel_id,
-                 "" if r.class_label is None else r.class_label]
-            )
-        text.flush()
-        text.detach()
+def _write_table(path, header, rows) -> None:
+    """Write the header line, then one comma-joined line per row: None as an
+    empty field, a Python float with 17 significant digits and any other value as its str."""
+    columns = list(zip(*rows))
+    for i, column in enumerate(columns):
+        # a column with no None and no float goes to the %s template as it is,
+        # which formats it in C at about half the cost of a text per value
+        if not {type(None), float}.isdisjoint(map(type, column)):
+            columns[i] = ["" if v is None else "%.17g" % v if type(v) is float else v for v in column]
+    template = ",".join(["%s"] * len(header))
+    lines = [",".join(header)] + [template % row for row in zip(*columns)]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    _atomic_write(path, lambda f: f.write(data))
 
-    _atomic_write(path, body)
+
+def _read_table(path, what: str):
+    """The header's fields, and a generator of each data row's fields that raises
+    VolumeFormatError on reaching a row whose field count is not the header's."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
+    except UnicodeDecodeError as e:
+        raise VolumeFormatError(f"{path}: not UTF-8 text: {e}") from None
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line
+    if not lines:
+        raise VolumeFormatError(f"{path}: empty {what}")
+    header = lines[0].split(",")
+
+    def rows():
+        for row_i, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise VolumeFormatError(
+                    f"{path}: ragged data row {row_i}: {len(fields)} fields, expected {len(header)}")
+            yield fields
+
+    return header, rows()
 
 
 def _parse_int(value: str, column: str, row: int, path) -> int:
@@ -230,42 +257,32 @@ def _parse_int(value: str, column: str, row: int, path) -> int:
         ) from None
 
 
-def _read_utf8(path) -> str:
-    """The file's text with newlines kept as they are; bytes that are not UTF-8 raise."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise VolumeFormatError(f"{path}: not UTF-8 text: {e}") from None
+# ---------------------------------------------------------------------------
+# synapse tables
+
+SYNAPSE_COLUMNS = ["id", "x", "y", "z", "supervoxel_id", "class_label"]
+
+
+def write_synapse_table(records: list[SynapseRecord], path) -> None:
+    _write_table(path, SYNAPSE_COLUMNS,
+                 [(r.id, *r.pos, r.supervoxel_id, r.class_label) for r in records])
 
 
 def read_synapse_table(path) -> list[SynapseRecord]:
-    with io.StringIO(_read_utf8(path), newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise VolumeFormatError(f"{path}: empty synapse table") from None
-        if header != SYNAPSE_COLUMNS:
-            missing = [c for c in SYNAPSE_COLUMNS if c not in header]
-            detail = f"missing column(s) {missing}" if missing else f"unexpected header {header}"
-            raise VolumeFormatError(f"{path}: bad synapse table header: {detail}")
-        records = []
-        seen = set()
-        for row_i, row in enumerate(reader):
-            if len(row) != len(SYNAPSE_COLUMNS):
-                raise VolumeFormatError(
-                    f"{path}: data row {row_i} has {len(row)} fields, expected {len(SYNAPSE_COLUMNS)}"
-                )
-            rid = _parse_int(row[0], "id", row_i, path)
-            if rid in seen:
-                raise VolumeFormatError(f"{path}: duplicate synapse id {rid} at data row {row_i}")
-            seen.add(rid)
-            pos = tuple(_parse_int(row[i], c, row_i, path) for i, c in ((1, "x"), (2, "y"), (3, "z")))
-            sv = _parse_int(row[4], "supervoxel_id", row_i, path)
-            label = None if row[5] == "" else _parse_int(row[5], "class_label", row_i, path)
-            records.append(SynapseRecord(rid, pos, sv, label))
+    header, rows = _read_table(path, "synapse table")
+    if header != SYNAPSE_COLUMNS:
+        missing = [c for c in SYNAPSE_COLUMNS if c not in header]
+        detail = f"missing column(s) {missing}" if missing else f"unexpected header {header}"
+        raise VolumeFormatError(f"{path}: bad synapse table header: {detail}")
+    records = []
+    seen = set()
+    for row_i, row in enumerate(rows):
+        rid, x, y, z, sv = (_parse_int(row[i], SYNAPSE_COLUMNS[i], row_i, path) for i in range(5))
+        if rid in seen:
+            raise VolumeFormatError(f"{path}: duplicate synapse id {rid} at data row {row_i}")
+        seen.add(rid)
+        label = None if row[5] == "" else _parse_int(row[5], "class_label", row_i, path)
+        records.append(SynapseRecord(rid, (x, y, z), sv, label))
     return records
 
 
@@ -283,38 +300,22 @@ def check_synapses_in_bounds(records: list[SynapseRecord], header: VolumeHeader)
 # embedding matrices
 
 
-def _fmt17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_embeddings(emb: EmbeddingMatrix, path) -> None:
-    def body(f):
-        lines = ["id," + ",".join(f"e{j}" for j in range(emb.values.shape[1]))]
-        for rid, row in zip(emb.synapse_ids, emb.values):
-            lines.append(f"{rid}," + ",".join(_fmt17(v) for v in row))
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-    _atomic_write(path, body)
+    header = ["id"] + [f"e{j}" for j in range(emb.values.shape[1])]
+    _write_table(path, header, [[rid, *row] for rid, row in zip(emb.synapse_ids, emb.values.tolist())])
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
-    with io.StringIO(_read_utf8(path), newline=None) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if len(header) < 2 or header[0] != "id" or header[1:] != [f"e{j}" for j in range(len(header) - 1)]:
-            raise VolumeFormatError(f"{path}: bad embedding header {header}")
-        dim = len(header) - 1
-        ids, rows = [], []
-        for row_i, line in enumerate(f):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != dim + 1:
-                raise VolumeFormatError(
-                    f"{path}: ragged row {row_i}: {len(parts)} fields, expected {dim + 1}"
-                )
-            ids.append(_parse_int(parts[0], "id", row_i, path))
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise VolumeFormatError(f"{path}: non-numeric entry at data row {row_i}") from None
-    if not rows:
+    header, rows = _read_table(path, "embedding matrix")
+    if len(header) < 2 or header[0] != "id" or header[1:] != [f"e{j}" for j in range(len(header) - 1)]:
+        raise VolumeFormatError(f"{path}: bad embedding header {header}")
+    ids, values = [], []
+    for row_i, row in enumerate(rows):
+        ids.append(_parse_int(row[0], "id", row_i, path))
+        try:
+            values.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise VolumeFormatError(f"{path}: non-numeric entry at data row {row_i}") from None
+    if not values:
         raise VolumeFormatError(f"{path}: embedding matrix has no rows")
-    return EmbeddingMatrix(ids, np.array(rows, dtype=np.float64))
+    return EmbeddingMatrix(ids, np.array(values, dtype=np.float64))

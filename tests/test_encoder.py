@@ -59,6 +59,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="increasing"):
             enc.EncoderConfig(patch_side=16, channels=(8, 8, 16))
 
+    @pytest.mark.parametrize("field, value", [
+        ("patch_side", 8.0), ("channels", (2.5, 3)), ("convs_per_block", 2.0),
+        ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0), ("init_seed", True),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            dataclasses.replace(SMALL, **{field: value})
+
     def test_default_param_count_closed_form(self):
         # independent shape arithmetic for the desk default (16^3, [8,16,32], 2 convs, 64, 32)
         cfg = enc.EncoderConfig()

@@ -107,3 +107,71 @@ def test_every_oracle_is_used_by_a_test():
                 used.add(name)
                 todo.append(name)
     assert sorted(name for name in bodies if _public(name) and name not in used) == []
+
+
+# os.open flags that open a file without writing to it
+READ_FLAGS = {"O_RDONLY", "O_DIRECTORY", "O_BINARY", "O_CLOEXEC"}
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """Every name, attribute and string constant in the expression."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.id if isinstance(n, ast.Name) else n.value
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Attribute, ast.Name)) or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether the call opens a file for writing or writes one: os.open with a
+    flag besides READ_FLAGS (or flags it cannot name), open or fdopen with a mode
+    other than r, b and t, Path.write_text or write_bytes, np.save* or .tofile."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+    owner = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else None
+    args = call.args + [k.value for k in call.keywords if k.arg in ("flags", "mode")]
+    if name in ("write_text", "write_bytes", "tofile") or (owner in ("np", "numpy") and name.startswith("save")):
+        return True
+    if name == "open" and owner == "os":
+        named = {x for a in args[1:] for x in _identifiers(a) if x.startswith("O_")}
+        return not named or not named <= READ_FLAGS
+    if name in ("open", "fdopen"):
+        # the mode follows the file in open, io.open and os.fdopen, and comes first in Path.open
+        at = 1 if owner in (None, "io", "os") else 0
+        mode = args[at] if len(args) > at else None
+        return mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+    return False
+
+
+def _file_writers(tree: ast.Module, stem: str):
+    """module.function of each call in the tree that writes a file, named by its innermost def."""
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{stem}.{node.name}"
+        if isinstance(node, ast.Call) and _writes_a_file(node):
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, where)
+
+    yield from walk(tree, f"{stem}.<module>")
+
+
+def test_only_atomic_write_writes_files():
+    """Every file synself writes goes through volume_io._atomic_write (temp
+    file, fsync, rename, directory fsync); no other code may open one for writing."""
+    writers = {
+        where
+        for p in sorted((ROOT / "src" / "synself").glob("*.py"))
+        for where in _file_writers(ast.parse(p.read_text(encoding="utf-8")), p.stem)
+    }
+    assert writers == {"volume_io._atomic_write"}
+
+
+@pytest.mark.parametrize("code, writes", [
+    ("open(p, 'wb')", True), ("open(p, mode='a')", True), ("open(p, 'r+b')", True), ("open(p, m)", True),
+    ("open(p)", False), ("open(p, 'rb')", False), ("io.open(p, 'w')", True), ("os.fdopen(fd, 'wb')", True),
+    ("p.open('w')", True), ("p.open()", False), ("p.write_text(s)", True), ("p.write_bytes(b)", True),
+    ("np.save(p, a)", True), ("np.savez(p, a=a)", True), ("a.tofile(p)", True), ("enc.save(params, cfg, p)", False),
+    ("os.open(p, os.O_WRONLY | os.O_CREAT)", True), ("os.open(p, flags)", True),
+    ("os.open(p, os.O_RDONLY | getattr(os, 'O_BINARY', 0))", False), ("f.write(b)", False),
+])
+def test_file_write_detector(code, writes):
+    assert _writes_a_file(ast.parse(code).body[0].value) is writes

@@ -225,6 +225,14 @@ class TestGenerate:
         ordered = sorted(spans.values())
         assert ordered[0][1] < ordered[1][0] < ordered[1][1] < ordered[2][0]
 
+    @pytest.mark.parametrize("field, value", [
+        ("dims", (180.9, 144, 108)), ("dims", (True, 144, 108)), ("seed", 1.5),
+        ("n_supervoxels", 60.0), ("synapses_per_supervoxel", 8.0),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(sg.GenerationError, match=f"{field} must be"):
+            sg.GenConfig(**{field: value})
+
     def test_config_validation(self):
         with pytest.raises(sg.GenerationError):
             small_config(n_supervoxels=1)  # V < K

@@ -190,7 +190,7 @@ class TestTrainLoop:
         tr.train(tiny_config(steps=6, checkpoint_every=6), ds, tmp_path / "half")
         s_res, _ = tr.train(
             full_cfg, ds, tmp_path / "resumed",
-            resume_from=tmp_path / "half" / "ckpt_000006.dckpt",
+            resume_from=tmp_path / "half" / "ckpt_final.dckpt",
         )
         for k in s_full.params:
             assert s_full.params[k].tobytes() == s_res.params[k].tobytes()
@@ -227,6 +227,11 @@ class TestTrainLoop:
         assert [r["step"] for r in state.rows] == [1, 2, 3, 4]
         tr.write_metrics(state.rows, tmp_path / "want.csv")
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_last_step_saved_once(self, tmp_path):
+        tr.train(tiny_config(steps=4, checkpoint_every=2), tiny_dataset(), tmp_path / "run")
+        assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
+            "ckpt_000002.dckpt", "ckpt_final.dckpt", "metrics.csv"]
 
     def test_checkpoint_next_step_metrics_match(self, tmp_path):
         ds = tiny_dataset()

@@ -1,3 +1,4 @@
+import math
 import tempfile
 
 import numpy as np
@@ -153,6 +154,17 @@ class TestHeaderInvariants:
     def test_default_voxel_size_is_8nm(self):
         assert VolumeHeader((1, 1, 1)).voxel_size_nm == (8.0, 8.0, 8.0)
 
+    @pytest.mark.parametrize("dims, voxel_size, match", [
+        ((2.9, 3, 4), (8.0, 8.0, 8.0), "dims"),
+        ((True, 3, 4), (8.0, 8.0, 8.0), "dims"),
+        ((2, 3, 4), (math.nan, 8.0, 8.0), "voxel_size_nm"),
+        ((2, 3, 4), (8.0, math.inf, 8.0), "voxel_size_nm"),
+        ((2, 3, 4), (8.0, 8.0, True), "voxel_size_nm"),
+    ])
+    def test_non_integer_dims_and_non_finite_sizes_rejected(self, dims, voxel_size, match):
+        with pytest.raises(VolumeFormatError, match=match):
+            VolumeHeader(dims, voxel_size)
+
 
 class TestSynapseTable:
     def test_parse_row(self, tmp_path):
@@ -193,6 +205,36 @@ class TestSynapseTable:
         p = tmp_path / "syn.csv"
         write_synapse_table(records, p)
         assert read_synapse_table(p) == records
+
+    @pytest.mark.parametrize("fields, match", [
+        ((1.5, (1, 2, 3), 1, None), "synapse id"),
+        ((1, (1.7, 2, 3), 1, None), "pos"),
+        ((1, (True, 2, 3), 1, None), "pos"),
+        ((1, (1, 2, 3), 1.5, None), "supervoxel_id"),
+        ((1, (1, 2, 3), 1, 2.0), "class_label"),
+    ])
+    def test_non_integer_field_rejected(self, fields, match):
+        with pytest.raises(VolumeFormatError, match=match):
+            SynapseRecord(*fields)
+
+    def test_oversized_field_typed_error(self, tmp_path):
+        # longer than the csv module's default field limit of 131072 characters
+        p = tmp_path / "syn.csv"
+        p.write_text("id,x,y,z,supervoxel_id,class_label\n7," + "x" * 200_000 + ",0,0,3,\n")
+        with pytest.raises(VolumeFormatError, match="non-integer field x"):
+            read_synapse_table(p)
+
+    def test_crlf_line_ends_read(self, tmp_path):
+        p = tmp_path / "syn.csv"
+        p.write_bytes(b"id,x,y,z,supervoxel_id,class_label\r\n7,10,12,14,3,\r\n8,1,2,3,4,0\r\n")
+        assert read_synapse_table(p) == [SynapseRecord(7, (10, 12, 14), 3), SynapseRecord(8, (1, 2, 3), 4, 0)]
+
+    def test_quoted_field_rejected(self, tmp_path):
+        # tables are written unquoted, so a quote is part of the field
+        p = tmp_path / "syn.csv"
+        p.write_text('id,x,y,z,supervoxel_id,class_label\n"7",0,0,0,3,\n')
+        with pytest.raises(VolumeFormatError, match="non-integer field id"):
+            read_synapse_table(p)
 
     def test_zero_supervoxel_rejected(self):
         with pytest.raises(VolumeFormatError, match="positive label"):
@@ -245,6 +287,12 @@ class TestEmbeddings:
     def test_non_numeric(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("id,e0\n0,zap\n")
+        with pytest.raises(VolumeFormatError, match="non-numeric"):
+            read_embeddings(p)
+
+    def test_oversized_field_typed_error(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        p.write_text("id,e0,e1\n0,0.5," + "x" * 200_000 + "\n")
         with pytest.raises(VolumeFormatError, match="non-numeric"):
             read_embeddings(p)
 
