@@ -95,20 +95,27 @@ def init(cfg: EncoderConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def forward(params: dict[str, np.ndarray], patch: np.ndarray, cfg: EncoderConfig):
-    """Run the conv blocks and the h head on one (1,s,s,s) patch.
+def forward(params: dict[str, np.ndarray], patches: np.ndarray, cfg: EncoderConfig):
+    """Run the conv blocks and the h head on a (B,s,s,s) stack of patches.
 
-    Returns (h, cache): the penultimate h, and the activation cache that
-    :func:`project` extends and :func:`backward` consumes. The cache holds
-    each conv's input, each block's pool input, the flattened pooled output
-    and h, and no pre-activation: every conv's relu runs in place on the
-    output the conv just made, so a view keeps one copy of each activation
-    (0.70 MiB at the default 16^3, 87 MiB at 80^3).
+    Returns (h, cache): the (B, h_dim) rows of the penultimate h, and the
+    activation cache that :func:`project` extends and :func:`backward`
+    consumes. The views run side by side in numcore's (C,D,H,W,B) layout, and
+    each row has the bits of a one-view forward: every conv and pool output
+    of a view is its one-view output, and the h head runs one GEMV per view,
+    since one GEMM over the stack could sum in another order. Training runs
+    one view per call, so that view gradients sum in view order; embedding
+    runs several.
+
+    The cache holds each conv's input, each block's pool input, the
+    flattened pooled rows and h, and no pre-activation: every conv's relu
+    runs in place on the output the conv just made, so a view keeps one copy
+    of each activation (0.70 MiB at the default 16^3, 87 MiB at 80^3).
     """
     s = cfg.patch_side
-    if patch.shape != (1, s, s, s):
-        raise nc.ShapeError(f"patch shape {patch.shape} != (1,{s},{s},{s})")
-    x = np.asarray(patch, dtype=np.float64)
+    if patches.ndim != 4 or patches.shape[1:] != (s, s, s) or not len(patches):
+        raise nc.ShapeError(f"patch stack shape {patches.shape} != (B,{s},{s},{s}) with B >= 1")
+    x = np.ascontiguousarray(patches.transpose(1, 2, 3, 0), dtype=np.float64)[None]
     conv_inputs = []  # x fed to each conv, in order
     pool_inputs = []
     for bi in range(len(cfg.channels)):
@@ -120,8 +127,9 @@ def forward(params: dict[str, np.ndarray], patch: np.ndarray, cfg: EncoderConfig
             np.maximum(x, 0.0, out=x)  # relu in place: nothing else holds the conv output
         pool_inputs.append(x)
         x = nc.maxpool3d_forward(x)
-    flat = x.reshape(-1)
-    h = nc.relu_forward(nc.dense_forward(flat, params["head_h.w"], params["head_h.b"]))
+    flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # row v: view v's (C,D,H,W) order
+    h = np.array([nc.relu_forward(nc.dense_forward(row, params["head_h.w"], params["head_h.b"]))
+                  for row in flat])
     cache = {
         "conv_inputs": conv_inputs,
         "pool_inputs": pool_inputs,
@@ -133,11 +141,14 @@ def forward(params: dict[str, np.ndarray], patch: np.ndarray, cfg: EncoderConfig
 
 
 def project(params: dict[str, np.ndarray], cache: dict) -> np.ndarray:
-    """Unit-norm projection z of the cached h; records z_pre in the cache for :func:`backward`.
+    """Unit-norm projection z of the cached h of a one-view forward; records
+    z_pre in the cache for :func:`backward`.
 
     A zero z_pre has no direction and raises ValueError.
     """
-    z_pre = nc.dense_forward(cache["h"], params["head_z.w"], params["head_z.b"])
+    if len(cache["h"]) != 1:
+        raise nc.ShapeError(f"project takes the cache of one view, got {len(cache['h'])}")
+    z_pre = nc.dense_forward(cache["h"][0], params["head_z.w"], params["head_z.b"])
     z = nc.l2_normalize_forward(z_pre)
     cache["z_pre"] = z_pre
     return z
@@ -154,9 +165,10 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
     """
     grads = {}
     d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64))
-    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"], params["head_z.w"], d_zpre)
-    d_hpre = nc.relu_backward(cache["h"], d_h)
-    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(cache["flat"], params["head_h.w"], d_hpre)
+    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"][0], params["head_z.w"], d_zpre)
+    d_hpre = nc.relu_backward(cache["h"][0], d_h)
+    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(
+        cache["flat"][0], params["head_h.w"], d_hpre)
     d_x = d_flat.reshape(cache["pooled_shape"])
 
     conv_inputs = cache["conv_inputs"]

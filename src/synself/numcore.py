@@ -8,15 +8,21 @@ normalisation, and (d_input, d_weights, d_bias) for dense and conv layers.
 Convolutions are stride-1 with same padding (k odd) only, pooling is disjoint
 2x2x2 — the minimal vocabulary for a VGG-style volumetric encoder.
 
+Conv and pool tensors have one layout, (C, D, H, W, B): B views, innermost.
+Training runs one view per call (B = 1); embedding runs several, because at
+small extents a one-view conv is bound by copying runs of W doubles, and B
+views make every run W*B long.
+
 Convolutions run over z-slabs of column rows. The input is zero-padded as a
-4-D (C, D+k-1, H+k-1, W+k-1) array, and column row (c,dy,dx) of a slab of nz
-output planes is channel c over those planes and k-1 halo planes, shifted by
-(dy,dx) and cropped to HxW. A row holds one entry per output voxel and
-nothing else, and the dz window of a slab is its columns from dz*H*W on. One
-helper fills the slabs, each into one buffer whose size ``SLAB_BYTES`` caps,
-so the k GEMMs of a slab read its columns from cache rather than memory
-(c8-8 at 16^3: 0.74 MB per slab of 3 planes, where the whole grid would be
-2.65 MB). All three passes run that one slab loop:
+(C, D+k-1, H+k-1, (W+k-1)*B) array, W and B merged into one axis, and column
+row (c,dy,dx) of a slab of nz output planes is channel c over those planes
+and k-1 halo planes, shifted by (dy, dx*B) and cropped to H x W*B: every view
+of a voxel side by side, in runs of W*B. A row holds one entry per output
+voxel and view and nothing else, and the dz window of a slab is its columns
+from dz*H*W*B on. One helper fills the slabs, each into one buffer whose size
+``SLAB_BYTES`` caps, so the k GEMMs of a slab read its columns from cache
+rather than memory (c8-8 at 16^3: 0.74 MB per slab of 3 planes, where the
+whole grid would be 2.65 MB). All three passes run that one slab loop:
 
 - the forward: per slab, k GEMMs, one per dz, write the slab's output in
   place, then the bias is added;
@@ -27,16 +33,20 @@ so the k GEMMs of a slab read its columns from cache rather than memory
   order, reading d_output in place.
 
 Every output element of a forward sums the same Cin*k*k products per dz in
-the same order whatever the slab depth. OpenBLAS, though, computes the last
-columns of a GEMM whose column count is not a multiple of 8 (and every
-column of a one-row product) with other kernels, whose sum order can differ.
-Every slab and whole grid of the encoder's convs has a multiple of 8
-columns, so there the bits equal a whole-grid conv's (the tests pin them).
-The weight gradient is a sum over the
-output voxels, which the slabs group into partial sums, so its bits depend
-on the slab depth. It agrees with a tap-by-tap sum to within 3e-15 relative
-on the encoder's shapes, as one whole-grid GEMM does, but a training run's
-loss can differ in its last digits from a run under another grouping.
+the same order whatever the slab depth and whatever the number of views
+beside it: a view's column holds the same entries in the same rows. OpenBLAS,
+though, computes the last columns of a GEMM whose column count is not a
+multiple of 8 (and every column of a one-row product) with other kernels,
+whose sum order can differ. A slab has H*W*B columns per plane, a multiple
+of 8 for every conv of the encoder at any B, except in a one-plane slab of a
+2^3 conv at odd B, which ``SLAB_BYTES`` gives only from 22 views on. So on
+the encoder's shapes the forward and the input gradient give each view the
+bits of a one-view, whole-grid conv (the tests pin them). The weight
+gradient is a sum over the output voxels, which the slabs group into partial
+sums, so its bits depend on the slab depth and on B. It agrees with a
+tap-by-tap sum to within 3e-15 relative on the encoder's shapes, as one
+whole-grid GEMM does, but a training run's loss can differ in its last digits
+from a run under another grouping.
 
 Pooling takes the max of the two halves of each axis in turn (x, then y, then
 z) over strided views, with no copy of the windows. Its backward sends each
@@ -70,40 +80,41 @@ class ShapeError(ValueError):
 # 3D convolution (stride 1, same padding) over z-slabs of column rows
 #
 # With the input zero-padded by p = k//2 to xp, tap (dz,dy,dx) of output voxel
-# (z,y,x) reads xp[c, z+dz, y+dy, x+dx].
+# (z,y,x) of view v reads xp[c, z+dz, y+dy, (x+dx)*B + v].
 
 
 def _column_slabs(x: Tensor, k: int):
     """Yield (z0, nz, cols) over the output z-slabs of a same-padded conv of x.
 
-    ``cols`` is (C*k*k, (nz+k-1)*H*W): row (c,dy,dx) is
-    ``xp[c, z0:z0+nz+k-1, dy:dy+H, dx:dx+W]`` flattened, so the window of
-    nz*H*W columns from dz*H*W on is the (c,dz,dy,dx) operand of the slab's
-    output voxels, in their order. The slab depth is the largest whose
+    ``cols`` is (C*k*k, (nz+k-1)*H*W*B): row (c,dy,dx) is
+    ``xp[c, z0:z0+nz+k-1, dy:dy+H, dx*B:(dx+W)*B]`` flattened, so the window of
+    nz*H*W*B columns from dz*H*W*B on is the (c,dz,dy,dx) operand of the
+    slab's output voxels, in their order. The slab depth is the largest whose
     columns fit ``SLAB_BYTES`` (at least one plane), and every slab is filled
     into one buffer, so a caller must finish with ``cols`` before asking for
     the next slab.
     """
-    c, d, h, w = x.shape
+    c, d, h, w, b = x.shape
     p = k // 2
-    xp = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p))
-    xp[:, p:p + d, p:p + h, p:p + w] = x
-    plane = h * w
+    run = w * b  # one voxel row of every view, contiguous in x and in xp
+    xp = np.zeros((c, d + 2 * p, h + 2 * p, run + 2 * p * b))
+    xp[:, p:p + d, p:p + h, p * b:p * b + run] = x.reshape(c, d, h, run)
+    plane = h * run
     rows = c * k * k
     depth = max(1, min(d, SLAB_BYTES // (8 * rows * plane) - (k - 1)))
     buf = np.empty(rows * (depth + k - 1) * plane)
     for z0 in range(0, d, depth):
         nz = min(depth, d - z0)
-        cols = buf[:rows * (nz + k - 1) * plane].reshape(c, k, k, nz + k - 1, h, w)
+        cols = buf[:rows * (nz + k - 1) * plane].reshape(c, k, k, nz + k - 1, h, run)
         for dy in range(k):
             for dx in range(k):
-                cols[:, dy, dx] = xp[:, z0:z0 + nz + k - 1, dy:dy + h, dx:dx + w]
+                cols[:, dy, dx] = xp[:, z0:z0 + nz + k - 1, dy:dy + h, dx * b:dx * b + run]
         yield z0, nz, cols.reshape(rows, -1)
 
 
 def _conv_shapes(x: Tensor, weights: Tensor, bias: Tensor | None):
-    if x.ndim != 4:
-        raise ShapeError(f"conv3d input must be (C,D,H,W), got shape {x.shape}")
+    if x.ndim != 5:
+        raise ShapeError(f"conv3d input must be (C,D,H,W,B), got shape {x.shape}")
     if weights.ndim != 5:
         raise ShapeError(f"conv3d weights must be (Cout,Cin,k,k,k), got shape {weights.shape}")
     c_out, c_in, k, k2, k3 = weights.shape
@@ -119,17 +130,17 @@ def _conv_shapes(x: Tensor, weights: Tensor, bias: Tensor | None):
 
 
 def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """out[o,z,y,x] = bias[o] + sum_{c,dz,dy,dx} w[o,c,dz,dy,dx] * in[c,z+dz-p,y+dy-p,x+dx-p].
+    """out[o,z,y,x,v] = bias[o] + sum_{c,dz,dy,dx} w[o,c,dz,dy,dx] * in[c,z+dz-p,y+dy-p,x+dx-p,v].
 
     Per z-slab of nz output planes, k GEMMs, one per dz, ``w[:, :, dz]``
-    (Cout x Cin*k*k) times the slab's column window at dz*H*W, accumulate the
-    slab's (Cout x nz*H*W) output in place, and the bias is added last.
+    (Cout x Cin*k*k) times the slab's column window at dz*H*W*B, accumulate
+    the slab's (Cout x nz*H*W*B) output in place, and the bias is added last.
     """
     c_out, c_in, k = _conv_shapes(x, weights, bias)
-    _, d, h, w = x.shape
-    plane = h * w
+    _, d, h, w, b = x.shape
+    plane = h * w * b
     w_dz = np.ascontiguousarray(weights.transpose(2, 0, 1, 3, 4)).reshape(k, c_out, -1)
-    out = np.empty((c_out, d, h, w))
+    out = np.empty((c_out, d, h, w, b))
     out_flat = out.reshape(c_out, d * plane)
     for z0, nz, cols in _column_slabs(x, k):
         span = nz * plane
@@ -148,9 +159,9 @@ def _weight_grad(x: Tensor, d_output: Tensor, k: int) -> Tensor:
     view would keep, is freed before the d_input conv fills its own: one c8-8
     backward at 16^3 then peaks at 1.5 MiB.
     """
-    c_in, d, h, w = x.shape
+    c_in, d, h, w, b = x.shape
     c_out = d_output.shape[0]
-    plane = h * w
+    plane = h * w * b
     d_flat = d_output.reshape(c_out, d * plane)
     d_w = np.zeros((k, c_out, c_in * k * k))
     for z0, nz, cols in _column_slabs(x, k):
@@ -167,9 +178,9 @@ def conv3d_backward(
     """Gradients of :func:`conv3d_forward`: (d_input or None unless need_dx, d_weights, d_bias).
 
     ``d_w[:, :, dz]`` is d_output times the transposed dz column window of the
-    forward, summed slab by slab. d_input is the same-padded correlation of
-    d_output with the spatially flipped, channel-swapped kernel, i.e. one more
-    forward.
+    forward, summed slab by slab over every view. d_input is the same-padded
+    correlation of d_output with the spatially flipped, channel-swapped
+    kernel, i.e. one more forward.
     A caller whose input is raw data (the encoder's first conv) passes
     ``need_dx=False``: nothing reads that gradient, and it is the costlier half.
     """
@@ -186,28 +197,33 @@ def conv3d_backward(
 
 
 # ---------------------------------------------------------------------------
-# 2x2x2 max pooling
+# 2x2x2 max pooling, per view
 
 
-def _pooled_shape(x: Tensor) -> tuple[int, int, int, int]:
-    c, d, h, w = x.shape
+def _pooled_shape(x: Tensor) -> tuple[int, int, int, int, int]:
+    if x.ndim != 5:
+        raise ShapeError(f"maxpool3d input must be (C,D,H,W,B), got shape {x.shape}")
+    c, d, h, w, b = x.shape
     if d % 2 or h % 2 or w % 2:
-        raise ShapeError(f"maxpool3d requires even spatial extents, got {x.shape[1:]}")
-    return c, d // 2, h // 2, w // 2
+        raise ShapeError(f"maxpool3d requires even spatial extents, got {x.shape[1:4]}")
+    return c, d // 2, h // 2, w // 2, b
 
 
 @lru_cache(maxsize=16)
-def _pool_index(c: int, d: int, h: int, w: int) -> tuple[Tensor, Tensor]:
+def _pool_index(c: int, d: int, h: int, w: int, b: int) -> tuple[Tensor, Tensor]:
     """Flat index of each window's first voxel, and each slot's offset from it.
 
-    Slots are numbered (dz,dy,dx) with dx fastest, so a window's argmax over
-    its slots is its lowest linear index holding the max.
+    Windows are numbered (c, z, y, x, view), as the pooled output; slots are
+    numbered (dz,dy,dx) with dx fastest, so a window's argmax over its slots
+    is its lowest linear index holding the max.
     """
-    first = (np.arange(c)[:, None, None, None] * (d * h * w)
-             + np.arange(0, d, 2)[:, None, None] * (h * w)
-             + np.arange(0, h, 2)[:, None] * w
-             + np.arange(0, w, 2)).reshape(-1)
-    offset = np.array([dz * h * w + dy * w + dx for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)])
+    first = (np.arange(c)[:, None, None, None, None] * (d * h * w * b)
+             + np.arange(0, d, 2)[:, None, None, None] * (h * w * b)
+             + np.arange(0, h, 2)[:, None, None] * (w * b)
+             + np.arange(0, w, 2)[:, None] * b
+             + np.arange(b)).reshape(-1)
+    offset = np.array([dz * h * w * b + dy * w * b + dx * b
+                       for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)])
     first.flags.writeable = offset.flags.writeable = False
     return first, offset
 
@@ -220,10 +236,10 @@ def maxpool3d_forward(x: Tensor) -> Tensor:
 
 
 def maxpool3d_backward(x: Tensor, d_output: Tensor) -> Tensor:
-    c, d2, h2, w2 = _pooled_shape(x)
-    if d_output.shape != (c, d2, h2, w2):
-        raise ShapeError(f"maxpool3d d_output shape {d_output.shape} != {(c, d2, h2, w2)}")
-    win = x.reshape(c, d2, 2, h2, 2, w2, 2).transpose(0, 1, 3, 5, 2, 4, 6).reshape(-1, 8)
+    c, d2, h2, w2, b = _pooled_shape(x)
+    if d_output.shape != (c, d2, h2, w2, b):
+        raise ShapeError(f"maxpool3d d_output shape {d_output.shape} != {(c, d2, h2, w2, b)}")
+    win = x.reshape(c, d2, 2, h2, 2, w2, 2, b).transpose(0, 1, 3, 5, 7, 2, 4, 6).reshape(-1, 8)
     first, offset = _pool_index(*x.shape)
     d_x = np.zeros(x.size, dtype=x.dtype)
     # ties: argmax takes the first slot, the lowest linear index

@@ -32,6 +32,8 @@ class AugmentConfig:
     max_jitter_vox: int = 1
 
     def __post_init__(self):
+        if type(self.max_jitter_vox) is not int:
+            raise ValueError(f"max_jitter_vox must be an integer, got {self.max_jitter_vox!r}")
         if self.intensity_scale_range[0] > self.intensity_scale_range[1]:
             raise ValueError(f"scale range lo > hi: {self.intensity_scale_range}")
         if self.intensity_shift_range[0] > self.intensity_shift_range[1]:
@@ -56,6 +58,9 @@ class SamplerConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
+        for name in ("patch_side", "batch_pairs"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.patch_side < 4:
             raise ValueError(f"patch_side must be >= 4, got {self.patch_side}")
         if self.pair_mode not in PAIR_MODES:

@@ -46,6 +46,10 @@ class TrainConfig:
     ntxent: ntxent.NTXentConfig = field(default_factory=ntxent.NTXentConfig)
 
     def __post_init__(self):
+        # exact types, so steps=2.5 does not train 3 steps and True does not pass for 1
+        for name in ("steps", "checkpoint_every", "log_every", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not self.lr > 0:

@@ -318,4 +318,8 @@ def read_embeddings(path) -> EmbeddingMatrix:
             raise VolumeFormatError(f"{path}: non-numeric entry at data row {row_i}") from None
     if not values:
         raise VolumeFormatError(f"{path}: embedding matrix has no rows")
-    return EmbeddingMatrix(ids, np.array(values, dtype=np.float64))
+    values = np.array(values, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():  # nan, inf, or a literal too large for a float64
+        raise VolumeFormatError(f"{path}: non-finite entry at data row {int(np.argmin(finite))}")
+    return EmbeddingMatrix(ids, values)

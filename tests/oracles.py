@@ -16,76 +16,84 @@ from synself.synthgen import PLACEMENT_ATTEMPTS_PER_SITE, PLACEMENT_RESTARTS, Ge
 
 
 def conv3d_loops(x, w, b):
-    """Direct 7-nested-loop 3D correlation with same padding."""
+    """Direct 8-nested-loop 3D correlation with same padding, view by view."""
     c_out, c_in, k, _, _ = w.shape
-    _, d, h, wd = x.shape
+    _, d, h, wd, n_views = x.shape
     p = k // 2
-    out = np.zeros((c_out, d, h, wd))
-    for o in range(c_out):
-        for z in range(d):
-            for y in range(h):
-                for xx in range(wd):
-                    acc = b[o]
-                    for c in range(c_in):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    zz, yy, xz = z + dz - p, y + dy - p, xx + dx - p
-                                    if 0 <= zz < d and 0 <= yy < h and 0 <= xz < wd:
-                                        acc += w[o, c, dz, dy, dx] * x[c, zz, yy, xz]
-                    out[o, z, y, xx] = acc
+    out = np.zeros((c_out, d, h, wd, n_views))
+    for v in range(n_views):
+        for o in range(c_out):
+            for z in range(d):
+                for y in range(h):
+                    for xx in range(wd):
+                        acc = b[o]
+                        for c in range(c_in):
+                            for dz in range(k):
+                                for dy in range(k):
+                                    for dx in range(k):
+                                        zz, yy, xz = z + dz - p, y + dy - p, xx + dx - p
+                                        if 0 <= zz < d and 0 <= yy < h and 0 <= xz < wd:
+                                            acc += w[o, c, dz, dy, dx] * x[c, zz, yy, xz, v]
+                        out[o, z, y, xx, v] = acc
     return out
 
 
 def maxpool3d_loops(x):
-    """Nested-loop max over disjoint 2x2x2 windows."""
-    c, d, h, w = x.shape
-    out = np.empty((c, d // 2, h // 2, w // 2))
-    for ci in range(c):
-        for z in range(d // 2):
-            for y in range(h // 2):
-                for xx in range(w // 2):
-                    best = -np.inf
-                    for dz in range(2):
-                        for dy in range(2):
-                            for dx in range(2):
-                                v = x[ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx]
-                                if v > best:
-                                    best = v
-                    out[ci, z, y, xx] = best
+    """Nested-loop max over disjoint 2x2x2 windows of each view."""
+    c, d, h, w, n_views = x.shape
+    out = np.empty((c, d // 2, h // 2, w // 2, n_views))
+    for v in range(n_views):
+        for ci in range(c):
+            for z in range(d // 2):
+                for y in range(h // 2):
+                    for xx in range(w // 2):
+                        best = -np.inf
+                        for dz in range(2):
+                            for dy in range(2):
+                                for dx in range(2):
+                                    val = x[ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx, v]
+                                    if val > best:
+                                        best = val
+                        out[ci, z, y, xx, v] = best
     return out
 
 
 def maxpool3d_backward_loops(x, d_output):
     """Nested-loop pool gradient: each window's gradient goes to its first voxel,
     in (dz, dy, dx) order, that holds the window's max."""
-    c, d, h, w = x.shape
+    c, d, h, w, n_views = x.shape
     d_x = np.zeros_like(x)
-    for ci in range(c):
-        for z in range(d // 2):
-            for y in range(h // 2):
-                for xx in range(w // 2):
-                    best, at = -np.inf, None
-                    for dz in range(2):
-                        for dy in range(2):
-                            for dx in range(2):
-                                v = x[ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx]
-                                if v > best:
-                                    best, at = v, (ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx)
-                    d_x[at] = d_output[ci, z, y, xx]
+    for v in range(n_views):
+        for ci in range(c):
+            for z in range(d // 2):
+                for y in range(h // 2):
+                    for xx in range(w // 2):
+                        best, at = -np.inf, None
+                        for dz in range(2):
+                            for dy in range(2):
+                                for dx in range(2):
+                                    val = x[ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx, v]
+                                    if val > best:
+                                        best, at = val, (ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx, v)
+                        d_x[at] = d_output[ci, z, y, xx, v]
     return d_x
 
 
 def conv3d_flat_grid(x, w, b):
-    """Same-padded 3D correlation on one whole flat padded grid, in one pass.
+    """Same-padded 3D correlation of each view on one whole flat padded grid, in one pass.
 
     The reference for the bytes of ``numcore.conv3d_forward``, which computes
-    only kept voxels, slab by slab: on the encoder's shapes it must give
-    exactly this. Column row (c,dy,dx) is flat padded channel c shifted left
-    by dy*Wp + dx, and output column q sums w[:, :, dz] times the column
-    window at q + dz*Hp*Wp, one GEMM per dz in dz order; columns whose taps
-    wrap into the next row or plane are cropped off.
+    only kept voxels, slab by slab, with every view side by side: on the
+    encoder's shapes it must give each view exactly this. Column row
+    (c,dy,dx) is flat padded channel c shifted left by dy*Wp + dx, and output
+    column q sums w[:, :, dz] times the column window at q + dz*Hp*Wp, one
+    GEMM per dz in dz order; columns whose taps wrap into the next row or
+    plane are cropped off.
     """
+    return np.stack([_conv3d_flat_grid_one(x[..., v], w, b) for v in range(x.shape[-1])], axis=-1)
+
+
+def _conv3d_flat_grid_one(x, w, b):
     c_out, c_in, k, _, _ = w.shape
     _, d, h, wd = x.shape
     p = k // 2
@@ -111,18 +119,19 @@ def conv3d_weight_grad_taps(x, d_output, k):
     """Weight gradient of a same-padded 3D correlation, one tap at a time.
 
     d_w[:, :, dz, dy, dx] sums d_output times the zero-padded input shifted by
-    the tap, over every output voxel in one einsum: no slab, no column matrix.
+    the tap, over every output voxel of every view in one einsum: no slab, no
+    column matrix.
     """
-    c_in, d, h, wd = x.shape
+    c_in, d, h, wd, n_views = x.shape
     p = k // 2
-    xp = np.zeros((c_in, d + 2 * p, h + 2 * p, wd + 2 * p))
+    xp = np.zeros((c_in, d + 2 * p, h + 2 * p, wd + 2 * p, n_views))
     xp[:, p:p + d, p:p + h, p:p + wd] = x
     d_w = np.empty((d_output.shape[0], c_in, k, k, k))
     for dz in range(k):
         for dy in range(k):
             for dx in range(k):
                 tap = xp[:, dz:dz + d, dy:dy + h, dx:dx + wd]
-                d_w[:, :, dz, dy, dx] = np.einsum("ozyx,czyx->oc", d_output, tap)
+                d_w[:, :, dz, dy, dx] = np.einsum("ozyxv,czyxv->oc", d_output, tap)
     return d_w
 
 
@@ -133,7 +142,7 @@ def encoder_pre_activations(params, cache):
     names = (f"block{li // per_block}.conv{li % per_block}" for li in range(len(cache["conv_inputs"])))
     conv_pre = [nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
                 for name, x in zip(names, cache["conv_inputs"])]
-    h_pre = nc.dense_forward(cache["flat"], params["head_h.w"], params["head_h.b"])
+    h_pre = nc.dense_forward(cache["flat"][0], params["head_h.w"], params["head_h.b"])
     return conv_pre, h_pre
 
 
@@ -148,9 +157,9 @@ def encoder_backward_from_pre(params, cache, d_z):
     conv_pre, h_pre = encoder_pre_activations(params, cache)
     grads = {}
     d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64))
-    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"], params["head_z.w"], d_zpre)
+    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"][0], params["head_z.w"], d_zpre)
     d_hpre = nc.relu_backward(h_pre, d_h)
-    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(cache["flat"], params["head_h.w"], d_hpre)
+    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(cache["flat"][0], params["head_h.w"], d_hpre)
     d_x = d_flat.reshape(cache["pooled_shape"])
     n_blocks = len(cache["pool_inputs"])
     per_block = len(conv_pre) // n_blocks

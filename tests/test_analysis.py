@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from synself import analysis as an
 from synself import encoder as enc
+from synself import numcore as nc
 from synself import sampler as sp
 from synself.volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, VolumeFormatError, VolumeHeader
 from oracles import ari_pair_loops, concordance_loops, nmi_loops
@@ -40,7 +41,7 @@ class TestEmbedAll:
         for i, rec in enumerate(recs):
             patch = sp.extract_patch(vol, rec.pos, 8)
             h, _ = enc.forward(params, patch[None], SMALL)
-            assert np.array_equal(emb.values[i], h)
+            assert np.array_equal(emb.values[i], h[0])
 
     def test_duplicate_position_identical_rows(self, tmp_path):
         vol, _ = ramp_dataset()
@@ -72,7 +73,30 @@ class TestEmbedAll:
         monkeypatch.setattr(enc, "forward", lambda *a: calls.append(1) or real(*a))
         emb = an.embed_with_params(enc.init(SMALL), SMALL, vol, [SynapseRecord(0, (8, 8, 8), 1)])
         assert emb.values.shape == (1, SMALL.h_dim) and np.isfinite(emb.values).all()
-        assert len(calls) == 1  # one encoder.forward per synapse, the call the benchmark paces
+        assert len(calls) == 1  # one encoder.forward per chunk, the call the benchmark paces
+
+    @pytest.mark.parametrize("m", [1, 4, 5, 6, 11])
+    def test_chunked_rows_equal_one_view_rows(self, m):
+        # the default encoder at 8^3 embeds in chunks of 5: 11 synapses run as 5 + 5 + 1
+        cfg = enc.EncoderConfig(patch_side=8)
+        assert an._views_per_chunk(cfg) == 5
+        rng = np.random.default_rng(m)
+        vol = IntensityVolume(VolumeHeader((24, 20, 16)), rng.integers(0, 256, (16, 20, 24), dtype=np.uint8))
+        recs = [SynapseRecord(i, tuple(int(c) for c in rng.integers(0, 16, 3)), 1) for i in range(m)]
+        params = {k: v + 0.01 * rng.standard_normal(v.shape) for k, v in enc.init(cfg).items()}
+        emb = an.embed_with_params(params, cfg, vol, recs)
+        assert emb.values.shape == (m, cfg.h_dim)
+        for i, rec in enumerate(recs):
+            h, _ = enc.forward(params, sp.extract_patch(vol, rec.pos, 8)[None], cfg)
+            assert emb.values[i].tobytes() == h[0].tobytes(), i
+
+    def test_chunk_rule_from_shapes(self, monkeypatch):
+        # the widest conv (c8-8) keeps z-slabs of at least k-1 = 2 planes:
+        # 768 KiB // (72 rows x 64 columns x 8 B x B) - 2 >= 2 holds up to B = 5 at 8^3
+        chunk = {s: an._views_per_chunk(enc.EncoderConfig(patch_side=s)) for s in (8, 16, 80)}
+        assert chunk == {8: 5, 16: 1, 80: 1}
+        monkeypatch.setattr(nc, "SLAB_BYTES", 1)
+        assert an._views_per_chunk(enc.EncoderConfig(patch_side=8)) == 1
 
     def test_row_order_follows_table_order(self, tmp_path):
         vol, recs = ramp_dataset()

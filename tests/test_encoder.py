@@ -122,7 +122,7 @@ class TestForward:
                 params[k] = np.zeros_like(params[k])
         params["head_h.b"] = np.array([1.0, -2.0, 0.5, -0.5, 3.0])
         h, _ = enc.forward(params, np.full((1, 8, 8, 8), 0.7), SMALL)
-        assert np.array_equal(h, np.maximum(params["head_h.b"], 0.0))
+        assert np.array_equal(h, np.maximum(params["head_h.b"], 0.0)[None])
 
     def test_not_rotation_invariant(self):
         rng = np.random.default_rng(2)
@@ -145,6 +145,27 @@ class TestForward:
         params = init(0)
         with pytest.raises(Exception):
             enc.forward(params, np.zeros((1, 4, 4, 4)), SMALL)
+        for stack in (np.zeros((0, 8, 8, 8)), np.zeros((8, 8, 8))):
+            with pytest.raises(nc.ShapeError, match="patch stack shape"):
+                enc.forward(params, stack, SMALL)
+
+    @pytest.mark.parametrize("cfg", [SMALL, enc.EncoderConfig(patch_side=8), DEFAULT], ids=["small", "8", "16"])
+    @pytest.mark.parametrize("views", [2, 3, 5])
+    def test_stack_rows_are_one_view_rows(self, cfg, views):
+        # each view's convs, pools and h GEMV see exactly its one-view operands
+        rng = np.random.default_rng(views)
+        params = {k: v + 0.01 * rng.standard_normal(v.shape) for k, v in enc.init(cfg).items()}
+        s = cfg.patch_side
+        stack = rng.uniform(0.0, 1.0, size=(views, s, s, s))
+        h, cache = enc.forward(params, stack, cfg)
+        assert h.shape == (views, cfg.h_dim) and cache["pooled_shape"][-1] == views
+        for v in range(views):
+            assert h[v].tobytes() == enc.forward(params, stack[v:v + 1], cfg)[0][0].tobytes(), v
+
+    def test_project_takes_one_view(self):
+        _, cache = enc.forward(init(0), rand_patch(np.random.default_rng(7), 8).repeat(2, axis=0), SMALL)
+        with pytest.raises(nc.ShapeError, match="one view"):
+            enc.project(init(0), cache)
 
 
 class TestBackward:

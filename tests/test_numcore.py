@@ -8,11 +8,11 @@ from oracles import (central_diff, conv3d_flat_grid, conv3d_loops, conv3d_weight
                      grad_close, maxpool3d_backward_loops, maxpool3d_loops)
 
 
-def rand_conv_case(rng, c_in=None, c_out=None, k=3, spatial=None):
+def rand_conv_case(rng, c_in=None, c_out=None, k=3, spatial=None, views=1):
     c_in = c_in or int(rng.integers(1, 4))
     c_out = c_out or int(rng.integers(1, 4))
     d, h, w = spatial or rng.integers(2, 6, size=3)
-    x = rng.normal(size=(c_in, d, h, w))
+    x = rng.normal(size=(c_in, d, h, w, views))
     wts = rng.normal(size=(c_out, c_in, k, k, k)) / np.sqrt(c_in * k**3)
     b = rng.normal(size=c_out)
     return x, wts, b
@@ -43,17 +43,17 @@ ENCODER_CONVS = [(c_in, c_out, (s, s, s)) for side in (16, 8)
 class TestConvForward:
     def test_identity_1x1_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 3, 3, 3))
+        x = rng.normal(size=(1, 3, 3, 3, 1))
         w = np.ones((1, 1, 1, 1, 1))
         y = nc.conv3d_forward(x, w, np.zeros(1))
         assert np.array_equal(y, x)
 
     def test_all_ones_counting(self):
-        x = np.ones((1, 4, 4, 4))
+        x = np.ones((1, 4, 4, 4, 1))
         w = np.ones((1, 1, 3, 3, 3))
         y = nc.conv3d_forward(x, w, np.zeros(1))
-        assert y[0, 1, 1, 1] == 27  # interior
-        assert y[0, 0, 0, 0] == 8  # corner
+        assert y[0, 1, 1, 1, 0] == 27  # interior
+        assert y[0, 0, 0, 0, 0] == 8  # corner
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -66,7 +66,9 @@ class TestConvForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(nc.ShapeError):
-            nc.conv3d_forward(np.zeros((2, 4, 4, 4)), np.zeros((1, 3, 3, 3, 3)), np.zeros(1))
+            nc.conv3d_forward(np.zeros((2, 4, 4, 4, 1)), np.zeros((1, 3, 3, 3, 3)), np.zeros(1))
+        with pytest.raises(nc.ShapeError, match=r"\(C,D,H,W,B\)"):
+            nc.conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
 
 
 def _flip(w):
@@ -129,14 +131,14 @@ class TestConvSlabs:
     def test_weight_grad_matches_tap_sums(self, c_in, c_out, spatial):
         rng = np.random.default_rng(17)
         x, w, _ = rand_conv_case(rng, c_in=c_in, c_out=c_out, spatial=spatial)
-        d_y = rng.normal(size=(c_out,) + spatial)
+        d_y = rng.normal(size=(c_out,) + spatial + (1,))
         _, d_w, _ = nc.conv3d_backward(x, w, d_y, need_dx=False)
         assert _rel_err(d_w, conv3d_weight_grad_taps(x, d_y, 3)) <= 1e-12
 
     def test_one_plane_slabs(self, monkeypatch):
         rng = np.random.default_rng(18)
         x, w, b = rand_conv_case(rng, c_in=8, c_out=8, spatial=(13, 16, 16))
-        d_y = rng.normal(size=(8, 13, 16, 16))
+        d_y = rng.normal(size=(8, 13, 16, 16, 1))
 
         def run():
             return (nc.conv3d_forward(x, w, b),) + nc.conv3d_backward(x, w, d_y)[:2]
@@ -162,8 +164,70 @@ class TestConvSlabs:
     def test_backward_peak_memory_under_2_mb(self):
         rng = np.random.default_rng(15)
         x, w, _ = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
-        d_y = rng.normal(size=(8, 16, 16, 16))
+        d_y = rng.normal(size=(8, 16, 16, 16, 1))
         assert _traced_peak(lambda: nc.conv3d_backward(x, w, d_y)) < 2_000_000
+
+
+# (c_in, c_out, k, (D,H,W)) run with several views side by side: small shape
+# cases, non-cubic and below k, for the loop oracles, and the encoder's convs
+# at 8^3, the side that embedding runs in chunks
+VIEW_LOOP_CASES = [(2, 3, 3, (3, 4, 2)), (1, 2, 3, (1, 2, 3)), (2, 1, 1, (2, 3, 2)), (1, 2, 5, (3, 2, 2))]
+VIEW_ENCODER_CASES = [(ci, co, 3, sp) for ci, co, sp in ENCODER_CONVS if sp[0] <= 8]
+
+
+def _one_view(x, v):
+    return np.ascontiguousarray(x[..., v:v + 1])
+
+
+class TestViewAxis:
+    """B views side by side: each view's conv and pool, under any slab depth."""
+
+    @pytest.mark.parametrize("slab_bytes", [1, 1 << 40], ids=["one-plane", "whole-grid"])
+    @pytest.mark.parametrize("views", [2, 3, 5])
+    @pytest.mark.parametrize("c_in,c_out,k,spatial", VIEW_LOOP_CASES)
+    def test_conv_matches_loop_oracles(self, monkeypatch, slab_bytes, views, c_in, c_out, k, spatial):
+        monkeypatch.setattr(nc, "SLAB_BYTES", slab_bytes)
+        rng = np.random.default_rng(19)
+        x, w, b = rand_conv_case(rng, c_in=c_in, c_out=c_out, k=k, spatial=spatial, views=views)
+        d_y = rng.normal(size=(c_out,) + spatial + (views,))
+        d_x, d_w, d_b = nc.conv3d_backward(x, w, d_y)
+        assert np.max(np.abs(nc.conv3d_forward(x, w, b) - conv3d_loops(x, w, b))) <= 1e-12
+        assert np.max(np.abs(d_x - conv3d_loops(d_y, _flip(w), np.zeros(c_in)))) <= 1e-12
+        assert _rel_err(d_w, conv3d_weight_grad_taps(x, d_y, k)) <= 1e-12
+        assert np.allclose(d_b, d_y.sum(axis=(1, 2, 3, 4)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slab_bytes", [1, 1 << 40], ids=["one-plane", "whole-grid"])
+    @pytest.mark.parametrize("views", [2, 3, 5])
+    @pytest.mark.parametrize("c_in,c_out,k,spatial", VIEW_ENCODER_CASES)
+    def test_encoder_convs_give_one_view_bits(self, monkeypatch, slab_bytes, views, c_in, c_out, k, spatial):
+        # a slab's GEMMs have H*W*B columns per plane; only a one-plane slab of a
+        # 2^3 conv at odd B has a count that is not a multiple of 8, and the
+        # SLAB_BYTES budget gives those only from 22 views on
+        monkeypatch.setattr(nc, "SLAB_BYTES", slab_bytes)
+        rng = np.random.default_rng(20)
+        x, w, b = rand_conv_case(rng, c_in=c_in, c_out=c_out, k=k, spatial=spatial, views=views)
+        d_y = rng.normal(size=(c_out,) + spatial + (views,))
+        got = {"forward": nc.conv3d_forward(x, w, b), "d_x": nc.conv3d_backward(x, w, d_y)[0]}
+        want = {"forward": conv3d_flat_grid(x, w, b), "d_x": conv3d_flat_grid(d_y, _flip(w), np.zeros(c_in))}
+        for name in want:
+            if slab_bytes == 1 and spatial[1] * spatial[2] * views % 8:
+                assert _rel_err(got[name], want[name]) <= 1e-13, name
+            else:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("views", [2, 3, 5])
+    @pytest.mark.parametrize("spatial", [(4, 6, 2), (2, 2, 2), (8, 8, 8)])
+    def test_pool_matches_loops_and_one_view_bits(self, views, spatial):
+        rng = np.random.default_rng(21)
+        shape = (3,) + spatial + (views,)
+        x = np.maximum(rng.integers(-3, 3, shape), 0).astype(float)  # ties in most windows
+        d_y = rng.normal(size=(3,) + tuple(e // 2 for e in spatial) + (views,))
+        y = nc.maxpool3d_forward(x)
+        d_x = nc.maxpool3d_backward(x, d_y)
+        assert np.array_equal(y, maxpool3d_loops(x))
+        assert np.array_equal(d_x, maxpool3d_backward_loops(x, d_y))
+        for v in range(views):
+            assert d_x[..., v:v + 1].tobytes() == nc.maxpool3d_backward(_one_view(x, v), _one_view(d_y, v)).tobytes()
 
 
 class TestConvBackward:
@@ -180,7 +244,7 @@ class TestConvBackward:
         x, w, b = rand_conv_case(rng)
         d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
         _, _, d_b = nc.conv3d_backward(x, w, d_y)
-        assert np.allclose(d_b, d_y.sum(axis=(1, 2, 3)), atol=1e-12)
+        assert np.allclose(d_b, d_y.sum(axis=(1, 2, 3, 4)), atol=1e-12)
 
     def test_finite_differences_all_operands(self):
         rng = np.random.default_rng(3)
@@ -217,10 +281,10 @@ class TestConvBackward:
 
 class TestMaxPool:
     def test_constant_input_tie_rule(self):
-        x = np.full((1, 4, 4, 4), 2.5)
+        x = np.full((1, 4, 4, 4, 1), 2.5)
         y = nc.maxpool3d_forward(x)
-        assert np.array_equal(y, np.full((1, 2, 2, 2), 2.5))
-        d_y = np.ones((1, 2, 2, 2))
+        assert np.array_equal(y, np.full((1, 2, 2, 2, 1), 2.5))
+        d_y = np.ones((1, 2, 2, 2, 1))
         d_x = nc.maxpool3d_backward(x, d_y)
         # gradient routed to the first (lowest linear index) voxel of each window
         want = np.zeros_like(x)
@@ -231,30 +295,33 @@ class TestMaxPool:
         rng = np.random.default_rng(4)
         for _ in range(5):
             c = int(rng.integers(1, 4))
-            x = rng.normal(size=(c, 4, 6, 2))
+            x = rng.normal(size=(c, 4, 6, 2, 1))
             assert np.array_equal(nc.maxpool3d_forward(x), maxpool3d_loops(x))
 
-    @pytest.mark.parametrize("shape", [(8, 16, 16, 16), (16, 8, 8, 8), (32, 4, 4, 4),
-                                       (8, 8, 8, 8), (16, 4, 4, 4), (32, 2, 2, 2), (3, 4, 6, 2)])
+    @pytest.mark.parametrize("shape", [(8, 16, 16, 16, 1), (16, 8, 8, 8, 1), (32, 4, 4, 4, 1),
+                                       (8, 8, 8, 8, 1), (16, 4, 4, 4, 1), (32, 2, 2, 2, 1),
+                                       (3, 4, 6, 2, 1)])
     def test_tie_heavy_input_matches_loop_oracles(self, shape):
         # the encoder's six pool shapes and a non-cubic one; most windows hold
         # several voxels equal to their max
         rng = np.random.default_rng(16)
         x = np.maximum(rng.integers(-3, 3, shape), 0).astype(float)
-        d_y = rng.normal(size=(shape[0],) + tuple(e // 2 for e in shape[1:]))
+        d_y = rng.normal(size=(shape[0],) + tuple(e // 2 for e in shape[1:4]) + shape[4:])
         assert np.array_equal(nc.maxpool3d_forward(x), maxpool3d_loops(x))
         assert np.array_equal(nc.maxpool3d_backward(x, d_y), maxpool3d_backward_loops(x, d_y))
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(nc.ShapeError):
-            nc.maxpool3d_forward(np.zeros((1, 3, 4, 4)))
+            nc.maxpool3d_forward(np.zeros((1, 3, 4, 4, 1)))
+        with pytest.raises(nc.ShapeError, match=r"\(C,D,H,W,B\)"):
+            nc.maxpool3d_forward(np.zeros((1, 4, 4, 4)))
 
     def test_finite_differences_non_tied(self):
         rng = np.random.default_rng(5)
         for _ in range(3):
             # inputs spaced well apart so FD never crosses a tie
-            x = rng.permutation(np.arange(2 * 4 * 4 * 4, dtype=float)).reshape(2, 4, 4, 4)
-            d_y = rng.normal(size=(2, 2, 2, 2))
+            x = rng.permutation(np.arange(2 * 4 * 4 * 4, dtype=float)).reshape(2, 4, 4, 4, 1)
+            d_y = rng.normal(size=(2, 2, 2, 2, 1))
             d_x = nc.maxpool3d_backward(x, d_y)
 
             def loss(xv):
@@ -332,7 +399,7 @@ class TestPurity:
         # and the backward reads d_output in place, slab by slab
         x16, w16, b16 = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
         d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
-        d_y16 = rng.normal(size=(8, 16, 16, 16))
+        d_y16 = rng.normal(size=(8, 16, 16, 16, 1))
         inputs = (x, w, b, d_y, x16, w16, b16, d_y16)
         before = [a.copy() for a in inputs]
         nc.conv3d_forward(x, w, b)
@@ -340,7 +407,7 @@ class TestPurity:
         nc.conv3d_forward(x16, w16, b16)
         nc.conv3d_backward(x16, w16, d_y16)
         nc.maxpool3d_forward(x)
-        nc.maxpool3d_backward(x, np.ones((x.shape[0], 2, 2, 2)))
+        nc.maxpool3d_backward(x, np.ones((x.shape[0], 2, 2, 2, 1)))
         nc.relu_forward(x)
         for a, a0 in zip(inputs, before, strict=True):
             assert np.array_equal(a, a0)

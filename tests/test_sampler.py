@@ -66,6 +66,15 @@ def octahedral_inverse_table() -> list[int]:
 OCTAHEDRAL_INVERSE = octahedral_inverse_table()
 
 
+@pytest.mark.parametrize("value", [2.5, 8.0, True])
+@pytest.mark.parametrize("make, field", [
+    (sp.SamplerConfig, "patch_side"), (sp.SamplerConfig, "batch_pairs"), (sp.AugmentConfig, "max_jitter_vox"),
+])
+def test_non_integer_count_rejected(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make(**{field: value})
+
+
 class TestOctahedral:
     def test_group_has_48_distinct_elements(self):
         probe = np.arange(27.0).reshape(3, 3, 3)

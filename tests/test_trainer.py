@@ -262,6 +262,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="patch_side"):
             tiny_config(sampler=sp.SamplerConfig(patch_side=16, batch_pairs=2))
 
+    @pytest.mark.parametrize("value", [2.5, 8.0, True])
+    @pytest.mark.parametrize("field", ["steps", "checkpoint_every", "log_every", "seed"])
+    def test_non_integer_count_rejected(self, field, value):
+        # steps=2.5 used to train 3 steps
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tr.TrainConfig(**{field: value})
+
     def test_resume_config_mismatch_rejected(self, tmp_path):
         ds = tiny_dataset()
         cfg = tiny_config(steps=4, checkpoint_every=2)

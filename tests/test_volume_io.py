@@ -290,6 +290,14 @@ class TestEmbeddings:
         with pytest.raises(VolumeFormatError, match="non-numeric"):
             read_embeddings(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1" + "0" * 400])
+    def test_non_finite_rejected(self, tmp_path, value):
+        # a 400-digit literal overflows to inf
+        p = tmp_path / "emb.csv"
+        p.write_text(f"id,e0,e1\n0,0.5,0.5\n1,0.5,{value}\n")
+        with pytest.raises(VolumeFormatError, match="non-finite entry at data row 1"):
+            read_embeddings(p)
+
     def test_oversized_field_typed_error(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("id,e0,e1\n0,0.5," + "x" * 200_000 + "\n")
