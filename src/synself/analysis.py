@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
-from . import numcore as nc
 from . import sampler as sp
 from .volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, _atomic_write, check_synapses_in_bounds
 
@@ -63,30 +62,13 @@ def embed_with_params(
     if not synapses:
         raise AnalysisError("no synapses to embed")
     check_synapses_in_bounds(synapses, volume.header)
-    chunk = _views_per_chunk(cfg)
+    chunk = enc.views_per_chunk(cfg)
     rows = []
     for i in range(0, len(synapses), chunk):
         patches = np.stack([sp.extract_patch(volume, rec.pos, cfg.patch_side) for rec in synapses[i:i + chunk]])
         h, _ = enc.forward(params, patches, cfg)
         rows.append(h)
     return EmbeddingMatrix([r.id for r in synapses], np.concatenate(rows))
-
-
-def _views_per_chunk(cfg: enc.EncoderConfig) -> int:
-    """The most views per forward whose widest conv, the one with the most column
-    bytes per plane, still runs in z-slabs of at least k-1 planes, so that no slab
-    refills more halo planes than it computes: 5 at 8^3, 1 at 16^3 and 80^3.
-
-    B views run in slabs of ``SLAB_BYTES // (bytes_per_plane * B) - (k-1)`` planes.
-    """
-    k = 3
-    c_in, widest = 1, 0
-    for bi, c_out in enumerate(cfg.channels):
-        side = cfg.patch_side >> bi
-        for _ in range(cfg.convs_per_block):
-            widest = max(widest, 8 * c_in * k * k * side * side)
-            c_in = c_out
-    return max(1, nc.SLAB_BYTES // (widest * 2 * (k - 1)))
 
 
 # ---------------------------------------------------------------------------

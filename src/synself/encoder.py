@@ -103,9 +103,8 @@ def forward(params: dict[str, np.ndarray], patches: np.ndarray, cfg: EncoderConf
     consumes. The views run side by side in numcore's (C,D,H,W,B) layout, and
     each row has the bits of a one-view forward: every conv and pool output
     of a view is its one-view output, and the h head runs one GEMV per view,
-    since one GEMM over the stack could sum in another order. Training runs
-    one view per call, so that view gradients sum in view order; embedding
-    runs several.
+    since one GEMM over the stack could sum in another order. Training and
+    embedding both run chunks of :func:`views_per_chunk` views.
 
     The cache holds each conv's input, each block's pool input, the
     flattened pooled rows and h, and no pre-activation: every conv's relu
@@ -141,21 +140,26 @@ def forward(params: dict[str, np.ndarray], patches: np.ndarray, cfg: EncoderConf
 
 
 def project(params: dict[str, np.ndarray], cache: dict) -> np.ndarray:
-    """Unit-norm projection z of the cached h of a one-view forward; records
-    z_pre in the cache for :func:`backward`.
+    """(B, z_dim) unit-norm projections z of the cached h rows of a B-view
+    forward; records z_pre in the cache for :func:`backward`.
 
+    Each row runs its own GEMV, so it has the bits of a one-view projection.
     A zero z_pre has no direction and raises ValueError.
     """
-    if len(cache["h"]) != 1:
-        raise nc.ShapeError(f"project takes the cache of one view, got {len(cache['h'])}")
-    z_pre = nc.dense_forward(cache["h"][0], params["head_z.w"], params["head_z.b"])
-    z = nc.l2_normalize_forward(z_pre)
+    z_pre = np.array([nc.dense_forward(h, params["head_z.w"], params["head_z.b"]) for h in cache["h"]])
+    z = np.array([nc.l2_normalize_forward(row) for row in z_pre])
     cache["z_pre"] = z_pre
     return z
 
 
 def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact parameter gradients, given the loss gradient d_z at z = project(params, cache).
+    """Exact parameter gradients, summed over the B views of the cache, given
+    the (B, z_dim) loss gradient d_z at z = project(params, cache).
+
+    The z and h heads run per view, and their gradients add in view order;
+    the d_flat rows go back into the (C,D,H,W,B) layout, and every pool and
+    conv backward runs once over all B views, so each conv's d_w and d_b sum
+    over the views inside numcore. At B = 1 these are the one-view gradients.
 
     Each relu's mask is read from its output: ``relu(pre) > 0`` exactly where
     ``pre > 0``, NaN and -0.0 included, so the gradients are bit for bit those
@@ -163,13 +167,19 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
     next conv's cached input, or for a block's last conv the block's pool
     input; that of the h head is h.
     """
-    grads = {}
-    d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64))
-    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"][0], params["head_z.w"], d_zpre)
-    d_hpre = nc.relu_backward(cache["h"][0], d_h)
-    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(
-        cache["flat"][0], params["head_h.w"], d_hpre)
-    d_x = d_flat.reshape(cache["pooled_shape"])
+    d_z = np.asarray(d_z, dtype=np.float64)
+    if d_z.shape != cache["z_pre"].shape:
+        raise nc.ShapeError(f"d_z shape {d_z.shape} != projected shape {cache['z_pre'].shape}")
+    d_flat, heads = [], []
+    for h, flat, z_pre, d_zv in zip(cache["h"], cache["flat"], cache["z_pre"], d_z):
+        d_zpre = nc.l2_normalize_backward(z_pre, d_zv)
+        d_h, d_wz, d_bz = nc.dense_backward(h, params["head_z.w"], d_zpre)
+        d_row, d_wh, d_bh = nc.dense_backward(flat, params["head_h.w"], nc.relu_backward(h, d_h))
+        d_flat.append(d_row)
+        heads.append((d_wz, d_bz, d_wh, d_bh))
+    names = ("head_z.w", "head_z.b", "head_h.w", "head_h.b")
+    grads = {name: sum(per_view[1:], per_view[0]) for name, per_view in zip(names, zip(*heads))}
+    d_x = np.ascontiguousarray(np.array(d_flat).T).reshape(cache["pooled_shape"])
 
     conv_inputs = cache["conv_inputs"]
     n_blocks = len(cache["pool_inputs"])
@@ -186,6 +196,24 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
             d_x, grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = nc.conv3d_backward(
                 relu_out, params[f"block{bi}.conv{ci}.w"], d_pre, need_dx=li > 0)
     return grads
+
+
+def views_per_chunk(cfg: EncoderConfig) -> int:
+    """The most views per forward whose widest conv, the one with the most column
+    bytes per plane, still runs in z-slabs of at least k-1 planes, so that no slab
+    refills more halo planes than it computes: 5 at 8^3, 1 at 16^3 and 80^3.
+    Training and embedding both run their views in chunks of this many.
+
+    B views run in slabs of ``SLAB_BYTES // (bytes_per_plane * B) - (k-1)`` planes.
+    """
+    k = 3
+    c_in, widest = 1, 0
+    for bi, c_out in enumerate(cfg.channels):
+        side = cfg.patch_side >> bi
+        for _ in range(cfg.convs_per_block):
+            widest = max(widest, 8 * c_in * k * k * side * side)
+            c_in = c_out
+    return max(1, nc.SLAB_BYTES // (widest * 2 * (k - 1)))
 
 
 # ---------------------------------------------------------------------------

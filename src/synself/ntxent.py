@@ -12,6 +12,7 @@ the unit-normalization Jacobian belongs to the encoder's own backward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class NTXentConfig:
     temperature: float = 0.5
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def _partners(z: np.ndarray) -> np.ndarray:

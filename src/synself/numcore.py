@@ -9,9 +9,10 @@ Convolutions are stride-1 with same padding (k odd) only, pooling is disjoint
 2x2x2 — the minimal vocabulary for a VGG-style volumetric encoder.
 
 Conv and pool tensors have one layout, (C, D, H, W, B): B views, innermost.
-Training runs one view per call (B = 1); embedding runs several, because at
-small extents a one-view conv is bound by copying runs of W doubles, and B
-views make every run W*B long.
+Training and embedding both run chunks of several views where the encoder's
+convs allow it (5 at 8^3, 1 at 16^3 and 80^3), because at small extents a
+one-view conv is bound by copying runs of W doubles, and B views make every
+run W*B long.
 
 Convolutions run over z-slabs of column rows. The input is zero-padded as a
 (C, D+k-1, H+k-1, (W+k-1)*B) array, W and B merged into one axis, and column

@@ -34,12 +34,17 @@ class AugmentConfig:
     def __post_init__(self):
         if type(self.max_jitter_vox) is not int:
             raise ValueError(f"max_jitter_vox must be an integer, got {self.max_jitter_vox!r}")
+        for name in ("intensity_scale_range", "intensity_shift_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must have finite ends, got {(lo, hi)}")
         if self.intensity_scale_range[0] > self.intensity_scale_range[1]:
             raise ValueError(f"scale range lo > hi: {self.intensity_scale_range}")
         if self.intensity_shift_range[0] > self.intensity_shift_range[1]:
             raise ValueError(f"shift range lo > hi: {self.intensity_shift_range}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # a NaN sigma would fail the "> 0" test that turns the noise on, and so disable it
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.max_jitter_vox < 0:
             raise ValueError(f"max_jitter_vox must be >= 0, got {self.max_jitter_vox}")
 

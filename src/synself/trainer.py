@@ -2,16 +2,19 @@
 
 Every artifact is a deterministic function of (config, dataset): the sampler
 rng and the logged metrics rows are owned by the train state and saved in
-checkpoints, view gradients are summed in view order, and metrics/checkpoint
-files carry no clocks or hostnames. Checkpoints reuse the encoder container
-format; encoder.load() can open them directly and ignores the extra optimizer
-tensors and the train_state config key.
+checkpoints, the reduction order of the gradients is fixed, and
+metrics/checkpoint files carry no clocks or hostnames. A step's views run in
+chunks of ``encoder.views_per_chunk``: each chunk's backward sums its views'
+gradients, and the step sums the chunk gradients in chunk order. Checkpoints
+reuse the encoder container format; encoder.load() can open them directly and
+ignores the extra optimizer tensors and the train_state config key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -52,8 +55,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        # finite and > 0: an infinite lr or a NaN eps passes a bare "> 0" or ">= 0" check,
+        # and adam_eps = 0 gives a parameter whose gradient is exactly 0 a 0/0 = NaN update
+        for name in ("lr", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("adam_beta1", "adam_beta2"):
             beta = getattr(self, name)
             if not 0 <= beta < 1:
@@ -98,9 +105,10 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
     views = np.concatenate([batch.views_a, batch.views_b], axis=0)
 
+    chunk = enc.views_per_chunk(cfg.encoder)
     z_rows, caches = [], []
-    for view in views:
-        _, cache = enc.forward(state.params, view[None, :, :, :], cfg.encoder)
+    for i in range(0, len(views), chunk):
+        _, cache = enc.forward(state.params, views[i:i + chunk], cfg.encoder)
         try:
             z_rows.append(enc.project(state.params, cache))
         except ValueError as e:
@@ -109,12 +117,12 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
                 f"(batch fingerprint {_batch_fingerprint(views)}): {e}"
             ) from e
         caches.append(cache)
-    z_rows = np.stack(z_rows)
+    z_rows = np.concatenate(z_rows)
     value, d_z = ntxent.loss(z_rows, cfg.ntxent.temperature)
 
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    for cache, d_view in zip(caches, d_z):  # fixed view order keeps the reduction deterministic
-        g = enc.backward(state.params, cache, d_view)
+    for i, cache in enumerate(caches):  # fixed chunk order keeps the reduction deterministic
+        g = enc.backward(state.params, cache, d_z[i * chunk:(i + 1) * chunk])
         for k in grads:
             grads[k] += g[k]
 

@@ -136,13 +136,14 @@ def conv3d_weight_grad_taps(x, d_output, k):
 
 
 def encoder_pre_activations(params, cache):
-    """Each conv's pre-relu output, recomputed from its cached input, and h's pre-activation."""
+    """Each conv's pre-relu output, recomputed from its cached input, and h's
+    pre-activation rows, one GEMV per view."""
     n_blocks = len(cache["pool_inputs"])
     per_block = len(cache["conv_inputs"]) // n_blocks
     names = (f"block{li // per_block}.conv{li % per_block}" for li in range(len(cache["conv_inputs"])))
     conv_pre = [nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
                 for name, x in zip(names, cache["conv_inputs"])]
-    h_pre = nc.dense_forward(cache["flat"][0], params["head_h.w"], params["head_h.b"])
+    h_pre = np.array([nc.dense_forward(flat, params["head_h.w"], params["head_h.b"]) for flat in cache["flat"]])
     return conv_pre, h_pre
 
 
@@ -152,15 +153,22 @@ def encoder_backward_from_pre(params, cache, d_z):
     Not a loop oracle: it runs the same ``numcore`` layers as
     ``encoder.backward`` and differs only in feeding ``relu_backward`` the
     recomputed pre-activations where ``encoder.backward`` feeds it the cached
-    relu outputs, so the two must agree byte for byte.
+    relu outputs, so the two must agree byte for byte. The heads run view by
+    view, and their gradients add in view order.
     """
     conv_pre, h_pre = encoder_pre_activations(params, cache)
     grads = {}
-    d_zpre = nc.l2_normalize_backward(cache["z_pre"], np.asarray(d_z, dtype=np.float64))
-    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"][0], params["head_z.w"], d_zpre)
-    d_hpre = nc.relu_backward(h_pre, d_h)
-    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(cache["flat"][0], params["head_h.w"], d_hpre)
-    d_x = d_flat.reshape(cache["pooled_shape"])
+    d_flat = np.empty_like(cache["flat"])
+    for v in range(len(d_z)):
+        view = {}
+        d_zpre = nc.l2_normalize_backward(cache["z_pre"][v], np.asarray(d_z[v], dtype=np.float64))
+        d_h, view["head_z.w"], view["head_z.b"] = nc.dense_backward(cache["h"][v], params["head_z.w"], d_zpre)
+        d_hpre = nc.relu_backward(h_pre[v], d_h)
+        d_flat[v], view["head_h.w"], view["head_h.b"] = nc.dense_backward(
+            cache["flat"][v], params["head_h.w"], d_hpre)
+        for name, g in view.items():
+            grads[name] = grads[name] + g if v else g
+    d_x = d_flat.T.reshape(cache["pooled_shape"])
     n_blocks = len(cache["pool_inputs"])
     per_block = len(conv_pre) // n_blocks
     li = len(conv_pre)

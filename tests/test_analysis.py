@@ -79,7 +79,7 @@ class TestEmbedAll:
     def test_chunked_rows_equal_one_view_rows(self, m):
         # the default encoder at 8^3 embeds in chunks of 5: 11 synapses run as 5 + 5 + 1
         cfg = enc.EncoderConfig(patch_side=8)
-        assert an._views_per_chunk(cfg) == 5
+        assert enc.views_per_chunk(cfg) == 5
         rng = np.random.default_rng(m)
         vol = IntensityVolume(VolumeHeader((24, 20, 16)), rng.integers(0, 256, (16, 20, 24), dtype=np.uint8))
         recs = [SynapseRecord(i, tuple(int(c) for c in rng.integers(0, 16, 3)), 1) for i in range(m)]
@@ -93,10 +93,10 @@ class TestEmbedAll:
     def test_chunk_rule_from_shapes(self, monkeypatch):
         # the widest conv (c8-8) keeps z-slabs of at least k-1 = 2 planes:
         # 768 KiB // (72 rows x 64 columns x 8 B x B) - 2 >= 2 holds up to B = 5 at 8^3
-        chunk = {s: an._views_per_chunk(enc.EncoderConfig(patch_side=s)) for s in (8, 16, 80)}
+        chunk = {s: enc.views_per_chunk(enc.EncoderConfig(patch_side=s)) for s in (8, 16, 80)}
         assert chunk == {8: 5, 16: 1, 80: 1}
         monkeypatch.setattr(nc, "SLAB_BYTES", 1)
-        assert an._views_per_chunk(enc.EncoderConfig(patch_side=8)) == 1
+        assert enc.views_per_chunk(enc.EncoderConfig(patch_side=8)) == 1
 
     def test_row_order_follows_table_order(self, tmp_path):
         vol, recs = ramp_dataset()

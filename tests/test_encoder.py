@@ -162,10 +162,94 @@ class TestForward:
         for v in range(views):
             assert h[v].tobytes() == enc.forward(params, stack[v:v + 1], cfg)[0][0].tobytes(), v
 
-    def test_project_takes_one_view(self):
-        _, cache = enc.forward(init(0), rand_patch(np.random.default_rng(7), 8).repeat(2, axis=0), SMALL)
-        with pytest.raises(nc.ShapeError, match="one view"):
-            enc.project(init(0), cache)
+    def test_project_rows_are_one_view_bytes(self):
+        # one GEMV per view: row v of a B-view projection is view v's one-view projection
+        rng = np.random.default_rng(7)
+        params = init(0)
+        for views in (2, 5):
+            stack = rng.uniform(0.0, 1.0, size=(views, 8, 8, 8))
+            _, z, cache = forward_z(params, stack)
+            assert z.shape == cache["z_pre"].shape == (views, SMALL.z_dim)
+            for v in range(views):
+                _, z_one, one = forward_z(params, stack[v:v + 1])
+                assert z[v].tobytes() == z_one[0].tobytes(), (views, v)
+                assert cache["z_pre"][v].tobytes() == one["z_pre"][0].tobytes(), (views, v)
+
+
+def check_backward_from_pre_activations(cfg, case, views):
+    """enc.backward on random, all-zero or half-bright patches, against the
+    backward that reads its relu masks from the recomputed pre-activations,
+    ties at 0.0 included: the same bytes."""
+    s = cfg.patch_side
+    rng = np.random.default_rng(s)
+    params = enc.init(cfg)  # zero biases
+    stack = np.zeros((views, s, s, s))
+    if case == "random":
+        stack = rng.uniform(0.0, 1.0, size=(views, s, s, s))
+    elif case == "halves":
+        stack[:, s // 2:] = 1.0
+    else:
+        # every activation of a zero patch is 0.0; a head bias gives z a direction
+        params["head_h.b"] = np.linspace(-1.0, 1.0, cfg.h_dim)
+    _, _, cache = forward_z(params, stack, cfg)
+    conv_pre, h_pre = encoder_pre_activations(params, cache)
+    if case == "zero":
+        assert all(not pre.any() for pre in conv_pre[:cfg.convs_per_block])
+    relu_outputs = []  # a conv's relu output is the next conv's input, or the pool's
+    for bi, pool_input in enumerate(cache["pool_inputs"]):
+        first = bi * cfg.convs_per_block
+        relu_outputs += cache["conv_inputs"][first + 1:first + cfg.convs_per_block] + [pool_input]
+    for pre, out in zip(conv_pre, relu_outputs):
+        assert nc.relu_forward(pre).tobytes() == out.tobytes()
+    assert nc.relu_forward(h_pre).tobytes() == cache["h"].tobytes()
+
+    d_z = rng.normal(size=(views, cfg.z_dim))
+    got = enc.backward(params, cache, d_z)
+    want = encoder_backward_from_pre(params, cache, d_z)
+    assert set(got) == set(want) == set(params)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    return params, stack, d_z, got
+
+
+def one_view_sum(params, stack, d_z, cfg):
+    """The gradients of one-view backwards, added in view order."""
+    total = None
+    for v in range(len(stack)):
+        _, _, cache = forward_z(params, stack[v:v + 1], cfg)
+        g = enc.backward(params, cache, d_z[v:v + 1])
+        total = g if total is None else {k: total[k] + g[k] for k in total}
+    return total
+
+
+def check_finite_differences(views):
+    """Directional probe of every parameter tensor of a tiny encoder, on a loss
+    that sums z . d_z over the views."""
+    rng = np.random.default_rng(6)
+    params = init(6)
+    stack = rng.uniform(0.0, 1.0, size=(views, 8, 8, 8))
+    d_z = rng.normal(size=(views, SMALL.z_dim))
+
+    def scalar(p):
+        _, z, _ = forward_z(p, stack)
+        return float(np.sum(z * d_z))
+
+    _, _, cache = forward_z(params, stack)
+    grads = enc.backward(params, cache, d_z)
+    eps = 1e-5
+    for name in params:
+        flat = params[name].reshape(-1)
+        n_probe = min(5, flat.size)
+        coords = rng.choice(flat.size, size=n_probe, replace=False)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = scalar(params)
+            flat[i] = orig - eps
+            fm = scalar(params)
+            flat[i] = orig
+            numeric = (fp - fm) / (2 * eps)
+            assert grad_close(grads[name].reshape(-1)[i], numeric, 1e-5), name
 
 
 class TestBackward:
@@ -173,71 +257,45 @@ class TestBackward:
         rng = np.random.default_rng(4)
         params = init(4)
         _, _, cache = forward_z(params, rand_patch(rng, 8))
-        grads = enc.backward(params, cache, np.zeros(SMALL.z_dim))
+        grads = enc.backward(params, cache, np.zeros((1, SMALL.z_dim)))
         assert all(not g.any() for g in grads.values())
+
+    @pytest.mark.parametrize("views", [2, 5])
+    def test_zero_cotangents_zero_grads_over_views(self, views):
+        rng = np.random.default_rng(4)
+        params = init(4)
+        _, _, cache = forward_z(params, rng.uniform(0.0, 1.0, size=(views, 8, 8, 8)))
+        grads = enc.backward(params, cache, np.zeros((views, SMALL.z_dim)))
+        assert all(not g.any() for g in grads.values())
+
+    def test_d_z_shape_must_match_the_views(self):
+        _, _, cache = forward_z(init(0), rand_patch(np.random.default_rng(0), 8).repeat(2, axis=0))
+        for d_z in (np.zeros(SMALL.z_dim), np.zeros((1, SMALL.z_dim)), np.zeros((3, SMALL.z_dim))):
+            with pytest.raises(nc.ShapeError, match="d_z shape"):
+                enc.backward(init(0), cache, d_z)
 
     @pytest.mark.parametrize("cfg", [DEFAULT, SMALL], ids=["16", "8"])
     @pytest.mark.parametrize("case", ["random", "zero", "halves"])
     def test_bytes_equal_backward_from_pre_activations(self, cfg, case):
-        # the relu masks come from the cached relu outputs; reading them from the
-        # recomputed pre-activations must give the same bytes, ties at 0.0 included
-        s = cfg.patch_side
-        rng = np.random.default_rng(s)
-        params = enc.init(cfg)  # zero biases
-        patch = np.zeros((1, s, s, s))
-        if case == "random":
-            patch = rand_patch(rng, s)
-        elif case == "halves":
-            patch[:, s // 2:] = 1.0
-        else:
-            # every activation of a zero patch is 0.0; a head bias gives z a direction
-            params["head_h.b"] = np.linspace(-1.0, 1.0, cfg.h_dim)
-        _, _, cache = forward_z(params, patch, cfg)
-        conv_pre, h_pre = encoder_pre_activations(params, cache)
-        if case == "zero":
-            assert all(not pre.any() for pre in conv_pre[:cfg.convs_per_block])
-        relu_outputs = []  # a conv's relu output is the next conv's input, or the pool's
-        for bi, pool_input in enumerate(cache["pool_inputs"]):
-            first = bi * cfg.convs_per_block
-            relu_outputs += cache["conv_inputs"][first + 1:first + cfg.convs_per_block] + [pool_input]
-        for pre, out in zip(conv_pre, relu_outputs):
-            assert nc.relu_forward(pre).tobytes() == out.tobytes()
-        assert nc.relu_forward(h_pre).tobytes() == cache["h"].tobytes()
+        check_backward_from_pre_activations(cfg, case, views=1)
 
-        d_z = rng.normal(size=cfg.z_dim)
-        got = enc.backward(params, cache, d_z)
-        want = encoder_backward_from_pre(params, cache, d_z)
-        assert set(got) == set(want) == set(params)
+    @pytest.mark.parametrize("cfg", [DEFAULT, SMALL, enc.EncoderConfig(patch_side=8)], ids=["16", "small", "8"])
+    @pytest.mark.parametrize("case", ["random", "zero", "halves"])
+    @pytest.mark.parametrize("views", [2, 5])
+    def test_views_backward_is_the_sum_of_one_view_backwards(self, cfg, case, views):
+        # the same bytes as the pre-activation backward, and, since the convs
+        # group d_w and d_b over the views, the sum of one-view backwards to rounding
+        params, stack, d_z, got = check_backward_from_pre_activations(cfg, case, views)
+        want = one_view_sum(params, stack, d_z, cfg)
         for name in want:
-            assert got[name].tobytes() == want[name].tobytes(), name
+            assert np.abs(got[name] - want[name]).max() <= 1e-13 * np.abs(want[name]).max(), name
 
     def test_finite_differences_sampled_coordinates(self):
-        # directional probe of every parameter tensor of a tiny encoder
-        rng = np.random.default_rng(6)
-        params = init(6)
-        patch = rand_patch(rng, 8)
-        d_z = rng.normal(size=SMALL.z_dim)
+        check_finite_differences(views=1)
 
-        def scalar(p):
-            _, z, _ = forward_z(p, patch)
-            return float(z @ d_z)
-
-        _, _, cache = forward_z(params, patch)
-        grads = enc.backward(params, cache, d_z)
-        eps = 1e-5
-        for name in params:
-            flat = params[name].reshape(-1)
-            n_probe = min(5, flat.size)
-            coords = rng.choice(flat.size, size=n_probe, replace=False)
-            for i in coords:
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = scalar(params)
-                flat[i] = orig - eps
-                fm = scalar(params)
-                flat[i] = orig
-                numeric = (fp - fm) / (2 * eps)
-                assert grad_close(grads[name].reshape(-1)[i], numeric, 1e-5), name
+    @pytest.mark.parametrize("views", [2, 5])
+    def test_finite_differences_multi_view_loss(self, views):
+        check_finite_differences(views)
 
 
 class TestActivationCache:

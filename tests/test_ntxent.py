@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,11 @@ class TestValidation:
             ntxent.loss(z, temperature=0.0)
         with pytest.raises(ValueError, match="temperature"):
             ntxent.NTXentConfig(temperature=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_config_temperature_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            ntxent.NTXentConfig(temperature=value)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

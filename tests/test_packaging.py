@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,19 @@ def test_every_script_entry_point_imports():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_benchmark_call_contract():
+    """The benchmark wraps trainer.train_step and encoder.forward by module
+    attribute and calls trainer.train and analysis.embed_all positionally; a
+    signature change there breaks it without failing its own tests here."""
+    from synself import analysis, encoder, trainer
+
+    assert callable(trainer.train_step) and callable(encoder.forward)
+    inspect.signature(trainer.train_step).bind("state", "dataset", "cfg")
+    inspect.signature(encoder.forward).bind("params", "patches", "cfg")
+    inspect.signature(trainer.train).bind("cfg", "dataset", "out_dir")
+    inspect.signature(analysis.embed_all).bind("ckpt", "vol", "syn", "side")
 
 
 def _public(name: str) -> bool:

@@ -75,6 +75,18 @@ def test_non_integer_count_rejected(make, field, value):
         make(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+    ("intensity_scale_range", (math.nan, 1.0)), ("intensity_scale_range", (0.9, math.inf)),
+    ("intensity_scale_range", (-math.inf, 1.1)), ("intensity_shift_range", (-10.0, math.nan)),
+    ("intensity_shift_range", (-math.inf, 10.0)), ("intensity_shift_range", (-10.0, math.inf)),
+])
+def test_non_finite_augment_value_rejected(field, value):
+    # a NaN noise_sigma used to pass, and disabled the noise: nan > 0 is False
+    with pytest.raises(ValueError, match=f"{field} must"):
+        sp.AugmentConfig(**{field: value})
+
+
 class TestOctahedral:
     def test_group_has_48_distinct_elements(self):
         probe = np.arange(27.0).reshape(3, 3, 3)

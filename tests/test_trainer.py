@@ -48,6 +48,15 @@ def tiny_config(steps=5, **kw):
     return tr.TrainConfig(**base)
 
 
+def chunked_config(**kw):
+    """The default channels at 8^3, 4 pairs: a step's 8 views run in chunks of 5 and 3."""
+    return tiny_config(
+        sampler=sp.SamplerConfig(patch_side=8, batch_pairs=4, augment=sp.AugmentConfig(max_jitter_vox=0)),
+        encoder=enc.EncoderConfig(patch_side=8, init_seed=1),
+        **kw,
+    )
+
+
 class TestTrainStep:
     def test_lr_zero_equivalent_parameters_unchanged(self):
         # lr itself must be > 0 per config; probe the contract at lr ~ 0
@@ -71,25 +80,37 @@ class TestTrainStep:
         assert all(np.array_equal(s1.params[k], s2.params[k]) for k in s1.params)
         assert s1.rng.bit_generator.state == s2.rng.bit_generator.state
 
-    def test_step_sums_view_gradients_in_view_order(self):
+    def test_step_sums_chunk_gradients_in_chunk_order(self):
+        # 8 views in chunks of 5 and 3: each chunk one forward, project and
+        # backward, and the chunk gradients summed in chunk order
         ds = tiny_dataset()
-        cfg = tiny_config()
+        cfg = chunked_config()
         state = tr.init_state(cfg)
         metrics = tr.train_step(state, ds, cfg)
 
         ref = tr.init_state(cfg)
         batch = sp.sample_batch(ds, cfg.sampler, ref.rng)
         views = np.concatenate([batch.views_a, batch.views_b])
-        caches = [enc.forward(ref.params, v[None], cfg.encoder)[1] for v in views]
-        z_rows = np.stack([enc.project(ref.params, cache) for cache in caches])
+        assert enc.views_per_chunk(cfg.encoder) == 5 and len(views) == 8
+        starts = (0, 5)
+        caches = [enc.forward(ref.params, views[i:i + 5], cfg.encoder)[1] for i in starts]
+        z_rows = np.concatenate([enc.project(ref.params, cache) for cache in caches])
         loss, d_z = ntxent.loss(z_rows, cfg.ntxent.temperature)
-        per_view = [enc.backward(ref.params, cache, d_z[i]) for i, cache in enumerate(caches)]
+        per_chunk = [enc.backward(ref.params, cache, d_z[i:i + 5]) for i, cache in zip(starts, caches)]
+        # the one-view route: the same z rows, and gradients added view by view
+        one_view = [enc.forward(ref.params, v[None], cfg.encoder)[1] for v in views]
+        assert np.concatenate([enc.project(ref.params, c) for c in one_view]).tobytes() == z_rows.tobytes()
+        per_view = [enc.backward(ref.params, cache, d_z[i:i + 1]) for i, cache in enumerate(one_view)]
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         sq_sum = 0.0
         for k, p in ref.params.items():
             g = np.zeros_like(p)
+            for chunk_grads in per_chunk:
+                g += chunk_grads[k]
+            by_view = np.zeros_like(p)
             for view_grads in per_view:
-                g += view_grads[k]
+                by_view += view_grads[k]
+            assert np.abs(g - by_view).max() <= 1e-13 * np.abs(by_view).max(), k
             sq_sum += float(np.sum(g * g))
             m = 0.0 + (1 - b1) * g  # first Adam step from zero moments
             v = 0.0 + (1 - b2) * g * g
@@ -133,6 +154,22 @@ class TestTrainStep:
         fingerprint = tr._batch_fingerprint(np.concatenate([batch.views_a, batch.views_b]))
         with pytest.raises(tr.TrainError, match=f"step 1 .*batch fingerprint {fingerprint}"):
             tr.train_step(tr.init_state(cfg), ds, cfg)
+
+    def test_zero_projection_in_a_later_chunk_is_a_train_error(self, monkeypatch):
+        # view 6 of 8, in the second chunk, is all zero: under zero biases its z_pre is 0
+        cfg = chunked_config()
+        rng = np.random.default_rng(5)
+        views_b = rng.uniform(0.0, 1.0, size=(4, 8, 8, 8))
+        views_b[2] = 0.0
+        batch = sp.PairBatch(rng.uniform(0.0, 1.0, size=(4, 8, 8, 8)), views_b, np.arange(4))
+        monkeypatch.setattr(sp, "sample_batch", lambda *args: batch)
+        forwards = []
+        real = enc.forward
+        monkeypatch.setattr(enc, "forward", lambda *a: forwards.append(len(a[1])) or real(*a))
+        fingerprint = tr._batch_fingerprint(np.concatenate([batch.views_a, batch.views_b]))
+        with pytest.raises(tr.TrainError, match=f"zero projection at step 1 .*batch fingerprint {fingerprint}"):
+            tr.train_step(tr.init_state(cfg), tiny_dataset(), cfg)
+        assert forwards == [5, 3]
 
     def test_nan_bias_is_a_non_finite_train_error(self):
         # a NaN passes every relu unchanged and so reaches the loss and the gradients
@@ -194,6 +231,17 @@ class TestTrainLoop:
         )
         for k in s_full.params:
             assert s_full.params[k].tobytes() == s_res.params[k].tobytes()
+
+    def test_resume_bit_identical_with_a_partial_last_chunk(self, tmp_path):
+        # the default channels at 8^3 run chunks of 5, so a step's 8 views run as 5 + 3
+        ds = tiny_dataset()
+        full_cfg = chunked_config(steps=4, checkpoint_every=2)
+        assert enc.views_per_chunk(full_cfg.encoder) == 5
+        tr.train(full_cfg, ds, tmp_path / "full")
+        tr.train(chunked_config(steps=2, checkpoint_every=2), ds, tmp_path / "half")
+        tr.train(full_cfg, ds, tmp_path / "resumed", resume_from=tmp_path / "half" / "ckpt_final.dckpt")
+        for name in ("ckpt_final.dckpt", "metrics.csv"):
+            assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
     @pytest.mark.parametrize("log_every", [2, 3])
     def test_resumed_metrics_csv_bit_identical(self, tmp_path, log_every):
@@ -267,6 +315,15 @@ class TestTrainLoop:
     def test_non_integer_count_rejected(self, field, value):
         # steps=2.5 used to train 3 steps
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.inf), ("lr", math.nan), ("adam_eps", math.nan), ("adam_eps", math.inf),
+        ("adam_eps", -1.0), ("adam_eps", 0.0),
+    ])
+    def test_non_finite_or_non_positive_rate_rejected(self, field, value):
+        # adam_eps = 0 divides 0 by 0 for a parameter whose gradient is exactly 0
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             tr.TrainConfig(**{field: value})
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
