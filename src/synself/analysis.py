@@ -253,6 +253,9 @@ def concordance(
     with the denominator floored at 1e-300, so a zero row has cosine 0 and two
     equal rows have cosine exactly 1. Pairs are averaged in row-major order.
     """
+    # an empty sample would average no inter pair, to NaN
+    if type(sample) is not int or sample < 1:
+        raise AnalysisError(f"sample must be an integer >= 1, got {sample!r}")
     by_id = {rec.id: rec.supervoxel_id for rec in synapses}
     try:
         sv = np.array([by_id[i] for i in emb.synapse_ids])

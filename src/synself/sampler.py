@@ -2,9 +2,11 @@
 
 Positive pairs come from one supervoxel; every batch draws its supervoxels
 without replacement, so cross-pair negatives are always cross-neuron
-comparisons. Patches are float64 cubes scaled to [0,1]; shift and noise
-amplitudes in :class:`AugmentConfig` are in raw u8 intensity units and are
-divided by 255 when applied.
+comparisons. A supervoxel's candidate pairs, those within the optional
+nanometer cap, are kept as their row-major codes (:class:`Pairs`). Patches
+are float64 cubes scaled to [0,1]; shift and noise amplitudes in
+:class:`AugmentConfig` are in raw u8 intensity units and are divided by 255
+when applied.
 """
 
 from __future__ import annotations
@@ -36,12 +38,8 @@ class AugmentConfig:
             raise ValueError(f"max_jitter_vox must be an integer, got {self.max_jitter_vox!r}")
         for name in ("intensity_scale_range", "intensity_shift_range"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} must have finite ends, got {(lo, hi)}")
-        if self.intensity_scale_range[0] > self.intensity_scale_range[1]:
-            raise ValueError(f"scale range lo > hi: {self.intensity_scale_range}")
-        if self.intensity_shift_range[0] > self.intensity_shift_range[1]:
-            raise ValueError(f"shift range lo > hi: {self.intensity_shift_range}")
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"{name} must have finite ends with lo <= hi, got {(lo, hi)}")
         # a NaN sigma would fail the "> 0" test that turns the noise on, and so disable it
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
@@ -72,8 +70,10 @@ class SamplerConfig:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}, got {self.pair_mode!r}")
         if self.batch_pairs < 2:
             raise ValueError(f"batch_pairs must be >= 2, got {self.batch_pairs}")
-        if self.max_pair_dist_nm is not None and not self.max_pair_dist_nm > 0:
-            raise ValueError(f"max_pair_dist_nm must be > 0, got {self.max_pair_dist_nm}")
+        # exact types, so True is not read as a 1 nm cap; an infinite one would code every pair
+        cap = self.max_pair_dist_nm
+        if cap is not None and (type(cap) not in (int, float) or not 0 < cap < math.inf):
+            raise ValueError(f"max_pair_dist_nm must be None or a finite real > 0, got {cap!r}")
 
 
 @dataclass
@@ -170,49 +170,52 @@ def _jittered_center(pos, max_jitter, rng):
 # batch assembly
 
 
-def _pair_dist_nm(a: SynapseRecord, b: SynapseRecord, voxel_size) -> float:
-    return float(
-        np.sqrt(sum(((pa - pb) * s) ** 2 for pa, pb, s in zip(a.pos, b.pos, voxel_size)))
-    )
+@dataclass(frozen=True, eq=False)
+class Pairs(Sequence):
+    """The pairs (recs[i], recs[j]), i < j, whose row-major codes are ``codes``.
 
-
-class AllPairs(Sequence):
-    """The C(k,2) pairs (recs[i], recs[j]), i < j, in row-major order, built on demand.
-
-    Index r maps to the r-th tuple of ``[(a, b) for i, a in enumerate(recs)
-    for b in recs[i + 1:]]`` without building that O(k^2) list.
+    Pair (i, j) of k synapses has code i*k - i(i+1)/2 + j - i - 1, its index in
+    ``[(a, b) for i, a in enumerate(recs) for b in recs[i + 1:]]``.
     """
 
-    __slots__ = ("recs",)
-
-    def __init__(self, recs: list[SynapseRecord]):
-        self.recs = recs
+    recs: list[SynapseRecord]
+    codes: Sequence[int]
 
     def __len__(self) -> int:
-        k = len(self.recs)
-        return k * (k - 1) // 2
+        return len(self.codes)
 
     def __getitem__(self, r: int) -> tuple[SynapseRecord, SynapseRecord]:
-        n = len(self)
-        if not -n <= r < n:
-            raise IndexError(f"pair index {r} out of range for {n} pairs")
-        r %= n
         # q counts back from the last pair. The rows after row i hold T(t) = t(t+1)/2
         # pairs with t = k-2-i, so row i has the largest t with T(t) <= q.
         k = len(self.recs)
-        q = n - 1 - r
+        q = k * (k - 1) // 2 - 1 - int(self.codes[r])
         t = (math.isqrt(8 * q + 1) - 1) // 2
         i = k - 2 - t
         j = k - 1 - (q - t * (t + 1) // 2)
         return self.recs[i], self.recs[j]
 
 
+def _pair_codes(recs: list[SynapseRecord], voxel_size, cap: float | None) -> Sequence[int]:
+    """Increasing codes of the pairs at most ``cap`` nm apart: range(C(k, 2)) with no cap, else
+    built one anchor row at a time from the distance sqrt(((dx*sx)^2 + (dy*sy)^2) + (dz*sz)^2)."""
+    k = len(recs)
+    if cap is None:
+        return range(k * (k - 1) // 2)
+    pos = np.array([r.pos for r in recs], dtype=np.int64)
+    rows = [np.empty(0, dtype=np.int64)]
+    for i in range(k - 1):
+        sq = np.square((pos[i] - pos[i + 1:]) * voxel_size)
+        dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+        rows.append(np.flatnonzero(dist <= cap) + (i * k - i * (i + 1) // 2))
+    return np.concatenate(rows)
+
+
 def eligible_supervoxels(dataset, cfg: SamplerConfig) -> dict[int, Sequence]:
     """Map supervoxel id -> candidate positive pairs (or singleton views).
 
-    In "distinct_synapses" mode the candidates are synapse pairs within the
-    optional nanometer cap; with no cap they are an :class:`AllPairs` view, so
-    a supervoxel with k synapses costs O(k), not O(k^2). In "augment_same" mode
+    In "distinct_synapses" mode the candidates are the :class:`Pairs` within
+    the optional nanometer cap. With no cap their codes are a range, so a
+    supervoxel with k synapses costs O(k), not O(k^2). In "augment_same" mode
     they are single synapses.
     """
     by_sv: dict[int, list[SynapseRecord]] = {}
@@ -225,15 +228,7 @@ def eligible_supervoxels(dataset, cfg: SamplerConfig) -> dict[int, Sequence]:
         if cfg.pair_mode == "augment_same":
             out[sv] = [(r, r) for r in recs]
             continue
-        if cfg.max_pair_dist_nm is None:
-            pairs = AllPairs(recs)
-        else:
-            pairs = [
-                (a, b)
-                for i, a in enumerate(recs)
-                for b in recs[i + 1:]
-                if _pair_dist_nm(a, b, voxel_size) <= cfg.max_pair_dist_nm
-            ]
+        pairs = Pairs(recs, _pair_codes(recs, voxel_size, cfg.max_pair_dist_nm))
         if pairs:
             out[sv] = pairs
     return out

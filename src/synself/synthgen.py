@@ -57,8 +57,9 @@ class ClassParams:
     rim_intensity: float
 
     def __post_init__(self):
-        if self.blob_radius_vox <= 0 or self.rim_thickness_vox <= 0 or self.bar_half_length_vox <= 0:
-            raise GenerationError(f"class morphology extents must be > 0: {self}")
+        extents = (self.blob_radius_vox, self.rim_thickness_vox, self.bar_half_length_vox)
+        if not all(0 < e < math.inf for e in extents):
+            raise GenerationError(f"class morphology extents must be finite and > 0: {self}")
         for v in (self.core_intensity, self.rim_intensity):
             if not 0 <= v <= 255:
                 raise GenerationError(f"intensities must lie in [0,255]: {self}")
@@ -111,8 +112,8 @@ class GenConfig:
             )
         if self.synapses_per_supervoxel < 1:
             raise GenerationError("synapses_per_supervoxel must be >= 1")
-        if self.noise_sigma < 0:
-            raise GenerationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN would turn the noise off
+            raise GenerationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.background_intensity <= 255:
             raise GenerationError("background_intensity must lie in [0,255]")
 

@@ -343,6 +343,13 @@ class TestConcordance:
                     vals.append(float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
         assert abs(intra - np.mean(vals)) < 1e-12
 
+    @pytest.mark.parametrize("sample", [0, -1, 2.0, True])
+    def test_bad_sample_rejected(self, sample):
+        # an empty sample averaged no inter pair, to NaN
+        emb = EmbeddingMatrix(list(range(4)), np.eye(4))
+        with pytest.raises(an.AnalysisError, match="sample must be an integer >= 1"):
+            an.concordance(emb, self.recs([1, 1, 2, 2]), sample=sample)
+
     def test_no_eligible_pairs(self):
         emb = EmbeddingMatrix([0, 1], np.ones((2, 2)))
         with pytest.raises(an.AnalysisError, match="intra"):

@@ -33,16 +33,31 @@ def test_every_script_entry_point_imports():
 
 
 def test_benchmark_call_contract():
-    """The benchmark wraps trainer.train_step and encoder.forward by module
-    attribute and calls trainer.train and analysis.embed_all positionally; a
-    signature change there breaks it without failing its own tests here."""
-    from synself import analysis, encoder, trainer
+    """The benchmark wraps trainer.train_step, encoder.forward and
+    sampler.eligible_supervoxels by module attribute, sums len() of the
+    candidates that eligible_supervoxels returns, and calls trainer.train and
+    analysis.embed_all positionally; a change there breaks it without failing
+    its own tests here."""
+    import numpy as np
+
+    from synself import analysis, encoder, sampler, trainer
+    from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
 
     assert callable(trainer.train_step) and callable(encoder.forward)
     inspect.signature(trainer.train_step).bind("state", "dataset", "cfg")
     inspect.signature(encoder.forward).bind("params", "patches", "cfg")
+    inspect.signature(sampler.eligible_supervoxels).bind("dataset", "cfg")
     inspect.signature(trainer.train).bind("cfg", "dataset", "out_dir")
     inspect.signature(analysis.embed_all).bind("ckpt", "vol", "syn", "side")
+
+    vol = IntensityVolume(VolumeHeader((4, 4, 4)), np.zeros((4, 4, 4), np.uint8))
+    recs = [SynapseRecord(i, (i, 0, 0), 1 + i // 2) for i in range(4)]
+    dataset = sampler.Dataset(vol, recs)
+    for cfg in (sampler.SamplerConfig(), sampler.SamplerConfig(max_pair_dist_nm=8.0),
+                sampler.SamplerConfig(pair_mode="augment_same")):
+        eligible = sampler.eligible_supervoxels(dataset, cfg)
+        assert sorted(eligible) == [1, 2]
+        assert all(len(v) >= 1 for v in eligible.values())
 
 
 def _public(name: str) -> bool:

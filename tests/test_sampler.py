@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ def test_non_finite_augment_value_rejected(field, value):
     # a NaN noise_sigma used to pass, and disabled the noise: nan > 0 is False
     with pytest.raises(ValueError, match=f"{field} must"):
         sp.AugmentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["intensity_scale_range", "intensity_shift_range"])
+def test_reversed_augment_range_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must have finite ends with lo <= hi"):
+        sp.AugmentConfig(**{field: (1.2, 1.1)})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, True, "5"])
+def test_bad_pair_distance_cap_rejected(value):
+    # inf would build every pair's code, and True would read as a 1 nm cap
+    with pytest.raises(ValueError, match="max_pair_dist_nm must be None or a finite real > 0"):
+        sp.SamplerConfig(max_pair_dist_nm=value)
+
+
+@pytest.mark.parametrize("value", [None, 200, 0.5])
+def test_pair_distance_cap_accepted(value):
+    assert sp.SamplerConfig(max_pair_dist_nm=value).max_pair_dist_nm == value
 
 
 class TestOctahedral:
@@ -246,7 +265,7 @@ class TestSampleBatch:
         assert np.all(np.abs(counts[1:] - n_batches * p) <= 4 * sd)
 
 
-def clustered_dataset(sizes):
+def clustered_dataset(sizes, voxel_size=(8.0, 8.0, 8.0)):
     """Supervoxel sv+1 holds sizes[sv] synapses at pseudo-random positions on a ramp volume."""
     rng = np.random.default_rng(11)
     recs = []
@@ -254,20 +273,52 @@ def clustered_dataset(sizes):
         for _ in range(k):
             pos = tuple(int(c) for c in rng.integers(0, 24, size=3))
             recs.append(SynapseRecord(len(recs), pos, sv + 1))
-    return sp.Dataset(ramp_volume((24, 24, 24)), recs)
+    vol = ramp_volume((24, 24, 24))
+    return sp.Dataset(IntensityVolume(VolumeHeader(vol.header.dims, voxel_size), vol.voxels), recs)
 
 
 class TestCandidatePairs:
+    @staticmethod
+    def assert_pairs_equal(pairs, want):
+        n = len(want)
+        assert len(pairs) == n
+        assert [pairs[r] for r in range(n)] == want
+        assert [pairs[r] for r in range(-n, 0)] == want
+        for r in (n, -n - 1):
+            with pytest.raises(IndexError):
+                pairs[r]
+
     def test_all_pairs_equal_the_built_list(self):
         for k in range(41):
             ds = clustered_dataset([k])
             want = eligible_supervoxels_lists(ds, sp.SamplerConfig()).get(1, [])
-            pairs = sp.AllPairs(ds.synapses)
-            assert len(pairs) == len(want) == math.comb(k, 2)
-            assert [pairs[r] for r in range(len(pairs))] == want
-            assert [pairs[r] for r in range(-len(pairs), 0)] == want
-            with pytest.raises(IndexError):
-                pairs[len(pairs)]
+            n = math.comb(k, 2)
+            assert len(want) == n
+            for codes in (range(n), np.arange(n, dtype=np.int64)):
+                self.assert_pairs_equal(sp.Pairs(ds.synapses, codes), want)
+
+    def test_kept_codes_pick_their_pairs(self):
+        rng = np.random.default_rng(3)
+        for k in range(2, 41):
+            ds = clustered_dataset([k])
+            every = eligible_supervoxels_lists(ds, sp.SamplerConfig())[1]
+            codes = np.flatnonzero(rng.random(len(every)) < 0.3)
+            self.assert_pairs_equal(sp.Pairs(ds.synapses, codes), [every[c] for c in codes])
+
+    @pytest.mark.parametrize("voxel_size", [(8.0, 8.0, 8.0), (4.0, 4.0, 40.0), (3.7, 5.3, 0.1)])
+    def test_capped_candidates_equal_the_built_lists(self, voxel_size):
+        ds = clustered_dataset([1, 2, 3, 5, 8, 13, 21], voxel_size)
+        every = eligible_supervoxels_lists(ds, sp.SamplerConfig())
+        # every pair distance as the oracle computes it: a cap set to one of
+        # them is met with equality, and the cap is inclusive
+        dists = {
+            float(np.sqrt(sum(((pa - pb) * s) ** 2 for pa, pb, s in zip(a.pos, b.pos, voxel_size))))
+            for pairs in every.values() for a, b in pairs
+        }
+        for cap in sorted(dists - {0.0}):
+            cfg = sp.SamplerConfig(max_pair_dist_nm=cap)
+            got = sp.eligible_supervoxels(ds, cfg)
+            assert {sv: list(p) for sv, p in got.items()} == eligible_supervoxels_lists(ds, cfg)
 
     @pytest.mark.parametrize("mode, cap", [
         ("distinct_synapses", None),
@@ -303,3 +354,22 @@ class TestCandidatePairs:
         assert len(eligible[1]) == math.comb(5000, 2)
         assert eligible[1][-1] == (ds.synapses[4998], ds.synapses[4999])
         assert peak < 1 << 20  # the 12.5M built tuples would take about 1 GB
+
+    def test_large_capped_supervoxel_keeps_only_its_codes(self):
+        ds = clustered_dataset([5000, 2])
+        tracemalloc.start()
+        try:
+            eligible = sp.eligible_supervoxels(ds, sp.SamplerConfig(max_pair_dist_nm=8.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at 8 nm voxels an 8 nm cap keeps the pairs on one voxel or on two face neighbours
+        count = Counter(rec.pos for rec in ds.synapses[:5000])
+        want = sum(n * (n - 1) // 2 for n in count.values()) + sum(
+            n * count[(x + dx, y + dy, z + dz)]
+            for (x, y, z), n in count.items()
+            for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        )
+        assert len(eligible[1]) == want
+        assert all(math.dist(a.pos, b.pos) <= 1 for a, b in eligible[1])
+        assert peak < 4 << 20  # the 12.5M pair distances at once would take 100 MB

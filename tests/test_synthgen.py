@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 from collections import Counter
 
@@ -232,6 +233,19 @@ class TestGenerate:
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(sg.GenerationError, match=f"{field} must be"):
             sg.GenConfig(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        # NaN turned the noise off, and inf left a volume of 0s and 255s
+        with pytest.raises(sg.GenerationError, match="noise_sigma must be finite"):
+            sg.GenConfig(noise_sigma=sigma)
+
+    @pytest.mark.parametrize("extents", [
+        (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+    ])
+    def test_non_finite_class_extent_rejected(self, extents):
+        with pytest.raises(sg.GenerationError, match="extents must be finite"):
+            sg.ClassParams(*extents, 100.0, 50.0)
 
     def test_config_validation(self):
         with pytest.raises(sg.GenerationError):
