@@ -88,8 +88,8 @@ def pca_project(emb: EmbeddingMatrix, out_dim: int = 2) -> PCAResult:
     largest-magnitude entry is positive; axes past the rank (or past D) are zero rows."""
     x = emb.values
     m, d = x.shape
-    if m <= out_dim:
-        raise AnalysisError(f"need more rows ({m}) than components ({out_dim})")
+    if type(out_dim) is not int or not 1 <= out_dim < m:
+        raise AnalysisError(f"out_dim must be an integer in [1, {m}) for {m} rows, got {out_dim!r}")
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (m - 1)
     total_var = float(np.trace(cov))
@@ -148,8 +148,8 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     if x.ndim != 2:
         raise AnalysisError(f"kmeans expects (M,D) data, got shape {x.shape}")
     m = x.shape[0]
-    if k < 1 or k > m:
-        raise AnalysisError(f"k must lie in [1, {m}], got {k}")
+    if type(k) is not int or not 1 <= k <= m:
+        raise AnalysisError(f"k must be an integer in [1, {m}], got {k!r}")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_N_INIT):

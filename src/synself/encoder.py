@@ -100,11 +100,10 @@ def forward(params: dict[str, np.ndarray], patches: np.ndarray, cfg: EncoderConf
 
     Returns (h, cache): the (B, h_dim) rows of the penultimate h, and the
     activation cache that :func:`project` extends and :func:`backward`
-    consumes. The views run side by side in numcore's (C,D,H,W,B) layout, and
-    each row has the bits of a one-view forward: every conv and pool output
-    of a view is its one-view output, and the h head runs one GEMV per view,
-    since one GEMM over the stack could sum in another order. Training and
-    embedding both run chunks of :func:`views_per_chunk` views.
+    consumes. The views run side by side in numcore's (C,D,H,W,B) layout and
+    the h head over their rows, and each row has the bits of a one-view
+    forward. Training and embedding both run chunks of
+    :func:`views_per_chunk` views.
 
     The cache holds each conv's input, each block's pool input, the
     flattened pooled rows and h, and no pre-activation: every conv's relu
@@ -127,8 +126,8 @@ def forward(params: dict[str, np.ndarray], patches: np.ndarray, cfg: EncoderConf
         pool_inputs.append(x)
         x = nc.maxpool3d_forward(x)
     flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # row v: view v's (C,D,H,W) order
-    h = np.array([nc.relu_forward(nc.dense_forward(row, params["head_h.w"], params["head_h.b"]))
-                  for row in flat])
+    h = nc.dense_forward(flat, params["head_h.w"], params["head_h.b"])
+    np.maximum(h, 0.0, out=h)
     cache = {
         "conv_inputs": conv_inputs,
         "pool_inputs": pool_inputs,
@@ -143,11 +142,11 @@ def project(params: dict[str, np.ndarray], cache: dict) -> np.ndarray:
     """(B, z_dim) unit-norm projections z of the cached h rows of a B-view
     forward; records z_pre in the cache for :func:`backward`.
 
-    Each row runs its own GEMV, so it has the bits of a one-view projection.
-    A zero z_pre has no direction and raises ValueError.
+    Each row has the bits of a one-view projection. A zero z_pre has no
+    direction and raises ValueError.
     """
-    z_pre = np.array([nc.dense_forward(h, params["head_z.w"], params["head_z.b"]) for h in cache["h"]])
-    z = np.array([nc.l2_normalize_forward(row) for row in z_pre])
+    z_pre = nc.dense_forward(cache["h"], params["head_z.w"], params["head_z.b"])
+    z = nc.l2_normalize_forward(z_pre)
     cache["z_pre"] = z_pre
     return z
 
@@ -156,10 +155,9 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
     """Exact parameter gradients, summed over the B views of the cache, given
     the (B, z_dim) loss gradient d_z at z = project(params, cache).
 
-    The z and h heads run per view, and their gradients add in view order;
-    the d_flat rows go back into the (C,D,H,W,B) layout, and every pool and
-    conv backward runs once over all B views, so each conv's d_w and d_b sum
-    over the views inside numcore. At B = 1 these are the one-view gradients.
+    Every layer runs once over all B views, and its d_w and d_b sum over them
+    inside numcore (the heads' in view order). At B = 1 these are the
+    one-view gradients.
 
     Each relu's mask is read from its output: ``relu(pre) > 0`` exactly where
     ``pre > 0``, NaN and -0.0 included, so the gradients are bit for bit those
@@ -170,16 +168,12 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
     d_z = np.asarray(d_z, dtype=np.float64)
     if d_z.shape != cache["z_pre"].shape:
         raise nc.ShapeError(f"d_z shape {d_z.shape} != projected shape {cache['z_pre'].shape}")
-    d_flat, heads = [], []
-    for h, flat, z_pre, d_zv in zip(cache["h"], cache["flat"], cache["z_pre"], d_z):
-        d_zpre = nc.l2_normalize_backward(z_pre, d_zv)
-        d_h, d_wz, d_bz = nc.dense_backward(h, params["head_z.w"], d_zpre)
-        d_row, d_wh, d_bh = nc.dense_backward(flat, params["head_h.w"], nc.relu_backward(h, d_h))
-        d_flat.append(d_row)
-        heads.append((d_wz, d_bz, d_wh, d_bh))
-    names = ("head_z.w", "head_z.b", "head_h.w", "head_h.b")
-    grads = {name: sum(per_view[1:], per_view[0]) for name, per_view in zip(names, zip(*heads))}
-    d_x = np.ascontiguousarray(np.array(d_flat).T).reshape(cache["pooled_shape"])
+    grads = {}
+    d_zpre = nc.l2_normalize_backward(cache["z_pre"], d_z)
+    d_h, grads["head_z.w"], grads["head_z.b"] = nc.dense_backward(cache["h"], params["head_z.w"], d_zpre)
+    d_flat, grads["head_h.w"], grads["head_h.b"] = nc.dense_backward(
+        cache["flat"], params["head_h.w"], nc.relu_backward(cache["h"], d_h))
+    d_x = np.ascontiguousarray(d_flat.T).reshape(cache["pooled_shape"])
 
     conv_inputs = cache["conv_inputs"]
     n_blocks = len(cache["pool_inputs"])

@@ -8,11 +8,18 @@ normalisation, and (d_input, d_weights, d_bias) for dense and conv layers.
 Convolutions are stride-1 with same padding (k odd) only, pooling is disjoint
 2x2x2 — the minimal vocabulary for a VGG-style volumetric encoder.
 
-Conv and pool tensors have one layout, (C, D, H, W, B): B views, innermost.
-Training and embedding both run chunks of several views where the encoder's
-convs allow it (5 at 8^3, 1 at 16^3 and 80^3), because at small extents a
-one-view conv is bound by copying runs of W doubles, and B views make every
-run W*B long.
+Conv and pool tensors have one layout, (C, D, H, W, B): B views, innermost;
+dense layers and l2 normalisation take (B, n) rows, one per view. Training
+and embedding both run chunks of several views where the encoder's convs
+allow it (5 at 8^3, 1 at 16^3 and 80^3), because at small extents a one-view
+conv is bound by copying runs of W doubles, and B views make every run W*B
+long.
+
+Each dense or l2 row has the bits of a one-row call: ``np.matmul`` over a
+stack of (n, 1) columns makes the GEMV (or dot) per row that one vector
+makes, where a (B, n) GEMM sums in another order (OpenBLAS 0.3.31: rows
+1e-15 to 4.3e-13 off at the head shapes, B >= 2). d_weights and d_bias add
+the rows' terms in row order, the sum of the one-view gradients.
 
 Convolutions run over z-slabs of column rows. The input is zero-padded as a
 (C, D+k-1, H+k-1, (W+k-1)*B) array, W and B merged into one axis, and column
@@ -249,11 +256,7 @@ def maxpool3d_backward(x: Tensor, d_output: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# pointwise and dense layers
-
-
-def relu_forward(x: Tensor) -> Tensor:
-    return np.maximum(x, 0.0)
+# pointwise layers, and dense layers and l2 normalisation over (B, n) rows
 
 
 def relu_backward(x: Tensor, d_output: Tensor) -> Tensor:
@@ -269,37 +272,37 @@ def relu_backward(x: Tensor, d_output: Tensor) -> Tensor:
 
 
 def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    if x.ndim != 1 or weights.ndim != 2:
-        raise ShapeError("dense expects vector input and (m,n) weights")
     m, n = weights.shape
-    if x.shape != (n,):
-        raise ShapeError(f"dense input shape {x.shape} != ({n},)")
-    if bias.shape != (m,):
-        raise ShapeError(f"dense bias shape {bias.shape} != ({m},)")
-    return weights @ x + bias
+    if x.ndim != 2 or x.shape[1] != n or bias.shape != (m,):
+        raise ShapeError(f"dense shapes {x.shape}/{bias.shape} != (B,{n})/({m},)")
+    return np.matmul(weights, x[:, :, None])[:, :, 0] + bias
 
 
 def dense_backward(x: Tensor, weights: Tensor, d_output: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     m, n = weights.shape
-    if x.shape != (n,) or d_output.shape != (m,):
-        raise ShapeError(f"dense backward shapes {x.shape}/{d_output.shape} != ({n},)/({m},)")
-    return weights.T @ d_output, np.outer(d_output, x), d_output.copy()
+    if x.ndim != 2 or x.shape[1] != n or d_output.shape != (len(x), m):
+        raise ShapeError(f"dense backward shapes {x.shape}/{d_output.shape} != (B,{n})/(B,{m})")
+    d_x = np.matmul(weights.T, d_output[:, :, None])[:, :, 0]
+    return d_x, (d_output[:, :, None] * x[:, None, :]).sum(axis=0), d_output.sum(axis=0)
+
+
+def _unit_rows(v: Tensor) -> tuple[Tensor, Tensor]:
+    """(v / norm, norm), norm the (B, 1) column of row norms; one below ZERO_NORM_TOL raises ValueError."""
+    if v.ndim != 2:
+        raise ShapeError(f"l2_normalize expects (B,n) rows, got shape {v.shape}")
+    norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
+    small = norm[norm < ZERO_NORM_TOL]
+    if small.size:
+        raise ValueError(f"l2_normalize: row norm {small[0]} below {ZERO_NORM_TOL}")
+    return v / norm, norm
 
 
 def l2_normalize_forward(v: Tensor) -> Tensor:
-    if v.ndim != 1:
-        raise ShapeError(f"l2_normalize expects a vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_NORM_TOL:
-        raise ValueError(f"l2_normalize: vector norm {norm} below {ZERO_NORM_TOL}")
-    return v / norm
+    return _unit_rows(v)[0]
 
 
 def l2_normalize_backward(v: Tensor, d_output: Tensor) -> Tensor:
     if v.shape != d_output.shape:
         raise ShapeError(f"l2_normalize d_output shape {d_output.shape} != {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_NORM_TOL:
-        raise ValueError(f"l2_normalize: vector norm {norm} below {ZERO_NORM_TOL}")
-    z = v / norm
-    return (d_output - z * (z @ d_output)) / norm
+    z, norm = _unit_rows(v)
+    return (d_output - z * np.matmul(z[:, None, :], d_output[:, :, None])[:, 0]) / norm

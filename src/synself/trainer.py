@@ -231,13 +231,16 @@ def train(
     metrics.csv is rewritten with every checkpoint, so after a crash it holds
     the rows of the latest checkpoint. Resuming continues the checkpoint's run:
     its metrics rows are kept, and a config that differs in any field besides
-    RESUMABLE_FIELDS raises TrainError.
+    RESUMABLE_FIELDS, or asks for fewer steps than the checkpoint holds, raises
+    TrainError.
     """
     os.makedirs(out_dir, exist_ok=True)
     if resume_from is None:
         state = init_state(cfg)
     else:
         state, ck_cfg = load_train_state(resume_from)
+        if cfg.steps < state.step:
+            raise TrainError(f"{resume_from}: checkpoint step {state.step} > train config steps {cfg.steps}")
         want = _as_json(cfg)
         for name in (n for n in want if n not in RESUMABLE_FIELDS):
             if ck_cfg.get(name) != want[name]:

@@ -137,13 +137,15 @@ def conv3d_weight_grad_taps(x, d_output, k):
 
 def encoder_pre_activations(params, cache):
     """Each conv's pre-relu output, recomputed from its cached input, and h's
-    pre-activation rows, one GEMV per view."""
+    pre-activation rows from one-row dense calls, view by view."""
     n_blocks = len(cache["pool_inputs"])
     per_block = len(cache["conv_inputs"]) // n_blocks
     names = (f"block{li // per_block}.conv{li % per_block}" for li in range(len(cache["conv_inputs"])))
     conv_pre = [nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
                 for name, x in zip(names, cache["conv_inputs"])]
-    h_pre = np.array([nc.dense_forward(flat, params["head_h.w"], params["head_h.b"]) for flat in cache["flat"]])
+    flat = cache["flat"]
+    h_pre = np.concatenate([nc.dense_forward(flat[v:v + 1], params["head_h.w"], params["head_h.b"])
+                            for v in range(len(flat))])
     return conv_pre, h_pre
 
 
@@ -154,18 +156,20 @@ def encoder_backward_from_pre(params, cache, d_z):
     ``encoder.backward`` and differs only in feeding ``relu_backward`` the
     recomputed pre-activations where ``encoder.backward`` feeds it the cached
     relu outputs, so the two must agree byte for byte. The heads run view by
-    view, and their gradients add in view order.
+    view on one-row slices, and their gradients add in view order, so the
+    batched head rows of ``encoder.backward`` are checked against one-row calls.
     """
     conv_pre, h_pre = encoder_pre_activations(params, cache)
     grads = {}
     d_flat = np.empty_like(cache["flat"])
     for v in range(len(d_z)):
+        row = slice(v, v + 1)
         view = {}
-        d_zpre = nc.l2_normalize_backward(cache["z_pre"][v], np.asarray(d_z[v], dtype=np.float64))
-        d_h, view["head_z.w"], view["head_z.b"] = nc.dense_backward(cache["h"][v], params["head_z.w"], d_zpre)
-        d_hpre = nc.relu_backward(h_pre[v], d_h)
-        d_flat[v], view["head_h.w"], view["head_h.b"] = nc.dense_backward(
-            cache["flat"][v], params["head_h.w"], d_hpre)
+        d_zpre = nc.l2_normalize_backward(cache["z_pre"][row], np.asarray(d_z[row], dtype=np.float64))
+        d_h, view["head_z.w"], view["head_z.b"] = nc.dense_backward(cache["h"][row], params["head_z.w"], d_zpre)
+        d_hpre = nc.relu_backward(h_pre[row], d_h)
+        d_flat[row], view["head_h.w"], view["head_h.b"] = nc.dense_backward(
+            cache["flat"][row], params["head_h.w"], d_hpre)
         for name, g in view.items():
             grads[name] = grads[name] + g if v else g
     d_x = d_flat.T.reshape(cache["pooled_shape"])

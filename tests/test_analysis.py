@@ -184,6 +184,13 @@ class TestPCA:
         assert not res.components[2].any() and not res.coords[:, 2].any()
         assert res.explained_variance[2] == 0.0
 
+    @pytest.mark.parametrize("out_dim", [1.5, -1, 0, True, 2.0, 5])
+    def test_bad_out_dim_rejected(self, out_dim):
+        # 5 asks for as many components as there are rows
+        x = np.random.default_rng(9).normal(size=(5, 3))
+        with pytest.raises(an.AnalysisError, match="out_dim must be an integer"):
+            an.pca_project(EmbeddingMatrix(list(range(5)), x), out_dim=out_dim)
+
 
 class TestKMeans:
     def test_k_equals_m(self):
@@ -231,6 +238,11 @@ class TestKMeans:
             an.kmeans(np.zeros((3, 2)), k=0)
         with pytest.raises(an.AnalysisError):
             an.kmeans(np.zeros((3, 2)), k=4)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(an.AnalysisError, match="k must be an integer"):
+            an.kmeans(np.arange(8.0).reshape(4, 2), k=k)
 
 
 class TestAgreementMetrics:

@@ -333,7 +333,6 @@ class TestMaxPool:
 class TestPointwiseAndDense:
     def test_relu_all_negative(self):
         x = -np.abs(np.random.default_rng(6).normal(size=(2, 3, 3, 3))) - 0.1
-        assert not nc.relu_forward(x).any()
         assert not nc.relu_backward(x, np.ones_like(x)).any()
 
     def test_relu_finite_differences(self):
@@ -344,51 +343,125 @@ class TestPointwiseAndDense:
         d_x = nc.relu_backward(x, d_y)
 
         def loss(xv):
-            return float(np.sum(nc.relu_forward(xv) * d_y))
+            return float(np.sum(np.maximum(xv, 0.0) * d_y))
 
         assert grad_close(d_x, central_diff(loss, x), 1e-6)
 
     def test_dense_finite_differences(self):
         rng = np.random.default_rng(8)
-        for _ in range(3):
+        for rows in (1, 1, 3, 3):
             n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            x = rng.normal(size=n)
+            x = rng.normal(size=(rows, n))
             w = rng.normal(size=(m, n))
             b = rng.normal(size=m)
-            d_y = rng.normal(size=m)
+            d_y = rng.normal(size=(rows, m))
             d_x, d_w, d_b = nc.dense_backward(x, w, d_y)
 
-            assert grad_close(d_x, central_diff(lambda xv: float(nc.dense_forward(xv, w, b) @ d_y), x), 1e-6)
-            assert grad_close(d_w, central_diff(lambda wv: float(nc.dense_forward(x, wv, b) @ d_y), w), 1e-6)
-            assert grad_close(d_b, central_diff(lambda bv: float(nc.dense_forward(x, w, bv) @ d_y), b), 1e-6)
+            def loss(xv, wv, bv):
+                return float(np.sum(nc.dense_forward(xv, wv, bv) * d_y))
+
+            assert grad_close(d_x, central_diff(lambda xv: loss(xv, w, b), x), 1e-6)
+            assert grad_close(d_w, central_diff(lambda wv: loss(x, wv, b), w), 1e-6)
+            assert grad_close(d_b, central_diff(lambda bv: loss(x, w, bv), b), 1e-6)
+
+    def test_dense_shape_mismatch(self):
+        w, b = np.zeros((3, 4)), np.zeros(3)
+        for x in (np.zeros(4), np.zeros((2, 5))):
+            with pytest.raises(nc.ShapeError):
+                nc.dense_forward(x, w, b)
+        with pytest.raises(nc.ShapeError):
+            nc.dense_backward(np.zeros((2, 4)), w, np.zeros((1, 3)))
 
     def test_l2_normalize_345(self):
-        assert np.allclose(nc.l2_normalize_forward(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+        assert np.allclose(nc.l2_normalize_forward(np.array([[3.0, 4.0], [0.0, -2.0]])),
+                           [[0.6, 0.8], [0.0, -1.0]], atol=1e-15)
 
     def test_l2_normalize_zero_norm_rejected(self):
+        for zero_row in (0, 2):
+            v = np.ones((3, 4))
+            v[zero_row] = 0.0
+            with pytest.raises(ValueError, match="norm"):
+                nc.l2_normalize_forward(v)
+            with pytest.raises(ValueError, match="norm"):
+                nc.l2_normalize_backward(v, np.ones((3, 4)))
+
+    def test_l2_normalize_tolerance_is_strict(self):
+        # a row whose norm equals ZERO_NORM_TOL is normalised; only a smaller one raises
+        v = np.array([[nc.ZERO_NORM_TOL, 0.0], [1.0, 1.0]])
+        assert nc.l2_normalize_forward(v)[0].tolist() == [1.0, 0.0]
         with pytest.raises(ValueError, match="norm"):
-            nc.l2_normalize_forward(np.zeros(4))
-        with pytest.raises(ValueError, match="norm"):
-            nc.l2_normalize_backward(np.zeros(4), np.ones(4))
+            nc.l2_normalize_forward(v * 0.5)
+
+    def test_l2_normalize_vector_rejected(self):
+        with pytest.raises(nc.ShapeError, match=r"\(B,n\)"):
+            nc.l2_normalize_forward(np.ones(4))
 
     def test_l2_normalize_finite_differences(self):
         rng = np.random.default_rng(9)
-        for _ in range(5):
-            v = rng.normal(size=int(rng.integers(2, 8)))
+        for rows in (1, 1, 3, 3, 3):
+            v = rng.normal(size=(rows, int(rng.integers(2, 8))))
             v += np.sign(v) * 0.1
             d_y = rng.normal(size=v.shape)
             d_v = nc.l2_normalize_backward(v, d_y)
 
             def loss(vv):
-                return float(nc.l2_normalize_forward(vv) @ d_y)
+                return float(np.sum(nc.l2_normalize_forward(vv) * d_y))
 
             assert grad_close(d_v, central_diff(loss, v), 1e-6)
 
     def test_output_norm_is_one(self):
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            v = rng.normal(size=6)
-            assert abs(np.linalg.norm(nc.l2_normalize_forward(v)) - 1.0) < 1e-12
+        v = np.random.default_rng(10).normal(size=(5, 6))
+        for row in nc.l2_normalize_forward(v):
+            assert abs(np.linalg.norm(row) - 1.0) < 1e-12
+
+
+# (m, n): the encoder's head shapes, h at 8^3 and 16^3, z, and h at 80^3
+HEAD_SHAPES = [(64, 32), (64, 256), (32, 64), (64, 32000)]
+
+
+class TestRows:
+    """Each row of a (B, n) dense or l2 call has the bytes of the one-row call,
+    and d_w and d_b those of the one-row results added in row order."""
+
+    @pytest.mark.parametrize("m, n", HEAD_SHAPES)
+    @pytest.mark.parametrize("rows", [1, 2, 5, 32])
+    def test_dense_rows_are_one_row_bytes(self, m, n, rows):
+        rng = np.random.default_rng(m + n + rows)
+        x, d_y = rng.normal(size=(rows, n)), rng.normal(size=(rows, m))
+        w, b = rng.normal(size=(m, n)) / np.sqrt(n), rng.normal(size=m)
+        y = nc.dense_forward(x, w, b)
+        d_x, d_w, d_b = nc.dense_backward(x, w, d_y)
+        assert y.shape == (rows, m) and d_x.shape == (rows, n)
+        want_w = want_b = None
+        for v in range(rows):
+            one = slice(v, v + 1)
+            assert y[one].tobytes() == nc.dense_forward(x[one], w, b).tobytes(), v
+            dx_one, dw_one, db_one = nc.dense_backward(x[one], w, d_y[one])
+            assert d_x[one].tobytes() == dx_one.tobytes(), v
+            # and the vector maths: W @ x, W.T @ d, np.outer
+            assert y[v].tobytes() == (w @ x[v] + b).tobytes(), v
+            assert d_x[v].tobytes() == (w.T @ d_y[v]).tobytes(), v
+            assert dw_one.tobytes() == np.outer(d_y[v], x[v]).tobytes() and db_one.tobytes() == d_y[v].tobytes()
+            want_w = dw_one if want_w is None else want_w + dw_one
+            want_b = db_one if want_b is None else want_b + db_one
+        assert d_w.tobytes() == want_w.tobytes()
+        assert d_b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("n", sorted({n for _, n in HEAD_SHAPES} | {m for m, _ in HEAD_SHAPES}))
+    @pytest.mark.parametrize("rows", [1, 2, 5, 32])
+    def test_l2_rows_are_one_row_bytes(self, n, rows):
+        rng = np.random.default_rng(n + rows)
+        v, d_y = rng.normal(size=(rows, n)), rng.normal(size=(rows, n))
+        z = nc.l2_normalize_forward(v)
+        d_v = nc.l2_normalize_backward(v, d_y)
+        for i in range(rows):
+            one = slice(i, i + 1)
+            assert z[one].tobytes() == nc.l2_normalize_forward(v[one]).tobytes(), i
+            assert d_v[one].tobytes() == nc.l2_normalize_backward(v[one], d_y[one]).tobytes(), i
+            # and the vector maths, whose last bits np.linalg.norm(axis=1) or einsum would miss
+            norm = float(np.linalg.norm(v[i]))
+            assert z[i].tobytes() == (v[i] / norm).tobytes(), i
+            assert d_v[i].tobytes() == ((d_y[i] - z[i] * (z[i] @ d_y[i])) / norm).tobytes(), i
 
 
 class TestPurity:
@@ -400,7 +473,8 @@ class TestPurity:
         x16, w16, b16 = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
         d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
         d_y16 = rng.normal(size=(8, 16, 16, 16, 1))
-        inputs = (x, w, b, d_y, x16, w16, b16, d_y16)
+        rows, dense_w, dense_b, d_rows = (rng.normal(size=shape) for shape in ((3, 6), (4, 6), (4,), (3, 4)))
+        inputs = (x, w, b, d_y, x16, w16, b16, d_y16, rows, dense_w, dense_b, d_rows)
         before = [a.copy() for a in inputs]
         nc.conv3d_forward(x, w, b)
         nc.conv3d_backward(x, w, d_y)
@@ -408,7 +482,11 @@ class TestPurity:
         nc.conv3d_backward(x16, w16, d_y16)
         nc.maxpool3d_forward(x)
         nc.maxpool3d_backward(x, np.ones((x.shape[0], 2, 2, 2, 1)))
-        nc.relu_forward(x)
+        nc.relu_backward(x, x)
+        nc.dense_forward(rows, dense_w, dense_b)
+        nc.dense_backward(rows, dense_w, d_rows)
+        nc.l2_normalize_forward(rows)
+        nc.l2_normalize_backward(rows, rows[::-1])
         for a, a0 in zip(inputs, before, strict=True):
             assert np.array_equal(a, a0)
 

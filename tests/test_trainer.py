@@ -350,6 +350,20 @@ class TestTrainLoop:
             tr.train(tiny_config(steps=4, **changed), ds, tmp_path / "x",
                      resume_from=tmp_path / "run" / "ckpt_final.dckpt")
 
+    def test_resume_with_fewer_steps_rejected(self, tmp_path):
+        ds = tiny_dataset()
+        tr.train(tiny_config(steps=4), ds, tmp_path / "run")
+        with pytest.raises(tr.TrainError, match="checkpoint step 4 > train config steps 2"):
+            tr.train(tiny_config(steps=2), ds, tmp_path / "x", resume_from=tmp_path / "run" / "ckpt_final.dckpt")
+        assert not (tmp_path / "x" / "ckpt_final.dckpt").exists()
+
+    def test_resume_with_equal_steps_rewrites_the_same_files(self, tmp_path):
+        ds = tiny_dataset()
+        tr.train(tiny_config(steps=4), ds, tmp_path / "run")
+        tr.train(tiny_config(steps=4), ds, tmp_path / "again", resume_from=tmp_path / "run" / "ckpt_final.dckpt")
+        for name in ("ckpt_final.dckpt", "metrics.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
     def test_malformed_train_state_rejected(self, tmp_path):
         cfg = tiny_config(steps=2)
         tr.train(cfg, tiny_dataset(), tmp_path / "run")
