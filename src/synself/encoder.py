@@ -43,6 +43,8 @@ class EncoderConfig:
         for name in ("patch_side", "convs_per_block", "h_dim", "z_dim", "init_seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.init_seed < 0:  # numpy's seeding would reject it only once init runs
+            raise ValueError(f"init_seed must be an integer >= 0, got {self.init_seed}")
         if any(type(c) is not int for c in self.channels):
             raise ValueError(f"channels must be integers, got {self.channels!r}")
         n_blocks = len(self.channels)

@@ -14,11 +14,19 @@ and core; a float64 lookup table maps each code to its intensity. Each
 bar, then core, so the bar crosses the rim and the core caps the centre. A
 site copies its stamp's nonzero codes onto the code volume, so a later site
 overwrites an earlier one where they overlap. Sites are placed at least the
-stamp's half-width inside their cell, so a stamp never needs clipping. The
-codes are then turned into bytes one z-plane at a time: look up the
-intensities, add that plane's Gaussian noise, clip to [0, 255] and round.
-Drawing the noise plane by plane gives the same values as one draw of the
-whole volume, so the bytes equal those of a float canvas finished at once.
+stamp's half-width inside their cell, so a stamp never needs clipping.
+Placement draws candidates in bulk, each round as many as sites are still
+missing (at most the attempts left): a draw bounded per axis returns the values
+and leaves the generator state of the same draws made one at a time, and a
+candidate yields at most one site, so no round draws a candidate that one-by-one
+sampling would not have drawn. A candidate is accepted iff its voxel of an
+occupancy grid is unset, where each accepted site has set every offset closer
+than the minimum separation; that is the exact integer distance test against
+every accepted site, so the sites are the same too. The codes are then turned
+into bytes one z-plane at a time: look up the intensities, add that plane's
+Gaussian noise, clip to [0, 255] and round. Drawing the noise plane by plane
+gives the same values as one draw of the whole volume, so the bytes equal those
+of a float canvas finished at once.
 """
 
 from __future__ import annotations
@@ -102,6 +110,8 @@ class GenConfig:
         for name in ("seed", "n_supervoxels", "synapses_per_supervoxel"):
             if type(getattr(self, name)) is not int:
                 raise GenerationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:  # numpy's seeding would reject it only once generate runs
+            raise GenerationError(f"seed must be an integer >= 0, got {self.seed}")
         if len(self.dims) != 3 or any(type(d) is not int for d in self.dims):
             raise GenerationError(f"dims must be three integers, got {self.dims!r}")
         if not self.class_params:
@@ -186,19 +196,29 @@ def _place_sites(lo, hi, margin, n_sites, min_sep, rng, sv_label):
         raise GenerationError(
             f"supervoxel {sv_label}: cell {lo}..{hi} too small for morphology margin {margin}"
         )
-    min_sep2 = min_sep * min_sep
-    sites = np.empty((n_sites, 3), dtype=np.int64)
+    # Two interior sites differ by less than the interior's span on each axis,
+    # so no farther offset matters, however large min_sep is.
+    r = min(math.ceil(min_sep), max(b - a for a, b in zip(los, his)) - 1)
+    d = np.arange(-r, r + 1)
+    # the offsets from an accepted site at which a candidate is too close: the
+    # exact test on integer squared distances
+    ball = (d[:, None, None] ** 2 + d[:, None] ** 2 + d ** 2) < min_sep * min_sep
+    budget = PLACEMENT_ATTEMPTS_PER_SITE * n_sites
     for _ in range(PLACEMENT_RESTARTS):
-        placed = attempts = 0
-        while placed < n_sites and attempts < PLACEMENT_ATTEMPTS_PER_SITE * n_sites:
-            attempts += 1
-            cand = [int(rng.integers(a, b)) for a, b in zip(los, his)]
-            # exact integer squared distances to every accepted site
-            if placed == 0 or ((sites[:placed] - cand) ** 2).sum(axis=1).min() >= min_sep2:
-                sites[placed] = cand
-                placed += 1
-        if placed == n_sites:
-            return [tuple(site) for site in sites.tolist()]
+        # taken[p - los + r] is set where a candidate p would be too close to a site
+        taken = np.zeros([b - a + 2 * r for a, b in zip(los, his)], dtype=bool)
+        sites = []
+        attempts = 0
+        while len(sites) < n_sites and attempts < budget:
+            m = min(n_sites - len(sites), budget - attempts)
+            attempts += m
+            for cand in rng.integers(los, his, size=(m, 3)).tolist():
+                i, j, k = (c - a for c, a in zip(cand, los))
+                if not taken[i + r, j + r, k + r]:
+                    taken[i:i + 2 * r + 1, j:j + 2 * r + 1, k:k + 2 * r + 1] |= ball
+                    sites.append(tuple(cand))
+        if len(sites) == n_sites:
+            return sites
     raise GenerationError(
         f"supervoxel {sv_label}: placement infeasible after "
         f"{PLACEMENT_RESTARTS}x{PLACEMENT_ATTEMPTS_PER_SITE * n_sites} rejection-sampling attempts"
@@ -253,6 +273,7 @@ def generate(cfg: GenConfig) -> Phantom:
     code_dtype = np.min_scalar_type(len(lut) - 1)
     stamps = [[_stamp(params, axis, 3 * k + 1, code_dtype) for axis in range(3)]
               for k, params in enumerate(cfg.class_params)]  # [class - 1][bar axis]
+    masks = [[stamp != 0 for stamp in row] for row in stamps]  # the voxels each stamp paints
 
     min_sep = 2.0 * cfg.max_blob_radius
     codes = np.zeros((nz, ny, nx), dtype=code_dtype)
@@ -263,20 +284,21 @@ def generate(cfg: GenConfig) -> Phantom:
         lo, hi = cells[label]
         sites = _place_sites(lo, hi, b, cfg.synapses_per_supervoxel, min_sep, rng, label)
         for site in sites:
-            stamp = stamps[class_of[label] - 1][int(rng.integers(3))]
+            c, axis = class_of[label] - 1, int(rng.integers(3))
             x, y, z = site
-            np.copyto(codes[z - b:z + b + 1, y - b:y + b + 1, x - b:x + b + 1], stamp,
-                      where=stamp != 0)
+            np.copyto(codes[z - b:z + b + 1, y - b:y + b + 1, x - b:x + b + 1], stamps[c][axis],
+                      where=masks[c][axis])
             records.append(SynapseRecord(next_id, site, label, class_of[label]))
             next_id += 1
 
     voxels = np.empty((nz, ny, nx), dtype=np.uint8)
+    plane = np.empty((ny, nx), dtype=np.float64)
     for z in range(nz):
-        plane = lut[codes[z]]
+        np.take(lut, codes[z], out=plane)
         if cfg.noise_sigma > 0:
             plane += rng.normal(0.0, cfg.noise_sigma, size=plane.shape)
         np.clip(plane, 0.0, 255.0, out=plane)
-        voxels[z] = np.rint(plane)
+        voxels[z] = np.rint(plane, out=plane)
 
     return Phantom(IntensityVolume(VolumeHeader(cfg.dims), voxels), records, cells)
 

@@ -53,6 +53,8 @@ class TrainConfig:
         for name in ("steps", "checkpoint_every", "log_every", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:  # numpy's seeding would reject it only once init_state runs
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         # finite and > 0: an infinite lr or a NaN eps passes a bare "> 0" or ">= 0" check,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import secrets
 from dataclasses import dataclass
 
@@ -248,13 +249,28 @@ def _read_table(path, what: str):
     return header, rows()
 
 
+# What _write_table writes for an int and for a float ("%.17g"). int() and
+# float() would also take '_', surrounding whitespace and non-ASCII digits.
+_INT_FIELD = re.compile("-?[0-9]+")
+_FLOAT_CHARS = re.compile("[-+.0-9A-Za-z]+")
+
+
 def _parse_int(value: str, column: str, row: int, path) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise VolumeFormatError(
-            f"{path}: non-integer field {column}={value!r} at data row {row}"
-        ) from None
+    if _INT_FIELD.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise VolumeFormatError(f"{path}: non-integer field {column}={value!r} at data row {row}")
+
+
+def _parse_float(value: str, column: str, row: int, path) -> float:
+    if _FLOAT_CHARS.fullmatch(value):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise VolumeFormatError(f"{path}: non-numeric field {column}={value!r} at data row {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +328,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
     ids, values = [], []
     for row_i, row in enumerate(rows):
         ids.append(_parse_int(row[0], "id", row_i, path))
-        try:
-            values.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise VolumeFormatError(f"{path}: non-numeric entry at data row {row_i}") from None
+        values.append([_parse_float(v, c, row_i, path) for v, c in zip(row[1:], header[1:])])
     if not values:
         raise VolumeFormatError(f"{path}: embedding matrix has no rows")
     values = np.array(values, dtype=np.float64)

@@ -62,6 +62,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("patch_side", 8.0), ("channels", (2.5, 3)), ("convs_per_block", 2.0),
         ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0), ("init_seed", True),
+        ("init_seed", -1),
     ])
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):

@@ -9,7 +9,11 @@ import pytest
 
 from synself import synthgen as sg
 from synself.volume_io import read_synapse_table, read_volume
+import oracles
 from oracles import generate_voxels_loops, place_sites_loops
+
+# the phantom of the dense_sv benchmark workload: 256 synapses on each of 16 supervoxels
+DENSE_SV = sg.GenConfig(seed=0, dims=(280, 280, 140), n_supervoxels=16, synapses_per_supervoxel=256)
 
 
 def small_config(**kw):
@@ -146,16 +150,19 @@ class TestGenerate:
             assert all(l <= p - b and p + b < h for l, p, h in zip(lo, rec.pos, hi))
 
     def test_peak_memory_under_4_bytes_per_voxel(self):
-        cfg = sg.GenConfig(seed=0, dims=(96, 96, 96), n_supervoxels=8)
-        tracemalloc.start()
-        try:
-            sg.generate(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one byte of codes and one of intensities per voxel, plus per-plane floats;
-        # a float64 canvas with its noise and sum takes over 24
-        assert peak < 4 * 96 ** 3
+        # three supervoxels make the largest cells, so the largest placement grids
+        for n_supervoxels in (8, 3):
+            cfg = sg.GenConfig(seed=0, dims=(96, 96, 96), n_supervoxels=n_supervoxels)
+            tracemalloc.start()
+            try:
+                sg.generate(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # one byte of codes and one of intensities per voxel, plus per-plane floats
+            # (a placement grid of a byte per cell voxel is freed before the intensities);
+            # a float64 canvas with its noise and sum takes over 24
+            assert peak < 4 * 96 ** 3, n_supervoxels
 
     def test_sites_respect_min_separation(self):
         cfg = small_config(seed=9, synapses_per_supervoxel=4, dims=(64, 64, 32))
@@ -176,7 +183,12 @@ class TestGenerate:
     @pytest.mark.parametrize("cfg", [
         sg.GenConfig(seed=4),
         sg.GenConfig(seed=4, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
-    ], ids=["default", "dense"])
+        DENSE_SV,
+        # min_sep 4.6 is not an integer, so no offset lies exactly on the separation
+        sg.GenConfig(seed=4, dims=(64, 64, 32), n_supervoxels=4, synapses_per_supervoxel=24,
+                     class_params=(sg.ClassParams(2.3, 1.0, 3.0, 200.0, 120.0),
+                                   sg.ClassParams(1.5, 1.0, 2.5, 150.0, 90.0))),
+    ], ids=["default", "dense", "dense_sv", "fractional-sep"])
     def test_placement_matches_the_loops(self, monkeypatch, cfg):
         got = sg.generate(cfg)
         monkeypatch.setattr(sg, "_place_sites", place_sites_loops)
@@ -185,6 +197,36 @@ class TestGenerate:
         assert got.cells == want.cells
         assert got.synapses == want.synapses
         assert all(type(c) is int for r in got.synapses for c in r.pos)
+
+    @pytest.mark.parametrize("args, passes", [
+        (((0, 0, 0), (24, 24, 24), 5, 8, 8.0), 2),
+        # min_sep 6.5 exceeds the interior's span of 6, so the grid's pad stops at 5
+        (((0, 0, 0), (16, 16, 16), 5, 3, 6.5), 4),
+    ])
+    def test_place_sites_matches_the_loops(self, monkeypatch, args, passes):
+        got = sg._place_sites(*args, np.random.default_rng(2), 1)
+        assert got == place_sites_loops(*args, np.random.default_rng(2), 1)
+        assert all(type(c) is int for site in got for c in site)
+        # the earlier passes fail, so the case covers restarts
+        monkeypatch.setattr(sg, "PLACEMENT_RESTARTS", passes - 1)
+        monkeypatch.setattr(oracles, "PLACEMENT_RESTARTS", passes - 1)
+        for place in (sg._place_sites, place_sites_loops):
+            with pytest.raises(sg.GenerationError, match=f"infeasible after {passes - 1}x"):
+                place(*args, np.random.default_rng(2), 1)
+
+    @pytest.mark.parametrize("los, his", [
+        ([5, 5, 5], [19, 19, 19]),
+        ([3, 0, 7], [4, 2, 1000]),  # spans of 1 and 2 beside a wide one
+        ([0, -50, 10], [2 ** 40, 50, 2 ** 31 + 11]),  # spans past 32 bits
+    ])
+    def test_bulk_draw_equals_scalar_draws(self, los, his):
+        # what lets _place_sites draw a round's candidates at once: the draw bounded
+        # per axis gives the scalar draws' values and leaves the generator where they do
+        bulk, scalar = np.random.default_rng(7), np.random.default_rng(7)
+        got = bulk.integers(los, his, size=(40, 3)).tolist()
+        want = [[int(scalar.integers(a, b)) for a, b in zip(los, his)] for _ in range(40)]
+        assert got == want
+        assert bulk.bit_generator.state == scalar.bit_generator.state
 
     def test_infeasible_placement_error_matches_the_loops(self, monkeypatch):
         cfg = small_config(dims=(20, 20, 10), synapses_per_supervoxel=30)
@@ -228,7 +270,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("field, value", [
         ("dims", (180.9, 144, 108)), ("dims", (True, 144, 108)), ("seed", 1.5),
-        ("n_supervoxels", 60.0), ("synapses_per_supervoxel", 8.0),
+        ("n_supervoxels", 60.0), ("synapses_per_supervoxel", 8.0), ("seed", -1),
     ])
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(sg.GenerationError, match=f"{field} must be"):
@@ -354,9 +396,18 @@ class TestPersistence:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["intensity.vol", "synapses.csv"]
 
     def test_default_phantom_files_are_pinned(self, tmp_path):
-        sg.save_phantom(sg.generate(sg.GenConfig(seed=0)), tmp_path)
-        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
-        assert got == {
-            "intensity.vol": "4d81527320e82ce465d8610a115e31d5f3ff35dee59e0427ede1cb6a48b3d23e",
-            "synapses.csv": "fcd05952340355be05843f3f37602bb9a45c2d11e66091fa87af420bd357001c",
-        }
+        # the default phantom, then the dense_sv benchmark's
+        for name, cfg, want in [
+            ("default", sg.GenConfig(seed=0), {
+                "intensity.vol": "4d81527320e82ce465d8610a115e31d5f3ff35dee59e0427ede1cb6a48b3d23e",
+                "synapses.csv": "fcd05952340355be05843f3f37602bb9a45c2d11e66091fa87af420bd357001c",
+            }),
+            ("dense_sv", DENSE_SV, {
+                "intensity.vol": "e9139394d804b670b1159019b52aac176c39b8fc7ef15c8124f783f0da167343",
+                "synapses.csv": "d28253de34b0d19c4b132fee28b49ba237791570aeefd2419a395cf9789e41bb",
+            }),
+        ]:
+            sg.save_phantom(sg.generate(cfg), tmp_path / name)
+            got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / name).iterdir()}
+            assert got == want, name

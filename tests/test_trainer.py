@@ -310,10 +310,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="patch_side"):
             tiny_config(sampler=sp.SamplerConfig(patch_side=16, batch_pairs=2))
 
-    @pytest.mark.parametrize("value", [2.5, 8.0, True])
-    @pytest.mark.parametrize("field", ["steps", "checkpoint_every", "log_every", "seed"])
+    # steps=2.5 used to train 3 steps, and seed=-1 failed only in init_state
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("steps", "checkpoint_every", "log_every", "seed")
+        for value in (2.5, 8.0, True)
+    ] + [("seed", -1)])
     def test_non_integer_count_rejected(self, field, value):
-        # steps=2.5 used to train 3 steps
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             tr.TrainConfig(**{field: value})
 

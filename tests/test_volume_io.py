@@ -186,10 +186,17 @@ class TestSynapseTable:
             read_synapse_table(p)
 
     def test_non_integer_field(self, tmp_path):
+        # int() would read "1_0" as 10, " 5" as 5, "+6" as 6 and "\u0663" (Arabic-Indic 3) as 3
         p = tmp_path / "syn.csv"
-        p.write_text("id,x,y,z,supervoxel_id,class_label\n7,a,0,0,3,\n")
-        with pytest.raises(VolumeFormatError, match="non-integer field x"):
-            read_synapse_table(p)
+        for row, column in [
+            ("7,a,0,0,3,", "x"), ("1_0,5,6,3,2,1", "id"), ("10, 5,6,3,2,1", "x"),
+            ("10,5,+6,3,2,1", "y"), ("10,5,6,\u0663,2,1", "z"), ("10,5,6,3,2 ,1", "supervoxel_id"),
+            ("10,5,6,3,2,1.0", "class_label"), ("10,5,6,3,2,-", "class_label"),
+            ("1" * 5000 + ",5,6,3,2,1", "id"),  # more digits than int() converts
+        ]:
+            p.write_text(f"id,x,y,z,supervoxel_id,class_label\n8,1,2,3,4,\n{row}\n", encoding="utf-8")
+            with pytest.raises(VolumeFormatError, match=f"non-integer field {column}=.* at data row 1"):
+                read_synapse_table(p)
 
     def test_round_trip_100_random_records(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -285,10 +292,13 @@ class TestEmbeddings:
             read_embeddings(p)
 
     def test_non_numeric(self, tmp_path):
+        # float() would read "1_0.5" as 10.5 and take surrounding whitespace and
+        # non-ASCII digits ("\u0663" is an Arabic-Indic 3, "\uff10" a fullwidth 0)
         p = tmp_path / "emb.csv"
-        p.write_text("id,e0\n0,zap\n")
-        with pytest.raises(VolumeFormatError, match="non-numeric"):
-            read_embeddings(p)
+        for value in ["zap", "1_0.5", " 0.5", "0.5 ", "0.5\t", "\u0663", "\uff10.5", ""]:
+            p.write_text(f"id,e0,e1\n0,0.5,0.5\n1,0.5,{value}\n", encoding="utf-8")
+            with pytest.raises(VolumeFormatError, match="non-numeric field e1=.* at data row 1"):
+                read_embeddings(p)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1" + "0" * 400])
     def test_non_finite_rejected(self, tmp_path, value):
