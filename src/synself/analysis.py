@@ -150,6 +150,8 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     m = x.shape[0]
     if type(k) is not int or not 1 <= k <= m:
         raise AnalysisError(f"k must be an integer in [1, {m}], got {k!r}")
+    if type(seed) is not int or seed < 0:  # numpy would read True as 1
+        raise AnalysisError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(KMEANS_N_INIT):
@@ -256,6 +258,9 @@ def concordance(
     # an empty sample would average no inter pair, to NaN
     if type(sample) is not int or sample < 1:
         raise AnalysisError(f"sample must be an integer >= 1, got {sample!r}")
+    # checked before the branch on cross_total: only a sampled inter draws from it
+    if type(seed) is not int or seed < 0:
+        raise AnalysisError(f"seed must be an integer >= 0, got {seed!r}")
     by_id = {rec.id: rec.supervoxel_id for rec in synapses}
     try:
         sv = np.array([by_id[i] for i in emb.synapse_ids])

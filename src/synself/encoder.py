@@ -67,15 +67,22 @@ class EncoderConfig:
         return self.channels[-1] * side ** 3
 
 
-def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter name -> shape map; a pure function of the config."""
-    shapes: dict[str, tuple[int, ...]] = {}
+def _convs(cfg: EncoderConfig):
+    """(name, c_in, c_out, side, pools) for each conv in order: side is the side
+    of its input, and pools marks a block's last conv, which a max pool follows."""
     c_in = 1
     for bi, c_out in enumerate(cfg.channels):
         for ci in range(cfg.convs_per_block):
-            shapes[f"block{bi}.conv{ci}.w"] = (c_out, c_in, 3, 3, 3)
-            shapes[f"block{bi}.conv{ci}.b"] = (c_out,)
+            yield f"block{bi}.conv{ci}", c_in, c_out, cfg.patch_side >> bi, ci == cfg.convs_per_block - 1
             c_in = c_out
+
+
+def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical parameter name -> shape map; a pure function of the config."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, c_in, c_out, _, _ in _convs(cfg):
+        shapes[f"{name}.w"] = (c_out, c_in, 3, 3, 3)
+        shapes[f"{name}.b"] = (c_out,)
     shapes["head_h.w"] = (cfg.h_dim, cfg.flat_dim)
     shapes["head_h.b"] = (cfg.h_dim,)
     shapes["head_z.w"] = (cfg.z_dim, cfg.h_dim)
@@ -107,37 +114,29 @@ def forward(params: dict[str, np.ndarray], patches: np.ndarray, cfg: EncoderConf
     forward. Training and embedding both run chunks of
     :func:`views_per_chunk` views.
 
-    The cache holds each conv's input, each block's pool input, the
-    flattened pooled rows and h, and no pre-activation: every conv's relu
-    runs in place on the output the conv just made, so a view keeps one copy
-    of each activation (0.70 MiB at the default 16^3, 87 MiB at 80^3).
+    ``cache["inputs"]`` lists each conv and pool layer in order as (the
+    conv's parameter name, or None for a pool; the layer's input). The cache
+    also holds the flattened pooled rows and h, and no pre-activation: every
+    conv's relu runs in place on the output the conv just made, so a view
+    keeps one copy of each activation (0.70 MiB at the default 16^3, 87 MiB
+    at 80^3).
     """
     s = cfg.patch_side
     if patches.ndim != 4 or patches.shape[1:] != (s, s, s) or not len(patches):
         raise nc.ShapeError(f"patch stack shape {patches.shape} != (B,{s},{s},{s}) with B >= 1")
     x = np.ascontiguousarray(patches.transpose(1, 2, 3, 0), dtype=np.float64)[None]
-    conv_inputs = []  # x fed to each conv, in order
-    pool_inputs = []
-    for bi in range(len(cfg.channels)):
-        for ci in range(cfg.convs_per_block):
-            w = params[f"block{bi}.conv{ci}.w"]
-            b = params[f"block{bi}.conv{ci}.b"]
-            conv_inputs.append(x)
-            x = nc.conv3d_forward(x, w, b)
-            np.maximum(x, 0.0, out=x)  # relu in place: nothing else holds the conv output
-        pool_inputs.append(x)
-        x = nc.maxpool3d_forward(x)
+    inputs = []
+    for name, _, _, _, pools in _convs(cfg):
+        inputs.append((name, x))
+        x = nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
+        np.maximum(x, 0.0, out=x)  # relu in place: nothing else holds the conv output
+        if pools:
+            inputs.append((None, x))
+            x = nc.maxpool3d_forward(x)
     flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # row v: view v's (C,D,H,W) order
     h = nc.dense_forward(flat, params["head_h.w"], params["head_h.b"])
     np.maximum(h, 0.0, out=h)
-    cache = {
-        "conv_inputs": conv_inputs,
-        "pool_inputs": pool_inputs,
-        "pooled_shape": x.shape,
-        "flat": flat,
-        "h": h,
-    }
-    return h, cache
+    return h, {"inputs": inputs, "pooled_shape": x.shape, "flat": flat, "h": h}
 
 
 def project(params: dict[str, np.ndarray], cache: dict) -> np.ndarray:
@@ -164,8 +163,7 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
     Each relu's mask is read from its output: ``relu(pre) > 0`` exactly where
     ``pre > 0``, NaN and -0.0 included, so the gradients are bit for bit those
     of a backward that kept the pre-activations. The output of a conv is the
-    next conv's cached input, or for a block's last conv the block's pool
-    input; that of the h head is h.
+    input of the layer after it in ``cache["inputs"]``; that of the h head is h.
     """
     d_z = np.asarray(d_z, dtype=np.float64)
     if d_z.shape != cache["z_pre"].shape:
@@ -177,20 +175,16 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
         cache["flat"], params["head_h.w"], nc.relu_backward(cache["h"], d_h))
     d_x = np.ascontiguousarray(d_flat.T).reshape(cache["pooled_shape"])
 
-    conv_inputs = cache["conv_inputs"]
-    n_blocks = len(cache["pool_inputs"])
-    convs_per_block = len(conv_inputs) // n_blocks
-    li = len(conv_inputs)  # walks conv layers from the end
-    for bi in reversed(range(n_blocks)):
-        relu_out = cache["pool_inputs"][bi]
-        d_x = nc.maxpool3d_backward(relu_out, d_x)
-        for ci in reversed(range(convs_per_block)):
-            li -= 1
-            d_pre = nc.relu_backward(relu_out, d_x)
-            relu_out = conv_inputs[li]  # the previous conv's relu output, or the patch
+    inputs = cache["inputs"]
+    for i in reversed(range(len(inputs))):
+        name, x = inputs[i]
+        if name is None:
+            d_x = nc.maxpool3d_backward(x, d_x)
+        else:
+            d_pre = nc.relu_backward(inputs[i + 1][1], d_x)
             # the first conv's input is the raw patch: its gradient has no reader
-            d_x, grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = nc.conv3d_backward(
-                relu_out, params[f"block{bi}.conv{ci}.w"], d_pre, need_dx=li > 0)
+            d_x, grads[f"{name}.w"], grads[f"{name}.b"] = nc.conv3d_backward(
+                x, params[f"{name}.w"], d_pre, need_dx=i > 0)
     return grads
 
 
@@ -203,12 +197,7 @@ def views_per_chunk(cfg: EncoderConfig) -> int:
     B views run in slabs of ``SLAB_BYTES // (bytes_per_plane * B) - (k-1)`` planes.
     """
     k = 3
-    c_in, widest = 1, 0
-    for bi, c_out in enumerate(cfg.channels):
-        side = cfg.patch_side >> bi
-        for _ in range(cfg.convs_per_block):
-            widest = max(widest, 8 * c_in * k * k * side * side)
-            c_in = c_out
+    widest = max(8 * c_in * k * k * side * side for _, c_in, _, side, _ in _convs(cfg))
     return max(1, nc.SLAB_BYTES // (widest * 2 * (k - 1)))
 
 

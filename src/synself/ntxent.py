@@ -37,22 +37,17 @@ def _partners(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.arange(n) + n, np.arange(n)])
 
 
-def loss(z: np.ndarray, temperature: float = 0.5, check_norms: bool = True) -> tuple[float, np.ndarray]:
-    """Return (value, d_z) for a (2N, D) batch of row embeddings.
-
-    check_norms=False skips the unit-row precondition; the finite-difference
-    suite needs that to probe the loss at perturbed (non-unit) rows.
-    """
+def loss(z: np.ndarray, temperature: float = 0.5) -> tuple[float, np.ndarray]:
+    """Return (value, d_z) for a (2N, D) batch of unit row embeddings."""
     z = np.asarray(z, dtype=np.float64)
     pairing = _partners(z)
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     n2 = z.shape[0]
-    if check_norms:
-        norms = np.linalg.norm(z, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]
-        if bad.size:
-            raise ValueError(f"row {bad[0]} has norm {norms[bad[0]]!r}, expected unit")
+    norms = np.linalg.norm(z, axis=1)
+    bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has norm {norms[bad[0]]!r}, expected unit")
 
     logits = (z @ z.T) / temperature
     np.fill_diagonal(logits, -np.inf)  # exclude k == i

@@ -136,13 +136,10 @@ def conv3d_weight_grad_taps(x, d_output, k):
 
 
 def encoder_pre_activations(params, cache):
-    """Each conv's pre-relu output, recomputed from its cached input, and h's
-    pre-activation rows from one-row dense calls, view by view."""
-    n_blocks = len(cache["pool_inputs"])
-    per_block = len(cache["conv_inputs"]) // n_blocks
-    names = (f"block{li // per_block}.conv{li % per_block}" for li in range(len(cache["conv_inputs"])))
-    conv_pre = [nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
-                for name, x in zip(names, cache["conv_inputs"])]
+    """Each conv's pre-relu output by name, recomputed from its cached input, and
+    h's pre-activation rows from one-row dense calls, view by view."""
+    conv_pre = {name: nc.conv3d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
+                for name, x in cache["inputs"] if name is not None}
     flat = cache["flat"]
     h_pre = np.concatenate([nc.dense_forward(flat[v:v + 1], params["head_h.w"], params["head_h.b"])
                             for v in range(len(flat))])
@@ -173,16 +170,12 @@ def encoder_backward_from_pre(params, cache, d_z):
         for name, g in view.items():
             grads[name] = grads[name] + g if v else g
     d_x = d_flat.T.reshape(cache["pooled_shape"])
-    n_blocks = len(cache["pool_inputs"])
-    per_block = len(conv_pre) // n_blocks
-    li = len(conv_pre)
-    for bi in reversed(range(n_blocks)):
-        d_x = nc.maxpool3d_backward(cache["pool_inputs"][bi], d_x)
-        for ci in reversed(range(per_block)):
-            li -= 1
-            d_pre = nc.relu_backward(conv_pre[li], d_x)
-            d_x, grads[f"block{bi}.conv{ci}.w"], grads[f"block{bi}.conv{ci}.b"] = nc.conv3d_backward(
-                cache["conv_inputs"][li], params[f"block{bi}.conv{ci}.w"], d_pre, need_dx=li > 0)
+    for i, (name, x) in reversed(list(enumerate(cache["inputs"]))):
+        if name is None:
+            d_x = nc.maxpool3d_backward(x, d_x)
+        else:
+            d_x, grads[f"{name}.w"], grads[f"{name}.b"] = nc.conv3d_backward(
+                x, params[f"{name}.w"], nc.relu_backward(conv_pre[name], d_x), need_dx=i > 0)
     return grads
 
 

@@ -244,6 +244,11 @@ class TestKMeans:
         with pytest.raises(an.AnalysisError, match="k must be an integer"):
             an.kmeans(np.arange(8.0).reshape(4, 2), k=k)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(an.AnalysisError, match="seed must be an integer >= 0"):
+            an.kmeans(np.arange(8.0).reshape(4, 2), k=2, seed=seed)
+
 
 class TestAgreementMetrics:
     def test_identical_labelings(self):
@@ -361,6 +366,13 @@ class TestConcordance:
         emb = EmbeddingMatrix(list(range(4)), np.eye(4))
         with pytest.raises(an.AnalysisError, match="sample must be an integer >= 1"):
             an.concordance(emb, self.recs([1, 1, 2, 2]), sample=sample)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        # four cross pairs, fewer than the sample: no draw would read the seed
+        emb = EmbeddingMatrix(list(range(4)), np.eye(4))
+        with pytest.raises(an.AnalysisError, match="seed must be an integer >= 0"):
+            an.concordance(emb, self.recs([1, 1, 2, 2]), seed=seed)
 
     def test_no_eligible_pairs(self):
         emb = EmbeddingMatrix([0, 1], np.ones((2, 2)))

@@ -14,6 +14,8 @@ from synself import numcore as nc
 from oracles import encoder_backward_from_pre, encoder_pre_activations, grad_close
 
 SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
+ONE_CONV = dataclasses.replace(SMALL, convs_per_block=1)
+THREE_CONVS = dataclasses.replace(SMALL, convs_per_block=3)
 DEFAULT = enc.EncoderConfig()
 
 
@@ -81,6 +83,19 @@ class TestConfig:
         expected += 64 * flat + 64
         expected += 32 * 64 + 32
         assert sum(math.prod(s) for s in enc.param_shapes(cfg).values()) == expected == 72424
+
+    def test_default_param_order_pinned(self):
+        # the tensor order of every checkpoint
+        assert list(enc.param_shapes(DEFAULT).items()) == [
+            ("block0.conv0.w", (8, 1, 3, 3, 3)), ("block0.conv0.b", (8,)),
+            ("block0.conv1.w", (8, 8, 3, 3, 3)), ("block0.conv1.b", (8,)),
+            ("block1.conv0.w", (16, 8, 3, 3, 3)), ("block1.conv0.b", (16,)),
+            ("block1.conv1.w", (16, 16, 3, 3, 3)), ("block1.conv1.b", (16,)),
+            ("block2.conv0.w", (32, 16, 3, 3, 3)), ("block2.conv0.b", (32,)),
+            ("block2.conv1.w", (32, 32, 3, 3, 3)), ("block2.conv1.b", (32,)),
+            ("head_h.w", (64, 256)), ("head_h.b", (64,)),
+            ("head_z.w", (32, 64)), ("head_z.b", (32,)),
+        ]
 
     def test_param_shapes_pure_function(self):
         assert enc.param_shapes(SMALL) == enc.param_shapes(
@@ -163,6 +178,15 @@ class TestForward:
         for v in range(views):
             assert h[v].tobytes() == enc.forward(params, stack[v:v + 1], cfg)[0][0].tobytes(), v
 
+    @pytest.mark.parametrize("cfg, layers", [
+        (ONE_CONV, ["block0.conv0", None, "block1.conv0", None]),
+        (THREE_CONVS, ["block0.conv0", "block0.conv1", "block0.conv2", None,
+                       "block1.conv0", "block1.conv1", "block1.conv2", None]),
+    ], ids=["1", "3"])
+    def test_cache_lists_the_layers_in_order(self, cfg, layers):
+        _, cache = enc.forward(enc.init(cfg), rand_patch(np.random.default_rng(0), 8), cfg)
+        assert [name for name, _ in cache["inputs"]] == layers
+
     def test_project_rows_are_one_view_bytes(self):
         # one GEMV per view: row v of a B-view projection is view v's one-view projection
         rng = np.random.default_rng(7)
@@ -195,13 +219,11 @@ def check_backward_from_pre_activations(cfg, case, views):
     _, _, cache = forward_z(params, stack, cfg)
     conv_pre, h_pre = encoder_pre_activations(params, cache)
     if case == "zero":
-        assert all(not pre.any() for pre in conv_pre[:cfg.convs_per_block])
-    relu_outputs = []  # a conv's relu output is the next conv's input, or the pool's
-    for bi, pool_input in enumerate(cache["pool_inputs"]):
-        first = bi * cfg.convs_per_block
-        relu_outputs += cache["conv_inputs"][first + 1:first + cfg.convs_per_block] + [pool_input]
-    for pre, out in zip(conv_pre, relu_outputs):
-        assert np.maximum(pre, 0.0).tobytes() == out.tobytes()
+        assert not any(pre.any() for pre in conv_pre.values())
+    inputs = cache["inputs"]
+    for (name, _), (_, out) in zip(inputs, inputs[1:]):  # a conv's relu output is the next layer's input
+        if name is not None:
+            assert np.maximum(conv_pre[name], 0.0).tobytes() == out.tobytes()
     assert np.maximum(h_pre, 0.0).tobytes() == cache["h"].tobytes()
 
     d_z = rng.normal(size=(views, cfg.z_dim))
@@ -223,19 +245,20 @@ def one_view_sum(params, stack, d_z, cfg):
     return total
 
 
-def check_finite_differences(views):
+def check_finite_differences(views, cfg=SMALL):
     """Directional probe of every parameter tensor of a tiny encoder, on a loss
     that sums z . d_z over the views."""
     rng = np.random.default_rng(6)
-    params = init(6)
-    stack = rng.uniform(0.0, 1.0, size=(views, 8, 8, 8))
-    d_z = rng.normal(size=(views, SMALL.z_dim))
+    params = enc.init(dataclasses.replace(cfg, init_seed=6))
+    s = cfg.patch_side
+    stack = rng.uniform(0.0, 1.0, size=(views, s, s, s))
+    d_z = rng.normal(size=(views, cfg.z_dim))
 
     def scalar(p):
-        _, z, _ = forward_z(p, stack)
+        _, z, _ = forward_z(p, stack, cfg)
         return float(np.sum(z * d_z))
 
-    _, _, cache = forward_z(params, stack)
+    _, _, cache = forward_z(params, stack, cfg)
     grads = enc.backward(params, cache, d_z)
     eps = 1e-5
     for name in params:
@@ -275,12 +298,13 @@ class TestBackward:
             with pytest.raises(nc.ShapeError, match="d_z shape"):
                 enc.backward(init(0), cache, d_z)
 
-    @pytest.mark.parametrize("cfg", [DEFAULT, SMALL], ids=["16", "8"])
+    @pytest.mark.parametrize("cfg", [DEFAULT, SMALL, ONE_CONV, THREE_CONVS], ids=["16", "8", "8-1conv", "8-3convs"])
     @pytest.mark.parametrize("case", ["random", "zero", "halves"])
     def test_bytes_equal_backward_from_pre_activations(self, cfg, case):
         check_backward_from_pre_activations(cfg, case, views=1)
 
-    @pytest.mark.parametrize("cfg", [DEFAULT, SMALL, enc.EncoderConfig(patch_side=8)], ids=["16", "small", "8"])
+    @pytest.mark.parametrize("cfg", [DEFAULT, SMALL, enc.EncoderConfig(patch_side=8), ONE_CONV, THREE_CONVS],
+                             ids=["16", "small", "8", "8-1conv", "8-3convs"])
     @pytest.mark.parametrize("case", ["random", "zero", "halves"])
     @pytest.mark.parametrize("views", [2, 5])
     def test_views_backward_is_the_sum_of_one_view_backwards(self, cfg, case, views):
@@ -297,6 +321,11 @@ class TestBackward:
     @pytest.mark.parametrize("views", [2, 5])
     def test_finite_differences_multi_view_loss(self, views):
         check_finite_differences(views)
+
+    @pytest.mark.parametrize("cfg", [ONE_CONV, THREE_CONVS], ids=["1conv", "3convs"])
+    @pytest.mark.parametrize("views", [1, 2])
+    def test_finite_differences_convs_per_block(self, cfg, views):
+        check_finite_differences(views, cfg)
 
 
 class TestActivationCache:
