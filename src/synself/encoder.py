@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import numcore as nc
-from .volume_io import _atomic_write
+from .volume_io import _atomic_write, _check_fields
 
 MAGIC = b"DCKPT1\n"
 
@@ -38,15 +38,9 @@ class EncoderConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(self.channels))
-        # exact types, so 2.5 is not truncated to 2 and 8.0 does not pass for 8
-        for name in ("patch_side", "convs_per_block", "h_dim", "z_dim", "init_seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_fields(self, ValueError)
         if self.init_seed < 0:  # numpy's seeding would reject it only once init runs
             raise ValueError(f"init_seed must be an integer >= 0, got {self.init_seed}")
-        if any(type(c) is not int for c in self.channels):
-            raise ValueError(f"channels must be integers, got {self.channels!r}")
         n_blocks = len(self.channels)
         if n_blocks < 1:
             raise ValueError("need at least one conv block")
@@ -266,14 +260,12 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _config_from_json(obj: dict, path) -> EncoderConfig:
-    known = {f.name: obj[f.name] for f in fields(EncoderConfig) if f.name in obj}
-    missing = {"patch_side", "channels", "h_dim", "z_dim"} - set(known)
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint config missing fields {sorted(missing)}")
+    # every field: a default would shape the parameters of another encoder than the one saved
     try:
-        known["channels"] = tuple(known["channels"])
-        return EncoderConfig(**known)
-    except (TypeError, ValueError) as e:
+        return EncoderConfig(**{f.name: obj[f.name] for f in fields(EncoderConfig)})
+    except KeyError as e:
+        raise CheckpointError(f"{path}: checkpoint config missing field {e}") from None
+    except ValueError as e:
         raise CheckpointError(f"{path}: bad encoder config: {e}") from e
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .volume_io import _check_fields
+
 UNIT_ROW_TOL = 1e-9
 
 
@@ -25,6 +27,7 @@ class NTXentConfig:
     temperature: float = 0.5
 
     def __post_init__(self):
+        _check_fields(self, ValueError)
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
@@ -41,8 +44,7 @@ def loss(z: np.ndarray, temperature: float = 0.5) -> tuple[float, np.ndarray]:
     """Return (value, d_z) for a (2N, D) batch of unit row embeddings."""
     z = np.asarray(z, dtype=np.float64)
     pairing = _partners(z)
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    NTXentConfig(temperature)  # the config's rule: a finite real > 0
     n2 = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]

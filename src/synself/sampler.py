@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .volume_io import IntensityVolume, SynapseRecord, check_synapses_in_bounds
+from .volume_io import IntensityVolume, SynapseRecord, _check_fields, check_synapses_in_bounds
 
 
 class SamplingError(ValueError):
@@ -34,8 +34,7 @@ class AugmentConfig:
     max_jitter_vox: int = 1
 
     def __post_init__(self):
-        if type(self.max_jitter_vox) is not int:
-            raise ValueError(f"max_jitter_vox must be an integer, got {self.max_jitter_vox!r}")
+        _check_fields(self, ValueError)
         for name in ("intensity_scale_range", "intensity_shift_range"):
             lo, hi = getattr(self, name)
             if not -math.inf < lo <= hi < math.inf:
@@ -61,18 +60,16 @@ class SamplerConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        for name in ("patch_side", "batch_pairs"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_fields(self, ValueError)
         if self.patch_side < 4:
             raise ValueError(f"patch_side must be >= 4, got {self.patch_side}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}, got {self.pair_mode!r}")
         if self.batch_pairs < 2:
             raise ValueError(f"batch_pairs must be >= 2, got {self.batch_pairs}")
-        # exact types, so True is not read as a 1 nm cap; an infinite one would code every pair
+        # an infinite cap would code every pair
         cap = self.max_pair_dist_nm
-        if cap is not None and (type(cap) not in (int, float) or not 0 < cap < math.inf):
+        if cap is not None and not 0 < cap < math.inf:
             raise ValueError(f"max_pair_dist_nm must be None or a finite real > 0, got {cap!r}")
 
 

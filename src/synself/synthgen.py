@@ -41,6 +41,7 @@ from .volume_io import (
     IntensityVolume,
     SynapseRecord,
     VolumeHeader,
+    _check_fields,
     write_synapse_table,
     write_volume,
 )
@@ -65,6 +66,7 @@ class ClassParams:
     rim_intensity: float
 
     def __post_init__(self):
+        _check_fields(self, GenerationError)
         extents = (self.blob_radius_vox, self.rim_thickness_vox, self.bar_half_length_vox)
         if not all(0 < e < math.inf for e in extents):
             raise GenerationError(f"class morphology extents must be finite and > 0: {self}")
@@ -104,16 +106,9 @@ class GenConfig:
     background_intensity: float = 40.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "class_params", tuple(self.class_params))
-        # exact types, so 180.9 is not truncated to 180 and the rng is not handed 1.5
-        for name in ("seed", "n_supervoxels", "synapses_per_supervoxel"):
-            if type(getattr(self, name)) is not int:
-                raise GenerationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_fields(self, GenerationError)
         if self.seed < 0:  # numpy's seeding would reject it only once generate runs
             raise GenerationError(f"seed must be an integer >= 0, got {self.seed}")
-        if len(self.dims) != 3 or any(type(d) is not int for d in self.dims):
-            raise GenerationError(f"dims must be three integers, got {self.dims!r}")
         if not self.class_params:
             raise GenerationError("need at least one class in class_params")
         if self.n_supervoxels < self.n_classes:

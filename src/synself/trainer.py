@@ -16,14 +16,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import encoder as enc
 from . import ntxent
 from . import sampler as sp
-from .volume_io import _write_table
+from .volume_io import _check_fields, _write_table
 
 METRICS_COLUMNS = ("step", "loss", "grad_norm", "pos_cos", "neg_cos")
 # a resumed run may only extend these; every other TrainConfig field shapes the result
@@ -49,10 +49,7 @@ class TrainConfig:
     ntxent: ntxent.NTXentConfig = field(default_factory=ntxent.NTXentConfig)
 
     def __post_init__(self):
-        # exact types, so steps=2.5 does not train 3 steps and True does not pass for 1
-        for name in ("steps", "checkpoint_every", "log_every", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_fields(self, ValueError)
         if self.seed < 0:  # numpy's seeding would reject it only once init_state runs
             raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if self.steps < 1:
@@ -168,11 +165,6 @@ def write_metrics(rows: list[dict], path) -> None:
     _write_table(path, METRICS_COLUMNS, [[r[c] for c in METRICS_COLUMNS] for r in rows])
 
 
-def _as_json(cfg) -> dict:
-    """asdict(cfg) as it reads back from a checkpoint (tuples become lists)."""
-    return json.loads(json.dumps(asdict(cfg)))
-
-
 def _valid_row(row) -> bool:
     return (isinstance(row, dict) and set(row) == set(METRICS_COLUMNS) and type(row["step"]) is int
             and all(type(row[c]) is float for c in METRICS_COLUMNS[1:]))
@@ -194,8 +186,8 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
     enc.write_container(path, config, tensors)
 
 
-def load_train_state(path) -> tuple[TrainState, dict]:
-    """Resume state from a checkpoint, with the TrainConfig it was saved under as JSON.
+def load_train_state(path) -> tuple[TrainState, TrainConfig]:
+    """Resume state from a checkpoint, with the TrainConfig it was saved under.
 
     Malformed bytes raise CheckpointError.
     """
@@ -206,16 +198,20 @@ def load_train_state(path) -> tuple[TrainState, dict]:
         raise TrainError(f"{path}: checkpoint has no train_state; cannot resume from it")
     rng = np.random.default_rng(0)
     try:
-        step, rows, train_cfg = ts["step"], ts["rows"], ts["config"]
+        step, rows = ts["step"], ts["rows"]
         rng.bit_generator.state = ts["rng_state"]
+        train_cfg = TrainConfig(**ts["config"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise enc.CheckpointError(f"{path}: bad train_state: {e!r}") from e
     if type(step) is not int or step < 0:
         raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
     if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
         raise enc.CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
+    # asdict saved every field: a config that reads back otherwise lacks one, which took its default
+    if json.loads(json.dumps(asdict(train_cfg))) != ts["config"]:
+        raise enc.CheckpointError(f"{path}: bad train_state: config lacks a field")
     # the tensors are shaped by the container's encoder config, so the two must agree
-    if not isinstance(train_cfg, dict) or train_cfg.get("encoder") != _as_json(cfg_enc):
+    if train_cfg.encoder != cfg_enc:
         raise enc.CheckpointError(f"{path}: bad train_state: config disagrees with the encoder config")
     params, adam_m, adam_v = (enc._params_from(tensors, cfg_enc, path, prefix)
                               for prefix in ("", "adam.m.", "adam.v."))
@@ -236,21 +232,19 @@ def train(
     RESUMABLE_FIELDS, or asks for fewer steps than the checkpoint holds, raises
     TrainError.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if resume_from is None:
         state = init_state(cfg)
     else:
         state, ck_cfg = load_train_state(resume_from)
         if cfg.steps < state.step:
             raise TrainError(f"{resume_from}: checkpoint step {state.step} > train config steps {cfg.steps}")
-        want = _as_json(cfg)
-        for name in (n for n in want if n not in RESUMABLE_FIELDS):
-            if ck_cfg.get(name) != want[name]:
-                raise TrainError(
-                    f"{resume_from}: checkpoint {name} config {ck_cfg.get(name)} != train config {want[name]}"
-                )
+        for name in (f.name for f in fields(cfg) if f.name not in RESUMABLE_FIELDS):
+            ck, want = getattr(ck_cfg, name), getattr(cfg, name)
+            if ck != want:
+                raise TrainError(f"{resume_from}: checkpoint {name} config {ck} != train config {want}")
         # the earlier run also logged its last step, which this run may not log
         state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
+    os.makedirs(out_dir, exist_ok=True)  # after the checks, so a refused resume leaves no directory
     metrics_path = os.path.join(out_dir, "metrics.csv")
     while state.step < cfg.steps:
         metrics = train_step(state, dataset, cfg)

@@ -21,7 +21,8 @@ import math
 import os
 import re
 import secrets
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -38,14 +39,11 @@ class VolumeHeader:
     voxel_size_nm: tuple[float, float, float] = (8.0, 8.0, 8.0)
 
     def __post_init__(self):
-        dims, sizes = tuple(self.dims), tuple(self.voxel_size_nm)
-        # exact types, so 2.5 is not truncated to 2 and True is not read as 1
-        if len(dims) != 3 or any(type(d) is not int or d < 1 for d in dims):
+        _check_fields(self, VolumeFormatError)
+        if min(self.dims) < 1:
             raise VolumeFormatError(f"dims must be three integers >= 1, got {self.dims!r}")
-        if len(sizes) != 3 or any(type(s) not in (int, float) or not 0 < s < math.inf for s in sizes):
+        if not all(0 < s < math.inf for s in self.voxel_size_nm):
             raise VolumeFormatError(f"voxel_size_nm must be three finite sizes > 0, got {self.voxel_size_nm!r}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "voxel_size_nm", tuple(float(s) for s in sizes))
 
     @property
     def n_voxels(self) -> int:
@@ -117,6 +115,56 @@ class EmbeddingMatrix:
 
 
 # ---------------------------------------------------------------------------
+# config fields
+
+_TYPE_NAMES = {int: "an integer", float: "a real number", bool: "a bool", str: "a string"}
+
+
+def _describe(hint) -> str:
+    """A field's annotation as its type error names it."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"a list of {count}items, each {_describe(args[0])}"
+    if args:  # X | None
+        return f"None or {_describe(args[0])}"
+    return _TYPE_NAMES.get(hint) or f"{hint.__name__} or a dict of its fields"
+
+
+def _checked(value, hint):
+    """value as a field annotated ``hint`` holds it; TypeError if it is not of that type."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # len() of a value that is no sequence raises the TypeError
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if type(value) not in (tuple, list) or len(value) != len(items):
+            raise TypeError
+        return tuple(map(_checked, value, items))
+    if args:  # X | None, the only other generic annotation of a config
+        return None if value is None else _checked(value, args[0])
+    if is_dataclass(hint) and type(value) is dict:
+        return hint(**value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise TypeError
+    return value
+
+
+def _check_fields(obj, error) -> None:
+    """Hold each field of the frozen dataclass ``obj`` to its annotation, or raise
+    ``error`` naming the field. int, bool and str are exact types (True is not 1,
+    2.5 is not 2); a float field takes an int too, a tuple field a list, and a
+    nested config a dict of its fields, so ``cls(**json.loads(text))`` reads the
+    JSON of an ``asdict``."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, _checked(value, hint))
+        except (TypeError, OverflowError) as e:  # OverflowError: an int too large for a float
+            raise error(f"{name} must be {_describe(hint)}, got {value!r}") from e
+
+
+# ---------------------------------------------------------------------------
 # volume files
 
 
@@ -182,14 +230,8 @@ def read_volume(path) -> IntensityVolume:
         dims, dtype, voxel_size = head["dims"], head["dtype"], head["voxel_size_nm"]
         if dtype != "u8":
             raise VolumeFormatError(f"{path}: unknown dtype {dtype!r} in header at byte offset 0")
-        # JSON lists, so "222" is not read as three digits; VolumeHeader checks the elements
-        for name, value in (("dims", dims), ("voxel_size_nm", voxel_size)):
-            if not isinstance(value, list):
-                raise VolumeFormatError(
-                    f"{path}: malformed header at byte offset 0: {name} must be a list, got {value!r}"
-                )
         try:
-            header = VolumeHeader(tuple(dims), tuple(voxel_size))
+            header = VolumeHeader(dims, voxel_size)
         except VolumeFormatError as e:
             raise VolumeFormatError(f"{path}: malformed header at byte offset 0: {e}") from e
         payload_offset = len(line)

@@ -392,6 +392,17 @@ class TestCheckpoint:
         with pytest.raises(enc.CheckpointError, match=f"{field} must be"):
             enc.load(p)
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(enc.EncoderConfig)])
+    def test_missing_config_field_named(self, tmp_path, field):
+        # without convs_per_block, a 3-conv checkpoint used to load as 2 convs: 12 of its 16 tensors
+        p = tmp_path / "ck.dckpt"
+        enc.save(enc.init(THREE_CONVS), THREE_CONVS, p)
+        config, tensors = enc.read_container(p)
+        del config[field]
+        enc.write_container(p, config, tensors)
+        with pytest.raises(enc.CheckpointError, match=f"missing field '{field}'"):
+            enc.load(p)
+
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         p = tmp_path / "ck.dckpt"
         one = np.ones(1).tobytes()

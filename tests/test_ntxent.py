@@ -143,6 +143,13 @@ class TestValidation:
             ntxent.NTXentConfig(temperature=-1.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_loss_temperature_finite_and_positive(self, value):
+        # at inf the loss was log(2N-1) with an all-zero gradient
+        z = unit_rows(np.random.default_rng(5), 4, 3)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            ntxent.loss(z, temperature=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_config_temperature_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             ntxent.NTXentConfig(temperature=value)

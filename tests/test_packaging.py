@@ -138,6 +138,34 @@ def test_every_oracle_is_used_by_a_test():
     assert sorted(name for name in bodies if _public(name) and name not in used) == []
 
 
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               and any(k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                       for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def test_every_config_checks_its_fields_first():
+    """Every frozen dataclass of synself named *Config, and ClassParams and
+    VolumeHeader, starts its __post_init__ with volume_io._check_fields(self, ...),
+    so that each field holds its annotated type before any range rule reads it."""
+    checked, unchecked = set(), set()
+    for p in sorted((ROOT / "src" / "synself").glob("*.py")):
+        for node in ast.parse(p.read_text(encoding="utf-8")).body:
+            if not (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)
+                    and (node.name.endswith("Config") or node.name in ("ClassParams", "VolumeHeader"))):
+                continue
+            post_init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+            first = post_init[0].body[0] if post_init else None
+            calls_check = (isinstance(first, ast.Expr) and isinstance(first.value, ast.Call)
+                           and isinstance(first.value.func, ast.Name) and first.value.func.id == "_check_fields"
+                           and isinstance(first.value.args[0], ast.Name) and first.value.args[0].id == "self")
+            (checked if calls_check else unchecked).add(node.name)
+    assert unchecked == set()
+    assert checked >= {"EncoderConfig", "TrainConfig", "SamplerConfig", "AugmentConfig", "NTXentConfig",
+                       "GenConfig", "ClassParams", "VolumeHeader"}
+
+
 # os.open flags that open a file without writing to it
 READ_FLAGS = {"O_RDONLY", "O_DIRECTORY", "O_BINARY", "O_CLOEXEC"}
 

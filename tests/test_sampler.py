@@ -94,10 +94,17 @@ def test_reversed_augment_range_rejected(field):
         sp.AugmentConfig(**{field: (1.2, 1.1)})
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, True, "5"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_bad_pair_distance_cap_rejected(value):
-    # inf would build every pair's code, and True would read as a 1 nm cap
+    # inf would build every pair's code
     with pytest.raises(ValueError, match="max_pair_dist_nm must be None or a finite real > 0"):
+        sp.SamplerConfig(max_pair_dist_nm=value)
+
+
+@pytest.mark.parametrize("value", [True, "5"])
+def test_non_real_pair_distance_cap_rejected(value):
+    # True would read as a 1 nm cap
+    with pytest.raises(ValueError, match="max_pair_dist_nm must be None or a real number"):
         sp.SamplerConfig(max_pair_dist_nm=value)
 
 

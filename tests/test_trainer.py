@@ -285,7 +285,8 @@ class TestTrainLoop:
         ds = tiny_dataset()
         cfg = tiny_config(steps=8, checkpoint_every=4, log_every=1)
         _, rows = tr.train(cfg, ds, tmp_path / "run")
-        state, _ = tr.load_train_state(tmp_path / "run" / "ckpt_000004.dckpt")
+        state, ck_cfg = tr.load_train_state(tmp_path / "run" / "ckpt_000004.dckpt")
+        assert ck_cfg == cfg
         metrics = tr.train_step(state, ds, cfg)
         want = next(r for r in rows if r["step"] == 5)
         assert metrics == want
@@ -357,7 +358,7 @@ class TestTrainLoop:
         tr.train(tiny_config(steps=4), ds, tmp_path / "run")
         with pytest.raises(tr.TrainError, match="checkpoint step 4 > train config steps 2"):
             tr.train(tiny_config(steps=2), ds, tmp_path / "x", resume_from=tmp_path / "run" / "ckpt_final.dckpt")
-        assert not (tmp_path / "x" / "ckpt_final.dckpt").exists()
+        assert not (tmp_path / "x").exists()
 
     def test_resume_with_equal_steps_rewrites_the_same_files(self, tmp_path):
         ds = tiny_dataset()
@@ -391,6 +392,12 @@ class TestTrainLoop:
             {k: v for k, v in ts.items() if k != "config"},
             {**ts, "config": [ts["config"]]},
             {**ts, "config": {**ts["config"], "encoder": {**ts["config"]["encoder"], "h_dim": 9}}},
+            {**ts, "config": {**ts["config"], "lr": True}},
+            {**ts, "config": {**ts["config"], "sampler": {**ts["config"]["sampler"], "augment": None}}},
+            {**ts, "config": {**ts["config"], "ntxent": {"temperature": 0.5, "tau": 1.0}}},
+            {**ts, "config": {**ts["config"], "momentum": 0.9}},
+            {**ts, "config": {k: v for k, v in ts["config"].items() if k != "lr"}},
+            {**ts, "config": {**ts["config"], "sampler": {**ts["config"]["sampler"], "augment": {}}}},
         ]
         p = tmp_path / "bad.dckpt"
         for ts in bad_states:

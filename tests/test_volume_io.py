@@ -1,11 +1,18 @@
+import json
 import math
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synself import encoder as enc
+from synself import ntxent
+from synself import sampler as sp
+from synself import synthgen as sg
+from synself import trainer as tr
 from synself.volume_io import (
     EmbeddingMatrix,
     IntensityVolume,
@@ -341,3 +348,83 @@ class TestEmbeddings:
             p = f"{tmp}/e.csv"
             write_embeddings(emb, p)
             assert read_embeddings(p).values.tobytes() == vals.tobytes()
+
+
+CAPPED_SAMPLER = sp.SamplerConfig(patch_side=8, pair_mode="augment_same", max_pair_dist_nm=120.5,
+                                  batch_pairs=3, augment=sp.IDENTITY_AUGMENT)
+SMALL_ENCODER = enc.EncoderConfig(patch_side=8, channels=(2, 4), convs_per_block=3, h_dim=8, z_dim=4, init_seed=3)
+CLASS = sg.ClassParams(1.5, 1.0, 2.0, 200.0, 90.0)
+
+
+class TestConfigFields:
+    """The one field check every config runs first: each field holds its annotated type."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: tr.TrainConfig(lr=True), ValueError, "lr must be a real number, got True"),
+        (lambda: tr.TrainConfig(adam_beta1=False), ValueError, "adam_beta1 must be a real number"),
+        (lambda: ntxent.NTXentConfig(temperature=True), ValueError, "temperature must be a real number"),
+        (lambda: sp.AugmentConfig(use_octahedral="false"), ValueError, "use_octahedral must be a bool"),
+        (lambda: sp.AugmentConfig(intensity_scale_range=(True, True)), ValueError,
+         "intensity_scale_range must be a list of 2 items, each a real number"),
+        (lambda: sg.GenConfig(noise_sigma=True), sg.GenerationError, "noise_sigma must be a real number"),
+        (lambda: sg.ClassParams(True, 1.5, 3.0, 220.0, 110.0), sg.GenerationError,
+         "blob_radius_vox must be a real number"),
+        (lambda: sp.SamplerConfig(augment=None), ValueError,
+         "augment must be AugmentConfig or a dict of its fields, got None"),
+        (lambda: tr.TrainConfig(ntxent=None), ValueError, "ntxent must be NTXentConfig or a dict of its fields"),
+        (lambda: sg.GenConfig(class_params=((2.0, 1.5, 3.0, 220.0, 110.0),), n_supervoxels=4),
+         sg.GenerationError, "class_params must be a list of items, each ClassParams or a dict of its fields"),
+        (lambda: sp.SamplerConfig(pair_mode=1), ValueError, "pair_mode must be a string"),
+        (lambda: enc.EncoderConfig(channels=[8, 16.0, 32]), ValueError,
+         "channels must be a list of items, each an integer"),
+        (lambda: enc.EncoderConfig(channels="8"), ValueError, "channels must be a list"),
+        (lambda: VolumeHeader((2, 3)), VolumeFormatError, "dims must be a list of 3 items, each an integer"),
+        (lambda: VolumeHeader([2, 3, 4, 5]), VolumeFormatError, "dims must be a list of 3 items"),
+        (lambda: VolumeHeader((2, 3, 4), 8.0), VolumeFormatError, "voxel_size_nm must be a list of 3 items"),
+        (lambda: VolumeHeader((2, 3, 4), (8.0, 8.0, 10 ** 400)), VolumeFormatError,
+         "voxel_size_nm must be a list of 3 items, each a real number"),
+        (lambda: tr.TrainConfig(sampler={"patch_size": 16}), ValueError, "sampler must be SamplerConfig or a dict"),
+        (lambda: tr.TrainConfig(encoder=sp.SamplerConfig()), ValueError, "encoder must be EncoderConfig or a dict"),
+    ])
+    def test_wrong_type_names_the_field(self, make, error, message):
+        with pytest.raises(error) as e:
+            make()
+        assert type(e.value) is error and str(e.value).startswith(message)
+
+    def test_a_nested_config_reports_its_own_field(self):
+        with pytest.raises(ValueError, match="^max_jitter_vox must be an integer"):
+            tr.TrainConfig(sampler={"augment": {"max_jitter_vox": 1.0}})
+        with pytest.raises(sg.GenerationError, match="^rim_intensity must be a real number"):
+            sg.GenConfig(class_params=[asdict(CLASS) | {"rim_intensity": None}])
+
+    def test_accepted_values_are_stored_as_annotated(self):
+        header = VolumeHeader([2, 3, 4], [8, 8.5, 40])
+        assert header.dims == (2, 3, 4) and header.voxel_size_nm == (8.0, 8.5, 40.0)
+        assert list(map(type, header.voxel_size_nm)) == [float] * 3
+        assert type(tr.TrainConfig(lr=1).lr) is float
+        assert type(sp.SamplerConfig(max_pair_dist_nm=200).max_pair_dist_nm) is float
+        assert sp.SamplerConfig(max_pair_dist_nm=None).max_pair_dist_nm is None
+        assert enc.EncoderConfig(channels=[4, 8, 16]).channels == (4, 8, 16)
+        cfg = tr.TrainConfig(sampler={"augment": {"use_octahedral": False}}, ntxent={"temperature": 1})
+        assert cfg.sampler == sp.SamplerConfig(augment=sp.AugmentConfig(use_octahedral=False))
+        assert cfg.ntxent == ntxent.NTXentConfig(1.0)
+        gen = sg.GenConfig(class_params=[asdict(CLASS)], n_supervoxels=4)
+        assert gen.class_params == (CLASS,)
+
+    @pytest.mark.parametrize("cfg", [
+        enc.EncoderConfig(), SMALL_ENCODER,
+        tr.TrainConfig(),
+        tr.TrainConfig(steps=7, lr=2e-3, adam_beta1=0.5, adam_beta2=0.75, adam_eps=1e-6, checkpoint_every=3,
+                       log_every=2, seed=5, sampler=CAPPED_SAMPLER, encoder=SMALL_ENCODER,
+                       ntxent=ntxent.NTXentConfig(0.2)),
+        sp.SamplerConfig(), CAPPED_SAMPLER,
+        sp.AugmentConfig(), sp.IDENTITY_AUGMENT,
+        ntxent.NTXentConfig(), ntxent.NTXentConfig(0.07),
+        sg.GenConfig(),
+        sg.GenConfig(seed=4, dims=(40, 32, 24), n_supervoxels=4, synapses_per_supervoxel=2, noise_sigma=0.0,
+                     class_params=(CLASS, sg.ClassParams(2.5, 1.0, 3.0, 110.0, 70.0)), background_intensity=0),
+        sg.DEFAULT_CLASS_PARAMS[0], CLASS,
+        VolumeHeader((1, 1, 1)), VolumeHeader((3, 4, 5), (4.0, 4.0, 40.0)),
+    ], ids=lambda cfg: type(cfg).__name__)
+    def test_json_round_trip(self, cfg):
+        assert type(cfg)(**json.loads(json.dumps(asdict(cfg)))) == cfg
