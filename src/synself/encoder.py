@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
@@ -31,29 +32,23 @@ class CheckpointError(ValueError):
 @dataclass(frozen=True)
 class EncoderConfig:
     patch_side: int = 16
-    channels: tuple[int, ...] = (8, 16, 32)
-    convs_per_block: int = 2
-    h_dim: int = 64
-    z_dim: int = 32
-    init_seed: int = 0
+    channels: tuple[Annotated[int, ">= 1"], ...] = (8, 16, 32)
+    convs_per_block: Annotated[int, ">= 1"] = 2
+    h_dim: Annotated[int, ">= 2"] = 64
+    z_dim: Annotated[int, ">= 2"] = 32
+    init_seed: Annotated[int, ">= 0"] = 0  # numpy would reject a negative seed only once init runs
 
     def __post_init__(self):
         _check_fields(self, ValueError)
-        if self.init_seed < 0:  # numpy's seeding would reject it only once init runs
-            raise ValueError(f"init_seed must be an integer >= 0, got {self.init_seed}")
-        n_blocks = len(self.channels)
-        if n_blocks < 1:
+        if not self.channels:
             raise ValueError("need at least one conv block")
-        if self.patch_side % (2 ** n_blocks) != 0 or self.patch_side < 2 ** n_blocks:
+        n_blocks = len(self.channels)
+        if self.patch_side % (2 ** n_blocks) or self.patch_side < 2 ** n_blocks:
             raise ValueError(
                 f"patch_side {self.patch_side} must be divisible by 2^{n_blocks} (one pooling per block)"
             )
         if any(b >= a for b, a in zip(self.channels, self.channels[1:])):
             raise ValueError(f"channels must be strictly increasing, got {self.channels}")
-        if self.h_dim < 2 or self.z_dim < 2:
-            raise ValueError("h_dim and z_dim must be >= 2")
-        if self.convs_per_block < 1:
-            raise ValueError("convs_per_block must be >= 1")
 
     @property
     def flat_dim(self) -> int:

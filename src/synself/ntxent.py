@@ -12,8 +12,8 @@ the unit-normalization Jacobian belongs to the encoder's own backward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -24,12 +24,10 @@ UNIT_ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class NTXentConfig:
-    temperature: float = 0.5
+    temperature: Annotated[float, "> 0"] = 0.5
 
     def __post_init__(self):
         _check_fields(self, ValueError)
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def _partners(z: np.ndarray) -> np.ndarray:
@@ -40,11 +38,11 @@ def _partners(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.arange(n) + n, np.arange(n)])
 
 
-def loss(z: np.ndarray, temperature: float = 0.5) -> tuple[float, np.ndarray]:
+def loss(z: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     """Return (value, d_z) for a (2N, D) batch of unit row embeddings."""
     z = np.asarray(z, dtype=np.float64)
     pairing = _partners(z)
-    NTXentConfig(temperature)  # the config's rule: a finite real > 0
+    NTXentConfig(temperature)  # the config's bound: a finite real > 0
     n2 = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]

@@ -15,6 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
+from typing import Annotated
 
 import numpy as np
 
@@ -30,20 +31,15 @@ class AugmentConfig:
     use_octahedral: bool = True
     intensity_scale_range: tuple[float, float] = (0.9, 1.1)
     intensity_shift_range: tuple[float, float] = (-10.0, 10.0)  # u8 intensity units
-    noise_sigma: float = 5.0  # u8 intensity units
-    max_jitter_vox: int = 1
+    noise_sigma: Annotated[float, ">= 0"] = 5.0  # u8 intensity units
+    max_jitter_vox: Annotated[int, ">= 0"] = 1
 
     def __post_init__(self):
         _check_fields(self, ValueError)
         for name in ("intensity_scale_range", "intensity_shift_range"):
             lo, hi = getattr(self, name)
-            if not -math.inf < lo <= hi < math.inf:
-                raise ValueError(f"{name} must have finite ends with lo <= hi, got {(lo, hi)}")
-        # a NaN sigma would fail the "> 0" test that turns the noise on, and so disable it
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.max_jitter_vox < 0:
-            raise ValueError(f"max_jitter_vox must be >= 0, got {self.max_jitter_vox}")
+            if lo > hi:
+                raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)}")
 
 
 IDENTITY_AUGMENT = AugmentConfig(False, (1.0, 1.0), (0.0, 0.0), 0.0, 0)
@@ -53,24 +49,16 @@ PAIR_MODES = ("distinct_synapses", "augment_same")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    patch_side: int = 16  # 80 reproduces the full-scale receptive field
+    patch_side: Annotated[int, ">= 4"] = 16  # 80 reproduces the full-scale receptive field
     pair_mode: str = "distinct_synapses"
-    max_pair_dist_nm: float | None = None
-    batch_pairs: int = 16
+    max_pair_dist_nm: Annotated[float, "> 0"] | None = None
+    batch_pairs: Annotated[int, ">= 2"] = 16
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
         _check_fields(self, ValueError)
-        if self.patch_side < 4:
-            raise ValueError(f"patch_side must be >= 4, got {self.patch_side}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}, got {self.pair_mode!r}")
-        if self.batch_pairs < 2:
-            raise ValueError(f"batch_pairs must be >= 2, got {self.batch_pairs}")
-        # an infinite cap would code every pair
-        cap = self.max_pair_dist_nm
-        if cap is not None and not 0 < cap < math.inf:
-            raise ValueError(f"max_pair_dist_nm must be None or a finite real > 0, got {cap!r}")
 
 
 @dataclass

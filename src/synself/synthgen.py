@@ -34,11 +34,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from .volume_io import (
     IntensityVolume,
+    PositiveInt,
     SynapseRecord,
     VolumeHeader,
     _check_fields,
@@ -59,20 +61,14 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class ClassParams:
-    blob_radius_vox: float
-    rim_thickness_vox: float
-    bar_half_length_vox: float
-    core_intensity: float
-    rim_intensity: float
+    blob_radius_vox: Annotated[float, "> 0"]
+    rim_thickness_vox: Annotated[float, "> 0"]
+    bar_half_length_vox: Annotated[float, "> 0"]
+    core_intensity: Annotated[float, ">= 0", "<= 255"]
+    rim_intensity: Annotated[float, ">= 0", "<= 255"]
 
     def __post_init__(self):
         _check_fields(self, GenerationError)
-        extents = (self.blob_radius_vox, self.rim_thickness_vox, self.bar_half_length_vox)
-        if not all(0 < e < math.inf for e in extents):
-            raise GenerationError(f"class morphology extents must be finite and > 0: {self}")
-        for v in (self.core_intensity, self.rim_intensity):
-            if not 0 <= v <= 255:
-                raise GenerationError(f"intensities must lie in [0,255]: {self}")
 
     @property
     def extent_vox(self) -> float:
@@ -97,30 +93,22 @@ DEFAULT_CLASS_PARAMS = (
 
 @dataclass(frozen=True)
 class GenConfig:
-    seed: int = 0
-    dims: tuple[int, int, int] = (180, 144, 108)
+    seed: Annotated[int, ">= 0"] = 0  # numpy would reject a negative seed only once generate runs
+    dims: tuple[PositiveInt, PositiveInt, PositiveInt] = (180, 144, 108)  # (nx, ny, nz)
     n_supervoxels: int = 60
-    synapses_per_supervoxel: int = 8
-    noise_sigma: float = 10.0
+    synapses_per_supervoxel: Annotated[int, ">= 1"] = 8
+    noise_sigma: Annotated[float, ">= 0"] = 10.0
     class_params: tuple[ClassParams, ...] = DEFAULT_CLASS_PARAMS
-    background_intensity: float = 40.0
+    background_intensity: Annotated[float, ">= 0", "<= 255"] = 40.0
 
     def __post_init__(self):
         _check_fields(self, GenerationError)
-        if self.seed < 0:  # numpy's seeding would reject it only once generate runs
-            raise GenerationError(f"seed must be an integer >= 0, got {self.seed}")
         if not self.class_params:
             raise GenerationError("need at least one class in class_params")
         if self.n_supervoxels < self.n_classes:
             raise GenerationError(
                 f"n_supervoxels {self.n_supervoxels} must be >= n_classes {self.n_classes}"
             )
-        if self.synapses_per_supervoxel < 1:
-            raise GenerationError("synapses_per_supervoxel must be >= 1")
-        if not 0 <= self.noise_sigma < math.inf:  # NaN would turn the noise off
-            raise GenerationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not 0 <= self.background_intensity <= 255:
-            raise GenerationError("background_intensity must lie in [0,255]")
 
     @property
     def n_classes(self) -> int:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields
+from typing import Annotated
 
 import numpy as np
 
@@ -36,36 +36,21 @@ class TrainError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 2000
-    lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    checkpoint_every: int = 500
-    log_every: int = 10
-    seed: int = 0
+    steps: Annotated[int, ">= 1"] = 2000
+    lr: Annotated[float, "> 0"] = 1e-3
+    adam_beta1: Annotated[float, ">= 0", "< 1"] = 0.9
+    adam_beta2: Annotated[float, ">= 0", "< 1"] = 0.999
+    # > 0: adam_eps = 0 gives a parameter whose gradient is exactly 0 a 0/0 = NaN update
+    adam_eps: Annotated[float, "> 0"] = 1e-8
+    checkpoint_every: Annotated[int, ">= 1"] = 500
+    log_every: Annotated[int, ">= 1"] = 10
+    seed: Annotated[int, ">= 0"] = 0  # numpy would reject a negative seed only once init_state runs
     sampler: sp.SamplerConfig = field(default_factory=sp.SamplerConfig)
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
     ntxent: ntxent.NTXentConfig = field(default_factory=ntxent.NTXentConfig)
 
     def __post_init__(self):
         _check_fields(self, ValueError)
-        if self.seed < 0:  # numpy's seeding would reject it only once init_state runs
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        # finite and > 0: an infinite lr or a NaN eps passes a bare "> 0" or ">= 0" check,
-        # and adam_eps = 0 gives a parameter whose gradient is exactly 0 a 0/0 = NaN update
-        for name in ("lr", "adam_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0 <= beta < 1:
-                raise ValueError(f"{name} must lie in [0,1), got {beta}")
-        if self.checkpoint_every < 1 or self.log_every < 1:
-            raise ValueError("checkpoint_every and log_every must be >= 1")
         if self.sampler.patch_side != self.encoder.patch_side:
             raise ValueError(
                 f"sampler patch_side {self.sampler.patch_side} != encoder patch_side "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import re
 import secrets
@@ -33,17 +34,17 @@ class VolumeFormatError(ValueError):
     """Malformed volume/table/embedding file or invariant violation."""
 
 
+PositiveInt = typing.Annotated[int, ">= 1"]
+PositiveFloat = typing.Annotated[float, "> 0"]
+
+
 @dataclass(frozen=True)
 class VolumeHeader:
-    dims: tuple[int, int, int]  # (nx, ny, nz)
-    voxel_size_nm: tuple[float, float, float] = (8.0, 8.0, 8.0)
+    dims: tuple[PositiveInt, PositiveInt, PositiveInt]  # (nx, ny, nz)
+    voxel_size_nm: tuple[PositiveFloat, PositiveFloat, PositiveFloat] = (8.0, 8.0, 8.0)
 
     def __post_init__(self):
         _check_fields(self, VolumeFormatError)
-        if min(self.dims) < 1:
-            raise VolumeFormatError(f"dims must be three integers >= 1, got {self.dims!r}")
-        if not all(0 < s < math.inf for s in self.voxel_size_nm):
-            raise VolumeFormatError(f"voxel_size_nm must be three finite sizes > 0, got {self.voxel_size_nm!r}")
 
     @property
     def n_voxels(self) -> int:
@@ -117,12 +118,15 @@ class EmbeddingMatrix:
 # ---------------------------------------------------------------------------
 # config fields
 
-_TYPE_NAMES = {int: "an integer", float: "a real number", bool: "a bool", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite real number", bool: "a bool", str: "a string"}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
 def _describe(hint) -> str:
-    """A field's annotation as its type error names it."""
+    """A field's annotation as its error names it."""
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        return f"{_describe(args[0])} {' and '.join(args[1:])}"
     if typing.get_origin(hint) is tuple:
         count = "" if args[-1] is Ellipsis else f"{len(args)} "
         return f"a list of {count}items, each {_describe(args[0])}"
@@ -132,8 +136,17 @@ def _describe(hint) -> str:
 
 
 def _checked(value, hint):
-    """value as a field annotated ``hint`` holds it; TypeError if it is not of that type."""
+    """value as a field annotated ``hint`` holds it; TypeError if it is not of
+    that type. ``Annotated[T, *bounds]`` is T within bounds such as ">= 0" and
+    "< 1": one of the four comparisons, a space, then a number."""
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        value = _checked(value, args[0])
+        for bound in args[1:]:
+            op, limit = bound.split()
+            if not _BOUNDS[op](value, float(limit)):
+                raise TypeError
+        return value
     if typing.get_origin(hint) is tuple:  # len() of a value that is no sequence raises the TypeError
         items = args[:1] * len(value) if args[-1] is Ellipsis else args
         if type(value) not in (tuple, list) or len(value) != len(items):
@@ -144,19 +157,19 @@ def _checked(value, hint):
     if is_dataclass(hint) and type(value) is dict:
         return hint(**value)
     if hint is float and type(value) is int:
-        return float(value)
-    if type(value) is not hint:
+        value = float(value)
+    if type(value) is not hint or hint is float and not math.isfinite(value):
         raise TypeError
     return value
 
 
 def _check_fields(obj, error) -> None:
-    """Hold each field of the frozen dataclass ``obj`` to its annotation, or raise
-    ``error`` naming the field. int, bool and str are exact types (True is not 1,
-    2.5 is not 2); a float field takes an int too, a tuple field a list, and a
-    nested config a dict of its fields, so ``cls(**json.loads(text))`` reads the
-    JSON of an ``asdict``."""
-    for name, hint in typing.get_type_hints(type(obj)).items():
+    """Hold each field of the frozen dataclass ``obj`` to its annotation, bounds
+    included, or raise ``error`` naming the field. int, bool and str are exact
+    types (True is not 1, 2.5 is not 2); a float is finite and may be given as an
+    int, a tuple as a list, and a nested config as a dict of its fields, so
+    ``cls(**json.loads(text))`` reads the JSON of an ``asdict``."""
+    for name, hint in typing.get_type_hints(type(obj), include_extras=True).items():
         value = getattr(obj, name)
         try:
             object.__setattr__(obj, name, _checked(value, hint))

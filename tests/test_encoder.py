@@ -65,6 +65,7 @@ class TestConfig:
         ("patch_side", 8.0), ("channels", (2.5, 3)), ("convs_per_block", 2.0),
         ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0), ("init_seed", True),
         ("init_seed", -1),
+        ("channels", (0, 8, 16)), ("channels", (-4, 8, 16)),  # init failed on a 0 fan_in, numpy on -4
     ])
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
@@ -383,13 +384,13 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field, value", [
         ("patch_side", 8.0), ("channels", [2.5, 3]), ("convs_per_block", 2.0),
-        ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0),
+        ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0), ("channels", [0, 8, 16]),
     ])
     def test_non_integer_config_field_named(self, tmp_path, field, value):
         p = tmp_path / "ck.dckpt"
         enc.save(init(9), SMALL, p)
         edit_config(p, **{field: value})
-        with pytest.raises(enc.CheckpointError, match=f"{field} must be"):
+        with pytest.raises(enc.CheckpointError, match=f"bad encoder config: {field} must be"):
             enc.load(p)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(enc.EncoderConfig)])

@@ -132,7 +132,7 @@ class TestValidation:
     def test_non_unit_rows_rejected(self):
         z = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="norm"):
-            ntxent.loss(z)
+            ntxent.loss(z, 0.5)
 
     def test_bad_temperature(self):
         rng = np.random.default_rng(5)
@@ -146,17 +146,17 @@ class TestValidation:
     def test_loss_temperature_finite_and_positive(self, value):
         # at inf the loss was log(2N-1) with an all-zero gradient
         z = unit_rows(np.random.default_rng(5), 4, 3)
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        with pytest.raises(ValueError, match="temperature must be a finite real number > 0"):
             ntxent.loss(z, temperature=value)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_config_temperature_finite_and_positive(self, value):
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        with pytest.raises(ValueError, match="temperature must be a finite real number > 0"):
             ntxent.NTXentConfig(temperature=value)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ntxent.loss(np.zeros((0, 3)))
+            ntxent.loss(np.zeros((0, 3)), 0.5)
 
 
 class TestCosineStats:

@@ -145,25 +145,52 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
-def test_every_config_checks_its_fields_first():
-    """Every frozen dataclass of synself named *Config, and ClassParams and
-    VolumeHeader, starts its __post_init__ with volume_io._check_fields(self, ...),
-    so that each field holds its annotated type before any range rule reads it."""
-    checked, unchecked = set(), set()
+def _checked_configs():
+    """(class, its __post_init__ or None) of every frozen dataclass of synself
+    named *Config, and of ClassParams and VolumeHeader."""
     for p in sorted((ROOT / "src" / "synself").glob("*.py")):
         for node in ast.parse(p.read_text(encoding="utf-8")).body:
-            if not (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)
+            if (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)
                     and (node.name.endswith("Config") or node.name in ("ClassParams", "VolumeHeader"))):
-                continue
-            post_init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
-            first = post_init[0].body[0] if post_init else None
-            calls_check = (isinstance(first, ast.Expr) and isinstance(first.value, ast.Call)
-                           and isinstance(first.value.func, ast.Name) and first.value.func.id == "_check_fields"
-                           and isinstance(first.value.args[0], ast.Name) and first.value.args[0].id == "self")
-            (checked if calls_check else unchecked).add(node.name)
+                post_init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+                yield node, post_init[0] if post_init else None
+
+
+def test_every_config_checks_its_fields_first():
+    """Every checked config starts its __post_init__ with
+    volume_io._check_fields(self, ...), so that each field holds its annotated
+    type and bounds before any cross-field rule reads it."""
+    checked, unchecked = set(), set()
+    for node, post_init in _checked_configs():
+        first = post_init.body[0] if post_init else None
+        calls_check = (isinstance(first, ast.Expr) and isinstance(first.value, ast.Call)
+                       and isinstance(first.value.func, ast.Name) and first.value.func.id == "_check_fields"
+                       and isinstance(first.value.args[0], ast.Name) and first.value.args[0].id == "self")
+        (checked if calls_check else unchecked).add(node.name)
     assert unchecked == set()
     assert checked >= {"EncoderConfig", "TrainConfig", "SamplerConfig", "AugmentConfig", "NTXentConfig",
                        "GenConfig", "ClassParams", "VolumeHeader"}
+
+
+def _is_number(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_configs_keep_only_cross_field_rules():
+    """A single-field range rule is a bound in the field's annotation, such as
+    Annotated[int, ">= 1"], and every float field is finite, so no checked
+    config's __post_init__ compares a value with a number or reads math
+    (math.inf, math.isfinite); what remains compares fields with each other."""
+    found = []
+    for node, post_init in _checked_configs():
+        for n in ast.walk(post_init) if post_init else ():
+            if isinstance(n, ast.Compare) and any(map(_is_number, [n.left, *n.comparators])):
+                found.append(f"{node.name}: line {n.lineno} compares with a number")
+            if isinstance(n, ast.Name) and n.id == "math":
+                found.append(f"{node.name}: line {n.lineno} reads math")
+    assert found == []
 
 
 # os.open flags that open a file without writing to it

@@ -271,6 +271,7 @@ class TestGenerate:
     @pytest.mark.parametrize("field, value", [
         ("dims", (180.9, 144, 108)), ("dims", (True, 144, 108)), ("seed", 1.5),
         ("n_supervoxels", 60.0), ("synapses_per_supervoxel", 8.0), ("seed", -1),
+        ("dims", (0, 10, 10)), ("dims", (10, -3, 10)),  # generate failed only when it partitioned
     ])
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(sg.GenerationError, match=f"{field} must be"):
@@ -279,14 +280,14 @@ class TestGenerate:
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_noise_sigma_rejected(self, sigma):
         # NaN turned the noise off, and inf left a volume of 0s and 255s
-        with pytest.raises(sg.GenerationError, match="noise_sigma must be finite"):
+        with pytest.raises(sg.GenerationError, match="noise_sigma must be a finite real number"):
             sg.GenConfig(noise_sigma=sigma)
 
     @pytest.mark.parametrize("extents", [
         (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
     ])
     def test_non_finite_class_extent_rejected(self, extents):
-        with pytest.raises(sg.GenerationError, match="extents must be finite"):
+        with pytest.raises(sg.GenerationError, match="_vox must be a finite real number > 0"):
             sg.ClassParams(*extents, 100.0, 50.0)
 
     def test_config_validation(self):

@@ -326,7 +326,7 @@ class TestTrainLoop:
     ])
     def test_non_finite_or_non_positive_rate_rejected(self, field, value):
         # adam_eps = 0 divides 0 by 0 for a parameter whose gradient is exactly 0
-        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number > 0"):
             tr.TrainConfig(**{field: value})
 
     def test_resume_config_mismatch_rejected(self, tmp_path):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tempfile
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -356,19 +358,46 @@ SMALL_ENCODER = enc.EncoderConfig(patch_side=8, channels=(2, 4), convs_per_block
 CLASS = sg.ClassParams(1.5, 1.0, 2.0, 200.0, 90.0)
 
 
+def _slots(cfg):
+    """(field, item index or None, annotation) of each value that cfg's fields
+    hold: the field, the X of an X | None field, or each item of a tuple field
+    (the first item of a tuple of any length)."""
+    for name, hint in typing.get_type_hints(type(cfg), include_extras=True).items():
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            for i, item in enumerate(args[:1] if args[-1] is Ellipsis else args):
+                yield name, i, item
+        else:
+            yield name, None, args[0] if typing.get_origin(hint) is typing.Union else hint
+
+
+def _step(value, direction):
+    """The nearest int or float to value in direction 1 (up) or -1 (down)."""
+    return value + direction if type(value) is int else math.nextafter(value, direction * math.inf)
+
+
+def _with(cfg, name, index, value):
+    """cfg with field ``name``, or item ``index`` of it, set to value."""
+    if index is not None:
+        items = list(getattr(cfg, name))
+        items[index] = value
+        value = items
+    return dataclasses.replace(cfg, **{name: value})
+
+
 class TestConfigFields:
-    """The one field check every config runs first: each field holds its annotated type."""
+    """The one field check every config runs first: each field holds its annotated type and bounds."""
 
     @pytest.mark.parametrize("make, error, message", [
-        (lambda: tr.TrainConfig(lr=True), ValueError, "lr must be a real number, got True"),
-        (lambda: tr.TrainConfig(adam_beta1=False), ValueError, "adam_beta1 must be a real number"),
-        (lambda: ntxent.NTXentConfig(temperature=True), ValueError, "temperature must be a real number"),
+        (lambda: tr.TrainConfig(lr=True), ValueError, "lr must be a finite real number > 0, got True"),
+        (lambda: tr.TrainConfig(adam_beta1=False), ValueError, "adam_beta1 must be a finite real number"),
+        (lambda: ntxent.NTXentConfig(temperature=True), ValueError, "temperature must be a finite real number"),
         (lambda: sp.AugmentConfig(use_octahedral="false"), ValueError, "use_octahedral must be a bool"),
         (lambda: sp.AugmentConfig(intensity_scale_range=(True, True)), ValueError,
-         "intensity_scale_range must be a list of 2 items, each a real number"),
-        (lambda: sg.GenConfig(noise_sigma=True), sg.GenerationError, "noise_sigma must be a real number"),
+         "intensity_scale_range must be a list of 2 items, each a finite real number"),
+        (lambda: sg.GenConfig(noise_sigma=True), sg.GenerationError, "noise_sigma must be a finite real number"),
         (lambda: sg.ClassParams(True, 1.5, 3.0, 220.0, 110.0), sg.GenerationError,
-         "blob_radius_vox must be a real number"),
+         "blob_radius_vox must be a finite real number"),
         (lambda: sp.SamplerConfig(augment=None), ValueError,
          "augment must be AugmentConfig or a dict of its fields, got None"),
         (lambda: tr.TrainConfig(ntxent=None), ValueError, "ntxent must be NTXentConfig or a dict of its fields"),
@@ -382,7 +411,7 @@ class TestConfigFields:
         (lambda: VolumeHeader([2, 3, 4, 5]), VolumeFormatError, "dims must be a list of 3 items"),
         (lambda: VolumeHeader((2, 3, 4), 8.0), VolumeFormatError, "voxel_size_nm must be a list of 3 items"),
         (lambda: VolumeHeader((2, 3, 4), (8.0, 8.0, 10 ** 400)), VolumeFormatError,
-         "voxel_size_nm must be a list of 3 items, each a real number"),
+         "voxel_size_nm must be a list of 3 items, each a finite real number"),
         (lambda: tr.TrainConfig(sampler={"patch_size": 16}), ValueError, "sampler must be SamplerConfig or a dict"),
         (lambda: tr.TrainConfig(encoder=sp.SamplerConfig()), ValueError, "encoder must be EncoderConfig or a dict"),
     ])
@@ -394,7 +423,7 @@ class TestConfigFields:
     def test_a_nested_config_reports_its_own_field(self):
         with pytest.raises(ValueError, match="^max_jitter_vox must be an integer"):
             tr.TrainConfig(sampler={"augment": {"max_jitter_vox": 1.0}})
-        with pytest.raises(sg.GenerationError, match="^rim_intensity must be a real number"):
+        with pytest.raises(sg.GenerationError, match="^rim_intensity must be a finite real number"):
             sg.GenConfig(class_params=[asdict(CLASS) | {"rim_intensity": None}])
 
     def test_accepted_values_are_stored_as_annotated(self):
@@ -428,3 +457,35 @@ class TestConfigFields:
     ], ids=lambda cfg: type(cfg).__name__)
     def test_json_round_trip(self, cfg):
         assert type(cfg)(**json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("cfg, error", [
+        (tr.TrainConfig(), ValueError), (enc.EncoderConfig(), ValueError), (sp.SamplerConfig(), ValueError),
+        (sp.AugmentConfig(), ValueError), (ntxent.NTXentConfig(), ValueError), (sg.GenConfig(), sg.GenerationError),
+        (CLASS, sg.GenerationError), (VolumeHeader((4, 4, 4)), VolumeFormatError),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else type(v).__name__)
+    def test_declared_bounds_and_finiteness(self, cfg, error):
+        """Every float slot rejects inf, -inf and NaN. Each declared limit is
+        accepted under >= and <= and rejected under > and <, and the nearest
+        value on its other side is treated the other way."""
+        def rejects(name, index, value):
+            with pytest.raises(error, match=f"^{name} must be ") as e:
+                _with(cfg, name, index, value)
+            assert type(e.value) is error, (name, value)
+
+        checked = 0
+        for name, index, hint in _slots(cfg):
+            base, *bounds = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint,)
+            if base is float:
+                for value in (math.inf, -math.inf, math.nan):
+                    rejects(name, index, value)
+                checked += 1
+            for bound in bounds:
+                op, limit = bound.split()
+                limit = base(limit)
+                up = 1 if op[0] == ">" else -1  # the direction the bound allows
+                inside, outside = (limit, _step(limit, -up)) if op.endswith("=") else (_step(limit, up), limit)
+                held = getattr(_with(cfg, name, index, inside), name)
+                assert (held if index is None else held[index]) == inside, (name, bound)
+                rejects(name, index, outside)
+                checked += 1
+        assert checked
