@@ -30,15 +30,14 @@ voxel and view and nothing else, and the dz window of a slab is its columns
 from dz*H*W*B on. One helper fills the slabs, each into one buffer whose size
 ``SLAB_BYTES`` caps, so the k GEMMs of a slab read its columns from cache
 rather than memory (c8-8 at 16^3: 0.74 MB per slab of 3 planes, where the
-whole grid would be 2.65 MB). All three passes run that one slab loop:
+whole grid would be 2.65 MB). A forward or a backward fills one column set:
 
-- the forward: per slab, k GEMMs, one per dz, write the slab's output in
+- the forward, x's: per slab, k GEMMs, one per dz, write the slab's output in
   place, then the bias is added;
-- the input gradient: the flipped-kernel correlation, one more forward; a
-  caller skips it (``need_dx=False``) when its input is raw data, as the
-  encoder's first layer does;
-- the weight gradient: ``d_w[dz] += d_output_slab @ window.T`` per slab, in z
-  order, reading d_output in place.
+- the backward, d_output's, whose dz windows hold every operand of both
+  gradients (Chellapilla, Puri & Simard, 2006): per slab and dz, the flipped
+  kernel times the window adds to d_x, and x's slab times its transpose to
+  d_w. Without d_x (``need_dx=False``, the encoder's first layer), x's.
 
 Every output element of a forward sums the same Cin*k*k products per dz in
 the same order whatever the slab depth and whatever the number of views
@@ -50,8 +49,9 @@ of 8 for every conv of the encoder at any B, except in a one-plane slab of a
 2^3 conv at odd B, which ``SLAB_BYTES`` gives only from 22 views on. So on
 the encoder's shapes the forward and the input gradient give each view the
 bits of a one-view, whole-grid conv (the tests pin them). The weight
-gradient is a sum over the output voxels, which the slabs group into partial
-sums, so its bits depend on the slab depth and on B. It agrees with a
+gradient is a sum over the output voxels, which the slabs of the filled
+columns group into partial sums, so its bits depend on B and on their slab
+depth: d_output's, set by Cout, or x's without d_x. It agrees with a
 tap-by-tap sum to within 3e-15 relative on the encoder's shapes, as one
 whole-grid GEMM does, but a training run's loss can differ in its last digits
 from a run under another grouping.
@@ -160,48 +160,48 @@ def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def _weight_grad(x: Tensor, d_output: Tensor, k: int) -> Tensor:
-    """d_weights of a conv: per slab, d_output's slab times each transposed dz window.
-
-    A function of its own so that its column buffer, which a live ``cols``
-    view would keep, is freed before the d_input conv fills its own: one c8-8
-    backward at 16^3 then peaks at 1.5 MiB.
-    """
-    c_in, d, h, w, b = x.shape
-    c_out = d_output.shape[0]
-    plane = h * w * b
-    d_flat = d_output.reshape(c_out, d * plane)
-    d_w = np.zeros((k, c_out, c_in * k * k))
-    for z0, nz, cols in _column_slabs(x, k):
-        span = nz * plane
-        d_slab = d_flat[:, z0 * plane:z0 * plane + span]
-        for dz in range(k):
-            d_w[dz] += d_slab @ cols[:, dz * plane:dz * plane + span].T
-    return np.ascontiguousarray(d_w.reshape(k, c_out, c_in, k, k).transpose(1, 2, 0, 3, 4))
-
-
 def conv3d_backward(
     x: Tensor, weights: Tensor, d_output: Tensor, need_dx: bool = True
 ) -> tuple[Tensor | None, Tensor, Tensor]:
     """Gradients of :func:`conv3d_forward`: (d_input or None unless need_dx, d_weights, d_bias).
 
-    ``d_w[:, :, dz]`` is d_output times the transposed dz column window of the
-    forward, summed slab by slab over every view. d_input is the same-padded
-    correlation of d_output with the spatially flipped, channel-swapped
-    kernel, i.e. one more forward.
-    A caller whose input is raw data (the encoder's first conv) passes
-    ``need_dx=False``: nothing reads that gradient, and it is the costlier half.
+    One slab loop over d_output's columns: d_input is their correlation with
+    the spatially flipped, channel-swapped kernel, and ``g[dz] += x_slab @
+    window.T`` gives the weight gradient, tap-flipped. A caller whose input is
+    raw data (the encoder's first conv) passes ``need_dx=False``: nothing reads
+    that gradient, so the loop fills x's columns, Cin/Cout as many rows, and
+    adds ``d_output_slab @ window.T``.
     """
     c_out, c_in, k = _conv_shapes(x, weights, None)
     if d_output.shape != (c_out,) + x.shape[1:]:
         raise ShapeError(f"conv3d d_output shape {d_output.shape} != {(c_out,) + x.shape[1:]}")
     d_bias = d_output.reshape(c_out, -1).sum(axis=1)
-    d_weights = _weight_grad(x, d_output, k)
-    d_x = None
+    plane = x[0, 0].size  # H*W*B
     if need_dx:
-        w_flip = weights.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-        d_x = conv3d_forward(d_output, w_flip, np.zeros(c_in))
-    return d_x, d_weights, d_bias
+        # w_dz[dz] of the flipped, channel-swapped kernel, as conv3d_forward builds it
+        w_dz = np.ascontiguousarray(weights[:, :, ::-1, ::-1, ::-1].transpose(2, 1, 0, 3, 4)).reshape(k, c_in, -1)
+        d_x = np.empty(x.shape)
+        filled, other = d_output, x.reshape(c_in, -1)
+    else:
+        d_x, filled, other = None, x, d_output.reshape(c_out, -1)
+    g = np.zeros((k, other.shape[0], filled.shape[0] * k * k))
+    for z0, nz, cols in _column_slabs(filled, k):
+        lo, hi = z0 * plane, (z0 + nz) * plane
+        windows = [cols[:, dz * plane:dz * plane + hi - lo] for dz in range(k)]
+        for dz in range(k):
+            g[dz] += other[:, lo:hi] @ windows[dz].T
+        if need_dx:
+            acc = d_x.reshape(c_in, -1)[:, lo:hi]
+            np.matmul(w_dz[0], windows[0], out=acc)
+            for dz in range(1, k):
+                acc += w_dz[dz] @ windows[dz]
+            acc += 0.0  # the forward's zero bias: a -0.0 sum leaves as +0.0
+    if need_dx:
+        # g[dz][c, (o, dy, dx)] is the gradient of w[o, c, k-1-dz, k-1-dy, k-1-dx]
+        d_w = g.reshape(k, c_in, c_out, k, k).transpose(2, 1, 0, 3, 4)[:, :, ::-1, ::-1, ::-1]
+    else:
+        d_w = g.reshape(k, c_out, c_in, k, k).transpose(1, 2, 0, 3, 4)
+    return d_x, np.ascontiguousarray(d_w), d_bias
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .volume_io import IntensityVolume, SynapseRecord, _check_fields, check_synapses_in_bounds
+from .volume_io import IntensityVolume, PositiveFloat, SynapseRecord, _check_fields, check_synapses_in_bounds
 
 
 class SamplingError(ValueError):
@@ -29,7 +29,8 @@ class SamplingError(ValueError):
 @dataclass(frozen=True)
 class AugmentConfig:
     use_octahedral: bool = True
-    intensity_scale_range: tuple[float, float] = (0.9, 1.1)
+    # lo > 0, and hi >= lo: a scale <= 0 would blank or invert the patch under augment's clip
+    intensity_scale_range: tuple[PositiveFloat, float] = (0.9, 1.1)
     intensity_shift_range: tuple[float, float] = (-10.0, 10.0)  # u8 intensity units
     noise_sigma: Annotated[float, ">= 0"] = 5.0  # u8 intensity units
     max_jitter_vox: Annotated[int, ">= 0"] = 1

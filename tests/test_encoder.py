@@ -328,6 +328,24 @@ class TestBackward:
     def test_finite_differences_convs_per_block(self, cfg, views):
         check_finite_differences(views, cfg)
 
+    def test_one_column_fill_per_conv(self, monkeypatch):
+        # each conv's backward fills its d_output's columns once, for d_x and d_w
+        # alike; the first conv, whose d_x has no reader, fills its input's
+        rng = np.random.default_rng(12)
+        params = enc.init(DEFAULT)
+        _, z, cache = forward_z(params, rand_patch(rng, 16), DEFAULT)
+        filled, real = [], nc._column_slabs
+        monkeypatch.setattr(nc, "_column_slabs", lambda a, k: filled.append(a) or real(a, k))
+        enc.backward(params, cache, rng.normal(size=z.shape))
+        inputs = cache["inputs"]
+        convs = [i for i in reversed(range(len(inputs))) if inputs[i][0] is not None]
+        assert len(filled) == len(convs) == 6
+        for i, a in zip(convs, filled):
+            if i == 0:
+                assert a is inputs[0][1]
+            else:
+                assert a is not inputs[i][1] and a.shape == inputs[i + 1][1].shape, inputs[i][0]
+
 
 class TestActivationCache:
     def test_default_cache_size(self):

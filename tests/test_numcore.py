@@ -268,15 +268,76 @@ class TestConvBackward:
             assert grad_close(d_b, central_diff(loss_b, b), 1e-6), (w.shape, x.shape)
 
     def test_need_dx_false_skips_only_the_input_gradient(self):
+        # the two branches fill different columns (d_output's, x's), so their
+        # d_w sum the same products in other slab groupings
         rng = np.random.default_rng(13)
         for k, spatial in [(3, (4, 5, 3))] + SHAPE_CASES[:3]:
             x, w, _ = rand_conv_case(rng, k=k, spatial=spatial)
             d_y = rng.normal(size=(w.shape[0],) + x.shape[1:])
-            _, *full = nc.conv3d_backward(x, w, d_y)
-            d_x, *partial = nc.conv3d_backward(x, w, d_y, need_dx=False)
+            _, d_w, d_b = nc.conv3d_backward(x, w, d_y)
+            d_x, d_w_only, d_b_only = nc.conv3d_backward(x, w, d_y, need_dx=False)
             assert d_x is None
-            for a, b in zip(full, partial, strict=True):
-                assert a.tobytes() == b.tobytes()
+            assert d_b.tobytes() == d_b_only.tobytes()
+            want = conv3d_weight_grad_taps(x, d_y, k)
+            assert _rel_err(d_w, want) <= 1e-12 and _rel_err(d_w_only, want) <= 1e-12
+            assert _rel_err(d_w, d_w_only) <= 3e-15
+
+
+def _weight_grad_by_central_diff(x, w, d_y, index, eps=1e-5):
+    w_plus, w_minus = w.copy(), w.copy()
+    w_plus[index] += eps
+    w_minus[index] -= eps
+    no_bias = np.zeros(w.shape[0])
+    return float(np.sum((nc.conv3d_forward(x, w_plus, no_bias) - nc.conv3d_forward(x, w_minus, no_bias)) * d_y)
+                 / (2 * eps))
+
+
+class TestSharedColumns:
+    """The backward's one column set: d_output's for d_x and d_w, or x's for d_w alone."""
+
+    @pytest.fixture(params=[1, None, 1 << 40], ids=["one-plane", "default", "whole-grid"])
+    def slab_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(nc, "SLAB_BYTES", request.param)
+
+    # (c_in, c_out): Cin < Cout, Cin > Cout, and the one-channel first conv; at
+    # (9, 8, 8) the default budget gives one-plane slabs, slabs of 8 and 1
+    # planes, or the whole grid, by channels, k and B
+    cases = pytest.mark.parametrize("c_in,c_out,k,views", [
+        (c_in, c_out, k, views) for c_in, c_out in [(8, 16), (16, 8), (1, 8)] for k in (3, 5) for views in (1, 5)])
+
+    @cases
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_weight_grad_matches_taps_and_finite_differences(self, slab_bytes, c_in, c_out, k, views, need_dx):
+        rng = np.random.default_rng(23)
+        x, w, _ = rand_conv_case(rng, c_in=c_in, c_out=c_out, k=k, spatial=(9, 8, 8), views=views)
+        d_y = rng.normal(size=(c_out, 9, 8, 8, views))
+        _, d_w, _ = nc.conv3d_backward(x, w, d_y, need_dx=need_dx)
+        assert _rel_err(d_w, conv3d_weight_grad_taps(x, d_y, k)) <= 1e-12
+        # the corner taps, which the flipped windows index from the other end
+        o, c = int(rng.integers(c_out)), int(rng.integers(c_in))
+        for index in [(o, c, 0, 0, 0), (o, c, k - 1, k - 1, k - 1), (o, c, 0, k - 1, k // 2),
+                      tuple(int(i) for i in rng.integers(0, [c_out, c_in, k, k, k]))]:
+            assert grad_close(d_w[index], _weight_grad_by_central_diff(x, w, d_y, index), 1e-6), index
+
+    @cases
+    def test_d_x_is_the_flipped_correlation_bytes(self, slab_bytes, c_in, c_out, k, views):
+        # a relu-masked d_output: exact zeros, the negative ones -0.0
+        rng = np.random.default_rng(24)
+        x, w, _ = rand_conv_case(rng, c_in=c_in, c_out=c_out, k=k, spatial=(9, 8, 8), views=views)
+        d_y = rng.normal(size=(c_out, 9, 8, 8, views)) * (rng.normal(size=(c_out, 9, 8, 8, views)) > 0.5)
+        d_x = nc.conv3d_backward(x, w, d_y)[0]
+        assert d_x.tobytes() == nc.conv3d_forward(d_y, _flip(w), np.zeros(c_in)).tobytes()
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_one_column_fill_per_backward(self, monkeypatch, need_dx):
+        rng = np.random.default_rng(25)
+        x, w, _ = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
+        d_y = rng.normal(size=(8, 16, 16, 16, 1))
+        filled, real = [], nc._column_slabs
+        monkeypatch.setattr(nc, "_column_slabs", lambda a, k: filled.append(a) or real(a, k))
+        nc.conv3d_backward(x, w, d_y, need_dx=need_dx)
+        assert len(filled) == 1 and filled[0] is (d_y if need_dx else x)
 
 
 class TestMaxPool:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -86,6 +87,18 @@ def test_non_finite_augment_value_rejected(field, value):
     # a NaN noise_sigma used to pass, and disabled the noise: nan > 0 is False
     with pytest.raises(ValueError, match=f"{field} must"):
         sp.AugmentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [(-1.0, -0.5), (0.0, 1.0), (0.5, -1.0)])
+def test_non_positive_intensity_scale_rejected(value):
+    # (-1.0, -0.5) used to pass, and clipped every voxel of a patch to 0
+    with pytest.raises(ValueError, match="^intensity_scale_range must "):
+        sp.AugmentConfig(intensity_scale_range=value)
+
+
+@pytest.mark.parametrize("cfg", [sp.AugmentConfig(), sp.IDENTITY_AUGMENT], ids=["default", "identity"])
+def test_default_and_identity_intensity_scales_accepted(cfg):
+    assert sp.AugmentConfig(*dataclasses.astuple(cfg)) == cfg
 
 
 @pytest.mark.parametrize("field", ["intensity_scale_range", "intensity_shift_range"])
