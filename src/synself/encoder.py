@@ -4,8 +4,12 @@
 training calls :func:`project` for the unit-norm z that the loss compares.
 
 Parameters are a name->tensor dict in a canonical order derived purely from
-``EncoderConfig``. Checkpoints are a bit-exact binary container: the magic
-line, one JSON config line, then length-prefixed named float64 tensors.
+``EncoderConfig``. A checkpoint is a bit-exact binary container: the magic
+line, one JSON config line, then length-prefixed named float64 tensors. Every
+checkpoint is a training checkpoint, written by ``trainer.save_train_state``:
+its JSON line is the run's ``TrainConfig`` as ``asdict`` plus a
+``train_state`` key, and :func:`load` returns its parameters and the
+``EncoderConfig`` under its ``encoder`` key.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -254,16 +258,6 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, tensors
 
 
-def _config_from_json(obj: dict, path) -> EncoderConfig:
-    # every field: a default would shape the parameters of another encoder than the one saved
-    try:
-        return EncoderConfig(**{f.name: obj[f.name] for f in fields(EncoderConfig)})
-    except KeyError as e:
-        raise CheckpointError(f"{path}: checkpoint config missing field {e}") from None
-    except ValueError as e:
-        raise CheckpointError(f"{path}: bad encoder config: {e}") from e
-
-
 def _params_from(tensors: dict[str, np.ndarray], cfg: EncoderConfig, path, prefix: str = ""):
     """name -> tensor ``prefix + name`` for every parameter of cfg; a missing or
     misshapen tensor raises CheckpointError."""
@@ -281,11 +275,10 @@ def _params_from(tensors: dict[str, np.ndarray], cfg: EncoderConfig, path, prefi
     return out
 
 
-def save(params: dict[str, np.ndarray], cfg: EncoderConfig, path) -> None:
-    write_container(path, asdict(cfg), params)
-
-
 def load(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
-    config, tensors = read_container(path)
-    cfg = _config_from_json(config, path)
-    return _params_from(tensors, cfg, path), cfg
+    """The parameters and EncoderConfig of a checkpoint, which
+    ``trainer.load_train_state`` checks whole: malformed bytes raise CheckpointError."""
+    from .trainer import load_train_state  # here, not at the top: trainer imports this module
+
+    state, train_cfg = load_train_state(path)
+    return state.params, train_cfg.encoder

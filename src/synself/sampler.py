@@ -43,8 +43,6 @@ class AugmentConfig:
                 raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)}")
 
 
-IDENTITY_AUGMENT = AugmentConfig(False, (1.0, 1.0), (0.0, 0.0), 0.0, 0)
-
 PAIR_MODES = ("distinct_synapses", "augment_same")
 
 
@@ -128,9 +126,13 @@ def apply_octahedral(patch: np.ndarray, element: int) -> np.ndarray:
 
 
 def augment(patch: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Octahedral symmetry, then x*a+b, then Gaussian noise, then clamp to [0,1].
+    """A random octahedral element, then x*a+b, then Gaussian noise, then clamp to [0,1].
 
-    Translation jitter is applied upstream by shifting the extraction center.
+    The element flips about the patch's middle, (side-1)/2, and
+    :func:`extract_patch` puts the synapse at side//2, so on the even sides
+    that EncoderConfig enforces each flipped axis also moves the synapse one
+    voxel: the element is no symmetry about the synapse. Translation jitter
+    is applied upstream by shifting the extraction center.
     """
     if patch.ndim != 3 or len(set(patch.shape)) != 1:
         raise ValueError(f"augment expects a cubic patch, got shape {patch.shape}")

@@ -5,9 +5,11 @@ rng and the logged metrics rows are owned by the train state and saved in
 checkpoints, the reduction order of the gradients is fixed, and
 metrics/checkpoint files carry no clocks or hostnames. A step's views run in
 chunks of ``encoder.views_per_chunk``: each chunk's backward sums its views'
-gradients, and the step sums the chunk gradients in chunk order. Checkpoints
-reuse the encoder container format; encoder.load() can open them directly and
-ignores the extra optimizer tensors and the train_state config key.
+gradients, and the step sums the chunk gradients in chunk order. A checkpoint
+is the encoder's container: its JSON line is ``asdict`` of the run's
+TrainConfig plus a ``train_state`` key (step, sampler rng state, metrics rows),
+and its tensors are the parameters, then the Adam moments. Only
+:func:`save_train_state` writes one; encoder.load() reads its parameters.
 """
 
 from __future__ import annotations
@@ -156,13 +158,8 @@ def _valid_row(row) -> bool:
 
 
 def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
-    config = asdict(cfg.encoder)
-    config["train_state"] = {
-        "step": state.step,
-        "rng_state": state.rng.bit_generator.state,
-        "rows": state.rows,
-        "config": asdict(cfg),
-    }
+    config = asdict(cfg)
+    config["train_state"] = {"step": state.step, "rng_state": state.rng.bit_generator.state, "rows": state.rows}
     tensors = dict(state.params)
     for k, v in state.adam_m.items():
         tensors[f"adam.m.{k}"] = v
@@ -177,28 +174,29 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
     Malformed bytes raise CheckpointError.
     """
     config, tensors = enc.read_container(path)
-    cfg_enc = enc._config_from_json(config, path)
-    ts = config.get("train_state")
-    if ts is None:
-        raise TrainError(f"{path}: checkpoint has no train_state; cannot resume from it")
+    ts = config.pop("train_state", {})
     rng = np.random.default_rng(0)
     try:
         step, rows = ts["step"], ts["rows"]
         rng.bit_generator.state = ts["rng_state"]
-        train_cfg = TrainConfig(**ts["config"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise enc.CheckpointError(f"{path}: bad train_state: {e!r}") from e
     if type(step) is not int or step < 0:
         raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
     if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
         raise enc.CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
+    steps = [r["step"] for r in rows]
+    if any(a >= b for a, b in zip([0] + steps, steps + [step + 1])):
+        raise enc.CheckpointError(
+            f"{path}: bad train_state: row steps {steps} are not strictly increasing within 1..{step}")
+    try:
+        train_cfg = TrainConfig(**config)
+    except (TypeError, ValueError) as e:  # TypeError: a key that is no TrainConfig field
+        raise enc.CheckpointError(f"{path}: bad config: {e}") from e
     # asdict saved every field: a config that reads back otherwise lacks one, which took its default
-    if json.loads(json.dumps(asdict(train_cfg))) != ts["config"]:
-        raise enc.CheckpointError(f"{path}: bad train_state: config lacks a field")
-    # the tensors are shaped by the container's encoder config, so the two must agree
-    if train_cfg.encoder != cfg_enc:
-        raise enc.CheckpointError(f"{path}: bad train_state: config disagrees with the encoder config")
-    params, adam_m, adam_v = (enc._params_from(tensors, cfg_enc, path, prefix)
+    if json.loads(json.dumps(asdict(train_cfg))) != config:
+        raise enc.CheckpointError(f"{path}: bad config: a field is missing")
+    params, adam_m, adam_v = (enc._params_from(tensors, train_cfg.encoder, path, prefix)
                               for prefix in ("", "adam.m.", "adam.v."))
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg
 

@@ -10,6 +10,7 @@ from synself import encoder as enc
 from synself import numcore as nc
 from synself import sampler as sp
 from synself.volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, VolumeFormatError, VolumeHeader
+from helpers import save_checkpoint
 from oracles import ari_pair_loops, concordance_loops, nmi_loops
 
 
@@ -35,7 +36,7 @@ class TestEmbedAll:
         vol, recs = ramp_dataset()
         params = enc.init(SMALL)
         ck = tmp_path / "ck.dckpt"
-        enc.save(params, SMALL, ck)
+        save_checkpoint(params, SMALL, ck)
         emb = an.embed_all(ck, vol, recs, patch_side=8)
         assert emb.values.shape == (4, 6)
         for i, rec in enumerate(recs):
@@ -48,14 +49,14 @@ class TestEmbedAll:
         recs = [SynapseRecord(0, (8, 8, 8), 1), SynapseRecord(1, (8, 8, 8), 2)]
         params = enc.init(SMALL)
         ck = tmp_path / "ck.dckpt"
-        enc.save(params, SMALL, ck)
+        save_checkpoint(params, SMALL, ck)
         emb = an.embed_all(ck, vol, recs, patch_side=8)
         assert np.array_equal(emb.values[0], emb.values[1])
 
     def test_patch_side_mismatch(self, tmp_path):
         vol, recs = ramp_dataset()
         ck = tmp_path / "ck.dckpt"
-        enc.save(enc.init(SMALL), SMALL, ck)
+        save_checkpoint(enc.init(SMALL), SMALL, ck)
         with pytest.raises(an.AnalysisError, match="patch_side"):
             an.embed_all(ck, vol, recs, patch_side=16)
 
@@ -101,7 +102,7 @@ class TestEmbedAll:
     def test_row_order_follows_table_order(self, tmp_path):
         vol, recs = ramp_dataset()
         ck = tmp_path / "ck.dckpt"
-        enc.save(enc.init(SMALL), SMALL, ck)
+        save_checkpoint(enc.init(SMALL), SMALL, ck)
         fwd = an.embed_all(ck, vol, recs, patch_side=8)
         rev = an.embed_all(ck, vol, recs[::-1], patch_side=8)
         assert rev.synapse_ids == fwd.synapse_ids[::-1]

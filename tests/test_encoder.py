@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import struct
 import tempfile
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from synself import encoder as enc
 from synself import numcore as nc
+from helpers import save_checkpoint
 from oracles import encoder_backward_from_pre, encoder_pre_activations, grad_close
 
 SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
@@ -26,16 +26,14 @@ def tensor_record(name: bytes, shape, data: bytes = b"") -> bytes:
 
 
 def container_bytes(*records: bytes) -> bytes:
-    return enc.MAGIC + json.dumps(dataclasses.asdict(SMALL)).encode() + b"\n" + b"".join(records)
+    return enc.MAGIC + b"{}\n" + b"".join(records)
 
 
-def edit_config(path, **changes):
-    """Rewrite a checkpoint's JSON config line with `changes` applied."""
-    raw = path.read_bytes()
-    nl = raw.index(b"\n") + 1
-    nl2 = raw.index(b"\n", nl) + 1
-    cfg = {**json.loads(raw[nl:nl2]), **changes}
-    path.write_bytes(raw[:nl] + json.dumps(cfg, separators=(",", ":"), sort_keys=True).encode() + b"\n" + raw[nl2:])
+def edit_encoder_config(path, **changes):
+    """Rewrite the encoder config in a checkpoint's JSON line with `changes` applied."""
+    config, tensors = enc.read_container(path)
+    config["encoder"].update(changes)
+    enc.write_container(path, config, tensors)
 
 
 def rand_patch(rng, s):
@@ -372,7 +370,7 @@ class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         params = init(7)
         p = tmp_path / "ck.dckpt"
-        enc.save(params, SMALL, p)
+        save_checkpoint(params, SMALL, p)
         got, cfg = enc.load(p)
         assert cfg == SMALL
         assert set(got) == set(params)
@@ -381,10 +379,10 @@ class TestCheckpoint:
     def test_truncated_tensor_named(self, tmp_path):
         params = init(8)
         p = tmp_path / "ck.dckpt"
-        enc.save(params, SMALL, p)
+        save_checkpoint(params, SMALL, p)
         raw = p.read_bytes()
         p.write_bytes(raw[:-8])
-        with pytest.raises(enc.CheckpointError, match="truncated tensor 'head_z.b'"):
+        with pytest.raises(enc.CheckpointError, match="truncated tensor 'adam.v.head_z.b'"):
             enc.load(p)
 
     def test_magic_mismatch(self, tmp_path):
@@ -393,10 +391,16 @@ class TestCheckpoint:
         with pytest.raises(enc.CheckpointError, match="magic"):
             enc.load(p)
 
+    def test_config_line_not_an_object(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(enc.MAGIC + b"[]\n")
+        with pytest.raises(enc.CheckpointError, match="not a JSON object"):
+            enc.load(p)
+
     def test_edited_config_shape_disagreement(self, tmp_path):
         p = tmp_path / "ck.dckpt"
-        enc.save(init(9), SMALL, p)
-        edit_config(p, channels=[2, 4])
+        save_checkpoint(init(9), SMALL, p)
+        edit_encoder_config(p, channels=[2, 4])
         with pytest.raises(enc.CheckpointError, match="config/shape disagreement"):
             enc.load(p)
 
@@ -406,20 +410,20 @@ class TestCheckpoint:
     ])
     def test_non_integer_config_field_named(self, tmp_path, field, value):
         p = tmp_path / "ck.dckpt"
-        enc.save(init(9), SMALL, p)
-        edit_config(p, **{field: value})
-        with pytest.raises(enc.CheckpointError, match=f"bad encoder config: {field} must be"):
+        save_checkpoint(init(9), SMALL, p)
+        edit_encoder_config(p, **{field: value})
+        with pytest.raises(enc.CheckpointError, match=f"bad config: {field} must be"):
             enc.load(p)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(enc.EncoderConfig)])
-    def test_missing_config_field_named(self, tmp_path, field):
+    def test_missing_config_field_rejected(self, tmp_path, field):
         # without convs_per_block, a 3-conv checkpoint used to load as 2 convs: 12 of its 16 tensors
         p = tmp_path / "ck.dckpt"
-        enc.save(enc.init(THREE_CONVS), THREE_CONVS, p)
+        save_checkpoint(enc.init(THREE_CONVS), THREE_CONVS, p)
         config, tensors = enc.read_container(p)
-        del config[field]
+        del config["encoder"][field]
         enc.write_container(p, config, tensors)
-        with pytest.raises(enc.CheckpointError, match=f"missing field '{field}'"):
+        with pytest.raises(enc.CheckpointError, match="bad config"):
             enc.load(p)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
@@ -448,7 +452,7 @@ class TestCheckpoint:
     def test_truncated_or_bit_flipped_container_typed_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             p = f"{tmp}/ck.dckpt"
-            enc.save(init(10), SMALL, p)
+            save_checkpoint(init(10), SMALL, p)
             with open(p, "rb") as f:
                 raw = bytearray(f.read())
             if data.draw(st.booleans(), label="truncate"):

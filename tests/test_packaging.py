@@ -15,8 +15,6 @@ UNCALLED_UNTIL_THE_CLI = {
     "synthgen.inject_false_merge": "ROADMAP item 1: merge detection wires it in or deletes it",
     "volume_io.write_embeddings": "ROADMAP item 1: the CLI's embed step writes the matrix",
     "volume_io.read_embeddings": "ROADMAP item 1: the CLI's analyze step reads the matrix",
-    "encoder.save": "ROADMAP item 1: the CLI's train step saves the encoder, or it goes",
-    "sampler.IDENTITY_AUGMENT": "ROADMAP item 1: an augmentation-free option for the CLI, or deleted",
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from synself import sampler as sp
 from synself.volume_io import IntensityVolume, SynapseRecord, VolumeFormatError, VolumeHeader
+from helpers import IDENTITY_AUGMENT
 from oracles import eligible_supervoxels_lists, extract_patch_loops
 
 
@@ -96,7 +97,7 @@ def test_non_positive_intensity_scale_rejected(value):
         sp.AugmentConfig(intensity_scale_range=value)
 
 
-@pytest.mark.parametrize("cfg", [sp.AugmentConfig(), sp.IDENTITY_AUGMENT], ids=["default", "identity"])
+@pytest.mark.parametrize("cfg", [sp.AugmentConfig(), IDENTITY_AUGMENT], ids=["default", "identity"])
 def test_default_and_identity_intensity_scales_accepted(cfg):
     assert sp.AugmentConfig(*dataclasses.astuple(cfg)) == cfg
 
@@ -145,7 +146,7 @@ class TestAugment:
     def test_disabled_is_identity(self):
         rng = np.random.default_rng(2)
         patch = rng.uniform(size=(6, 6, 6))
-        out = sp.augment(patch, sp.IDENTITY_AUGMENT, np.random.default_rng(0))
+        out = sp.augment(patch, IDENTITY_AUGMENT, np.random.default_rng(0))
         assert np.array_equal(out, patch)
 
     def test_scale_only_doubles_mean(self):
@@ -184,7 +185,7 @@ def two_synapse_dataset(n_supervoxels, spacing=4, dims=(24, 24, 24)):
 class TestSampleBatch:
     def test_forced_enumeration(self):
         ds = two_synapse_dataset(4)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=IDENTITY_AUGMENT)
         batch = sp.sample_batch(ds, cfg, np.random.default_rng(0))
         assert sorted(batch.supervoxel_ids) == [1, 2, 3, 4]
         # identity augment + label-encoding volume: the center voxel names the supervoxel
@@ -200,7 +201,7 @@ class TestSampleBatch:
             recs.append(SynapseRecord(2 * sv - 2, (2 * sv, 4, 4), sv))
             recs.append(SynapseRecord(2 * sv - 1, (2 * sv, 10, 4), sv))
         ds = sp.Dataset(vol, recs)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=IDENTITY_AUGMENT)
         batch = sp.sample_batch(ds, cfg, np.random.default_rng(1))
         # on a ramp volume, views from distinct centers must differ
         for row in range(4):
@@ -216,7 +217,7 @@ class TestSampleBatch:
         ds = two_synapse_dataset(3, spacing=d + 1)
         cfg = sp.SamplerConfig(
             patch_side=4, batch_pairs=2, max_pair_dist_nm=8.0 * d,
-            augment=sp.IDENTITY_AUGMENT,
+            augment=IDENTITY_AUGMENT,
         )
         eligible = sp.eligible_supervoxels(ds, cfg)
         assert eligible == {}
@@ -228,13 +229,13 @@ class TestSampleBatch:
         ds = two_synapse_dataset(3, spacing=d)
         cfg = sp.SamplerConfig(
             patch_side=4, batch_pairs=3, max_pair_dist_nm=8.0 * d,
-            augment=sp.IDENTITY_AUGMENT,
+            augment=IDENTITY_AUGMENT,
         )
         assert sorted(sp.eligible_supervoxels(ds, cfg)) == [1, 2, 3]
 
     def test_too_few_supervoxels(self):
         ds = two_synapse_dataset(2)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=3, augment=sp.IDENTITY_AUGMENT)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=3, augment=IDENTITY_AUGMENT)
         with pytest.raises(sp.SamplingError, match="need 3"):
             sp.sample_batch(ds, cfg, np.random.default_rng(0))
 
@@ -242,10 +243,10 @@ class TestSampleBatch:
         vol = labeled_volume({(4, 4, 4): 1, (8, 8, 8): 2, (12, 12, 12): 3})
         recs = [SynapseRecord(i, p, i + 1) for i, p in enumerate([(4, 4, 4), (8, 8, 8), (12, 12, 12)])]
         ds = sp.Dataset(vol, recs)
-        distinct = sp.SamplerConfig(patch_side=4, batch_pairs=2, augment=sp.IDENTITY_AUGMENT)
+        distinct = sp.SamplerConfig(patch_side=4, batch_pairs=2, augment=IDENTITY_AUGMENT)
         assert sp.eligible_supervoxels(ds, distinct) == {}
         same = sp.SamplerConfig(patch_side=4, batch_pairs=2, pair_mode="augment_same",
-                                augment=sp.IDENTITY_AUGMENT)
+                                augment=IDENTITY_AUGMENT)
         assert sorted(sp.eligible_supervoxels(ds, same)) == [1, 2, 3]
         batch = sp.sample_batch(ds, same, np.random.default_rng(0))
         assert len(set(batch.supervoxel_ids)) == 2
@@ -273,7 +274,7 @@ class TestSampleBatch:
     def test_selection_roughly_uniform(self):
         # smoke-scale version of the acceptance uniformity run
         ds = two_synapse_dataset(10)
-        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=sp.IDENTITY_AUGMENT)
+        cfg = sp.SamplerConfig(patch_side=4, batch_pairs=4, augment=IDENTITY_AUGMENT)
         rng = np.random.default_rng(7)
         n_batches = 2000
         counts = np.zeros(11)

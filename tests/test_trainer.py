@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
 from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
+from helpers import IDENTITY_AUGMENT
 
 
 def tiny_dataset(seed=0):
@@ -149,7 +151,7 @@ class TestTrainStep:
         vol = IntensityVolume(VolumeHeader(dims), np.zeros((16, 32, 32), np.uint8))
         recs = [SynapseRecord(i, (8 + 16 * (i // 4), 8 + 8 * (i % 2), 8), 1 + i // 2) for i in range(8)]
         ds = sp.Dataset(vol, recs)
-        cfg = tiny_config(sampler=sp.SamplerConfig(patch_side=8, batch_pairs=2, augment=sp.IDENTITY_AUGMENT))
+        cfg = tiny_config(sampler=sp.SamplerConfig(patch_side=8, batch_pairs=2, augment=IDENTITY_AUGMENT))
         batch = sp.sample_batch(ds, cfg.sampler, np.random.default_rng(cfg.seed))
         fingerprint = tr._batch_fingerprint(np.concatenate([batch.views_a, batch.views_b]))
         with pytest.raises(tr.TrainError, match=f"step 1 .*batch fingerprint {fingerprint}"):
@@ -368,14 +370,15 @@ class TestTrainLoop:
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
     def test_malformed_train_state_rejected(self, tmp_path):
-        cfg = tiny_config(steps=2)
+        cfg = tiny_config(steps=4, log_every=1)
         tr.train(cfg, tiny_dataset(), tmp_path / "run")
-        raw = (tmp_path / "run" / "ckpt_final.dckpt").read_bytes()
-        start = len(enc.MAGIC)
-        end = raw.index(b"\n", start) + 1
-        good = json.loads(raw[start:end])
+        good, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         ts = good["train_state"]
         rng_state = ts["rng_state"]
+
+        def row_steps(*steps):
+            return {**ts, "rows": [{**ts["rows"][0], "step": s} for s in steps]}
+
         bad_states = [
             {**ts, "step": "2"},
             {**ts, "step": -1},
@@ -385,24 +388,34 @@ class TestTrainLoop:
             {**ts, "rng_state": {**rng_state, "bit_generator": "MT19937"}},
             {**ts, "rng_state": {**rng_state, "state": {"state": -1, "inc": 1}}},
             [2, rng_state],
+            {k: v for k, v in ts.items() if k != "step"},
             {k: v for k, v in ts.items() if k != "rows"},
             {**ts, "rows": {}},
             {**ts, "rows": [{**ts["rows"][0], "loss": "0.5"}]},
             {**ts, "rows": [{"step": 2}]},
-            {k: v for k, v in ts.items() if k != "config"},
-            {**ts, "config": [ts["config"]]},
-            {**ts, "config": {**ts["config"], "encoder": {**ts["config"]["encoder"], "h_dim": 9}}},
-            {**ts, "config": {**ts["config"], "lr": True}},
-            {**ts, "config": {**ts["config"], "sampler": {**ts["config"]["sampler"], "augment": None}}},
-            {**ts, "config": {**ts["config"], "ntxent": {"temperature": 0.5, "tau": 1.0}}},
-            {**ts, "config": {**ts["config"], "momentum": 0.9}},
-            {**ts, "config": {k: v for k, v in ts["config"].items() if k != "lr"}},
-            {**ts, "config": {**ts["config"], "sampler": {**ts["config"]["sampler"], "augment": {}}}},
+            # row steps must rise strictly within 1..step; a resume would drop these rows without a word
+            row_steps(999, 3), row_steps(0, 1), row_steps(5), row_steps(2, 2), row_steps(3, 1),
         ]
         p = tmp_path / "bad.dckpt"
-        for ts in bad_states:
-            p.write_bytes(raw[:start] + json.dumps({**good, "train_state": ts}).encode() + b"\n" + raw[end:])
-            with pytest.raises(enc.CheckpointError, match="train_state"):
+        for bad in bad_states:
+            enc.write_container(p, {**good, "train_state": bad}, tensors)
+            with pytest.raises(enc.CheckpointError, match="bad train_state"):
+                tr.load_train_state(p)
+
+        config = {k: v for k, v in good.items() if k != "train_state"}
+        bad_configs = [
+            {},
+            {**config, "lr": True},
+            {**config, "sampler": {**config["sampler"], "augment": None}},
+            {**config, "ntxent": {"temperature": 0.5, "tau": 1.0}},
+            {**config, "momentum": 0.9},
+            {k: v for k, v in config.items() if k != "lr"},
+            {**config, "sampler": {**config["sampler"], "augment": {}}},
+            {**config, "sampler": {k: v for k, v in config["sampler"].items() if k != "max_pair_dist_nm"}},
+        ]
+        for bad in bad_configs:
+            enc.write_container(p, {**bad, "train_state": ts}, tensors)
+            with pytest.raises(enc.CheckpointError, match="bad config"):
                 tr.load_train_state(p)
 
     @pytest.mark.parametrize("key, edit", [
@@ -456,3 +469,50 @@ class TestTrainLoop:
             tr.write_metrics([{"step": 1}], target)
         assert target.read_bytes() == b"old\n"
         assert [f.name for f in tmp_path.iterdir()] == ["metrics.csv"]
+
+
+def _without(key):
+    return lambda c: {k: v for k, v in c.items() if k != key}
+
+
+def _old_layout(c):
+    """The line of an older checkpoint: the encoder's fields at the top level,
+    and the TrainConfig inside train_state."""
+    ts = {**c["train_state"], "config": {k: v for k, v in c.items() if k != "train_state"}}
+    return {**c["encoder"], "train_state": ts}
+
+
+# edits of a good JSON line, asdict of the TrainConfig plus train_state, that leave no checkpoint
+OTHER_LAYOUTS = [
+    pytest.param(_old_layout, id="old_layout"),
+    pytest.param(_without("encoder"), id="no_encoder"),
+    pytest.param(lambda c: {**c, "encoder": list(c["encoder"].values())}, id="encoder_a_list"),
+    pytest.param(lambda c: {**c, "encoder": 8}, id="encoder_a_number"),
+    pytest.param(_without("train_state"), id="no_train_state"),
+    pytest.param(lambda c: {**c, "train_state": None}, id="train_state_null"),
+    pytest.param(lambda c: {**c, "momentum": 0.9}, id="unknown_top_level_key"),
+]
+
+
+class TestCheckpointLayout:
+    def test_json_line_is_the_train_config_plus_train_state(self, tmp_path):
+        # the asdict form that a JSON config file of the same run holds
+        cfg = tiny_config(steps=3)
+        state, _ = tr.train(cfg, tiny_dataset(), tmp_path / "run")
+        config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        ts = config.pop("train_state")
+        assert config == json.loads(json.dumps(asdict(cfg)))
+        assert tr.TrainConfig(**config) == cfg
+        assert sorted(ts) == ["rng_state", "rows", "step"] and ts["step"] == 3
+        assert list(tensors) == (list(state.params) + [f"adam.m.{k}" for k in state.params]
+                                 + [f"adam.v.{k}" for k in state.params])
+
+    @pytest.mark.parametrize("reader", [enc.load, tr.load_train_state], ids=["encoder.load", "load_train_state"])
+    @pytest.mark.parametrize("edit", OTHER_LAYOUTS)
+    def test_other_layouts_are_checkpoint_errors(self, tmp_path, reader, edit):
+        tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
+        config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        p = tmp_path / "bad.dckpt"
+        enc.write_container(p, edit(config), tensors)
+        with pytest.raises(enc.CheckpointError):
+            reader(p)

@@ -29,6 +29,7 @@ from synself.volume_io import (
     write_synapse_table,
     write_volume,
 )
+from helpers import IDENTITY_AUGMENT
 
 
 def corrupted(data, raw: bytes) -> bytes:
@@ -353,7 +354,7 @@ class TestEmbeddings:
 
 
 CAPPED_SAMPLER = sp.SamplerConfig(patch_side=8, pair_mode="augment_same", max_pair_dist_nm=120.5,
-                                  batch_pairs=3, augment=sp.IDENTITY_AUGMENT)
+                                  batch_pairs=3, augment=IDENTITY_AUGMENT)
 SMALL_ENCODER = enc.EncoderConfig(patch_side=8, channels=(2, 4), convs_per_block=3, h_dim=8, z_dim=4, init_seed=3)
 CLASS = sg.ClassParams(1.5, 1.0, 2.0, 200.0, 90.0)
 
@@ -447,7 +448,7 @@ class TestConfigFields:
                        log_every=2, seed=5, sampler=CAPPED_SAMPLER, encoder=SMALL_ENCODER,
                        ntxent=ntxent.NTXentConfig(0.2)),
         sp.SamplerConfig(), CAPPED_SAMPLER,
-        sp.AugmentConfig(), sp.IDENTITY_AUGMENT,
+        sp.AugmentConfig(), IDENTITY_AUGMENT,
         ntxent.NTXentConfig(), ntxent.NTXentConfig(0.07),
         sg.GenConfig(),
         sg.GenConfig(seed=4, dims=(40, 32, 24), n_supervoxels=4, synapses_per_supervoxel=2, noise_sigma=0.0,
