@@ -5,11 +5,8 @@ training calls :func:`project` for the unit-norm z that the loss compares.
 
 Parameters are a name->tensor dict in a canonical order derived purely from
 ``EncoderConfig``. A checkpoint is a bit-exact binary container: the magic
-line, one JSON config line, then length-prefixed named float64 tensors. Every
-checkpoint is a training checkpoint, written by ``trainer.save_train_state``:
-its JSON line is the run's ``TrainConfig`` as ``asdict`` plus a
-``train_state`` key, and :func:`load` returns its parameters and the
-``EncoderConfig`` under its ``encoder`` key.
+line, one JSON config line, then length-prefixed named float64 tensors. The
+trainer module documents what a checkpoint holds in it.
 """
 
 from __future__ import annotations
@@ -276,8 +273,7 @@ def _params_from(tensors: dict[str, np.ndarray], cfg: EncoderConfig, path, prefi
 
 
 def load(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
-    """The parameters and EncoderConfig of a checkpoint, which
-    ``trainer.load_train_state`` checks whole: malformed bytes raise CheckpointError."""
+    """A checkpoint's parameters and EncoderConfig, as ``trainer.load_train_state`` checks and reads them."""
     from .trainer import load_train_state  # here, not at the top: trainer imports this module
 
     state, train_cfg = load_train_state(path)

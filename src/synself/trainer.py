@@ -15,7 +15,6 @@ and its tensors are the parameters, then the Adam moments. Only
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Annotated
@@ -157,6 +156,16 @@ def _valid_row(row) -> bool:
             and all(type(row[c]) is float for c in METRICS_COLUMNS[1:]))
 
 
+def _missing_key(saved: dict, full: dict) -> str | None:
+    """The first key path of ``full``, dotted, that ``saved`` lacks."""
+    for k, v in full.items():
+        if k not in saved:
+            return k
+        if isinstance(v, dict) and isinstance(saved[k], dict) and (sub := _missing_key(saved[k], v)):
+            return f"{k}.{sub}"
+    return None
+
+
 def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
     config = asdict(cfg)
     config["train_state"] = {"step": state.step, "rng_state": state.rng.bit_generator.state, "rows": state.rows}
@@ -189,13 +198,14 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
     if any(a >= b for a, b in zip([0] + steps, steps + [step + 1])):
         raise enc.CheckpointError(
             f"{path}: bad train_state: row steps {steps} are not strictly increasing within 1..{step}")
+    # asdict saved every field: a missing one would take its default, which may shape another run
+    missing = _missing_key(config, asdict(TrainConfig()))
+    if missing:
+        raise enc.CheckpointError(f"{path}: bad config: missing field '{missing}'")
     try:
         train_cfg = TrainConfig(**config)
     except (TypeError, ValueError) as e:  # TypeError: a key that is no TrainConfig field
         raise enc.CheckpointError(f"{path}: bad config: {e}") from e
-    # asdict saved every field: a config that reads back otherwise lacks one, which took its default
-    if json.loads(json.dumps(asdict(train_cfg))) != config:
-        raise enc.CheckpointError(f"{path}: bad config: a field is missing")
     params, adam_m, adam_v = (enc._params_from(tensors, train_cfg.encoder, path, prefix)
                               for prefix in ("", "adam.m.", "adam.v."))
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg

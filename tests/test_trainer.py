@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 from dataclasses import asdict
@@ -404,18 +405,26 @@ class TestTrainLoop:
 
         config = {k: v for k, v in good.items() if k != "train_state"}
         bad_configs = [
-            {},
             {**config, "lr": True},
             {**config, "sampler": {**config["sampler"], "augment": None}},
             {**config, "ntxent": {"temperature": 0.5, "tau": 1.0}},
             {**config, "momentum": 0.9},
-            {k: v for k, v in config.items() if k != "lr"},
-            {**config, "sampler": {**config["sampler"], "augment": {}}},
-            {**config, "sampler": {k: v for k, v in config["sampler"].items() if k != "max_pair_dist_nm"}},
         ]
         for bad in bad_configs:
             enc.write_container(p, {**bad, "train_state": ts}, tensors)
             with pytest.raises(enc.CheckpointError, match="bad config"):
+                tr.load_train_state(p)
+
+        missing_fields = [
+            ({}, "steps"),
+            ({k: v for k, v in config.items() if k != "lr"}, "lr"),
+            ({**config, "sampler": {**config["sampler"], "augment": {}}}, "sampler.augment.use_octahedral"),
+            ({**config, "sampler": {k: v for k, v in config["sampler"].items() if k != "max_pair_dist_nm"}},
+             "sampler.max_pair_dist_nm"),
+        ]
+        for bad, name in missing_fields:
+            enc.write_container(p, {**bad, "train_state": ts}, tensors)
+            with pytest.raises(enc.CheckpointError, match=re.escape(f"bad config: missing field '{name}'")):
                 tr.load_train_state(p)
 
     @pytest.mark.parametrize("key, edit", [
