@@ -21,16 +21,22 @@ makes, where a (B, n) GEMM sums in another order (OpenBLAS 0.3.31: rows
 1e-15 to 4.3e-13 off at the head shapes, B >= 2). d_weights and d_bias add
 the rows' terms in row order, the sum of the one-view gradients.
 
-Convolutions run over z-slabs of column rows. The input is zero-padded as a
-(C, D+k-1, H+k-1, (W+k-1)*B) array, W and B merged into one axis, and column
-row (c,dy,dx) of a slab of nz output planes is channel c over those planes
-and k-1 halo planes, shifted by (dy, dx*B) and cropped to H x W*B: every view
-of a voxel side by side, in runs of W*B. A row holds one entry per output
-voxel and view and nothing else, and the dz window of a slab is its columns
-from dz*H*W*B on. One helper fills the slabs, each into one buffer whose size
-``SLAB_BYTES`` caps, so the k GEMMs of a slab read its columns from cache
-rather than memory (c8-8 at 16^3: 0.74 MB per slab of 3 planes, where the
-whole grid would be 2.65 MB). A forward or a backward fills one column set:
+Convolutions run over z-slabs of column rows. Column row (c,dy,dx) of a slab
+of nz output planes holds channel c over those planes and k-1 halo planes,
+shifted by (dy-p, dx-p) with zeros where the tap leaves the volume: every
+view of a voxel side by side, W and B merged into runs of W*B. A row holds
+one entry per output voxel and view and nothing else, and the dz window of a
+slab is its columns from dz*H*W*B on. One helper fills the slabs. It copies
+a slab's planes, contiguous per channel, into a buffer with a zero margin of
+p rows and p voxels at either end, and then fills every row in one strided
+copy: row (c,dy,dx) starts dy*W*B + dx*B into channel c's planes. A tap
+whose x or y leaves the volume reads the neighbouring row or plane (or the
+margin) there, so the copy is followed by zeroing the first or last |dx-p|
+voxels of each voxel row and |dy-p| rows of each plane. Every slab is filled
+into one buffer whose size ``SLAB_BYTES`` caps, so the k GEMMs of a slab
+read its columns from cache rather than memory (c8-8 at 16^3: 0.74 MB per
+slab of 3 planes, where the whole grid would be 2.65 MB), and no padded copy
+of the input is made. A forward or a backward fills one column set:
 
 - the forward, x's: per slab, k GEMMs, one per dz, write the slab's output in
   place, then the bias is added;
@@ -87,36 +93,57 @@ class ShapeError(ValueError):
 # ---------------------------------------------------------------------------
 # 3D convolution (stride 1, same padding) over z-slabs of column rows
 #
-# With the input zero-padded by p = k//2 to xp, tap (dz,dy,dx) of output voxel
-# (z,y,x) of view v reads xp[c, z+dz, y+dy, (x+dx)*B + v].
+# With p = k//2, tap (dz,dy,dx) of output voxel (z,y,x) of view v reads
+# x[c, z+dz-p, y+dy-p, x+dx-p, v], or 0 outside x.
 
 
 def _column_slabs(x: Tensor, k: int):
     """Yield (z0, nz, cols) over the output z-slabs of a same-padded conv of x.
 
-    ``cols`` is (C*k*k, (nz+k-1)*H*W*B): row (c,dy,dx) is
-    ``xp[c, z0:z0+nz+k-1, dy:dy+H, dx*B:(dx+W)*B]`` flattened, so the window of
-    nz*H*W*B columns from dz*H*W*B on is the (c,dz,dy,dx) operand of the
-    slab's output voxels, in their order. The slab depth is the largest whose
-    columns fit ``SLAB_BYTES`` (at least one plane), and every slab is filled
-    into one buffer, so a caller must finish with ``cols`` before asking for
-    the next slab.
+    ``cols`` is (C*k*k, (nz+k-1)*H*W*B): row (c,dy,dx) holds
+    ``x[c, z0-p+z', y+dy-p, x+dx-p, :]`` at column (z',y,x), 0 outside x, so
+    the window of nz*H*W*B columns from dz*H*W*B on is the (c,dz,dy,dx)
+    operand of the slab's output voxels, in their order. The slab depth is
+    the largest whose columns fit ``SLAB_BYTES`` (at least one plane), and
+    every slab is filled into one buffer, so a caller must finish with
+    ``cols`` before asking for the next slab.
+
+    Per slab, planes z0-p..z0+nz+p-1 of x (zeros outside it) are copied into
+    ``src``, between zero margins of p rows and p voxels, and one copy from
+    ``taps``, a fixed-stride view of ``src`` whose row (c,dy,dx) starts at
+    dy*W*B + dx*B, fills every row. An entry whose tap leaves x along x or y
+    reads a neighbouring row or plane (or the margin) there, and is zeroed
+    after the copy.
     """
     c, d, h, w, b = x.shape
     p = k // 2
-    run = w * b  # one voxel row of every view, contiguous in x and in xp
-    xp = np.zeros((c, d + 2 * p, h + 2 * p, run + 2 * p * b))
-    xp[:, p:p + d, p:p + h, p * b:p * b + run] = x.reshape(c, d, h, run)
+    run = w * b  # one voxel row of every view, contiguous in x and in src
     plane = h * run
     rows = c * k * k
     depth = max(1, min(d, SLAB_BYTES // (8 * rows * plane) - (k - 1)))
-    buf = np.empty(rows * (depth + k - 1) * plane)
+    span = (depth + k - 1) * plane
+    margin = p * run + p * b  # the reach of tap (0, 0) back from column 0
+    src = np.zeros((c, margin + span + margin))
+    step = src.itemsize
+    taps = np.ndarray((c, k, k, span), buffer=src,
+                      strides=(src.strides[0], run * step, b * step, step))
+    buf = np.empty(rows * span)
     for z0 in range(0, d, depth):
         nz = min(depth, d - z0)
-        cols = buf[:rows * (nz + k - 1) * plane].reshape(c, k, k, nz + k - 1, h, run)
-        for dy in range(k):
-            for dx in range(k):
-                cols[:, dy, dx] = xp[:, z0:z0 + nz + k - 1, dy:dy + h, dx * b:dx * b + run]
+        n = nz + k - 1
+        lo, hi = max(z0 - p, 0), min(z0 + nz + p, d)  # the slab's planes inside x
+        planes = src[:, margin:margin + n * plane].reshape(c, n, h, w, b)
+        start = lo - (z0 - p)
+        planes[:, :start] = 0
+        planes[:, start:start + hi - lo] = x[:, lo:hi]
+        planes[:, start + hi - lo:] = 0
+        cols = buf[:rows * n * plane].reshape(c, k, k, n * plane)
+        np.copyto(cols, taps[..., :n * plane])
+        edges = cols.reshape(c, k, k, n, h, w, b)
+        for s in range(1, p + 1):  # zero the taps that wrapped round an x or y edge
+            ex, ey = min(s, w), min(s, h)
+            edges[:, :, p - s, :, :, :ex] = edges[:, :, p + s, :, :, w - ex:] = 0
+            edges[:, p - s, :, :, :ey] = edges[:, p + s, :, :, h - ey:] = 0
         yield z0, nz, cols.reshape(rows, -1)
 
 

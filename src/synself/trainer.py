@@ -183,10 +183,13 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
     Malformed bytes raise CheckpointError.
     """
     config, tensors = enc.read_container(path)
-    ts = config.pop("train_state", {})
+    ts = config.pop("train_state", None)
+    if not isinstance(ts, dict) or set(ts) != {"step", "rng_state", "rows"}:
+        got = sorted(ts) if isinstance(ts, dict) else type(ts).__name__
+        raise enc.CheckpointError(f"{path}: bad train_state: want the keys step, rng_state and rows, got {got}")
+    step, rows = ts["step"], ts["rows"]
     rng = np.random.default_rng(0)
     try:
-        step, rows = ts["step"], ts["rows"]
         rng.bit_generator.state = ts["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise enc.CheckpointError(f"{path}: bad train_state: {e!r}") from e
@@ -194,10 +197,6 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
         raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
     if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
         raise enc.CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
-    steps = [r["step"] for r in rows]
-    if any(a >= b for a, b in zip([0] + steps, steps + [step + 1])):
-        raise enc.CheckpointError(
-            f"{path}: bad train_state: row steps {steps} are not strictly increasing within 1..{step}")
     # asdict saved every field: a missing one would take its default, which may shape another run
     missing = _missing_key(config, asdict(TrainConfig()))
     if missing:
@@ -206,6 +205,13 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
         train_cfg = TrainConfig(**config)
     except (TypeError, ValueError) as e:  # TypeError: a key that is no TrainConfig field
         raise enc.CheckpointError(f"{path}: bad config: {e}") from e
+    # the steps train logs up to this one, as _is_logged picks them; a resume would drop any
+    # other row without a word. Lengths first, so that a corrupt huge step builds no list.
+    steps, every = [r["step"] for r in rows], train_cfg.log_every
+    logged, last = range(every, step + 1, every), [step] if step == train_cfg.steps and step % every else []
+    if len(steps) != len(logged) + len(last) or steps != [*logged, *last]:
+        raise enc.CheckpointError(f"{path}: bad train_state: row steps {steps} are not the steps "
+                                  f"logged up to step {step} with log_every {every}")
     params, adam_m, adam_v = (enc._params_from(tensors, train_cfg.encoder, path, prefix)
                               for prefix in ("", "adam.m.", "adam.v."))
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg

@@ -79,6 +79,27 @@ def maxpool3d_backward_loops(x, d_output):
     return d_x
 
 
+def column_slabs_loops(x, k, z0, nz):
+    """The column rows of output planes z0..z0+nz-1 of a same-padded conv of x, entry by entry.
+
+    cols[(c,dy,dx), (z',y,x,v)] = x[c, z0+z'-p, y+dy-p, x+dx-p, v] for z' in
+    0..nz+k-2, or 0 where that voxel lies outside x; the channel and view
+    axes, which no tap shifts, are copied whole.
+    """
+    c_in, d, h, wd, n_views = x.shape
+    p = k // 2
+    cols = np.zeros((c_in, k, k, nz + k - 1, h, wd, n_views))
+    for dy in range(k):
+        for dx in range(k):
+            for zs in range(nz + k - 1):
+                for y in range(h):
+                    for xx in range(wd):
+                        zz, yy, xz = z0 + zs - p, y + dy - p, xx + dx - p
+                        if 0 <= zz < d and 0 <= yy < h and 0 <= xz < wd:
+                            cols[:, dy, dx, zs, y, xx] = x[:, zz, yy, xz]
+    return cols.reshape(c_in * k * k, -1)
+
+
 def conv3d_flat_grid(x, w, b):
     """Same-padded 3D correlation of each view on one whole flat padded grid, in one pass.
 

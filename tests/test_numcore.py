@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from synself import numcore as nc
-from oracles import (central_diff, conv3d_flat_grid, conv3d_loops, conv3d_weight_grad_taps,
-                     grad_close, maxpool3d_backward_loops, maxpool3d_loops)
+from oracles import (central_diff, column_slabs_loops, conv3d_flat_grid, conv3d_loops,
+                     conv3d_weight_grad_taps, grad_close, maxpool3d_backward_loops, maxpool3d_loops)
 
 
 def rand_conv_case(rng, c_in=None, c_out=None, k=3, spatial=None, views=1):
@@ -112,8 +112,50 @@ SLAB_CASES = [(8, 8, 3, (16, 16, 16)), (8, 8, 3, (13, 16, 16)), (16, 16, 3, (8, 
               (1, 8, 3, (16, 16, 16))] + [(None, None, k, sp) for k, sp in SHAPE_CASES if k != 3]
 SLAB_CASES += [(ci, co, 3, sp) for ci, co, sp in ENCODER_CONVS if (ci, co, 3, sp) not in SLAB_CASES]
 
+# (C, k, (D,H,W)) of a filled column set: the shape cases with 2 channels,
+# then x's and d_output's of every encoder conv
+COLUMN_CASES = [(2, k, sp) for k, sp in SHAPE_CASES]
+COLUMN_CASES += sorted({(c, 3, sp) for ci, co, sp in ENCODER_CONVS for c in (ci, co)})
+
 
 class TestConvSlabs:
+    @pytest.mark.parametrize("views", [1, 5])
+    @pytest.mark.parametrize("c,k,spatial", COLUMN_CASES)
+    def test_columns_match_loop_oracle(self, monkeypatch, c, k, spatial, views):
+        rng = np.random.default_rng(26)
+        d, h, w = spatial
+        # every other voxel of a wider grid, holding exact zeros of both signs
+        wide = rng.normal(size=(c, d, h, 2 * w, views))
+        wide[rng.random(wide.shape) < 0.2] = 0.0
+        wide[rng.random(wide.shape) < 0.2] = -0.0
+        want = {}
+        for slab_bytes in (1, nc.SLAB_BYTES, 1 << 40):
+            monkeypatch.setattr(nc, "SLAB_BYTES", slab_bytes)
+            for x in (wide[:, :, :, ::2], np.ascontiguousarray(wide[:, :, :, ::2])):
+                z_end = 0
+                for z0, nz, cols in nc._column_slabs(x, k):
+                    if (z0, nz) not in want:
+                        want[z0, nz] = column_slabs_loops(x, k, z0, nz)
+                    assert z0 == z_end
+                    assert cols.shape == want[z0, nz].shape
+                    assert cols.tobytes() == want[z0, nz].tobytes(), (slab_bytes, z0, nz)
+                    z_end = z0 + nz
+                assert z_end == d
+
+    def test_fill_allocates_no_padded_copy(self):
+        # at most the column buffer and the margin buffer of one slab's planes;
+        # a zero-padded copy of x would add 18^3 x 8 x 8 B = 373 kB
+        x = np.random.default_rng(27).normal(size=(8, 16, 16, 16, 1))
+        depth = next(nc._column_slabs(x, 3))[1]
+        buf_bytes = 8 * 8 * 9 * (depth + 2) * 16 * 16
+        src_bytes = 8 * 8 * ((depth + 2) * 16 * 16 + 2 * (16 + 1))
+
+        def drain():
+            for _ in nc._column_slabs(x, 3):
+                pass
+
+        assert _traced_peak(drain) <= buf_bytes + src_bytes + 8192
+
     @pytest.mark.parametrize("c_in,c_out,k,spatial", SLAB_CASES)
     def test_bytes_match_one_flat_grid(self, c_in, c_out, k, spatial):
         rng = np.random.default_rng(14)

@@ -394,8 +394,11 @@ class TestTrainLoop:
             {**ts, "rows": {}},
             {**ts, "rows": [{**ts["rows"][0], "loss": "0.5"}]},
             {**ts, "rows": [{"step": 2}]},
-            # row steps must rise strictly within 1..step; a resume would drop these rows without a word
+            {**ts, "junk": 1},
+            None,
+            # row steps must be the logged steps of 1..step; a resume would drop others without a word
             row_steps(999, 3), row_steps(0, 1), row_steps(5), row_steps(2, 2), row_steps(3, 1),
+            row_steps(1, 2, 3), row_steps(1, 2, 3, 4, 5), {**ts, "step": 10 ** 18},
         ]
         p = tmp_path / "bad.dckpt"
         for bad in bad_states:
@@ -426,6 +429,36 @@ class TestTrainLoop:
             enc.write_container(p, {**bad, "train_state": ts}, tensors)
             with pytest.raises(enc.CheckpointError, match=re.escape(f"bad config: missing field '{name}'")):
                 tr.load_train_state(p)
+
+    def test_rows_off_the_log_schedule_rejected(self, tmp_path):
+        tr.train(tiny_config(steps=4, log_every=2), tiny_dataset(), tmp_path / "run")
+        good, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        ts = good["train_state"]
+        assert [r["step"] for r in ts["rows"]] == [2, 4]
+        rows = [{**r, "step": s} for r, s in zip(ts["rows"], (1, 3))]
+        p = tmp_path / "bad.dckpt"
+        enc.write_container(p, {**good, "train_state": {**ts, "rows": rows}}, tensors)
+        with pytest.raises(enc.CheckpointError,
+                           match=re.escape("row steps [1, 3] are not the steps logged up to step 4")):
+            tr.load_train_state(p)
+
+    def test_every_checkpoint_a_run_writes_loads(self, tmp_path):
+        # the first run logs its last step 5 off the schedule, and a resume to 9 drops it
+        ds = tiny_dataset()
+        tr.train(tiny_config(steps=5, log_every=2, checkpoint_every=2), ds, tmp_path / "run")
+        for out, ckpt in [("from4", "ckpt_000004.dckpt"), ("from5", "ckpt_final.dckpt")]:
+            tr.train(tiny_config(steps=9, log_every=2, checkpoint_every=2), ds, tmp_path / out,
+                     resume_from=tmp_path / "run" / ckpt)
+        loaded = {}
+        for path in sorted(tmp_path.glob("*/ckpt_*.dckpt")):
+            state, _ = tr.load_train_state(path)
+            loaded[f"{path.parent.name}/{path.name}"] = [r["step"] for r in state.rows]
+        resumed = {"ckpt_000006.dckpt": [2, 4, 6], "ckpt_000008.dckpt": [2, 4, 6, 8],
+                   "ckpt_final.dckpt": [2, 4, 6, 8, 9]}
+        assert loaded == {
+            "run/ckpt_000002.dckpt": [2], "run/ckpt_000004.dckpt": [2, 4], "run/ckpt_final.dckpt": [2, 4, 5],
+            **{f"{out}/{name}": rows for out in ("from4", "from5") for name, rows in resumed.items()},
+        }
 
     @pytest.mark.parametrize("key, edit", [
         ("adam.m.head_z.b", "missing"),
