@@ -29,6 +29,13 @@ class AnalysisError(ValueError):
     pass
 
 
+def _check_finite(x: np.ndarray, what: str) -> None:
+    """Raise AnalysisError naming the first row of the 2-D x that holds a NaN or an infinity."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise AnalysisError(f"{what} row {int(np.argmin(finite))} is not finite")
+
+
 # ---------------------------------------------------------------------------
 # embedding extraction
 
@@ -87,6 +94,7 @@ def pca_project(emb: EmbeddingMatrix, out_dim: int = 2) -> PCAResult:
     """Top principal axes of the sample covariance, each signed so that its first
     largest-magnitude entry is positive; axes past the rank (or past D) are zero rows."""
     x = emb.values
+    _check_finite(x, "embedding")
     m, d = x.shape
     if type(out_dim) is not int or not 1 <= out_dim < m:
         raise AnalysisError(f"out_dim must be an integer in [1, {m}) for {m} rows, got {out_dim!r}")
@@ -147,6 +155,7 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise AnalysisError(f"kmeans expects (M,D) data, got shape {x.shape}")
+    _check_finite(x, "data")
     m = x.shape[0]
     if type(k) is not int or not 1 <= k <= m:
         raise AnalysisError(f"k must be an integer in [1, {m}], got {k!r}")
@@ -184,6 +193,10 @@ def _contingency(a, b):
         raise AnalysisError(f"labelings must be equal-length vectors, got {a.shape} vs {b.shape}")
     if a.size == 0:
         raise AnalysisError("empty labelings")
+    for name, labels in (("a", a), ("b", b)):
+        # None is an unlabeled synapse's class_label, which np.unique cannot order
+        if labels.dtype == object and None in labels.tolist():
+            raise AnalysisError(f"labeling {name} holds None, no label, at position {labels.tolist().index(None)}")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
@@ -255,6 +268,7 @@ def concordance(
     with the denominator floored at 1e-300, so a zero row has cosine 0 and two
     equal rows have cosine exactly 1. Pairs are averaged in row-major order.
     """
+    _check_finite(emb.values, "embedding")
     # an empty sample would average no inter pair, to NaN
     if type(sample) is not int or sample < 1:
         raise AnalysisError(f"sample must be an integer >= 1, got {sample!r}")
@@ -320,6 +334,7 @@ def emit_scatter(coords: np.ndarray, labels, path) -> None:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise AnalysisError(f"coords must be (M,2), got {coords.shape}")
+    _check_finite(coords, "coords")
     labels = ["?" if v is None else str(v) for v in labels]
     if len(labels) != coords.shape[0]:
         raise AnalysisError(f"{len(labels)} labels for {coords.shape[0]} points")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -124,9 +124,8 @@ class Phantom:
     intensity: IntensityVolume
     synapses: list[SynapseRecord]
     # supervoxel id -> (lo, hi) voxel corners (x, y, z) of its box, hi exclusive;
-    # the boxes partition the volume
+    # the boxes partition the volume, and each synapse lies in its supervoxel's box
     cells: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]]
-    merged_from: dict[int, int] = field(default_factory=dict)  # absorbed id -> surviving id
 
 
 def _factor_triples(v: int):
@@ -284,73 +283,6 @@ def generate(cfg: GenConfig) -> Phantom:
         voxels[z] = np.rint(plane, out=plane)
 
     return Phantom(IntensityVolume(VolumeHeader(cfg.dims), voxels), records, cells)
-
-
-def validate_phantom(ph: Phantom) -> None:
-    """Check that every synapse lies in its supervoxel's box, or in the box of a
-    fragment merged into it, and that all synapses of one supervoxel share a
-    class (Dale)."""
-    boxes = {}  # surviving supervoxel id -> the boxes of every fragment merged into it
-    for sv, box in ph.cells.items():
-        while sv in ph.merged_from:
-            sv = ph.merged_from[sv]
-        boxes.setdefault(sv, []).append(box)
-    class_of = {}
-    for rec in ph.synapses:
-        if not any(all(l <= p < h for l, p, h in zip(lo, rec.pos, hi))
-                   for lo, hi in boxes.get(rec.supervoxel_id, ())):
-            raise GenerationError(
-                f"synapse {rec.id} at {rec.pos} lies outside the cell of supervoxel {rec.supervoxel_id}"
-            )
-        want = class_of.setdefault(rec.supervoxel_id, rec.class_label)
-        if rec.class_label != want:
-            raise GenerationError(
-                f"synapse {rec.id}: class {rec.class_label} != class {want} of an earlier "
-                f"synapse of supervoxel {rec.supervoxel_id}"
-            )
-
-
-def inject_false_merge(ph: Phantom, sv_a: int, sv_b: int):
-    """Relabel sv_b's synapses into sv_a, keeping class labels; returns the Dale-violating phantom.
-
-    Returns (merged phantom, surviving supervoxel id, ground-truth boundary
-    midpoint = midpoint of the closest cross-fragment synapse pair, in voxel
-    coordinates). The boxes stay as they were; ``merged_from`` records the merge.
-    """
-    for sv in (sv_a, sv_b):
-        if sv not in ph.cells:
-            raise GenerationError(f"unknown supervoxel id {sv}")
-    if sv_a == sv_b:
-        raise GenerationError(f"cannot merge supervoxel {sv_a} with itself")
-    a_recs = [r for r in ph.synapses if r.supervoxel_id == sv_a]
-    b_recs = [r for r in ph.synapses if r.supervoxel_id == sv_b]
-    if not a_recs or not b_recs:
-        raise GenerationError(f"supervoxels {sv_a}/{sv_b} must both carry synapses")
-    shared = {r.class_label for r in a_recs} & {r.class_label for r in b_recs}
-    if shared:
-        raise GenerationError(
-            f"supervoxels {sv_a} and {sv_b} share class {min(shared)}; "
-            "a same-class merge is undetectable and rejected"
-        )
-
-    sx, sy, sz = ph.intensity.header.voxel_size_nm
-    best = None
-    for pa in [r.pos for r in a_recs]:
-        for pb in [r.pos for r in b_recs]:
-            d2 = (((pa[0] - pb[0]) * sx) ** 2 + ((pa[1] - pb[1]) * sy) ** 2
-                  + ((pa[2] - pb[2]) * sz) ** 2)
-            if best is None or d2 < best[0]:
-                best = (d2, pa, pb)
-    _, pa, pb = best
-    midpoint = tuple((ca + cb) / 2.0 for ca, cb in zip(pa, pb))
-
-    records = [
-        SynapseRecord(r.id, r.pos, sv_a if r.supervoxel_id == sv_b else r.supervoxel_id, r.class_label)
-        for r in ph.synapses
-    ]
-    merged_from = dict(ph.merged_from)
-    merged_from[sv_b] = sv_a
-    return Phantom(ph.intensity, records, ph.cells, merged_from), sv_a, midpoint
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Voxel volumes, synapse tables and embedding matrices, plus their on-disk formats.
+"""Voxel volumes, synapse tables and embedding matrices, and the on-disk formats
+of volumes and tables.
 
 Volume files are a single JSON header line (``dims``, ``dtype`` which is always
 ``"u8"``, ``voxel_size_nm``) followed by one byte per voxel in x-fastest order:
 ``index(x, y, z) = x + nx * (y + ny * z)``. In-memory arrays are C-ordered with
 axes ``[z, y, x]`` so that the flat memory layout matches the file payload exactly.
 
-Synapse tables, embedding matrices and the trainer's metrics are UTF-8 text
-tables: a header line of column names, then one line per row, fields separated
-by commas and lines ended by ``\n`` (``\r\n`` also reads). Nothing is quoted,
-since no field written here holds a comma or a line break; a quoted field in an
-input table is therefore a malformed field, not its unquoted value. An empty
-field stands for ``None``, and a float is written with 17 significant digits,
-which read back to the same float.
+Synapse tables and the trainer's metrics are UTF-8 text tables: a header line
+of column names, then one line per row, fields separated by commas and lines
+ended by ``\n`` (``\r\n`` also reads). Nothing is quoted, since no field
+written here holds a comma or a line break; a quoted field in an input table is
+therefore a malformed field, not its unquoted value. An empty field stands for
+``None``, and a float is written with 17 significant digits, which read back to
+the same float. Embedding matrices live in memory only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ HEADER_MAX_BYTES = 65536
 
 
 class VolumeFormatError(ValueError):
-    """Malformed volume/table/embedding file or invariant violation."""
+    """Malformed volume or table file, or invariant violation."""
 
 
 PositiveInt = typing.Annotated[int, ">= 1"]
@@ -304,10 +305,9 @@ def _read_table(path, what: str):
     return header, rows()
 
 
-# What _write_table writes for an int and for a float ("%.17g"). int() and
-# float() would also take '_', surrounding whitespace and non-ASCII digits.
+# What _write_table writes for an int. int() would also take '_', a sign of
+# '+', surrounding whitespace and non-ASCII digits.
 _INT_FIELD = re.compile("-?[0-9]+")
-_FLOAT_CHARS = re.compile("[-+.0-9A-Za-z]+")
 
 
 def _parse_int(value: str, column: str, row: int, path) -> int:
@@ -317,15 +317,6 @@ def _parse_int(value: str, column: str, row: int, path) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise VolumeFormatError(f"{path}: non-integer field {column}={value!r} at data row {row}")
-
-
-def _parse_float(value: str, column: str, row: int, path) -> float:
-    if _FLOAT_CHARS.fullmatch(value):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise VolumeFormatError(f"{path}: non-numeric field {column}={value!r} at data row {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +356,3 @@ def check_synapses_in_bounds(records: list[SynapseRecord], header: VolumeHeader)
             raise VolumeFormatError(
                 f"synapse {r.id} at {r.pos} lies outside volume dims {header.dims}"
             )
-
-
-# ---------------------------------------------------------------------------
-# embedding matrices
-
-
-def write_embeddings(emb: EmbeddingMatrix, path) -> None:
-    header = ["id"] + [f"e{j}" for j in range(emb.values.shape[1])]
-    _write_table(path, header, [[rid, *row] for rid, row in zip(emb.synapse_ids, emb.values.tolist())])
-
-
-def read_embeddings(path) -> EmbeddingMatrix:
-    header, rows = _read_table(path, "embedding matrix")
-    if len(header) < 2 or header[0] != "id" or header[1:] != [f"e{j}" for j in range(len(header) - 1)]:
-        raise VolumeFormatError(f"{path}: bad embedding header {header}")
-    ids, values = [], []
-    for row_i, row in enumerate(rows):
-        ids.append(_parse_int(row[0], "id", row_i, path))
-        values.append([_parse_float(v, c, row_i, path) for v, c in zip(row[1:], header[1:])])
-    if not values:
-        raise VolumeFormatError(f"{path}: embedding matrix has no rows")
-    values = np.array(values, dtype=np.float64)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():  # nan, inf, or a literal too large for a float64
-        raise VolumeFormatError(f"{path}: non-finite entry at data row {int(np.argmin(finite))}")
-    return EmbeddingMatrix(ids, values)

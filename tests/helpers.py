@@ -1,5 +1,6 @@
-"""Fixtures shared by the tests: the augmentation-free config, and a checkpoint
-written the one way every checkpoint is written."""
+"""Fixtures shared by the tests: the augmentation-free config, a checkpoint
+written the one way every checkpoint is written, and the invariants of a
+generated phantom."""
 
 import numpy as np
 
@@ -17,3 +18,18 @@ def save_checkpoint(params, cfg, path) -> None:
     train_cfg = tr.TrainConfig(sampler=sp.SamplerConfig(patch_side=cfg.patch_side), encoder=cfg)
     zeros = {k: np.zeros_like(v) for k, v in params.items()}
     tr.save_train_state(tr.TrainState(0, params, zeros, zeros, np.random.default_rng(0)), train_cfg, path)
+
+
+def assert_phantom_invariants(ph) -> None:
+    """Assert what synthgen.generate guarantees of the phantom ph: each synapse
+    lies inside its own supervoxel's box, and all synapses of one supervoxel
+    share one class (Dale)."""
+    class_of = {}
+    for rec in ph.synapses:
+        lo, hi = ph.cells[rec.supervoxel_id]
+        assert all(l <= p < h for l, p, h in zip(lo, rec.pos, hi)), (
+            f"synapse {rec.id} at {rec.pos} lies outside the cell of supervoxel {rec.supervoxel_id}")
+        want = class_of.setdefault(rec.supervoxel_id, rec.class_label)
+        assert rec.class_label == want, (
+            f"synapse {rec.id}: class {rec.class_label} != class {want} of an earlier "
+            f"synapse of supervoxel {rec.supervoxel_id}")

@@ -192,6 +192,13 @@ class TestPCA:
         with pytest.raises(an.AnalysisError, match="out_dim must be an integer"):
             an.pca_project(EmbeddingMatrix(list(range(5)), x), out_dim=out_dim)
 
+    def test_non_finite_row_rejected(self):
+        # numpy's eigensolver raised LinAlgError on a NaN
+        x = np.random.default_rng(9).normal(size=(5, 3))
+        x[3, 1] = np.nan
+        with pytest.raises(an.AnalysisError, match="embedding row 3 is not finite"):
+            an.pca_project(EmbeddingMatrix(list(range(5)), x))
+
 
 class TestKMeans:
     def test_k_equals_m(self):
@@ -250,6 +257,14 @@ class TestKMeans:
         with pytest.raises(an.AnalysisError, match="seed must be an integer >= 0"):
             an.kmeans(np.arange(8.0).reshape(4, 2), k=2, seed=seed)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, value):
+        # a NaN gave every label 0 and inertia nan
+        x = np.arange(8.0).reshape(4, 2)
+        x[2, 0] = value
+        with pytest.raises(an.AnalysisError, match="data row 2 is not finite"):
+            an.kmeans(x, k=2)
+
 
 class TestAgreementMetrics:
     def test_identical_labelings(self):
@@ -289,6 +304,14 @@ class TestAgreementMetrics:
             an.nmi([1, 2], [1, 2, 3])
         with pytest.raises(an.AnalysisError):
             an.nmi([], [])
+
+    @pytest.mark.parametrize("metric", [an.nmi, an.ari])
+    def test_unlabeled_entry_rejected(self, metric):
+        # None is the class_label of an unlabeled synapse; np.unique raised a bare TypeError
+        with pytest.raises(an.AnalysisError, match="labeling b holds None, no label, at position 2"):
+            metric([0, 0, 1, 1], [1, 2, None, 2])
+        with pytest.raises(an.AnalysisError, match="labeling a holds None, no label, at position 0"):
+            metric([None, None], [1, 2])
 
 
 class TestConcordance:
@@ -380,6 +403,13 @@ class TestConcordance:
         with pytest.raises(an.AnalysisError, match="intra"):
             an.concordance(emb, self.recs([1, 2]))
 
+    def test_non_finite_row_rejected(self):
+        # a NaN gave (nan, nan)
+        x = np.eye(4)
+        x[1, 2] = np.nan
+        with pytest.raises(an.AnalysisError, match="embedding row 1 is not finite"):
+            an.concordance(EmbeddingMatrix(list(range(4)), x), self.recs([1, 1, 2, 2]))
+
 
 class TestScatter:
     def test_counts_and_determinism(self, tmp_path):
@@ -415,3 +445,10 @@ class TestScatter:
         # extremes map to the 5% margin positions: span fraction ~ 1/1.1
         # (coords are written with 3 decimals, hence the loose tolerance)
         assert (max(xs) - min(xs)) / (640 - 120) == pytest.approx(1 / 1.1, rel=1e-4)
+
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        # one NaN y wrote cy="nan" for every point
+        coords = np.array([[0.0, 0.0], [1.0, np.nan], [3.0, 1.0]])
+        with pytest.raises(an.AnalysisError, match="coords row 1 is not finite"):
+            an.emit_scatter(coords, [1, 2, 1], tmp_path / "s.svg")
+        assert list(tmp_path.iterdir()) == []

@@ -8,15 +8,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
-# Public names that nothing calls yet, each kept for the CLI of ROADMAP item 1,
-# which is to call it or delete it.
-UNCALLED_UNTIL_THE_CLI = {
-    "synthgen.validate_phantom": "ROADMAP item 1: the CLI runs it after generate",
-    "synthgen.inject_false_merge": "ROADMAP item 1: merge detection wires it in or deletes it",
-    "volume_io.write_embeddings": "ROADMAP item 1: the CLI's embed step writes the matrix",
-    "volume_io.read_embeddings": "ROADMAP item 1: the CLI's analyze step reads the matrix",
-}
-
 
 def test_every_script_entry_point_imports():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
@@ -98,8 +89,7 @@ def _references(tree: ast.Module):
 
 def test_every_public_name_is_used_outside_the_tests():
     """A public name of synself that no code of synself or perfbench reads is
-    surface kept alive by its tests alone; delete it with them. An exception
-    that gains a caller leaves the list."""
+    surface kept alive by its tests alone; delete it with them."""
     src = sorted((ROOT / "src" / "synself").glob("*.py"))
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in src + bench}
@@ -112,16 +102,15 @@ def test_every_public_name_is_used_outside_the_tests():
         f"{p.stem}.{name}" for name, node, p in defined
         if not any(id(node) not in enclosing for enclosing in refs.get(name, []))
     )
-    assert unused == sorted(UNCALLED_UNTIL_THE_CLI)
+    assert unused == []
 
 
-def test_every_oracle_is_used_by_a_test():
-    """A public function of tests/oracles.py that no test reads, directly or
-    through another oracle, checks nothing; delete it, or write the test that
-    compares against it."""
+def _unread_by_tests(module: str) -> list[str]:
+    """The public functions of tests/<module> that no test_*.py reads, directly
+    or through another function of the module."""
     tests = ROOT / "tests"
-    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
-    bodies = {node.name: node for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    tree = ast.parse((tests / module).read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     used = {
         name
         for p in sorted(tests.glob("test_*.py"))
@@ -133,7 +122,18 @@ def test_every_oracle_is_used_by_a_test():
             if name in bodies and name not in used:
                 used.add(name)
                 todo.append(name)
-    assert sorted(name for name in bodies if _public(name) and name not in used) == []
+    return sorted(name for name in bodies if _public(name) and name not in used)
+
+
+def test_every_oracle_is_used_by_a_test():
+    """An oracle that no test reads checks nothing; delete it, or write the
+    test that compares against it."""
+    assert _unread_by_tests("oracles.py") == []
+
+
+def test_every_helper_is_used_by_a_test():
+    """A helper that no test reads is dead test code; delete it."""
+    assert _unread_by_tests("helpers.py") == []
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:

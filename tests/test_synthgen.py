@@ -10,6 +10,7 @@ import pytest
 from synself import synthgen as sg
 from synself.volume_io import read_synapse_table, read_volume
 import oracles
+from helpers import assert_phantom_invariants
 from oracles import generate_voxels_loops, place_sites_loops
 
 # the phantom of the dense_sv benchmark workload: 256 synapses on each of 16 supervoxels
@@ -35,11 +36,6 @@ def small_config(**kw):
 
 def class_of(ph):
     return {r.supervoxel_id: r.class_label for r in ph.synapses}
-
-
-def in_box(pos, box):
-    lo, hi = box
-    return all(l <= p < h for l, p, h in zip(lo, pos, hi))
 
 
 class TestGenerate:
@@ -79,33 +75,30 @@ class TestGenerate:
         assert [r.pos for r in a.synapses] != [r.pos for r in c.synapses]
 
     def test_dale_invariant_and_position_consistency(self):
-        ph = sg.generate(small_config(seed=7, n_supervoxels=6, synapses_per_supervoxel=3))
-        sg.validate_phantom(ph)
-        seen = {}
-        for rec in ph.synapses:
-            seen.setdefault(rec.supervoxel_id, set()).add(rec.class_label)
-        assert all(len(v) == 1 for v in seen.values())
+        assert_phantom_invariants(sg.generate(small_config(seed=7, n_supervoxels=6, synapses_per_supervoxel=3)))
 
     def test_validate_rejects_a_synapse_moved_into_another_cell(self):
         ph = sg.generate(small_config(seed=7))
         rec = ph.synapses[0]
         other = next(sv for sv in ph.cells if sv != rec.supervoxel_id)
         ph.synapses[0] = dataclasses.replace(rec, pos=ph.cells[other][0])
-        with pytest.raises(sg.GenerationError, match="outside the cell"):
-            sg.validate_phantom(ph)
+        with pytest.raises(AssertionError, match="outside the cell"):
+            assert_phantom_invariants(ph)
 
     def test_validate_rejects_a_class_unlike_its_supervoxel_mates(self):
         ph = sg.generate(small_config(seed=7))
         rec = ph.synapses[1]
         assert rec.supervoxel_id == ph.synapses[0].supervoxel_id
         ph.synapses[1] = dataclasses.replace(rec, class_label=3 - rec.class_label)
-        with pytest.raises(sg.GenerationError, match="class"):
-            sg.validate_phantom(ph)
+        with pytest.raises(AssertionError, match="class .* of an earlier synapse"):
+            assert_phantom_invariants(ph)
 
+    # the default phantom is pipeline16's
     @pytest.mark.parametrize("cfg", [
         sg.GenConfig(seed=0),
         sg.GenConfig(seed=0, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
-    ], ids=["default", "dense"])
+        DENSE_SV,
+    ], ids=["default", "dense", "dense_sv"])
     def test_cells_partition_the_volume(self, cfg):
         ph = sg.generate(cfg)
         boxes = list(ph.cells.values())
@@ -116,7 +109,7 @@ class TestGenerate:
             for lo2, hi2 in boxes[i + 1:]:
                 assert any(h1 <= l2 or h2 <= l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
         assert sum(int(np.prod(np.subtract(hi, lo))) for lo, hi in boxes) == int(np.prod(cfg.dims))
-        assert all(in_box(r.pos, ph.cells[r.supervoxel_id]) for r in ph.synapses)
+        assert_phantom_invariants(ph)
 
     @pytest.mark.parametrize("cfg", [
         sg.GenConfig(seed=0),
@@ -309,80 +302,6 @@ class TestGridShape:
 
     def test_sixty_is_5_4_3(self):
         assert sg.grid_shape(60, (180, 144, 108)) == (5, 4, 3)
-
-
-class TestFalseMerge:
-    def test_merge_two_singletons(self):
-        cfg = small_config(seed=13, n_supervoxels=2, synapses_per_supervoxel=1)
-        ph = sg.generate(cfg)
-        classes = class_of(ph)
-        (a, b) = sorted(classes)
-        assert classes[a] != classes[b]
-        merged, kept, midpoint = sg.inject_false_merge(ph, a, b)
-        assert kept == a
-        recs = [r for r in merged.synapses if r.supervoxel_id == a]
-        assert len(recs) == 2
-        assert len({r.class_label for r in recs}) == 2
-        assert not any(r.supervoxel_id == b for r in merged.synapses)
-        assert merged.cells == ph.cells
-        assert merged.merged_from == {b: a}
-
-    def test_validate_counts_the_merged_fragments_boxes(self):
-        ph = sg.generate(small_config(seed=13, n_supervoxels=2, synapses_per_supervoxel=3))
-        classes = class_of(ph)
-        a, b = sorted(classes)
-        merged, _, _ = sg.inject_false_merge(ph, a, b)
-        with pytest.raises(sg.GenerationError, match="class"):  # Dale, not position
-            sg.validate_phantom(merged)
-        # the same relabelling with one class everywhere: valid only while b's box counts for a
-        one_class = [dataclasses.replace(r, class_label=classes[a]) for r in merged.synapses]
-        sg.validate_phantom(sg.Phantom(ph.intensity, one_class, ph.cells, merged.merged_from))
-        with pytest.raises(sg.GenerationError, match="outside the cell"):
-            sg.validate_phantom(sg.Phantom(ph.intensity, one_class, ph.cells))
-
-    def test_same_class_merge_rejected(self):
-        cfg = small_config(seed=15, n_supervoxels=4)
-        ph = sg.generate(cfg)
-        by_class = {}
-        for sv, c in class_of(ph).items():
-            by_class.setdefault(c, []).append(sv)
-        twins = next(v for v in by_class.values() if len(v) >= 2)
-        with pytest.raises(sg.GenerationError, match="same-class"):
-            sg.inject_false_merge(ph, twins[0], twins[1])
-
-    def test_unknown_id_rejected(self):
-        ph = sg.generate(small_config(seed=17))
-        with pytest.raises(sg.GenerationError, match="unknown"):
-            sg.inject_false_merge(ph, 1, 999)
-
-    def test_midpoint_matches_exhaustive_scan(self):
-        cfg = small_config(seed=19, n_supervoxels=4, synapses_per_supervoxel=3)
-        ph = sg.generate(cfg)
-        classes = class_of(ph)
-        svs = sorted(classes)
-        a = svs[0]
-        b = next(s for s in svs if classes[s] != classes[a])
-        _, _, midpoint = sg.inject_false_merge(ph, a, b)
-        a_pos = [r.pos for r in ph.synapses if r.supervoxel_id == a]
-        b_pos = [r.pos for r in ph.synapses if r.supervoxel_id == b]
-        best = min(
-            ((pa, pb) for pa in a_pos for pb in b_pos),
-            key=lambda t: sum((u - v) ** 2 for u, v in zip(t[0], t[1])),
-        )
-        want = tuple((u + v) / 2 for u, v in zip(best[0], best[1]))
-        assert midpoint == want
-
-    def test_original_phantom_untouched(self):
-        ph = sg.generate(small_config(seed=21))
-        cells_before = dict(ph.cells)
-        synapses_before = list(ph.synapses)
-        classes = class_of(ph)
-        svs = sorted(classes)
-        b = next(s for s in svs if classes[s] != classes[svs[0]])
-        sg.inject_false_merge(ph, svs[0], b)
-        assert ph.cells == cells_before
-        assert ph.synapses == synapses_before
-        assert ph.merged_from == {}
 
 
 class TestPersistence:
