@@ -192,10 +192,11 @@ class TestPCA:
         with pytest.raises(an.AnalysisError, match="out_dim must be an integer"):
             an.pca_project(EmbeddingMatrix(list(range(5)), x), out_dim=out_dim)
 
-    def test_non_finite_row_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, value):
         # numpy's eigensolver raised LinAlgError on a NaN
         x = np.random.default_rng(9).normal(size=(5, 3))
-        x[3, 1] = np.nan
+        x[3, 1] = value
         with pytest.raises(an.AnalysisError, match="embedding row 3 is not finite"):
             an.pca_project(EmbeddingMatrix(list(range(5)), x))
 
@@ -403,10 +404,11 @@ class TestConcordance:
         with pytest.raises(an.AnalysisError, match="intra"):
             an.concordance(emb, self.recs([1, 2]))
 
-    def test_non_finite_row_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, value):
         # a NaN gave (nan, nan)
         x = np.eye(4)
-        x[1, 2] = np.nan
+        x[1, 2] = value
         with pytest.raises(an.AnalysisError, match="embedding row 1 is not finite"):
             an.concordance(EmbeddingMatrix(list(range(4)), x), self.recs([1, 1, 2, 2]))
 
@@ -446,9 +448,10 @@ class TestScatter:
         # (coords are written with 3 decimals, hence the loose tolerance)
         assert (max(xs) - min(xs)) / (640 - 120) == pytest.approx(1 / 1.1, rel=1e-4)
 
-    def test_non_finite_coordinate_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
         # one NaN y wrote cy="nan" for every point
-        coords = np.array([[0.0, 0.0], [1.0, np.nan], [3.0, 1.0]])
+        coords = np.array([[0.0, 0.0], [1.0, value], [3.0, 1.0]])
         with pytest.raises(an.AnalysisError, match="coords row 1 is not finite"):
             an.emit_scatter(coords, [1, 2, 1], tmp_path / "s.svg")
         assert list(tmp_path.iterdir()) == []

@@ -286,6 +286,15 @@ class TestEmbeddings:
         with pytest.raises(VolumeFormatError, match="duplicate"):
             EmbeddingMatrix([1, 1], np.zeros((2, 2)) + 0.5)
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0), (1, 2, 2)])
+    def test_not_m_by_d_rejected(self, shape):
+        with pytest.raises(VolumeFormatError, match=r"must be M x D with M,D >= 1, got shape"):
+            EmbeddingMatrix(list(range(shape[0])), np.zeros(shape))
+
+    def test_id_count_mismatch_rejected(self):
+        with pytest.raises(VolumeFormatError, match="2 synapse ids for 3 embedding rows"):
+            EmbeddingMatrix([1, 2], np.zeros((3, 2)))
+
 
 CAPPED_SAMPLER = sp.SamplerConfig(patch_side=8, pair_mode="augment_same", max_pair_dist_nm=120.5,
                                   batch_pairs=3, augment=IDENTITY_AUGMENT)
