@@ -11,7 +11,6 @@ trainer module documents what a checkpoint holds in it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -21,7 +20,7 @@ from typing import Annotated
 import numpy as np
 
 from . import numcore as nc
-from .volume_io import _atomic_write, _check_fields
+from .volume_io import _atomic_write, _check_fields, _json_line, _parse_json_line
 
 MAGIC = b"DCKPT1\n"
 
@@ -198,8 +197,7 @@ def views_per_chunk(cfg: EncoderConfig) -> int:
 def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
     def body(f):
         f.write(MAGIC)
-        f.write(json.dumps(config, separators=(",", ":"), sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
+        f.write(_json_line(config))
         for name, arr in tensors.items():
             arr = np.ascontiguousarray(arr, dtype=np.float64)
             nb = name.encode("utf-8")
@@ -229,12 +227,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         line = f.readline()
         if not line.endswith(b"\n"):
             raise CheckpointError(f"{path}: truncated config line")
-        try:
-            config = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: bad config line: {e}") from e
-        if not isinstance(config, dict):
-            raise CheckpointError(f"{path}: config line is not a JSON object")
+        config = _parse_json_line(line, CheckpointError, f"{path}: bad config line")
         tensors: dict[str, np.ndarray] = {}
         while f.tell() < size:
             (name_len,) = struct.unpack("<I", read_exact(4, "tensor record header"))

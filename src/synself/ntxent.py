@@ -12,22 +12,11 @@ the unit-normalization Jacobian belongs to the encoder's own backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Annotated
-
 import numpy as np
 
-from .volume_io import _check_fields
+from .volume_io import PositiveFloat, _checked
 
 UNIT_ROW_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class NTXentConfig:
-    temperature: Annotated[float, "> 0"] = 0.5
-
-    def __post_init__(self):
-        _check_fields(self, ValueError)
 
 
 def _partners(z: np.ndarray) -> np.ndarray:
@@ -42,7 +31,10 @@ def loss(z: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     """Return (value, d_z) for a (2N, D) batch of unit row embeddings."""
     z = np.asarray(z, dtype=np.float64)
     pairing = _partners(z)
-    NTXentConfig(temperature)  # the config's bound: a finite real > 0
+    try:  # the check of TrainConfig.temperature
+        temperature = _checked(temperature, PositiveFloat)
+    except (TypeError, OverflowError):
+        raise ValueError(f"temperature must be a finite real number > 0, got {temperature!r}") from None
     n2 = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]

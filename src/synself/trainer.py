@@ -29,6 +29,9 @@ from .volume_io import _check_fields, _write_table
 METRICS_COLUMNS = ("step", "loss", "grad_norm", "pos_cos", "neg_cos")
 # a resumed run may only extend these; every other TrainConfig field shapes the result
 RESUMABLE_FIELDS = ("steps", "checkpoint_every")
+# Adam's moment decays and denominator term. ADAM_EPS > 0: with 0, a parameter
+# whose gradient is exactly 0 gets a 0/0 = NaN update
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainError(RuntimeError):
@@ -39,16 +42,12 @@ class TrainError(RuntimeError):
 class TrainConfig:
     steps: Annotated[int, ">= 1"] = 2000
     lr: Annotated[float, "> 0"] = 1e-3
-    adam_beta1: Annotated[float, ">= 0", "< 1"] = 0.9
-    adam_beta2: Annotated[float, ">= 0", "< 1"] = 0.999
-    # > 0: adam_eps = 0 gives a parameter whose gradient is exactly 0 a 0/0 = NaN update
-    adam_eps: Annotated[float, "> 0"] = 1e-8
+    temperature: Annotated[float, "> 0"] = 0.5  # NT-Xent's tau
     checkpoint_every: Annotated[int, ">= 1"] = 500
     log_every: Annotated[int, ">= 1"] = 10
     seed: Annotated[int, ">= 0"] = 0  # numpy would reject a negative seed only once init_state runs
     sampler: sp.SamplerConfig = field(default_factory=sp.SamplerConfig)
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
-    ntxent: ntxent.NTXentConfig = field(default_factory=ntxent.NTXentConfig)
 
     def __post_init__(self):
         _check_fields(self, ValueError)
@@ -103,7 +102,7 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
             ) from e
         caches.append(cache)
     z_rows = np.concatenate(z_rows)
-    value, d_z = ntxent.loss(z_rows, cfg.ntxent.temperature)
+    value, d_z = ntxent.loss(z_rows, cfg.temperature)
 
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
     for i, cache in enumerate(caches):  # fixed chunk order keeps the reduction deterministic
@@ -120,17 +119,16 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         )
 
     t = state.step + 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
     for k, g in grads.items():
         m = state.adam_m[k]
         v = state.adam_v[k]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        state.params[k] -= cfg.lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        state.params[k] -= cfg.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     state.step = t
 
     pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows)
@@ -156,13 +154,15 @@ def _valid_row(row) -> bool:
             and all(type(row[c]) is float for c in METRICS_COLUMNS[1:]))
 
 
-def _missing_key(saved: dict, full: dict) -> str | None:
-    """The first key path of ``full``, dotted, that ``saved`` lacks."""
-    for k, v in full.items():
-        if k not in saved:
-            return k
-        if isinstance(v, dict) and isinstance(saved[k], dict) and (sub := _missing_key(saved[k], v)):
-            return f"{k}.{sub}"
+def _key_mismatch(saved: dict, full: dict, at: str = "") -> str | None:
+    """The first key path, dotted, that only one of the dicts holds: "missing
+    field 'a.b'" when ``saved`` lacks it, "unknown field 'a.b'" when ``full`` does."""
+    for k in [*full, *(k for k in saved if k not in full)]:
+        if k not in saved or k not in full:
+            return f"{'missing' if k in full else 'unknown'} field '{at}{k}'"
+        if isinstance(full[k], dict) and isinstance(saved[k], dict) and (
+                sub := _key_mismatch(saved[k], full[k], f"{at}{k}.")):
+            return sub
     return None
 
 
@@ -197,13 +197,13 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
         raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
     if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
         raise enc.CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
-    # asdict saved every field: a missing one would take its default, which may shape another run
-    missing = _missing_key(config, asdict(TrainConfig()))
-    if missing:
-        raise enc.CheckpointError(f"{path}: bad config: missing field '{missing}'")
+    # asdict saved every field and no other: a missing one would take its default, which may shape another run
+    mismatch = _key_mismatch(config, asdict(TrainConfig()))
+    if mismatch:
+        raise enc.CheckpointError(f"{path}: bad config: {mismatch}")
     try:
         train_cfg = TrainConfig(**config)
-    except (TypeError, ValueError) as e:  # TypeError: a key that is no TrainConfig field
+    except ValueError as e:
         raise enc.CheckpointError(f"{path}: bad config: {e}") from e
     # the steps train logs up to this one, as _is_logged picks them; a resume would drop any
     # other row without a word. Lengths first, so that a corrupt huge step builds no list.

@@ -83,18 +83,18 @@ class SynapseRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "pos", tuple(self.pos))
-        if type(self.id) is not int or self.id < 0:
-            raise VolumeFormatError(f"synapse id must be a non-negative integer, got {self.id!r}")
+        # an id below 2**63 fits numpy's int64, as the sampler stores supervoxel ids
+        if type(self.id) is not int or not 0 <= self.id < 2 ** 63:
+            raise VolumeFormatError(f"synapse id must be an integer in [0, 2**63), got {self.id!r}")
         if tuple(map(type, self.pos)) != (int, int, int):
             raise VolumeFormatError(f"synapse {self.id}: pos must be three integers, got {self.pos!r}")
-        if type(self.supervoxel_id) is not int or self.supervoxel_id <= 0:
+        if type(self.supervoxel_id) is not int or not 0 < self.supervoxel_id < 2 ** 63:
             raise VolumeFormatError(
-                f"synapse {self.id}: supervoxel_id must be a positive label, got {self.supervoxel_id!r}"
+                f"synapse {self.id}: supervoxel_id must be a positive label < 2**63, got {self.supervoxel_id!r}"
             )
-        if self.class_label is not None and (type(self.class_label) is not int or self.class_label < 0):
-            raise VolumeFormatError(
-                f"synapse {self.id}: class_label must be a non-negative integer, got {self.class_label!r}"
-            )
+        label = self.class_label
+        if label is not None and (type(label) is not int or not 0 <= label < 2 ** 63):
+            raise VolumeFormatError(f"synapse {self.id}: class_label must be an integer in [0, 2**63), got {label!r}")
 
 
 @dataclass
@@ -182,6 +182,22 @@ def _check_fields(obj, error) -> None:
 # volume files
 
 
+def _json_line(obj: dict) -> bytes:
+    """A file's JSON header line: compact, keys sorted, then a newline."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8") + b"\n"
+
+
+def _parse_json_line(line: bytes, error, where: str) -> dict:
+    """The JSON object of a header line, or ``error`` naming ``where`` and the fault."""
+    try:  # ValueError: not UTF-8, not JSON, or an int of more digits than int() converts
+        obj = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # RecursionError: arrays or objects nested too deep
+        raise error(f"{where}: {e}") from e
+    if not isinstance(obj, dict):
+        raise error(f"{where}: not a JSON object")
+    return obj
+
+
 def _atomic_write(path, write_fn) -> None:
     """Write via a unique temp file beside ``path``, fsync, rename over it, then
     fsync the directory where the platform can open one, so the rename survives
@@ -219,8 +235,7 @@ def write_volume(vol: IntensityVolume, path) -> None:
     }
 
     def body(f):
-        f.write(json.dumps(head, separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
+        f.write(_json_line(head))
         f.write(vol.voxels.tobytes())
 
     _atomic_write(path, body)
@@ -233,11 +248,8 @@ def read_volume(path) -> IntensityVolume:
             raise VolumeFormatError(
                 f"{path}: malformed header at byte offset 0: no newline within {HEADER_MAX_BYTES} bytes"
             )
-        try:
-            head = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise VolumeFormatError(f"{path}: malformed header at byte offset 0: {e}") from e
-        if not isinstance(head, dict) or not {"dims", "dtype", "voxel_size_nm"} <= set(head):
+        head = _parse_json_line(line, VolumeFormatError, f"{path}: malformed header at byte offset 0")
+        if not {"dims", "dtype", "voxel_size_nm"} <= set(head):
             raise VolumeFormatError(
                 f"{path}: malformed header at byte offset 0: need keys dims, dtype, voxel_size_nm"
             )

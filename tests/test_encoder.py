@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from synself import encoder as enc
 from synself import numcore as nc
+from synself import trainer as tr
 from helpers import save_checkpoint
 from oracles import encoder_backward_from_pre, encoder_pre_activations, grad_close
 
@@ -396,6 +397,18 @@ class TestCheckpoint:
         p.write_bytes(enc.MAGIC + b"[]\n")
         with pytest.raises(enc.CheckpointError, match="not a JSON object"):
             enc.load(p)
+
+    @pytest.mark.parametrize("reader", [enc.load, tr.load_train_state], ids=["encoder.load", "load_train_state"])
+    @pytest.mark.parametrize("line", [
+        b"[" * 200_000,  # nested deeper than json's recursion limit
+        b'{"steps":' + b"1" * 5000 + b"}",  # more digits than int() converts
+        b'{"\xff":1}',
+    ], ids=["deep_nesting", "long_int", "not_utf8"])
+    def test_unparsable_config_line_typed_error(self, tmp_path, reader, line):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(enc.MAGIC + line + b"\n")
+        with pytest.raises(enc.CheckpointError, match="bad config line"):
+            reader(p)
 
     def test_edited_config_shape_disagreement(self, tmp_path):
         p = tmp_path / "ck.dckpt"

@@ -139,20 +139,22 @@ class TestValidation:
         z = unit_rows(rng, 4, 3)
         with pytest.raises(ValueError, match="temperature"):
             ntxent.loss(z, temperature=0.0)
-        with pytest.raises(ValueError, match="temperature"):
-            ntxent.NTXentConfig(temperature=-1.0)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    # the values TrainConfig.temperature rejects: True is no number, and 10**400 no float
+    @pytest.mark.parametrize("value", [
+        math.inf, math.nan, 0.0, -1.0, True, pytest.param(10 ** 400, id="10**400"), "0.5",
+    ])
     def test_loss_temperature_finite_and_positive(self, value):
         # at inf the loss was log(2N-1) with an all-zero gradient
         z = unit_rows(np.random.default_rng(5), 4, 3)
         with pytest.raises(ValueError, match="temperature must be a finite real number > 0"):
             ntxent.loss(z, temperature=value)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
-    def test_config_temperature_finite_and_positive(self, value):
-        with pytest.raises(ValueError, match="temperature must be a finite real number > 0"):
-            ntxent.NTXentConfig(temperature=value)
+    def test_integer_temperature_is_its_float(self):
+        z = unit_rows(np.random.default_rng(5), 4, 3)
+        value, d_z = ntxent.loss(z, temperature=2)
+        want_value, want_d_z = ntxent.loss(z, temperature=2.0)
+        assert value == want_value and d_z.tobytes() == want_d_z.tobytes()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

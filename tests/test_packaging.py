@@ -166,8 +166,8 @@ def test_every_config_checks_its_fields_first():
                        and isinstance(first.value.args[0], ast.Name) and first.value.args[0].id == "self")
         (checked if calls_check else unchecked).add(node.name)
     assert unchecked == set()
-    assert checked >= {"EncoderConfig", "TrainConfig", "SamplerConfig", "AugmentConfig", "NTXentConfig",
-                       "GenConfig", "ClassParams", "VolumeHeader"}
+    assert checked >= {"EncoderConfig", "TrainConfig", "SamplerConfig", "AugmentConfig", "GenConfig",
+                       "ClassParams", "VolumeHeader"}
 
 
 def _is_number(node: ast.AST) -> bool:
@@ -223,12 +223,12 @@ def _writes_a_file(call: ast.Call) -> bool:
     return False
 
 
-def _file_writers(tree: ast.Module, stem: str):
-    """module.function of each call in the tree that writes a file, named by its innermost def."""
+def _calls(tree: ast.Module, stem: str, picks):
+    """module.function of each call in the tree that ``picks`` selects, named by its innermost def."""
     def walk(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{stem}.{node.name}"
-        if isinstance(node, ast.Call) and _writes_a_file(node):
+        if isinstance(node, ast.Call) and picks(node):
             yield where
         for child in ast.iter_child_nodes(node):
             yield from walk(child, where)
@@ -236,15 +236,29 @@ def _file_writers(tree: ast.Module, stem: str):
     yield from walk(tree, f"{stem}.<module>")
 
 
+def _callers(picks) -> set[str]:
+    """_calls over every module of src/synself."""
+    return {where for p in sorted((ROOT / "src" / "synself").glob("*.py"))
+            for where in _calls(ast.parse(p.read_text(encoding="utf-8")), p.stem, picks)}
+
+
 def test_only_atomic_write_writes_files():
     """Every file synself writes goes through volume_io._atomic_write (temp
     file, fsync, rename, directory fsync); no other code may open one for writing."""
-    writers = {
-        where
-        for p in sorted((ROOT / "src" / "synself").glob("*.py"))
-        for where in _file_writers(ast.parse(p.read_text(encoding="utf-8")), p.stem)
-    }
-    assert writers == {"volume_io._atomic_write"}
+    assert _callers(_writes_a_file) == {"volume_io._atomic_write"}
+
+
+def _calls_json(call: ast.Call) -> bool:
+    f = call.func
+    return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "json"
+            and f.attr in ("loads", "load", "dumps", "dump"))
+
+
+def test_only_the_header_line_codec_calls_json():
+    """Every JSON line synself writes or reads goes through volume_io._json_line
+    and _parse_json_line, which raises the caller's typed error for any malformed
+    line; no other code may call json.loads, json.load, json.dumps or json.dump."""
+    assert _callers(_calls_json) == {"volume_io._json_line", "volume_io._parse_json_line"}
 
 
 @pytest.mark.parametrize("code, writes", [
@@ -257,3 +271,11 @@ def test_only_atomic_write_writes_files():
 ])
 def test_file_write_detector(code, writes):
     assert _writes_a_file(ast.parse(code).body[0].value) is writes
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("json.loads(s)", True), ("json.load(f)", True), ("json.dumps(o, sort_keys=True)", True),
+    ("json.dump(o, f)", True), ("_parse_json_line(line, E, w)", False), ("obj.loads(s)", False),
+])
+def test_json_call_detector(code, calls):
+    assert _calls_json(ast.parse(code).body[0].value) is calls

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -98,13 +99,13 @@ class TestTrainStep:
         starts = (0, 5)
         caches = [enc.forward(ref.params, views[i:i + 5], cfg.encoder)[1] for i in starts]
         z_rows = np.concatenate([enc.project(ref.params, cache) for cache in caches])
-        loss, d_z = ntxent.loss(z_rows, cfg.ntxent.temperature)
+        loss, d_z = ntxent.loss(z_rows, cfg.temperature)
         per_chunk = [enc.backward(ref.params, cache, d_z[i:i + 5]) for i, cache in zip(starts, caches)]
         # the one-view route: the same z rows, and gradients added view by view
         one_view = [enc.forward(ref.params, v[None], cfg.encoder)[1] for v in views]
         assert np.concatenate([enc.project(ref.params, c) for c in one_view]).tobytes() == z_rows.tobytes()
         per_view = [enc.backward(ref.params, cache, d_z[i:i + 1]) for i, cache in enumerate(one_view)]
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = tr.ADAM_BETA1, tr.ADAM_BETA2
         sq_sum = 0.0
         for k, p in ref.params.items():
             g = np.zeros_like(p)
@@ -117,7 +118,7 @@ class TestTrainStep:
             sq_sum += float(np.sum(g * g))
             m = 0.0 + (1 - b1) * g  # first Adam step from zero moments
             v = 0.0 + (1 - b2) * g * g
-            want = p - cfg.lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + cfg.adam_eps)
+            want = p - cfg.lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + tr.ADAM_EPS)
             assert state.params[k].tobytes() == want.tobytes(), k
         pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows)
         assert metrics == {"step": 1, "loss": loss, "grad_norm": float(np.sqrt(sq_sum)),
@@ -324,11 +325,10 @@ class TestTrainLoop:
             tr.TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("lr", math.inf), ("lr", math.nan), ("adam_eps", math.nan), ("adam_eps", math.inf),
-        ("adam_eps", -1.0), ("adam_eps", 0.0),
+        ("lr", math.inf), ("lr", math.nan), ("temperature", math.inf), ("temperature", math.nan),
+        ("temperature", 0.0), ("temperature", -1.0),
     ])
     def test_non_finite_or_non_positive_rate_rejected(self, field, value):
-        # adam_eps = 0 divides 0 by 0 for a parameter whose gradient is exactly 0
         with pytest.raises(ValueError, match=f"{field} must be a finite real number > 0"):
             tr.TrainConfig(**{field: value})
 
@@ -410,24 +410,29 @@ class TestTrainLoop:
         bad_configs = [
             {**config, "lr": True},
             {**config, "sampler": {**config["sampler"], "augment": None}},
-            {**config, "ntxent": {"temperature": 0.5, "tau": 1.0}},
-            {**config, "momentum": 0.9},
         ]
         for bad in bad_configs:
             enc.write_container(p, {**bad, "train_state": ts}, tensors)
             with pytest.raises(enc.CheckpointError, match="bad config"):
                 tr.load_train_state(p)
 
-        missing_fields = [
-            ({}, "steps"),
-            ({k: v for k, v in config.items() if k != "lr"}, "lr"),
-            ({**config, "sampler": {**config["sampler"], "augment": {}}}, "sampler.augment.use_octahedral"),
-            ({**config, "sampler": {k: v for k, v in config["sampler"].items() if k != "max_pair_dist_nm"}},
-             "sampler.max_pair_dist_nm"),
+        # the first key path that one side lacks, each dict's missing keys before its unknown ones
+        sampler = config["sampler"]
+        mismatched_keys = [
+            ({}, "missing field 'steps'"),
+            ({k: v for k, v in config.items() if k != "lr"}, "missing field 'lr'"),
+            ({**config, "sampler": {**sampler, "augment": {}}}, "missing field 'sampler.augment.use_octahedral'"),
+            ({**config, "sampler": {k: v for k, v in sampler.items() if k != "max_pair_dist_nm"}},
+             "missing field 'sampler.max_pair_dist_nm'"),
+            ({**config, "momentum": 0.9}, "unknown field 'momentum'"),
+            ({**config, "sampler": {**sampler, "foo": 1}}, "unknown field 'sampler.foo'"),
+            ({**config, "sampler": {**sampler, "augment": {**sampler["augment"], "bar": None}}},
+             "unknown field 'sampler.augment.bar'"),
+            ({**config, "momentum": 0.9, "sampler": {}}, "missing field 'sampler.patch_side'"),
         ]
-        for bad, name in missing_fields:
+        for bad, message in mismatched_keys:
             enc.write_container(p, {**bad, "train_state": ts}, tensors)
-            with pytest.raises(enc.CheckpointError, match=re.escape(f"bad config: missing field '{name}'")):
+            with pytest.raises(enc.CheckpointError, match=re.escape(f"bad config: {message}")):
                 tr.load_train_state(p)
 
     def test_rows_off_the_log_schedule_rejected(self, tmp_path):
@@ -524,15 +529,26 @@ def _old_layout(c):
     return {**c["encoder"], "train_state": ts}
 
 
-# edits of a good JSON line, asdict of the TrainConfig plus train_state, that leave no checkpoint
+def _parent_layout(c):
+    """The line of a checkpoint written before temperature was a TrainConfig
+    field: Adam's constants as fields, and the temperature in an ntxent group."""
+    adam = {f"adam_{k}": v for k, v in (("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8))}
+    return {**_without("temperature")(c), **adam, "ntxent": {"temperature": c["temperature"]}}
+
+
+# edits of a good JSON line, asdict of the TrainConfig plus train_state, that
+# leave no checkpoint, with the error each gives
 OTHER_LAYOUTS = [
-    pytest.param(_old_layout, id="old_layout"),
-    pytest.param(_without("encoder"), id="no_encoder"),
-    pytest.param(lambda c: {**c, "encoder": list(c["encoder"].values())}, id="encoder_a_list"),
-    pytest.param(lambda c: {**c, "encoder": 8}, id="encoder_a_number"),
-    pytest.param(_without("train_state"), id="no_train_state"),
-    pytest.param(lambda c: {**c, "train_state": None}, id="train_state_null"),
-    pytest.param(lambda c: {**c, "momentum": 0.9}, id="unknown_top_level_key"),
+    pytest.param(_old_layout, "bad train_state", id="old_layout"),
+    pytest.param(_parent_layout, "bad config: missing field 'temperature'", id="parent_layout"),
+    pytest.param(_without("encoder"), "bad config: missing field 'encoder'", id="no_encoder"),
+    pytest.param(lambda c: {**c, "encoder": list(c["encoder"].values())}, "bad config: encoder must be",
+                 id="encoder_a_list"),
+    pytest.param(lambda c: {**c, "encoder": 8}, "bad config: encoder must be", id="encoder_a_number"),
+    pytest.param(_without("train_state"), "bad train_state", id="no_train_state"),
+    pytest.param(lambda c: {**c, "train_state": None}, "bad train_state", id="train_state_null"),
+    pytest.param(lambda c: {**c, "momentum": 0.9}, "bad config: unknown field 'momentum'",
+                 id="unknown_top_level_key"),
 ]
 
 
@@ -550,11 +566,19 @@ class TestCheckpointLayout:
                                  + [f"adam.v.{k}" for k in state.params])
 
     @pytest.mark.parametrize("reader", [enc.load, tr.load_train_state], ids=["encoder.load", "load_train_state"])
-    @pytest.mark.parametrize("edit", OTHER_LAYOUTS)
-    def test_other_layouts_are_checkpoint_errors(self, tmp_path, reader, edit):
+    @pytest.mark.parametrize("edit, message", OTHER_LAYOUTS)
+    def test_other_layouts_are_checkpoint_errors(self, tmp_path, reader, edit, message):
         tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
         config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         p = tmp_path / "bad.dckpt"
         enc.write_container(p, edit(config), tensors)
-        with pytest.raises(enc.CheckpointError):
+        with pytest.raises(enc.CheckpointError, match=re.escape(message)):
             reader(p)
+
+    def test_step_0_checkpoint_bytes_are_pinned(self, tmp_path):
+        # a step-0 state holds no BLAS result, so its bytes are the same on every host
+        cfg = tiny_config()
+        p = tmp_path / "ckpt.dckpt"
+        tr.save_train_state(tr.init_state(cfg), cfg, p)
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        assert digest == "784d2e52407b7270bf9b7cda7d2ab79d5742139379453416cdb1f2890e051401"

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synself import encoder as enc
-from synself import ntxent
 from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
@@ -111,6 +110,18 @@ class TestVolumeErrors:
         p = tmp_path / "bad.vol"
         p.write_bytes(b"not json\n")
         with pytest.raises(VolumeFormatError, match="byte offset 0"):
+            read_volume(p)
+
+    @pytest.mark.parametrize("head", [
+        b"[" * 60000,  # nested deeper than json's recursion limit
+        # more digits than int() converts
+        b'{"dims":[' + b"1" * 5000 + b',1,1],"dtype":"u8","voxel_size_nm":[8,8,8]}',
+        b'{"dims":[2,2,2],"dtype":"u8","voxel_size_nm":[8,8,8],"\xff":1}',
+    ], ids=["deep_nesting", "long_int", "not_utf8"])
+    def test_unparsable_header_typed_error(self, tmp_path, head):
+        p = tmp_path / "bad.vol"
+        p.write_bytes(head + b"\n" + bytes(8))
+        with pytest.raises(VolumeFormatError, match="malformed header at byte offset 0"):
             read_volume(p)
 
     def test_deterministic_diagnostic(self, tmp_path):
@@ -257,6 +268,23 @@ class TestSynapseTable:
         with pytest.raises(VolumeFormatError, match="non-integer field id"):
             read_synapse_table(p)
 
+    @pytest.mark.parametrize("fields, match", [
+        ((2 ** 63, (1, 2, 3), 1, None), "synapse id"),
+        ((1, (1, 2, 3), 2 ** 63, None), "supervoxel_id"),
+        ((1, (1, 2, 3), 1, 2 ** 63), "class_label"),
+    ])
+    def test_id_beyond_int64_rejected(self, fields, match):
+        with pytest.raises(VolumeFormatError, match=match):
+            SynapseRecord(*fields)
+        SynapseRecord(*[2 ** 63 - 1 if f == 2 ** 63 else f for f in fields])  # the largest int64 is kept
+
+    def test_table_id_beyond_int64_rejected(self, tmp_path):
+        # numpy cannot hold it: the sampler raised a bare OverflowError
+        p = tmp_path / "syn.csv"
+        p.write_text(f"id,x,y,z,supervoxel_id,class_label\n7,1,2,3,{2 ** 70},\n")
+        with pytest.raises(VolumeFormatError, match="supervoxel_id must be a positive label < 2"):
+            read_synapse_table(p)
+
     def test_zero_supervoxel_rejected(self):
         with pytest.raises(VolumeFormatError, match="positive label"):
             SynapseRecord(0, (0, 0, 0), 0)
@@ -334,8 +362,7 @@ class TestConfigFields:
 
     @pytest.mark.parametrize("make, error, message", [
         (lambda: tr.TrainConfig(lr=True), ValueError, "lr must be a finite real number > 0, got True"),
-        (lambda: tr.TrainConfig(adam_beta1=False), ValueError, "adam_beta1 must be a finite real number"),
-        (lambda: ntxent.NTXentConfig(temperature=True), ValueError, "temperature must be a finite real number"),
+        (lambda: tr.TrainConfig(temperature=True), ValueError, "temperature must be a finite real number"),
         (lambda: sp.AugmentConfig(use_octahedral="false"), ValueError, "use_octahedral must be a bool"),
         (lambda: sp.AugmentConfig(intensity_scale_range=(True, True)), ValueError,
          "intensity_scale_range must be a list of 2 items, each a finite real number"),
@@ -344,7 +371,6 @@ class TestConfigFields:
          "blob_radius_vox must be a finite real number"),
         (lambda: sp.SamplerConfig(augment=None), ValueError,
          "augment must be AugmentConfig or a dict of its fields, got None"),
-        (lambda: tr.TrainConfig(ntxent=None), ValueError, "ntxent must be NTXentConfig or a dict of its fields"),
         (lambda: sg.GenConfig(class_params=((2.0, 1.5, 3.0, 220.0, 110.0),), n_supervoxels=4),
          sg.GenerationError, "class_params must be a list of items, each ClassParams or a dict of its fields"),
         (lambda: sp.SamplerConfig(pair_mode=1), ValueError, "pair_mode must be a string"),
@@ -378,21 +404,19 @@ class TestConfigFields:
         assert type(sp.SamplerConfig(max_pair_dist_nm=200).max_pair_dist_nm) is float
         assert sp.SamplerConfig(max_pair_dist_nm=None).max_pair_dist_nm is None
         assert enc.EncoderConfig(channels=[4, 8, 16]).channels == (4, 8, 16)
-        cfg = tr.TrainConfig(sampler={"augment": {"use_octahedral": False}}, ntxent={"temperature": 1})
+        cfg = tr.TrainConfig(sampler={"augment": {"use_octahedral": False}}, temperature=1)
         assert cfg.sampler == sp.SamplerConfig(augment=sp.AugmentConfig(use_octahedral=False))
-        assert cfg.ntxent == ntxent.NTXentConfig(1.0)
+        assert type(cfg.temperature) is float and cfg.temperature == 1.0
         gen = sg.GenConfig(class_params=[asdict(CLASS)], n_supervoxels=4)
         assert gen.class_params == (CLASS,)
 
     @pytest.mark.parametrize("cfg", [
         enc.EncoderConfig(), SMALL_ENCODER,
         tr.TrainConfig(),
-        tr.TrainConfig(steps=7, lr=2e-3, adam_beta1=0.5, adam_beta2=0.75, adam_eps=1e-6, checkpoint_every=3,
-                       log_every=2, seed=5, sampler=CAPPED_SAMPLER, encoder=SMALL_ENCODER,
-                       ntxent=ntxent.NTXentConfig(0.2)),
+        tr.TrainConfig(steps=7, lr=2e-3, temperature=0.2, checkpoint_every=3, log_every=2, seed=5,
+                       sampler=CAPPED_SAMPLER, encoder=SMALL_ENCODER),
         sp.SamplerConfig(), CAPPED_SAMPLER,
         sp.AugmentConfig(), IDENTITY_AUGMENT,
-        ntxent.NTXentConfig(), ntxent.NTXentConfig(0.07),
         sg.GenConfig(),
         sg.GenConfig(seed=4, dims=(40, 32, 24), n_supervoxels=4, synapses_per_supervoxel=2, noise_sigma=0.0,
                      class_params=(CLASS, sg.ClassParams(2.5, 1.0, 3.0, 110.0, 70.0)), background_intensity=0),
@@ -404,7 +428,7 @@ class TestConfigFields:
 
     @pytest.mark.parametrize("cfg, error", [
         (tr.TrainConfig(), ValueError), (enc.EncoderConfig(), ValueError), (sp.SamplerConfig(), ValueError),
-        (sp.AugmentConfig(), ValueError), (ntxent.NTXentConfig(), ValueError), (sg.GenConfig(), sg.GenerationError),
+        (sp.AugmentConfig(), ValueError), (sg.GenConfig(), sg.GenerationError),
         (CLASS, sg.GenerationError), (VolumeHeader((4, 4, 4)), VolumeFormatError),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else type(v).__name__)
     def test_declared_bounds_and_finiteness(self, cfg, error):
