@@ -12,11 +12,16 @@ the unit-normalization Jacobian belongs to the encoder's own backward.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
-from .volume_io import PositiveFloat, _checked
+from .volume_io import _checked, _describe
 
 UNIT_ROW_TOL = 1e-9
+# tau, as TrainConfig.temperature and loss() check it: 1/tau stays finite, as
+# it would not at a subnormal tau such as 1e-320
+Temperature = Annotated[float, ">= 1e-300"]
 
 
 def _partners(z: np.ndarray) -> np.ndarray:
@@ -31,10 +36,10 @@ def loss(z: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     """Return (value, d_z) for a (2N, D) batch of unit row embeddings."""
     z = np.asarray(z, dtype=np.float64)
     pairing = _partners(z)
-    try:  # the check of TrainConfig.temperature
-        temperature = _checked(temperature, PositiveFloat)
+    try:
+        temperature = _checked(temperature, Temperature)
     except (TypeError, OverflowError):
-        raise ValueError(f"temperature must be a finite real number > 0, got {temperature!r}") from None
+        raise ValueError(f"temperature must be {_describe(Temperature)}, got {temperature!r}") from None
     n2 = z.shape[0]
     norms = np.linalg.norm(z, axis=1)
     bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ROW_TOL)[0]

@@ -10,13 +10,36 @@ is the encoder's container: its JSON line is ``asdict`` of the run's
 TrainConfig plus a ``train_state`` key (step, sampler rng state, metrics rows),
 and its tensors are the parameters, then the Adam moments. Only
 :func:`save_train_state` writes one; encoder.load() reads its parameters.
+
+:func:`train` spreads each step's chunks over the CPUs its process may use.
+It forks one helper process per CPU past the first (none where ``fork`` is
+missing), at most one fewer than the step's chunks, and joins them before it
+returns or raises. The parent samples the batch and runs the first chunks;
+each helper runs a contiguous run of the later ones, the tails split so that
+every process gets about as many views. Each process forwards and projects
+its chunks, the parent takes the loss over all z rows, and each backwards its
+own chunks. The parent sums its chunk gradients in chunk order, starting from
+zeros, and hands the partial sum to the first helper, which adds its chunk
+gradients to it in chunk order and hands it on. So the step's gradient is the
+same chain of additions in the same order as in one process, and keeps every
+bit: each chunk's forward, projection and backward run the same code on the
+same bytes wherever they run. Arrays pass through one anonymous shared mmap
+made before the fork, the pipe carries only small messages, and the helpers
+have only their own copy-on-write memory. A direct :func:`train_step` call
+runs every chunk in its own process.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import mmap
+import multiprocessing as mp
 import os
+import signal
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from multiprocessing.connection import wait
 from typing import Annotated
 
 import numpy as np
@@ -42,7 +65,7 @@ class TrainError(RuntimeError):
 class TrainConfig:
     steps: Annotated[int, ">= 1"] = 2000
     lr: Annotated[float, "> 0"] = 1e-3
-    temperature: Annotated[float, "> 0"] = 0.5  # NT-Xent's tau
+    temperature: ntxent.Temperature = 0.5  # NT-Xent's tau
     checkpoint_every: Annotated[int, ">= 1"] = 500
     log_every: Annotated[int, ">= 1"] = 10
     seed: Annotated[int, ">= 0"] = 0  # numpy would reject a negative seed only once init_state runs
@@ -66,6 +89,8 @@ class TrainState:
     adam_v: dict[str, np.ndarray]
     rng: np.random.Generator
     rows: list[dict] = field(default_factory=list)  # metrics rows logged so far
+    # the helper processes of the running train() call, which run the step's later chunks
+    helpers: list[_Helper] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def init_state(cfg: TrainConfig) -> TrainState:
@@ -84,31 +109,56 @@ def _batch_fingerprint(views: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(views).tobytes()).hexdigest()[:12]
 
 
+def _zero_projection(step: int, views: np.ndarray, e: ValueError) -> TrainError:
+    return TrainError(f"zero projection at step {step} (batch fingerprint {_batch_fingerprint(views)}): {e}")
+
+
 def train_step(state: TrainState, dataset, cfg: TrainConfig):
-    """Advance one step in place; returns the step's metrics dict."""
+    """Advance one step in place; returns the step's metrics dict. The
+    state's helpers, if any, run the step's later chunks."""
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
     views = np.concatenate([batch.views_a, batch.views_b], axis=0)
 
+    helpers = state.helpers
+    own = helpers[0].lo if helpers else len(views)  # the views this process runs
+    if helpers:
+        shared = helpers[0].shared
+        for k, p in state.params.items():
+            shared.params[k][...] = p
+        shared.views[own:] = views[own:]
+        for h in helpers:
+            h.send("forward")
     chunk = enc.views_per_chunk(cfg.encoder)
     z_rows, caches = [], []
-    for i in range(0, len(views), chunk):
+    for i in range(0, own, chunk):
         _, cache = enc.forward(state.params, views[i:i + chunk], cfg.encoder)
         try:
             z_rows.append(enc.project(state.params, cache))
         except ValueError as e:
-            raise TrainError(
-                f"zero projection at step {state.step + 1} "
-                f"(batch fingerprint {_batch_fingerprint(views)}): {e}"
-            ) from e
+            raise _zero_projection(state.step + 1, views, e) from e
         caches.append(cache)
+    for h in helpers:  # in chunk order, so the first zero projection is the one reported
+        h.reply(state.step + 1, views)
+        z_rows.append(shared.z[h.lo:h.hi])
     z_rows = np.concatenate(z_rows)
     value, d_z = ntxent.loss(z_rows, cfg.temperature)
+    if helpers:
+        shared.d_z[own:] = d_z[own:]
+        for h in helpers:
+            h.send("backward")
 
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
     for i, cache in enumerate(caches):  # fixed chunk order keeps the reduction deterministic
         g = enc.backward(state.params, cache, d_z[i * chunk:(i + 1) * chunk])
         for k in grads:
             grads[k] += g[k]
+    if helpers:  # each helper adds its chunk gradients to the sum so far, in chunk order
+        for k, g in grads.items():
+            shared.grads[k][...] = g
+        for h in helpers:
+            h.send("add")
+            h.reply(state.step + 1, views)
+        grads = shared.grads
 
     sq_sum = sum(float(np.sum(g * g)) for g in grads.values())
     grad_norm = float(np.sqrt(sq_sum))
@@ -217,6 +267,163 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg
 
 
+# ---------------------------------------------------------------------------
+# helper processes
+
+
+class _Shared:
+    """The arrays a step passes between processes: the parameters, the views,
+    the z rows and their loss gradients, and the running gradient sum, each
+    64-byte aligned in one anonymous shared mmap that the helpers inherit."""
+
+    def __init__(self, cfg: TrainConfig):
+        n, s, z_dim = 2 * cfg.sampler.batch_pairs, cfg.sampler.patch_side, cfg.encoder.z_dim
+        shapes = enc.param_shapes(cfg.encoder)
+        wanted = [*shapes.values(), *shapes.values(), (n, s, s, s), (n, z_dim), (n, z_dim)]
+        sizes = [-(-8 * math.prod(shape) // 64) * 64 for shape in wanted]
+        buf = mmap.mmap(-1, sum(sizes))
+        offsets = np.cumsum([0, *sizes[:-1]])
+        arrays = [np.ndarray(shape, np.float64, buf, int(at)) for shape, at in zip(wanted, offsets)]
+        self.params = dict(zip(shapes, arrays))
+        self.grads = dict(zip(shapes, arrays[len(shapes):]))
+        self.views, self.z, self.d_z = arrays[-3:]
+
+
+class _Helper:
+    """A forked process that runs views [lo, hi) of every step, a contiguous
+    run of whole chunks; see :func:`_serve`."""
+
+    def __init__(self, ctx, shared: _Shared, cfg: TrainConfig, lo: int, hi: int, others: list[_Helper]):
+        self.shared, self.lo, self.hi = shared, lo, hi
+        self.conn, child_end = ctx.Pipe()
+        # the child closes the parent's ends of every pipe, so that it reads EOF once the parent is gone
+        self.proc = ctx.Process(target=_serve,
+                                args=(child_end, [self.conn, *(h.conn for h in others)], shared, cfg, lo, hi))
+        self.proc.start()
+        child_end.close()
+
+    def _died(self) -> TrainError:
+        self.proc.join()
+        return TrainError(f"training helper process {self.proc.pid} exited with code {self.proc.exitcode}")
+
+    def send(self, request: str) -> None:
+        try:
+            self.conn.send(request)
+        except ConnectionError:  # its end of the pipe (a socket pair) closed as it exited
+            raise self._died() from None
+
+    def reply(self, step: int, views: np.ndarray) -> None:
+        """Wait for the helper's reply to a forward or an add; raise what it
+        raised, as a chunk run here would have."""
+        if self.conn not in wait([self.conn, self.proc.sentinel]):
+            raise self._died()
+        try:
+            kind, e = self.conn.recv()
+        except (EOFError, ConnectionError):  # reset, when it exited before reading all that was sent
+            raise self._died() from None
+        if kind == "project":
+            raise _zero_projection(step, views, e) from e
+        if e is not None:
+            raise e
+
+
+def _serve(conn, parent_ends, shared: _Shared, cfg: TrainConfig, lo: int, hi: int) -> None:
+    """A helper's loop over steps: on "forward", forward and project views
+    [lo, hi) chunk by chunk with the shared parameters and write their z rows;
+    on "backward", backward each chunk with its shared d_z rows; on "add", add
+    the chunk gradients to the shared sum in chunk order. It replies to a
+    forward and an add with (kind, exception): (None, None) when all went
+    well, ("project", e) for a zero projection and ("raise", e) for any other
+    error. Returns at EOF, once the parent closed its end or exited."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, which stops the helpers
+    for end in parent_ends:
+        end.close()
+    chunk = enc.views_per_chunk(cfg.encoder)
+    starts = range(lo, hi, chunk)
+    try:
+        while True:
+            conn.recv()
+            caches, failed = [], (None, None)
+            try:
+                # copies, so that each chunk runs on arrays laid out as in the parent
+                params = {k: v.copy() for k, v in shared.params.items()}
+                for i in starts:
+                    _, cache = enc.forward(params, shared.views[i:i + chunk].copy(), cfg.encoder)
+                    try:
+                        shared.z[i:i + chunk] = enc.project(params, cache)
+                    except ValueError as e:
+                        failed = ("project", e)
+                        break
+                    caches.append(cache)
+            except Exception as e:  # the parent raises it
+                failed = ("raise", e)
+            conn.send(failed)
+            if failed[1] is not None:
+                continue  # the parent raises and stops the helpers
+            conn.recv()
+            try:
+                grads = [enc.backward(params, cache, shared.d_z[i:i + chunk].copy())
+                         for i, cache in zip(starts, caches)]
+            except Exception as e:
+                failed = ("raise", e)
+            del caches
+            conn.recv()
+            if failed[1] is None:
+                for g in grads:
+                    for k, total in shared.grads.items():
+                        total += g[k]
+            conn.send(failed)
+    except (EOFError, ConnectionError):
+        return
+
+
+def _spare_cpus() -> int:
+    """The CPUs past the first that this process may run on; 0 where fork is
+    missing, or in a daemonic process, which multiprocessing lets start none."""
+    if ("fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_getaffinity")
+            or mp.current_process().daemon):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def _split(n_views: int, chunk: int, parts: int) -> list[int]:
+    """The first view of each of parts contiguous runs of whole chunks, the
+    first run at view 0, so that each run holds about n_views / parts views;
+    parts is at most the chunk count."""
+    n_chunks = -(-n_views // chunk)
+    firsts = [0]
+    for k in range(1, parts):
+        at = round(k * n_views / parts / chunk)
+        firsts.append(chunk * min(max(at, firsts[-1] // chunk + 1), n_chunks - parts + k))
+    return firsts
+
+
+@contextmanager
+def _helpers_running(state: TrainState, cfg: TrainConfig):
+    """Fork the helpers that run state's steps under cfg into state.helpers;
+    stop and join them on the way out, killing them if the body raised."""
+    n_views, chunk = 2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder)
+    parts = 1 + min(_spare_cpus(), -(-n_views // chunk) - 1)
+    if parts == 1:
+        yield
+        return
+    ctx, shared = mp.get_context("fork"), _Shared(cfg)
+    bounds = [*_split(n_views, chunk, parts), n_views]
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            state.helpers.append(_Helper(ctx, shared, cfg, lo, hi, state.helpers))
+        yield
+    except BaseException:
+        for h in state.helpers:
+            h.proc.kill()
+        raise
+    finally:
+        for h in state.helpers:
+            h.conn.close()
+            h.proc.join()
+        state.helpers.clear()
+
+
 def train(
     cfg: TrainConfig,
     dataset,
@@ -230,6 +437,10 @@ def train(
     its metrics rows are kept, and a config that differs in any field besides
     RESUMABLE_FIELDS, or asks for fewer steps than the checkpoint holds, raises
     TrainError.
+
+    The steps' later chunks run in helper processes forked here, one per CPU
+    this process may use past the first, with the bytes of a one-process run;
+    a helper that dies raises TrainError.
     """
     if resume_from is None:
         state = init_state(cfg)
@@ -245,14 +456,15 @@ def train(
         state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
     os.makedirs(out_dir, exist_ok=True)  # after the checks, so a refused resume leaves no directory
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    while state.step < cfg.steps:
-        metrics = train_step(state, dataset, cfg)
-        t = state.step
-        if _is_logged(t, cfg):
-            state.rows.append(metrics)
-        if t % cfg.checkpoint_every == 0 and t < cfg.steps:  # the last step is ckpt_final
-            save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
-            write_metrics(state.rows, metrics_path)
+    with _helpers_running(state, cfg):
+        while state.step < cfg.steps:
+            metrics = train_step(state, dataset, cfg)
+            t = state.step
+            if _is_logged(t, cfg):
+                state.rows.append(metrics)
+            if t % cfg.checkpoint_every == 0 and t < cfg.steps:  # the last step is ckpt_final
+                save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
+                write_metrics(state.rows, metrics_path)
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))
     write_metrics(state.rows, metrics_path)
     return state, state.rows

@@ -147,8 +147,16 @@ class TestValidation:
     def test_loss_temperature_finite_and_positive(self, value):
         # at inf the loss was log(2N-1) with an all-zero gradient
         z = unit_rows(np.random.default_rng(5), 4, 3)
-        with pytest.raises(ValueError, match="temperature must be a finite real number > 0"):
+        with pytest.raises(ValueError, match="temperature must be a finite real number >= 1e-300"):
             ntxent.loss(z, temperature=value)
+
+    def test_temperature_keeps_its_reciprocal_finite(self):
+        # at the subnormal 1e-320, 1/tau overflows and the loss is not finite
+        z = unit_rows(np.random.default_rng(5), 4, 3)
+        with pytest.raises(ValueError, match="temperature must be a finite real number >= 1e-300, got 1e-320"):
+            ntxent.loss(z, temperature=1e-320)
+        value, d_z = ntxent.loss(z, temperature=1e-300)
+        assert np.isfinite(value) and np.isfinite(d_z).all()
 
     def test_integer_temperature_is_its_float(self):
         z = unit_rows(np.random.default_rng(5), 4, 3)

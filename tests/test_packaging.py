@@ -248,6 +248,51 @@ def test_only_atomic_write_writes_files():
     assert _callers(_writes_a_file) == {"volume_io._atomic_write"}
 
 
+def _imported(tree: ast.Module) -> set[str]:
+    """The dotted name of each module, and of each name taken from a module, that the tree imports."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names |= {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
+            names |= {n.module, *(f"{n.module}.{a.name}" for a in n.names)}
+    return names
+
+
+def _under(name: str, modules) -> bool:
+    return any(name == m or name.startswith(f"{m}.") for m in modules)
+
+
+def _calls_os_fork(call: ast.Call) -> bool:
+    f = call.func
+    return isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "os" and f.attr == "fork"
+
+
+def test_parallelism_stays_in_the_trainer():
+    """synself starts no thread, and only trainer, which spreads a step's chunks
+    over the CPUs, may fork a process or share memory with one: no module imports
+    threading or concurrent.futures, and none but trainer imports
+    multiprocessing or mmap or calls os.fork."""
+    found = set()
+    for p in sorted((ROOT / "src" / "synself").glob("*.py")):
+        for name in _imported(ast.parse(p.read_text(encoding="utf-8"))):
+            if _under(name, ("threading", "_thread", "concurrent.futures")) or (
+                    p.stem != "trainer" and _under(name, ("multiprocessing", "mmap", "os.fork"))):
+                found.add(f"{p.stem} imports {name}")
+    found |= {f"{where} calls os.fork" for where in _callers(_calls_os_fork) if not where.startswith("trainer.")}
+    assert found == set()
+
+
+@pytest.mark.parametrize("code, names", [
+    ("import threading", {"threading"}), ("import concurrent.futures as cf", {"concurrent.futures"}),
+    ("from concurrent import futures", {"concurrent", "concurrent.futures"}),
+    ("from multiprocessing.connection import wait", {"multiprocessing.connection", "multiprocessing.connection.wait"}),
+    ("from os import fork", {"os", "os.fork"}), ("from . import encoder as enc", set()),
+])
+def test_import_detector(code, names):
+    assert _imported(ast.parse(code)) == names
+
+
 def _calls_json(call: ast.Call) -> bool:
     f = call.func
     return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "json"

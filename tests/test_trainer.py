@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import multiprocessing as mp
 import os
 import re
+import signal
 import stat
 import tracemalloc
 from dataclasses import asdict
@@ -19,8 +21,8 @@ from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
 from helpers import IDENTITY_AUGMENT
 
 
-def tiny_dataset(seed=0):
-    cfg = sg.GenConfig(
+def tiny_dataset(seed=0, **kw):
+    base = dict(
         seed=seed,
         dims=(48, 48, 24),
         n_supervoxels=6,
@@ -32,7 +34,8 @@ def tiny_dataset(seed=0):
         ),
         background_intensity=40.0,
     )
-    ph = sg.generate(cfg)
+    base.update(kw)
+    ph = sg.generate(sg.GenConfig(**base))
     return sp.Dataset(ph.intensity, ph.synapses)
 
 
@@ -212,6 +215,94 @@ class TestTrainStep:
         assert all(np.isfinite(v).all() for v in state.adam_v.values())
 
 
+def four_chunk_config(**kw):
+    """The default channels at 8^3, 8 pairs: a step's 16 views run in chunks of 5, 5, 5 and 1."""
+    return tiny_config(
+        sampler=sp.SamplerConfig(patch_side=8, batch_pairs=8, augment=sp.AugmentConfig(max_jitter_vox=0)),
+        encoder=enc.EncoderConfig(patch_side=8, init_seed=1),
+        **kw,
+    )
+
+
+class TestHelpers:
+    """train() with helper processes, forced through tr._spare_cpus so that a
+    one-CPU host runs them too."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a test that still runs after 120 s, rather than hang the suite."""
+        def expire(*_):
+            raise TimeoutError("still running after 120 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("spare, parent_chunks", [(1, 2), (2, 1)])
+    def test_helpers_write_the_bytes_of_one_process(self, tmp_path, monkeypatch, spare, parent_chunks):
+        ds = tiny_dataset(dims=(64, 64, 24), n_supervoxels=10)
+        cfg = four_chunk_config(steps=4, checkpoint_every=2)
+        assert enc.views_per_chunk(cfg.encoder) == 5
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 0)
+        tr.train(cfg, ds, tmp_path / "one")
+
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: spare)
+        forwards = []
+        real = enc.forward
+        monkeypatch.setattr(enc, "forward", lambda *a: forwards.append(len(a[1])) or real(*a))
+        tr.train(cfg, ds, tmp_path / "helped")
+        assert mp.active_children() == []
+        assert forwards == [5] * parent_chunks * cfg.steps  # the helpers ran every later chunk
+        names = ["ckpt_000002.dckpt", "ckpt_final.dckpt", "metrics.csv"]
+        assert sorted(f.name for f in (tmp_path / "helped").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+        tr.train(cfg, ds, tmp_path / "resumed", resume_from=tmp_path / "helped" / "ckpt_000002.dckpt")
+        assert mp.active_children() == []
+        for name in names[1:]:
+            assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+    def test_zero_projection_in_a_helper_chunk_is_the_same_train_error(self, tmp_path, monkeypatch):
+        # view 6 of 8, in the chunk of views 5..7 that the helper runs, is all zero
+        cfg = chunked_config()
+        rng = np.random.default_rng(5)
+        views_b = rng.uniform(0.0, 1.0, size=(4, 8, 8, 8))
+        views_b[2] = 0.0
+        batch = sp.PairBatch(rng.uniform(0.0, 1.0, size=(4, 8, 8, 8)), views_b, np.arange(4))
+        monkeypatch.setattr(sp, "sample_batch", lambda *args: batch)
+        with pytest.raises(tr.TrainError) as in_process:
+            tr.train_step(tr.init_state(cfg), tiny_dataset(), cfg)
+
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        with pytest.raises(tr.TrainError) as helped:
+            tr.train(cfg, tiny_dataset(), tmp_path / "run")
+        assert str(helped.value) == str(in_process.value)
+        assert str(helped.value).startswith("zero projection at step 1 ")
+        assert mp.active_children() == []
+
+    def test_killed_helper_is_a_train_error(self, tmp_path, monkeypatch):
+        cfg = chunked_config(steps=6)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        parent, forwards = os.getpid(), []
+        real = enc.forward
+
+        def forward_killing_the_helper_in_step_3(*a):
+            if os.getpid() == parent:
+                forwards.append(len(a[1]))
+                if len(forwards) == 3:  # the parent runs one chunk a step
+                    os.kill(mp.active_children()[0].pid, signal.SIGKILL)
+            return real(*a)
+
+        monkeypatch.setattr(enc, "forward", forward_killing_the_helper_in_step_3)
+        with pytest.raises(tr.TrainError, match="exited with code -9"):
+            tr.train(cfg, tiny_dataset(), tmp_path / "run")
+        assert forwards == [5, 5, 5]
+        assert mp.active_children() == []
+
+
 class TestTrainLoop:
     def test_metrics_row_count(self, tmp_path):
         ds = tiny_dataset()
@@ -326,11 +417,15 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field, value", [
         ("lr", math.inf), ("lr", math.nan), ("temperature", math.inf), ("temperature", math.nan),
-        ("temperature", 0.0), ("temperature", -1.0),
+        ("temperature", 0.0), ("temperature", -1.0), ("temperature", 1e-320),
     ])
     def test_non_finite_or_non_positive_rate_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be a finite real number > 0"):
+        bound = {"lr": "> 0", "temperature": ">= 1e-300"}[field]
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number {bound}"):
             tr.TrainConfig(**{field: value})
+
+    def test_smallest_temperature_accepted(self):
+        assert tr.TrainConfig(temperature=1e-300).temperature == 1e-300
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         ds = tiny_dataset()
