@@ -16,6 +16,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import sampler as sp
+from . import trainer as tr
 from .volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, _atomic_write, check_synapses_in_bounds
 
 # an eigenvalue at or below this times max(total variance, 1) counts as zero
@@ -64,18 +65,22 @@ def embed_with_params(
 ) -> EmbeddingMatrix:
     """:func:`embed_all` with parameters in memory; a synapse outside the volume raises VolumeFormatError.
 
-    Synapses go through the encoder in chunks; each row has the bits of a one-view forward.
+    Synapses go through the encoder in chunks of ``encoder.views_per_chunk``,
+    spread over the CPUs this process may use by :func:`trainer.spread_rows`:
+    the parent embeds the first chunks, forked helpers the later ones, with
+    OpenBLAS on one thread in each. Each row has the bits of a one-view
+    forward, wherever its chunk runs. The bounds check runs before any fork.
     """
     if not synapses:
         raise AnalysisError("no synapses to embed")
     check_synapses_in_bounds(synapses, volume.header)
-    chunk = enc.views_per_chunk(cfg)
-    rows = []
-    for i in range(0, len(synapses), chunk):
-        patches = np.stack([sp.extract_patch(volume, rec.pos, cfg.patch_side) for rec in synapses[i:i + chunk]])
-        h, _ = enc.forward(params, patches, cfg)
-        rows.append(h)
-    return EmbeddingMatrix([r.id for r in synapses], np.concatenate(rows))
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        patches = np.stack([sp.extract_patch(volume, rec.pos, cfg.patch_side) for rec in synapses[lo:hi]])
+        return enc.forward(params, patches, cfg)[0]
+
+    values = tr.spread_rows(len(synapses), enc.views_per_chunk(cfg), cfg.h_dim, rows)
+    return EmbeddingMatrix([r.id for r in synapses], values)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,21 @@ same bytes wherever they run. Arrays pass through one anonymous shared mmap
 made before the fork, the pipe carries only small messages, and the helpers
 have only their own copy-on-write memory. A direct :func:`train_step` call
 runs every chunk in its own process.
+
+:func:`spread_rows` is the one-shot spread of the same kind that
+``analysis.embed_with_params`` runs its chunks through: the parent runs the
+first chunks, each helper a later run, split as a step's are, writing its
+rows into a shared mmap. Each chunk's rows sum nothing across chunks, so
+every row keeps its bits. While a spread runs, training's helpers or one
+embedding's, OpenBLAS runs on one thread in every process of it (each
+process would otherwise take one thread per CPU), and the parent's own
+count comes back afterwards. Where no OpenBLAS thread count can be set,
+nothing is spread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import mmap
@@ -59,6 +70,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class TrainError(RuntimeError):
     """Non-finite loss/gradient or unresumable state."""
+
+
+class HelperExitError(RuntimeError):
+    """A helper process of :func:`spread_rows` exited before it replied."""
 
 
 @dataclass(frozen=True)
@@ -271,19 +286,24 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
 # helper processes
 
 
+def _shared_arrays(shapes) -> list[np.ndarray]:
+    """float64 arrays of the given shapes, each 64-byte aligned, in one
+    anonymous shared mmap that the processes forked after it inherit."""
+    sizes = [-(-8 * math.prod(shape) // 64) * 64 for shape in shapes]
+    buf = mmap.mmap(-1, sum(sizes))
+    offsets = np.cumsum([0, *sizes[:-1]])
+    return [np.ndarray(shape, np.float64, buf, int(at)) for shape, at in zip(shapes, offsets)]
+
+
 class _Shared:
     """The arrays a step passes between processes: the parameters, the views,
-    the z rows and their loss gradients, and the running gradient sum, each
-    64-byte aligned in one anonymous shared mmap that the helpers inherit."""
+    the z rows and their loss gradients, and the running gradient sum, from
+    :func:`_shared_arrays`."""
 
     def __init__(self, cfg: TrainConfig):
         n, s, z_dim = 2 * cfg.sampler.batch_pairs, cfg.sampler.patch_side, cfg.encoder.z_dim
         shapes = enc.param_shapes(cfg.encoder)
-        wanted = [*shapes.values(), *shapes.values(), (n, s, s, s), (n, z_dim), (n, z_dim)]
-        sizes = [-(-8 * math.prod(shape) // 64) * 64 for shape in wanted]
-        buf = mmap.mmap(-1, sum(sizes))
-        offsets = np.cumsum([0, *sizes[:-1]])
-        arrays = [np.ndarray(shape, np.float64, buf, int(at)) for shape, at in zip(wanted, offsets)]
+        arrays = _shared_arrays([*shapes.values(), *shapes.values(), (n, s, s, s), (n, z_dim), (n, z_dim)])
         self.params = dict(zip(shapes, arrays))
         self.grads = dict(zip(shapes, arrays[len(shapes):]))
         self.views, self.z, self.d_z = arrays[-3:]
@@ -379,11 +399,62 @@ def _serve(conn, parent_ends, shared: _Shared, cfg: TrainConfig, lo: int, hi: in
 
 def _spare_cpus() -> int:
     """The CPUs past the first that this process may run on; 0 where fork is
-    missing, or in a daemonic process, which multiprocessing lets start none."""
+    missing, in a daemonic process, which multiprocessing lets start none, and
+    where no OpenBLAS thread count can be set (see :func:`_one_blas_thread`)."""
     if ("fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_getaffinity")
-            or mp.current_process().daemon):
+            or mp.current_process().daemon or _openblas_threads() is None):
         return 0
     return len(os.sched_getaffinity(0)) - 1
+
+
+def _parts(n: int, chunk: int) -> int:
+    """How many processes run the n items of chunks of chunk: one, and one
+    helper per spare CPU, but no more processes than chunks."""
+    return 1 + min(_spare_cpus(), -(-n // chunk) - 1)
+
+
+def _openblas_threads():
+    """(get, set) ctypes functions for the thread count of the OpenBLAS loaded
+    in this process, or None where no such library or symbol is found. The
+    library is found by its path in /proc/self/maps; numpy's own wheels name
+    its functions scipy_openblas_*64_, other builds plain openblas_*."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            mapped = [line.split(maxsplit=5) for line in f if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in sorted({m[5].strip() for m in mapped if len(m) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread for the block, in this process and in every
+    process forked inside it, which inherits the count; restore this
+    process's own count on the way out. Two processes of a spread on two CPUs
+    would otherwise each run OpenBLAS's default of one thread per CPU."""
+    blas = _openblas_threads()
+    if blas is None:  # _spare_cpus starts no spread then, so only a forced one gets here
+        yield
+        return
+    get, set_ = blas
+    own = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(own)
 
 
 def _split(n_views: int, chunk: int, parts: int) -> list[int]:
@@ -403,25 +474,93 @@ def _helpers_running(state: TrainState, cfg: TrainConfig):
     """Fork the helpers that run state's steps under cfg into state.helpers;
     stop and join them on the way out, killing them if the body raised."""
     n_views, chunk = 2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder)
-    parts = 1 + min(_spare_cpus(), -(-n_views // chunk) - 1)
+    parts = _parts(n_views, chunk)
     if parts == 1:
         yield
         return
     ctx, shared = mp.get_context("fork"), _Shared(cfg)
     bounds = [*_split(n_views, chunk, parts), n_views]
+    with _one_blas_thread():
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                state.helpers.append(_Helper(ctx, shared, cfg, lo, hi, state.helpers))
+            yield
+        except BaseException:
+            for h in state.helpers:
+                h.proc.kill()
+            raise
+        finally:
+            for h in state.helpers:
+                h.conn.close()
+                h.proc.join()
+            state.helpers.clear()
+
+
+def spread_rows(n: int, chunk: int, width: int, rows) -> np.ndarray:
+    """The (n, width) float64 array of rows(lo, hi), the rows of items
+    [lo, hi), over the chunks [0, chunk), [chunk, 2 chunk), ... of range(n),
+    stacked in order. Each chunk runs alone, so its rows have the same bits
+    wherever it runs.
+
+    The parent runs the first contiguous run of chunks, and one helper forked
+    per spare CPU (see :func:`_spare_cpus`) runs each later run, as train's
+    steps do, with OpenBLAS on one thread in every process. The helpers write
+    their rows into one anonymous shared mmap and reply with None, or with
+    the exception their chunks raised, which the parent raises. A helper that
+    exits without a reply raises HelperExitError. The parent joins every
+    helper before it returns or raises, killing them if it raises.
+    """
+    parts = _parts(n, chunk)
+    if parts == 1:
+        out = np.empty((n, width))
+        _fill(out, rows, range(0, n, chunk))
+        return out
+    bounds = [*_split(n, chunk, parts), n]
+    ctx, (out,) = mp.get_context("fork"), _shared_arrays([(n, width)])
+    helpers = []
+    with _one_blas_thread():
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                conn, child_end = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_fill_and_reply, args=(child_end, out, rows, range(lo, hi, chunk)))
+                proc.start()
+                child_end.close()  # so that the parent reads EOF once the helper exits
+                helpers.append((conn, proc))
+            _fill(out, rows, range(0, bounds[1], chunk))
+            for conn, proc in helpers:
+                try:
+                    e = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise HelperExitError(f"helper process {proc.pid} exited with code {proc.exitcode}") from None
+                if e is not None:
+                    raise e
+        except BaseException:
+            for _, proc in helpers:
+                proc.kill()
+            raise
+        finally:
+            for conn, proc in helpers:
+                conn.close()
+                proc.join()
+    return out.copy()
+
+
+def _fill(out: np.ndarray, rows, starts: range) -> None:
+    """Write rows(i, i + starts.step), cut at len(out), into out for each start i."""
+    for i in starts:
+        out[i:i + starts.step] = rows(i, min(i + starts.step, len(out)))
+
+
+def _fill_and_reply(conn, out: np.ndarray, rows, starts: range) -> None:
+    """A helper of :func:`spread_rows`: :func:`_fill`, then send None, or the exception it raised."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, which kills the helpers
     try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            state.helpers.append(_Helper(ctx, shared, cfg, lo, hi, state.helpers))
-        yield
-    except BaseException:
-        for h in state.helpers:
-            h.proc.kill()
-        raise
-    finally:
-        for h in state.helpers:
-            h.conn.close()
-            h.proc.join()
-        state.helpers.clear()
+        _fill(out, rows, starts)
+    except Exception as e:  # the parent raises it
+        conn.send(e)
+        return
+    conn.send(None)
 
 
 def train(
@@ -439,8 +578,9 @@ def train(
     TrainError.
 
     The steps' later chunks run in helper processes forked here, one per CPU
-    this process may use past the first, with the bytes of a one-process run;
-    a helper that dies raises TrainError.
+    this process may use past the first, with the bytes of a one-process run
+    and OpenBLAS on one thread in every process; a helper that dies raises
+    TrainError.
     """
     if resume_from is None:
         state = init_state(cfg)

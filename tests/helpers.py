@@ -1,6 +1,9 @@
 """Fixtures shared by the tests: the augmentation-free config, a checkpoint
-written the one way every checkpoint is written, and the invariants of a
-generated phantom."""
+written the one way every checkpoint is written, the invariants of a
+generated phantom, and a time limit for tests that fork helper processes."""
+
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,3 +36,19 @@ def assert_phantom_invariants(ph) -> None:
         assert rec.class_label == want, (
             f"synapse {rec.id}: class {rec.class_label} != class {want} of an earlier "
             f"synapse of supervoxel {rec.supervoxel_id}")
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in a block that still runs after seconds, rather
+    than hang the suite on a helper process that never replies."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

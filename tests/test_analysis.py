@@ -1,3 +1,7 @@
+import multiprocessing as mp
+import os
+import signal
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,8 +13,9 @@ from synself import analysis as an
 from synself import encoder as enc
 from synself import numcore as nc
 from synself import sampler as sp
+from synself import trainer as tr
 from synself.volume_io import EmbeddingMatrix, IntensityVolume, SynapseRecord, VolumeFormatError, VolumeHeader
-from helpers import save_checkpoint
+from helpers import save_checkpoint, time_limit
 from oracles import ari_pair_loops, concordance_loops, nmi_loops
 
 
@@ -107,6 +112,111 @@ class TestEmbedAll:
         rev = an.embed_all(ck, vol, recs[::-1], patch_side=8)
         assert rev.synapse_ids == fwd.synapse_ids[::-1]
         assert np.array_equal(rev.values, fwd.values[::-1])
+
+
+def random_embedding(side: int, m: int):
+    """(params, cfg, volume, synapses): m synapses at random positions of a
+    random volume, and perturbed default parameters at patch side side."""
+    cfg = enc.EncoderConfig(patch_side=side)
+    rng = np.random.default_rng(m)
+    dims = (3 * side, 2 * side + 4, 2 * side)
+    vol = IntensityVolume(VolumeHeader(dims), rng.integers(0, 256, dims[::-1], dtype=np.uint8))
+    recs = [SynapseRecord(i, tuple(int(c) for c in rng.integers(0, 2 * side, 3)), 1) for i in range(m)]
+    params = {k: v + 0.01 * rng.standard_normal(v.shape) for k, v in enc.init(cfg).items()}
+    return params, cfg, vol, recs
+
+
+class TestSpreadEmbedding:
+    """embed_with_params with helper processes, forced through tr._spare_cpus
+    so that a one-CPU host runs them too."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        with time_limit(120):
+            yield
+
+    # 17 synapses at 8^3 run in chunks of 5, 5, 5 and 2; at 16^3 a chunk is one synapse
+    @pytest.mark.parametrize("side, m, spare, parent_forwards", [
+        (8, 17, 0, [5, 5, 5, 2]), (8, 17, 1, [5, 5]), (8, 17, 2, [5]), (16, 5, 2, [1, 1]),
+    ])
+    def test_helpers_write_the_bytes_of_one_process(self, monkeypatch, side, m, spare, parent_forwards):
+        params, cfg, vol, recs = random_embedding(side, m)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 0)
+        one = an.embed_with_params(params, cfg, vol, recs)
+
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: spare)
+        forwards, real = [], enc.forward
+        monkeypatch.setattr(enc, "forward", lambda *a: forwards.append(len(a[1])) or real(*a))
+        helped = an.embed_with_params(params, cfg, vol, recs)
+        assert mp.active_children() == []
+        assert forwards == parent_forwards  # the helpers ran every later chunk
+        assert helped.synapse_ids == one.synapse_ids == [r.id for r in recs]
+        assert helped.values.tobytes() == one.values.tobytes()
+        # an ordinary array, not a view of the shared mmap the helpers wrote
+        assert helped.values.flags.writeable and helped.values.base is None
+
+    def test_exception_in_a_helper_chunk_reaches_the_caller(self, monkeypatch):
+        params, cfg, vol, recs = random_embedding(8, 17)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 2)
+        parent, real = os.getpid(), enc.forward
+
+        def forward_failing_in_a_helper(*a):
+            if os.getpid() != parent:
+                raise an.AnalysisError(f"chunk of {len(a[1])} views failed")
+            return real(*a)
+
+        monkeypatch.setattr(enc, "forward", forward_failing_in_a_helper)
+        with pytest.raises(an.AnalysisError) as raised:
+            an.embed_with_params(params, cfg, vol, recs)
+        assert type(raised.value) is an.AnalysisError
+        assert str(raised.value) == "chunk of 5 views failed"
+        assert mp.active_children() == []
+
+    def test_exception_in_the_parent_kills_the_helpers(self, monkeypatch):
+        params, cfg, vol, recs = random_embedding(8, 17)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def forward_failing_in_the_parent(*a):
+            if os.getpid() == parent:
+                raise an.AnalysisError("parent chunk failed")
+            time.sleep(60)  # a helper still at work when the parent raises
+
+        monkeypatch.setattr(enc, "forward", forward_failing_in_the_parent)
+        t = time.monotonic()
+        with pytest.raises(an.AnalysisError, match="parent chunk failed"):
+            an.embed_with_params(params, cfg, vol, recs)
+        assert time.monotonic() - t < 30  # killed, not joined after their 60 s
+        assert mp.active_children() == []
+
+    def test_killed_helper_is_a_helper_exit_error(self, monkeypatch):
+        params, cfg, vol, recs = random_embedding(8, 17)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        parent, real = os.getpid(), enc.forward
+
+        def forward_killing_the_helper(*a):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*a)
+
+        monkeypatch.setattr(enc, "forward", forward_killing_the_helper)
+        with pytest.raises(tr.HelperExitError, match="exited with code -9$"):
+            an.embed_with_params(params, cfg, vol, recs)
+        assert mp.active_children() == []
+
+    def test_synapse_outside_the_volume_rejected_before_any_fork(self, monkeypatch):
+        params, cfg, vol, recs = random_embedding(8, 17)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 2)
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(VolumeFormatError, match="outside volume"):
+            an.embed_with_params(params, cfg, vol, recs + [SynapseRecord(99, (500, 500, 500), 1)])
+        assert forks == []
 
 
 def near_degenerate_pair(rng, m, d, g):

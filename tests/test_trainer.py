@@ -18,7 +18,7 @@ from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
 from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
-from helpers import IDENTITY_AUGMENT
+from helpers import IDENTITY_AUGMENT, time_limit
 
 
 def tiny_dataset(seed=0, **kw):
@@ -230,15 +230,8 @@ class TestHelpers:
 
     @pytest.fixture(autouse=True)
     def deadline(self):
-        """Fail a test that still runs after 120 s, rather than hang the suite."""
-        def expire(*_):
-            raise TimeoutError("still running after 120 s")
-
-        old = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(120)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+        with time_limit(120):
+            yield
 
     @pytest.mark.parametrize("spare, parent_chunks", [(1, 2), (2, 1)])
     def test_helpers_write_the_bytes_of_one_process(self, tmp_path, monkeypatch, spare, parent_chunks):
@@ -301,6 +294,48 @@ class TestHelpers:
             tr.train(cfg, tiny_dataset(), tmp_path / "run")
         assert forwards == [5, 5, 5]
         assert mp.active_children() == []
+
+
+def test_no_spread_without_an_openblas_thread_count(monkeypatch):
+    monkeypatch.setattr(tr, "_openblas_threads", lambda: None)
+    assert tr._spare_cpus() == 0
+
+
+class TestOneBlasThread:
+    """While a spread runs, every process of it runs OpenBLAS on one thread,
+    and the parent's own count comes back afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def blas_threads(self):
+        """The OpenBLAS thread-count getter, with the count set to 2 for the test."""
+        blas = tr._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread-count function in the libraries this process loaded")
+        get, set_ = blas
+        own = get()
+        set_(2)
+        try:
+            with time_limit(120):
+                yield get
+        finally:
+            set_(own)
+
+    def test_spread_rows(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        rows = tr.spread_rows(4, 1, 2, lambda lo, hi: np.array([[blas_threads(), os.getpid()]] * (hi - lo), float))
+        assert mp.active_children() == []
+        assert rows[:, 0].tolist() == [1, 1, 1, 1]
+        assert rows[:2, 1].tolist() == [os.getpid()] * 2 and os.getpid() not in rows[2:, 1]  # the helper ran 2 and 3
+        assert blas_threads() == 2
+
+    def test_helped_train(self, tmp_path, monkeypatch, blas_threads):
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        seen, real = [], enc.forward
+        monkeypatch.setattr(enc, "forward", lambda *a: seen.append(blas_threads()) or real(*a))
+        tr.train(chunked_config(steps=2), tiny_dataset(), tmp_path / "run")
+        assert mp.active_children() == []
+        assert seen == [1, 1]  # the parent's chunk of each step
+        assert blas_threads() == 2
 
 
 class TestTrainLoop:
