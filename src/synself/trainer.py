@@ -11,32 +11,39 @@ TrainConfig plus a ``train_state`` key (step, sampler rng state, metrics rows),
 and its tensors are the parameters, then the Adam moments. Only
 :func:`save_train_state` writes one; encoder.load() reads its parameters.
 
-:func:`train` spreads each step's chunks over the CPUs its process may use.
-It forks one helper process per CPU past the first (none where ``fork`` is
-missing), at most one fewer than the step's chunks, and joins them before it
-returns or raises. The parent samples the batch and runs the first chunks;
-each helper runs a contiguous run of the later ones, the tails split so that
-every process gets about as many views. Each process forwards and projects
-its chunks, the parent takes the loss over all z rows, and each backwards its
-own chunks. The parent sums its chunk gradients in chunk order, starting from
-zeros, and hands the partial sum to the first helper, which adds its chunk
-gradients to it in chunk order and hands it on. So the step's gradient is the
-same chain of additions in the same order as in one process, and keeps every
-bit: each chunk's forward, projection and backward run the same code on the
-same bytes wherever they run. Arrays pass through one anonymous shared mmap
-made before the fork, the pipe carries only small messages, and the helpers
-have only their own copy-on-write memory. A direct :func:`train_step` call
-runs every chunk in its own process.
+Spreads. :func:`train` spreads each step's chunks, and :func:`spread_rows`
+(which ``analysis.embed_with_params`` runs its chunks through) a set of
+chunks, over the CPUs this process may use, both through one helper
+protocol, :func:`_helpers`. The parent runs the first contiguous run of
+whole chunks and one forked helper per further CPU a later run (none where
+``fork`` is missing or no OpenBLAS thread count can be set). A helper loops
+on request → reply, the reply being None or the exception it raised, which
+the parent raises as the chunks run there would have; a helper that exits
+before it replies raises HelperExitError. Helpers ignore SIGINT, so Ctrl-C
+reaches the parent alone, which joins every helper before it returns or
+raises, killing them first when it raises. Arrays pass through one
+anonymous shared mmap made before the fork, and the pipes carry only small
+messages. While a spread runs, OpenBLAS runs on one thread in every process
+of it (each would otherwise take one thread per CPU), and the parent's own
+count comes back afterwards.
 
-:func:`spread_rows` is the one-shot spread of the same kind that
-``analysis.embed_with_params`` runs its chunks through: the parent runs the
-first chunks, each helper a later run, split as a step's are, writing its
-rows into a shared mmap. Each chunk's rows sum nothing across chunks, so
-every row keeps its bits. While a spread runs, training's helpers or one
-embedding's, OpenBLAS runs on one thread in every process of it (each
-process would otherwise take one thread per CPU), and the parent's own
-count comes back afterwards. Where no OpenBLAS thread count can be set,
-nothing is spread.
+Training's helpers live as long as the :func:`train` call, since a fork and
+join cost about 5 ms, a fifth of a helped dense_sv step. Each step they
+serve ("forward", step), which forwards and projects their chunks into
+shared z rows, then "backward", then "add", which adds their chunk
+gradients in chunk order to the sum the parent began from zeros with its
+own. So the step's gradient is the same chain of additions in the same
+order as in one process, and keeps every bit: each chunk's forward,
+projection and backward run the same code on the same bytes wherever they
+run. A direct :func:`train_step` call runs every chunk in its own process.
+:func:`spread_rows`'s helpers serve one request, which writes their rows; a
+chunk's rows sum nothing across chunks, so every row keeps its bits.
+
+Fork safety, not yet verified: with ``OPENBLAS_NUM_THREADS`` unset, the
+parent still has two OS threads when it forks, because setting OpenBLAS to
+one thread leaves its idle worker thread alive. Python 3.12 and later warn
+with a DeprecationWarning when a multi-threaded process forks; only Python
+3.11, which does not, has run this code.
 """
 
 from __future__ import annotations
@@ -73,7 +80,8 @@ class TrainError(RuntimeError):
 
 
 class HelperExitError(RuntimeError):
-    """A helper process of :func:`spread_rows` exited before it replied."""
+    """A helper process of a spread, :func:`train`'s or :func:`spread_rows`'s,
+    exited before it replied."""
 
 
 @dataclass(frozen=True)
@@ -104,8 +112,9 @@ class TrainState:
     adam_v: dict[str, np.ndarray]
     rng: np.random.Generator
     rows: list[dict] = field(default_factory=list)  # metrics rows logged so far
-    # the helper processes of the running train() call, which run the step's later chunks
+    # the helpers of the running train() call, which run the step's later chunks, and the arrays they share
     helpers: list[_Helper] = field(default_factory=list, init=False, repr=False, compare=False)
+    shared: _Shared | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def init_state(cfg: TrainConfig) -> TrainState:
@@ -134,15 +143,14 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
     views = np.concatenate([batch.views_a, batch.views_b], axis=0)
 
-    helpers = state.helpers
+    helpers, shared = state.helpers, state.shared
     own = helpers[0].lo if helpers else len(views)  # the views this process runs
     if helpers:
-        shared = helpers[0].shared
         for k, p in state.params.items():
             shared.params[k][...] = p
-        shared.views[own:] = views[own:]
+        shared.views[...] = views  # the whole batch, which a helper's zero-projection error fingerprints
         for h in helpers:
-            h.send("forward")
+            h.send(("forward", state.step + 1))
     chunk = enc.views_per_chunk(cfg.encoder)
     z_rows, caches = [], []
     for i in range(0, own, chunk):
@@ -153,7 +161,7 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
             raise _zero_projection(state.step + 1, views, e) from e
         caches.append(cache)
     for h in helpers:  # in chunk order, so the first zero projection is the one reported
-        h.reply(state.step + 1, views)
+        h.reply()
         z_rows.append(shared.z[h.lo:h.hi])
     z_rows = np.concatenate(z_rows)
     value, d_z = ntxent.loss(z_rows, cfg.temperature)
@@ -171,8 +179,9 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         for k, g in grads.items():
             shared.grads[k][...] = g
         for h in helpers:
+            h.reply()  # to the backward
             h.send("add")
-            h.reply(state.step + 1, views)
+            h.reply()
         grads = shared.grads
 
     sq_sum = sum(float(np.sum(g * g)) for g in grads.values())
@@ -309,94 +318,6 @@ class _Shared:
         self.views, self.z, self.d_z = arrays[-3:]
 
 
-class _Helper:
-    """A forked process that runs views [lo, hi) of every step, a contiguous
-    run of whole chunks; see :func:`_serve`."""
-
-    def __init__(self, ctx, shared: _Shared, cfg: TrainConfig, lo: int, hi: int, others: list[_Helper]):
-        self.shared, self.lo, self.hi = shared, lo, hi
-        self.conn, child_end = ctx.Pipe()
-        # the child closes the parent's ends of every pipe, so that it reads EOF once the parent is gone
-        self.proc = ctx.Process(target=_serve,
-                                args=(child_end, [self.conn, *(h.conn for h in others)], shared, cfg, lo, hi))
-        self.proc.start()
-        child_end.close()
-
-    def _died(self) -> TrainError:
-        self.proc.join()
-        return TrainError(f"training helper process {self.proc.pid} exited with code {self.proc.exitcode}")
-
-    def send(self, request: str) -> None:
-        try:
-            self.conn.send(request)
-        except ConnectionError:  # its end of the pipe (a socket pair) closed as it exited
-            raise self._died() from None
-
-    def reply(self, step: int, views: np.ndarray) -> None:
-        """Wait for the helper's reply to a forward or an add; raise what it
-        raised, as a chunk run here would have."""
-        if self.conn not in wait([self.conn, self.proc.sentinel]):
-            raise self._died()
-        try:
-            kind, e = self.conn.recv()
-        except (EOFError, ConnectionError):  # reset, when it exited before reading all that was sent
-            raise self._died() from None
-        if kind == "project":
-            raise _zero_projection(step, views, e) from e
-        if e is not None:
-            raise e
-
-
-def _serve(conn, parent_ends, shared: _Shared, cfg: TrainConfig, lo: int, hi: int) -> None:
-    """A helper's loop over steps: on "forward", forward and project views
-    [lo, hi) chunk by chunk with the shared parameters and write their z rows;
-    on "backward", backward each chunk with its shared d_z rows; on "add", add
-    the chunk gradients to the shared sum in chunk order. It replies to a
-    forward and an add with (kind, exception): (None, None) when all went
-    well, ("project", e) for a zero projection and ("raise", e) for any other
-    error. Returns at EOF, once the parent closed its end or exited."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, which stops the helpers
-    for end in parent_ends:
-        end.close()
-    chunk = enc.views_per_chunk(cfg.encoder)
-    starts = range(lo, hi, chunk)
-    try:
-        while True:
-            conn.recv()
-            caches, failed = [], (None, None)
-            try:
-                # copies, so that each chunk runs on arrays laid out as in the parent
-                params = {k: v.copy() for k, v in shared.params.items()}
-                for i in starts:
-                    _, cache = enc.forward(params, shared.views[i:i + chunk].copy(), cfg.encoder)
-                    try:
-                        shared.z[i:i + chunk] = enc.project(params, cache)
-                    except ValueError as e:
-                        failed = ("project", e)
-                        break
-                    caches.append(cache)
-            except Exception as e:  # the parent raises it
-                failed = ("raise", e)
-            conn.send(failed)
-            if failed[1] is not None:
-                continue  # the parent raises and stops the helpers
-            conn.recv()
-            try:
-                grads = [enc.backward(params, cache, shared.d_z[i:i + chunk].copy())
-                         for i, cache in zip(starts, caches)]
-            except Exception as e:
-                failed = ("raise", e)
-            del caches
-            conn.recv()
-            if failed[1] is None:
-                for g in grads:
-                    for k, total in shared.grads.items():
-                        total += g[k]
-            conn.send(failed)
-    except (EOFError, ConnectionError):
-        return
-
-
 def _spare_cpus() -> int:
     """The CPUs past the first that this process may run on; 0 where fork is
     missing, in a daemonic process, which multiprocessing lets start none, and
@@ -405,13 +326,6 @@ def _spare_cpus() -> int:
             or mp.current_process().daemon or _openblas_threads() is None):
         return 0
     return len(os.sched_getaffinity(0)) - 1
-
-
-def _parts(n: int, chunk: int) -> int:
-    """How many processes run the n items of chunks of chunk: one, and one
-    helper per spare CPU, but no more processes than chunks."""
-    return 1 + min(_spare_cpus(), -(-n // chunk) - 1)
-
 
 def _openblas_threads():
     """(get, set) ctypes functions for the thread count of the OpenBLAS loaded
@@ -469,31 +383,122 @@ def _split(n_views: int, chunk: int, parts: int) -> list[int]:
     return firsts
 
 
-@contextmanager
-def _helpers_running(state: TrainState, cfg: TrainConfig):
-    """Fork the helpers that run state's steps under cfg into state.helpers;
-    stop and join them on the way out, killing them if the body raised."""
-    n_views, chunk = 2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder)
-    parts = _parts(n_views, chunk)
-    if parts == 1:
-        yield
+class _Helper:
+    """A forked process that serves requests about the items [lo, hi), a
+    contiguous run of whole chunks, with serve; see :func:`_work`."""
+
+    def __init__(self, ctx, serve, lo: int, hi: int, others: list[_Helper]):
+        self.lo, self.hi = lo, hi
+        self.conn, child_end = ctx.Pipe()
+        # the child closes the parent's ends of every pipe, so that it reads EOF once the parent is gone
+        self.proc = ctx.Process(target=_work, args=(child_end, [self.conn, *(h.conn for h in others)], serve))
+        self.proc.start()
+        child_end.close()
+
+    def _died(self) -> HelperExitError:
+        self.proc.join()
+        return HelperExitError(f"helper process {self.proc.pid} exited with code {self.proc.exitcode}")
+
+    def send(self, request) -> None:
+        try:
+            self.conn.send(request)
+        except ConnectionError:  # its end of the pipe (a socket pair) closed as it exited
+            raise self._died() from None
+
+    def reply(self) -> None:
+        """Wait for the reply to the last request; raise what serving it raised,
+        as the chunks run here would have."""
+        if self.conn not in wait([self.conn, self.proc.sentinel]):
+            raise self._died()
+        try:
+            e = self.conn.recv()
+        except (EOFError, ConnectionError):  # reset, when it exited before reading all that was sent
+            raise self._died() from None
+        if e is not None:
+            raise e
+
+
+def _work(conn, parent_ends, serve) -> None:
+    """A helper's loop: receive a request, call serve(request), and reply None
+    or the exception it raised. Returns at EOF, once the parent closed its end
+    or exited."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, which stops the helpers
+    for end in parent_ends:
+        end.close()
+    try:
+        while True:
+            request = conn.recv()
+            try:
+                serve(request)
+            except Exception as e:  # the parent raises it
+                conn.send(e)
+            else:
+                conn.send(None)
+    except (EOFError, ConnectionError):
         return
-    ctx, shared = mp.get_context("fork"), _Shared(cfg)
-    bounds = [*_split(n_views, chunk, parts), n_views]
+
+
+@contextmanager
+def _helpers(n: int, chunk: int, serve_run):
+    """Fork one helper per spare CPU (see :func:`_spare_cpus`), but no more
+    processes than chunks of chunk items in range(n), and yield them in item
+    order: the helper of each later run [lo, hi) of :func:`_split` serves
+    serve_run(lo, hi), and the parent runs the first. Yields [] when nothing
+    is spread. On the way out close and join the helpers, killing them first
+    if the body raised; OpenBLAS runs on one thread meanwhile."""
+    parts = 1 + min(_spare_cpus(), -(-n // chunk) - 1)
+    if parts <= 1:
+        yield []
+        return
+    ctx, bounds, helpers = mp.get_context("fork"), [*_split(n, chunk, parts), n], []
     with _one_blas_thread():
         try:
             for lo, hi in zip(bounds[1:], bounds[2:]):
-                state.helpers.append(_Helper(ctx, shared, cfg, lo, hi, state.helpers))
-            yield
+                helpers.append(_Helper(ctx, serve_run(lo, hi), lo, hi, helpers))
+            yield helpers
         except BaseException:
-            for h in state.helpers:
+            for h in helpers:
                 h.proc.kill()
             raise
         finally:
-            for h in state.helpers:
+            for h in helpers:
                 h.conn.close()
                 h.proc.join()
-            state.helpers.clear()
+
+
+def _chunk_server(shared: _Shared, cfg: TrainConfig, lo: int, hi: int):
+    """The serve of a training helper that runs views [lo, hi) of every step.
+    ("forward", step) forwards and projects its chunks with the shared
+    parameters and writes their z rows, raising the parent's error for a zero
+    projection; "backward" backwards each chunk with its shared d_z rows;
+    "add" adds the chunk gradients to the shared sum in chunk order."""
+    chunk = enc.views_per_chunk(cfg.encoder)
+    starts = range(lo, hi, chunk)
+    params, caches, grads = {}, [], []
+
+    def serve(request) -> None:
+        nonlocal params, caches, grads
+        if request == "backward":
+            grads = [enc.backward(params, cache, shared.d_z[i:i + chunk].copy()) for i, cache in zip(starts, caches)]
+            caches = []
+        elif request == "add":
+            for g in grads:
+                for k, total in shared.grads.items():
+                    total += g[k]
+            grads = []
+        else:
+            _, step = request
+            # copies, so that each chunk runs on arrays laid out as in the parent
+            params, caches = {k: v.copy() for k, v in shared.params.items()}, []
+            for i in starts:
+                _, cache = enc.forward(params, shared.views[i:i + chunk].copy(), cfg.encoder)
+                try:
+                    shared.z[i:i + chunk] = enc.project(params, cache)
+                except ValueError as e:
+                    raise _zero_projection(step, shared.views, e) from e
+                caches.append(cache)
+
+    return serve
 
 
 def spread_rows(n: int, chunk: int, width: int, rows) -> np.ndarray:
@@ -502,47 +507,19 @@ def spread_rows(n: int, chunk: int, width: int, rows) -> np.ndarray:
     stacked in order. Each chunk runs alone, so its rows have the same bits
     wherever it runs.
 
-    The parent runs the first contiguous run of chunks, and one helper forked
-    per spare CPU (see :func:`_spare_cpus`) runs each later run, as train's
-    steps do, with OpenBLAS on one thread in every process. The helpers write
-    their rows into one anonymous shared mmap and reply with None, or with
-    the exception their chunks raised, which the parent raises. A helper that
-    exits without a reply raises HelperExitError. The parent joins every
-    helper before it returns or raises, killing them if it raises.
+    The chunks are spread through :func:`_helpers`, as train's steps are:
+    the parent runs the first contiguous run, and each helper serves one
+    request by writing the rows of its run into one anonymous shared mmap. An
+    exception a helper's chunks raise is raised here, and a helper that exits
+    before it replies raises HelperExitError.
     """
-    parts = _parts(n, chunk)
-    if parts == 1:
-        out = np.empty((n, width))
-        _fill(out, rows, range(0, n, chunk))
-        return out
-    bounds = [*_split(n, chunk, parts), n]
-    ctx, (out,) = mp.get_context("fork"), _shared_arrays([(n, width)])
-    helpers = []
-    with _one_blas_thread():
-        try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                conn, child_end = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_fill_and_reply, args=(child_end, out, rows, range(lo, hi, chunk)))
-                proc.start()
-                child_end.close()  # so that the parent reads EOF once the helper exits
-                helpers.append((conn, proc))
-            _fill(out, rows, range(0, bounds[1], chunk))
-            for conn, proc in helpers:
-                try:
-                    e = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise HelperExitError(f"helper process {proc.pid} exited with code {proc.exitcode}") from None
-                if e is not None:
-                    raise e
-        except BaseException:
-            for _, proc in helpers:
-                proc.kill()
-            raise
-        finally:
-            for conn, proc in helpers:
-                conn.close()
-                proc.join()
+    (out,) = _shared_arrays([(n, width)])
+    with _helpers(n, chunk, lambda lo, hi: lambda _: _fill(out, rows, range(lo, hi, chunk))) as helpers:
+        for h in helpers:
+            h.send("fill")
+        _fill(out, rows, range(0, helpers[0].lo if helpers else n, chunk))
+        for h in helpers:
+            h.reply()
     return out.copy()
 
 
@@ -550,17 +527,6 @@ def _fill(out: np.ndarray, rows, starts: range) -> None:
     """Write rows(i, i + starts.step), cut at len(out), into out for each start i."""
     for i in starts:
         out[i:i + starts.step] = rows(i, min(i + starts.step, len(out)))
-
-
-def _fill_and_reply(conn, out: np.ndarray, rows, starts: range) -> None:
-    """A helper of :func:`spread_rows`: :func:`_fill`, then send None, or the exception it raised."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, which kills the helpers
-    try:
-        _fill(out, rows, starts)
-    except Exception as e:  # the parent raises it
-        conn.send(e)
-        return
-    conn.send(None)
 
 
 def train(
@@ -577,10 +543,11 @@ def train(
     RESUMABLE_FIELDS, or asks for fewer steps than the checkpoint holds, raises
     TrainError.
 
-    The steps' later chunks run in helper processes forked here, one per CPU
-    this process may use past the first, with the bytes of a one-process run
-    and OpenBLAS on one thread in every process; a helper that dies raises
-    TrainError.
+    The steps' later chunks run in helper processes forked here through
+    :func:`_helpers`, one per CPU this process may use past the first, which
+    live until it returns or raises. The run writes the bytes of a one-process
+    run. An exception a helper's chunks raise is raised here, and a helper
+    that exits before it replies raises HelperExitError.
     """
     if resume_from is None:
         state = init_state(cfg)
@@ -596,7 +563,10 @@ def train(
         state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
     os.makedirs(out_dir, exist_ok=True)  # after the checks, so a refused resume leaves no directory
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    with _helpers_running(state, cfg):
+    shared = _Shared(cfg)
+    with _helpers(2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder),
+                  lambda lo, hi: _chunk_server(shared, cfg, lo, hi)) as helpers:
+        state.helpers, state.shared = helpers, shared
         while state.step < cfg.steps:
             metrics = train_step(state, dataset, cfg)
             t = state.step
@@ -605,6 +575,7 @@ def train(
             if t % cfg.checkpoint_every == 0 and t < cfg.steps:  # the last step is ckpt_final
                 save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
                 write_metrics(state.rows, metrics_path)
+    state.helpers, state.shared = [], None
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))
     write_metrics(state.rows, metrics_path)
     return state, state.rows

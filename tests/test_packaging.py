@@ -224,16 +224,19 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 
 def _calls(tree: ast.Module, stem: str, picks):
-    """module.function of each call in the tree that ``picks`` selects, named by its innermost def."""
-    def walk(node, where):
+    """module.function of each call in the tree that ``picks`` selects, named by
+    its innermost def, and a method by its class as module.Class.method."""
+    def walk(node, where, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{stem}.{node.name}"
+            where, owner = f"{owner}.{node.name}", stem
+        elif isinstance(node, ast.ClassDef):
+            owner = f"{stem}.{node.name}"
         if isinstance(node, ast.Call) and picks(node):
             yield where
         for child in ast.iter_child_nodes(node):
-            yield from walk(child, where)
+            yield from walk(child, where, owner)
 
-    yield from walk(tree, f"{stem}.<module>")
+    yield from walk(tree, f"{stem}.<module>", stem)
 
 
 def _callers(picks) -> set[str]:
@@ -281,6 +284,54 @@ def test_parallelism_stays_in_the_trainer():
                 found.add(f"{p.stem} imports {name}")
     found |= {f"{where} calls os.fork" for where in _callers(_calls_os_fork) if not where.startswith("trainer.")}
     assert found == set()
+
+
+def _starts_a_process(call: ast.Call) -> bool:
+    """Whether the call makes or starts a process: a Process or Pool, os.fork,
+    forkpty, system or spawn*, a Popen, or any subprocess function."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+    owner = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else None
+    return (name in ("Process", "Pool", "Popen", "fork", "forkpty", "system") or owner == "subprocess"
+            or name.startswith(("spawn", "posix_spawn")))
+
+
+def _maps_memory(call: ast.Call) -> bool:
+    f = call.func
+    return (f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else "") == "mmap"
+
+
+def test_one_place_forks_and_one_maps_shared_memory():
+    """Every spread goes through trainer's one helper protocol: only
+    _Helper.__init__ makes a process, and only _shared_arrays maps the memory
+    that processes share, so a new spread cannot bring its own fork loop or
+    layout."""
+    assert _callers(_starts_a_process) == {"trainer._Helper.__init__"}
+    assert _callers(_maps_memory) == {"trainer._shared_arrays"}
+
+
+@pytest.mark.parametrize("code, starts", [
+    ("ctx.Process(target=f)", True), ("mp.Process(target=f)", True), ("Process(target=f)", True),
+    ("mp.Pool(2)", True), ("os.fork()", True), ("os.forkpty()", True), ("os.system('ls')", True),
+    ("os.spawnv(os.P_WAIT, p, a)", True), ("os.posix_spawn(p, a, env)", True),
+    ("subprocess.run(['ls'])", True), ("subprocess.Popen(['ls'])", True), ("Popen(['ls'])", True),
+    ("proc.start()", False), ("ctx.Pipe()", False), ("proc.join()", False), ("os.getpid()", False),
+])
+def test_process_detector(code, starts):
+    assert _starts_a_process(ast.parse(code).body[0].value) is starts
+
+
+@pytest.mark.parametrize("code, maps", [
+    ("mmap.mmap(-1, n)", True), ("mmap(-1, n)", True), ("np.memmap(p)", False), ("np.ndarray(s, d, buf)", False),
+])
+def test_mmap_detector(code, maps):
+    assert _maps_memory(ast.parse(code).body[0].value) is maps
+
+
+def test_calls_names_a_method_by_its_class():
+    tree = ast.parse("def f():\n    g()\nclass C:\n    def m(self):\n        g()\n        def inner():\n"
+                     "            g()\ng()\n")
+    assert sorted(_calls(tree, "mod", lambda call: True)) == ["mod.<module>", "mod.C.m", "mod.f", "mod.inner"]
 
 
 @pytest.mark.parametrize("code, names", [

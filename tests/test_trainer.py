@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import stat
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -276,7 +277,24 @@ class TestHelpers:
         assert str(helped.value).startswith("zero projection at step 1 ")
         assert mp.active_children() == []
 
-    def test_killed_helper_is_a_train_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_other_exception_in_a_helper_reaches_the_caller(self, tmp_path, monkeypatch, stage):
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        parent, real = os.getpid(), getattr(enc, stage)
+
+        def failing_in_the_helper(*a):
+            if os.getpid() != parent:
+                raise FloatingPointError(f"{stage} of a helper chunk failed")
+            return real(*a)
+
+        monkeypatch.setattr(enc, stage, failing_in_the_helper)
+        with pytest.raises(FloatingPointError) as raised:
+            tr.train(chunked_config(), tiny_dataset(), tmp_path / "run")
+        assert type(raised.value) is FloatingPointError
+        assert str(raised.value) == f"{stage} of a helper chunk failed"
+        assert mp.active_children() == []
+
+    def test_killed_helper_is_a_helper_exit_error(self, tmp_path, monkeypatch):
         cfg = chunked_config(steps=6)
         monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
         parent, forwards = os.getpid(), []
@@ -290,9 +308,47 @@ class TestHelpers:
             return real(*a)
 
         monkeypatch.setattr(enc, "forward", forward_killing_the_helper_in_step_3)
-        with pytest.raises(tr.TrainError, match="exited with code -9"):
+        with pytest.raises(tr.HelperExitError, match="exited with code -9$"):
             tr.train(cfg, tiny_dataset(), tmp_path / "run")
         assert forwards == [5, 5, 5]
+        assert mp.active_children() == []
+
+    def test_sigint_to_a_helper_is_ignored(self, tmp_path, monkeypatch):
+        cfg = chunked_config(steps=4)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 0)
+        tr.train(cfg, tiny_dataset(), tmp_path / "one")
+
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        parent, forwards, real = os.getpid(), [], enc.forward
+
+        def forward_interrupting_the_helper_in_step_2(*a):
+            if os.getpid() == parent:
+                forwards.append(len(a[1]))
+                if len(forwards) == 2:  # the helper has served step 1, so it is in its loop
+                    os.kill(mp.active_children()[0].pid, signal.SIGINT)
+            return real(*a)
+
+        monkeypatch.setattr(enc, "forward", forward_interrupting_the_helper_in_step_2)
+        tr.train(cfg, tiny_dataset(), tmp_path / "helped")
+        assert forwards == [5] * cfg.steps
+        assert mp.active_children() == []
+        for name in ("ckpt_final.dckpt", "metrics.csv"):
+            assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+    def test_keyboard_interrupt_in_the_parent_kills_the_helpers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        parent = os.getpid()
+
+        def forward_interrupted_in_the_parent(*a):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a helper still at work when the parent is interrupted
+
+        monkeypatch.setattr(enc, "forward", forward_interrupted_in_the_parent)
+        t = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            tr.train(chunked_config(), tiny_dataset(), tmp_path / "run")
+        assert time.monotonic() - t < 30  # killed, not joined after its 60 s
         assert mp.active_children() == []
 
 
