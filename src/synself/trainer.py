@@ -13,31 +13,33 @@ and its tensors are the parameters, then the Adam moments. Only
 
 Spreads. :func:`train` spreads each step's chunks, and :func:`spread_rows`
 (which ``analysis.embed_with_params`` runs its chunks through) a set of
-chunks, over the CPUs this process may use, both through one helper
-protocol, :func:`_helpers`. The parent runs the first contiguous run of
-whole chunks and one forked helper per further CPU a later run (none where
-``fork`` is missing or no OpenBLAS thread count can be set). A helper loops
-on request → reply, the reply being None or the exception it raised, which
-the parent raises as the chunks run there would have; a helper that exits
-before it replies raises HelperExitError. Helpers ignore SIGINT, so Ctrl-C
-reaches the parent alone, which joins every helper before it returns or
-raises, killing them first when it raises. Arrays pass through one
-anonymous shared mmap made before the fork, and the pipes carry only small
-messages. While a spread runs, OpenBLAS runs on one thread in every process
-of it (each would otherwise take one thread per CPU), and the parent's own
-count comes back afterwards.
+chunks, over the CPUs this process may use, both through :func:`_spread`.
+A spread's parts each run a contiguous run of whole chunks through the
+same serve: this process the first run, as a :class:`_Local`, and one
+forked helper per further CPU a later run (no helper where ``fork`` is
+missing or no OpenBLAS thread count can be set). Each part takes a request
+and gives a reply, raising what serving the request raised; a helper
+replies None or that exception, and one that exits before it replies
+raises HelperExitError. Helpers ignore SIGINT, so Ctrl-C reaches the
+parent alone, which joins every helper before it returns or raises,
+killing them first when it raises. Arrays pass through one anonymous
+shared mmap made before the fork, and the pipes carry only small messages.
+While a spread runs, OpenBLAS runs on one thread in every process of it
+(each would otherwise take one thread per CPU), and the parent's own count
+comes back afterwards.
 
 Training's helpers live as long as the :func:`train` call, since a fork and
-join cost about 5 ms, a fifth of a helped dense_sv step. Each step they
-serve ("forward", step), which forwards and projects their chunks into
-shared z rows, then "backward", then "add", which adds their chunk
-gradients in chunk order to the sum the parent began from zeros with its
-own. So the step's gradient is the same chain of additions in the same
-order as in one process, and keeps every bit: each chunk's forward,
-projection and backward run the same code on the same bytes wherever they
-run. A direct :func:`train_step` call runs every chunk in its own process.
-:func:`spread_rows`'s helpers serve one request, which writes their rows; a
-chunk's rows sum nothing across chunks, so every row keeps its bits.
+join cost about 5 ms, a fifth of a helped dense_sv step. Each step every
+part serves ("forward", step), which forwards and projects its chunks into
+shared z rows, then "backward", then "add", which adds its chunk gradients
+in chunk order, part after part, to a shared sum begun from zeros. So the
+step's gradient is the same chain of additions in the same order wherever
+its chunks run, and keeps every bit: each chunk's forward, projection and
+backward run the same code on the same bytes in every process. A direct
+:func:`train_step` call runs the same serve over every chunk in this
+process. :func:`spread_rows`'s parts serve one request, which writes their
+rows; a chunk's rows sum nothing across chunks, so every row keeps its
+bits.
 
 Fork safety, not yet verified: with ``OPENBLAS_NUM_THREADS`` unset, the
 parent still has two OS threads when it forks, because setting OpenBLAS to
@@ -112,8 +114,8 @@ class TrainState:
     adam_v: dict[str, np.ndarray]
     rng: np.random.Generator
     rows: list[dict] = field(default_factory=list)  # metrics rows logged so far
-    # the helpers of the running train() call, which run the step's later chunks, and the arrays they share
-    helpers: list[_Helper] = field(default_factory=list, init=False, repr=False, compare=False)
+    # the parts that run the step's chunks, the first in this process, and the arrays they share
+    parts: list[_Local | _Helper] = field(default_factory=list, init=False, repr=False, compare=False)
     shared: _Shared | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -133,66 +135,43 @@ def _batch_fingerprint(views: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(views).tobytes()).hexdigest()[:12]
 
 
-def _zero_projection(step: int, views: np.ndarray, e: ValueError) -> TrainError:
-    return TrainError(f"zero projection at step {step} (batch fingerprint {_batch_fingerprint(views)}): {e}")
-
-
 def train_step(state: TrainState, dataset, cfg: TrainConfig):
-    """Advance one step in place; returns the step's metrics dict. The
-    state's helpers, if any, run the step's later chunks."""
+    """Advance one step in place; returns the step's metrics dict. Each of
+    the state's parts runs its chunks through the same serve, the first in
+    this process; a direct call, outside :func:`train`, makes one such part
+    for every chunk the first time and keeps it on the state."""
+    if not state.parts:
+        state.shared = _Shared(cfg)
+        state.parts = [_Local(_chunk_server(state.shared, cfg, 0, 2 * cfg.sampler.batch_pairs))]
+    parts, shared, t = state.parts, state.shared, state.step + 1
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
-    views = np.concatenate([batch.views_a, batch.views_b], axis=0)
-
-    helpers, shared = state.helpers, state.shared
-    own = helpers[0].lo if helpers else len(views)  # the views this process runs
-    if helpers:
-        for k, p in state.params.items():
-            shared.params[k][...] = p
-        shared.views[...] = views  # the whole batch, which a helper's zero-projection error fingerprints
-        for h in helpers:
-            h.send(("forward", state.step + 1))
-    chunk = enc.views_per_chunk(cfg.encoder)
-    z_rows, caches = [], []
-    for i in range(0, own, chunk):
-        _, cache = enc.forward(state.params, views[i:i + chunk], cfg.encoder)
-        try:
-            z_rows.append(enc.project(state.params, cache))
-        except ValueError as e:
-            raise _zero_projection(state.step + 1, views, e) from e
-        caches.append(cache)
-    for h in helpers:  # in chunk order, so the first zero projection is the one reported
-        h.reply()
-        z_rows.append(shared.z[h.lo:h.hi])
-    z_rows = np.concatenate(z_rows)
-    value, d_z = ntxent.loss(z_rows, cfg.temperature)
-    if helpers:
-        shared.d_z[own:] = d_z[own:]
-        for h in helpers:
-            h.send("backward")
-
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    for i, cache in enumerate(caches):  # fixed chunk order keeps the reduction deterministic
-        g = enc.backward(state.params, cache, d_z[i * chunk:(i + 1) * chunk])
-        for k in grads:
-            grads[k] += g[k]
-    if helpers:  # each helper adds its chunk gradients to the sum so far, in chunk order
-        for k, g in grads.items():
-            shared.grads[k][...] = g
-        for h in helpers:
-            h.reply()  # to the backward
-            h.send("add")
-            h.reply()
-        grads = shared.grads
+    np.concatenate([batch.views_a, batch.views_b], axis=0, out=shared.views)
+    for k, p in state.params.items():
+        shared.params[k][...] = p
+    for part in parts:
+        part.send(("forward", t))
+    for part in parts:  # in chunk order, so the first zero projection is the one reported
+        part.reply()
+    value, shared.d_z[...] = ntxent.loss(shared.z, cfg.temperature)
+    for part in parts:
+        part.send("backward")
+    for part in parts:
+        part.reply()
+    grads = shared.grads
+    for g in grads.values():
+        g[...] = 0.0
+    for part in parts:  # each adds its chunk gradients to the sum so far, in chunk order
+        part.send("add")
+        part.reply()
 
     sq_sum = sum(float(np.sum(g * g)) for g in grads.values())
     grad_norm = float(np.sqrt(sq_sum))
     if not (np.isfinite(value) and np.isfinite(grad_norm)):
         raise TrainError(
-            f"non-finite loss/gradient at step {state.step + 1} "
-            f"(batch fingerprint {_batch_fingerprint(views)})"
+            f"non-finite loss/gradient at step {t} "
+            f"(batch fingerprint {_batch_fingerprint(shared.views)})"
         )
 
-    t = state.step + 1
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
     for k, g in grads.items():
@@ -205,7 +184,7 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         state.params[k] -= cfg.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     state.step = t
 
-    pos_cos, neg_cos = ntxent.batch_cosine_stats(z_rows)
+    pos_cos, neg_cos = ntxent.batch_cosine_stats(shared.z)
     return {
         "step": t,
         "loss": value,
@@ -383,12 +362,28 @@ def _split(n_views: int, chunk: int, parts: int) -> list[int]:
     return firsts
 
 
-class _Helper:
-    """A forked process that serves requests about the items [lo, hi), a
-    contiguous run of whole chunks, with serve; see :func:`_work`."""
+class _Local:
+    """The part of a spread that this process runs: it takes requests as a
+    :class:`_Helper` does, but reply() serves the last one here, raising what
+    serving it raised. Replies are read in part order after every part was
+    sent its request, so this process serves its own while the helpers serve
+    theirs."""
 
-    def __init__(self, ctx, serve, lo: int, hi: int, others: list[_Helper]):
-        self.lo, self.hi = lo, hi
+    def __init__(self, serve):
+        self.serve, self.request = serve, None
+
+    def send(self, request) -> None:
+        self.request = request
+
+    def reply(self) -> None:
+        self.serve(self.request)
+
+
+class _Helper:
+    """A forked process that serves requests with serve, about a contiguous
+    run of whole chunks; see :func:`_work`."""
+
+    def __init__(self, ctx, serve, others: list[_Helper]):
         self.conn, child_end = ctx.Pipe()
         # the child closes the parent's ends of every pipe, so that it reads EOF once the parent is gone
         self.proc = ctx.Process(target=_work, args=(child_end, [self.conn, *(h.conn for h in others)], serve))
@@ -439,23 +434,25 @@ def _work(conn, parent_ends, serve) -> None:
 
 
 @contextmanager
-def _helpers(n: int, chunk: int, serve_run):
-    """Fork one helper per spare CPU (see :func:`_spare_cpus`), but no more
-    processes than chunks of chunk items in range(n), and yield them in item
-    order: the helper of each later run [lo, hi) of :func:`_split` serves
-    serve_run(lo, hi), and the parent runs the first. Yields [] when nothing
-    is spread. On the way out close and join the helpers, killing them first
-    if the body raised; OpenBLAS runs on one thread meanwhile."""
+def _spread(n: int, chunk: int, serve_run):
+    """Yield the parts of a spread of the chunks of chunk items in range(n),
+    in item order: a :class:`_Local` that serves serve_run(0, first) for the
+    first run of :func:`_split`, then one forked :class:`_Helper` per spare
+    CPU (see :func:`_spare_cpus`), but no more parts than chunks, serving
+    serve_run(lo, hi) for each later run [lo, hi). Only the local part, of
+    serve_run(0, n), when nothing is spread. On the way out close and join
+    the helpers, killing them first if the body raised; OpenBLAS runs on one
+    thread meanwhile."""
     parts = 1 + min(_spare_cpus(), -(-n // chunk) - 1)
     if parts <= 1:
-        yield []
+        yield [_Local(serve_run(0, n))]
         return
     ctx, bounds, helpers = mp.get_context("fork"), [*_split(n, chunk, parts), n], []
     with _one_blas_thread():
         try:
             for lo, hi in zip(bounds[1:], bounds[2:]):
-                helpers.append(_Helper(ctx, serve_run(lo, hi), lo, hi, helpers))
-            yield helpers
+                helpers.append(_Helper(ctx, serve_run(lo, hi), helpers))
+            yield [_Local(serve_run(0, bounds[1])), *helpers]
         except BaseException:
             for h in helpers:
                 h.proc.kill()
@@ -467,20 +464,20 @@ def _helpers(n: int, chunk: int, serve_run):
 
 
 def _chunk_server(shared: _Shared, cfg: TrainConfig, lo: int, hi: int):
-    """The serve of a training helper that runs views [lo, hi) of every step.
-    ("forward", step) forwards and projects its chunks with the shared
-    parameters and writes their z rows, raising the parent's error for a zero
-    projection; "backward" backwards each chunk with its shared d_z rows;
-    "add" adds the chunk gradients to the shared sum in chunk order."""
+    """The serve of the part of a spread that runs views [lo, hi) of every
+    step, on the shared arrays. ("forward", step) forwards and projects its
+    chunks and writes their z rows, raising a TrainError for a zero
+    projection; "backward" backwards each chunk with its d_z rows, dropping
+    each chunk's cache as it makes its gradient; "add" adds the chunk
+    gradients to the shared sum in chunk order."""
     chunk = enc.views_per_chunk(cfg.encoder)
     starts = range(lo, hi, chunk)
-    params, caches, grads = {}, [], []
+    caches, grads = [], []
 
     def serve(request) -> None:
-        nonlocal params, caches, grads
+        nonlocal caches, grads
         if request == "backward":
-            grads = [enc.backward(params, cache, shared.d_z[i:i + chunk].copy()) for i, cache in zip(starts, caches)]
-            caches = []
+            grads = [enc.backward(shared.params, caches.pop(0), shared.d_z[i:i + chunk]) for i in starts]
         elif request == "add":
             for g in grads:
                 for k, total in shared.grads.items():
@@ -488,14 +485,14 @@ def _chunk_server(shared: _Shared, cfg: TrainConfig, lo: int, hi: int):
             grads = []
         else:
             _, step = request
-            # copies, so that each chunk runs on arrays laid out as in the parent
-            params, caches = {k: v.copy() for k, v in shared.params.items()}, []
+            caches = []
             for i in starts:
-                _, cache = enc.forward(params, shared.views[i:i + chunk].copy(), cfg.encoder)
+                _, cache = enc.forward(shared.params, shared.views[i:i + chunk], cfg.encoder)
                 try:
-                    shared.z[i:i + chunk] = enc.project(params, cache)
+                    shared.z[i:i + chunk] = enc.project(shared.params, cache)
                 except ValueError as e:
-                    raise _zero_projection(step, shared.views, e) from e
+                    raise TrainError(f"zero projection at step {step} "
+                                     f"(batch fingerprint {_batch_fingerprint(shared.views)}): {e}") from e
                 caches.append(cache)
 
     return serve
@@ -507,26 +504,26 @@ def spread_rows(n: int, chunk: int, width: int, rows) -> np.ndarray:
     stacked in order. Each chunk runs alone, so its rows have the same bits
     wherever it runs.
 
-    The chunks are spread through :func:`_helpers`, as train's steps are:
-    the parent runs the first contiguous run, and each helper serves one
-    request by writing the rows of its run into one anonymous shared mmap. An
-    exception a helper's chunks raise is raised here, and a helper that exits
-    before it replies raises HelperExitError.
+    The chunks are spread through :func:`_spread`, as train's steps are:
+    each part, this process's first, serves one request by writing the rows
+    of its run into one anonymous shared mmap. An exception a part's chunks
+    raise is raised here, and a helper that exits before it replies raises
+    HelperExitError.
     """
     (out,) = _shared_arrays([(n, width)])
-    with _helpers(n, chunk, lambda lo, hi: lambda _: _fill(out, rows, range(lo, hi, chunk))) as helpers:
-        for h in helpers:
-            h.send("fill")
-        _fill(out, rows, range(0, helpers[0].lo if helpers else n, chunk))
-        for h in helpers:
-            h.reply()
+
+    def serve_run(lo: int, hi: int):
+        def serve(_) -> None:
+            for i in range(lo, hi, chunk):
+                out[i:i + chunk] = rows(i, min(i + chunk, n))
+        return serve
+
+    with _spread(n, chunk, serve_run) as parts:
+        for part in parts:
+            part.send("rows")
+        for part in parts:
+            part.reply()
     return out.copy()
-
-
-def _fill(out: np.ndarray, rows, starts: range) -> None:
-    """Write rows(i, i + starts.step), cut at len(out), into out for each start i."""
-    for i in starts:
-        out[i:i + starts.step] = rows(i, min(i + starts.step, len(out)))
 
 
 def train(
@@ -544,7 +541,7 @@ def train(
     TrainError.
 
     The steps' later chunks run in helper processes forked here through
-    :func:`_helpers`, one per CPU this process may use past the first, which
+    :func:`_spread`, one per CPU this process may use past the first, which
     live until it returns or raises. The run writes the bytes of a one-process
     run. An exception a helper's chunks raise is raised here, and a helper
     that exits before it replies raises HelperExitError.
@@ -564,9 +561,9 @@ def train(
     os.makedirs(out_dir, exist_ok=True)  # after the checks, so a refused resume leaves no directory
     metrics_path = os.path.join(out_dir, "metrics.csv")
     shared = _Shared(cfg)
-    with _helpers(2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder),
-                  lambda lo, hi: _chunk_server(shared, cfg, lo, hi)) as helpers:
-        state.helpers, state.shared = helpers, shared
+    with _spread(2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder),
+                 lambda lo, hi: _chunk_server(shared, cfg, lo, hi)) as parts:
+        state.parts, state.shared = parts, shared
         while state.step < cfg.steps:
             metrics = train_step(state, dataset, cfg)
             t = state.step
@@ -575,7 +572,7 @@ def train(
             if t % cfg.checkpoint_every == 0 and t < cfg.steps:  # the last step is ckpt_final
                 save_train_state(state, cfg, os.path.join(out_dir, f"ckpt_{t:06d}.dckpt"))
                 write_metrics(state.rows, metrics_path)
-    state.helpers, state.shared = [], None
+    state.parts, state.shared = [], None
     save_train_state(state, cfg, os.path.join(out_dir, "ckpt_final.dckpt"))
     write_metrics(state.rows, metrics_path)
     return state, state.rows

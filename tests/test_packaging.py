@@ -310,6 +310,20 @@ def test_one_place_forks_and_one_maps_shared_memory():
     assert _callers(_maps_memory) == {"trainer._shared_arrays"}
 
 
+def _calls_the_encoder(call: ast.Call) -> bool:
+    f = call.func
+    return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in ("enc", "encoder")
+            and f.attr in ("forward", "project", "backward"))
+
+
+def test_one_chunk_path_in_the_trainer():
+    """Every chunk of a training step runs through _chunk_server's serve,
+    whichever part of a spread runs it, this process's own included: no other
+    trainer code calls enc.forward, enc.project or enc.backward. (_calls names
+    a nested function by its module, so the serve is trainer.serve.)"""
+    assert {w for w in _callers(_calls_the_encoder) if w.startswith("trainer.")} == {"trainer.serve"}
+
+
 @pytest.mark.parametrize("code, starts", [
     ("ctx.Process(target=f)", True), ("mp.Process(target=f)", True), ("Process(target=f)", True),
     ("mp.Pool(2)", True), ("os.fork()", True), ("os.forkpty()", True), ("os.system('ls')", True),
@@ -332,6 +346,15 @@ def test_calls_names_a_method_by_its_class():
     tree = ast.parse("def f():\n    g()\nclass C:\n    def m(self):\n        g()\n        def inner():\n"
                      "            g()\ng()\n")
     assert sorted(_calls(tree, "mod", lambda call: True)) == ["mod.<module>", "mod.C.m", "mod.f", "mod.inner"]
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("enc.forward(p, v, c)", True), ("enc.project(p, cache)", True), ("enc.backward(p, cache, d)", True),
+    ("encoder.forward(p, v, c)", True), ("enc.init(c)", False), ("enc.views_per_chunk(c)", False),
+    ("part.reply()", False), ("forward(p, v, c)", False),
+])
+def test_encoder_call_detector(code, calls):
+    assert _calls_the_encoder(ast.parse(code).body[0].value) is calls
 
 
 @pytest.mark.parametrize("code, names", [

@@ -193,7 +193,8 @@ class TestTrainStep:
 
     def test_default_step_traced_peak(self):
         # 32 views' activation caches, one copy of each activation (49 MiB with
-        # the pre-relu copies)
+        # the pre-relu copies), in the one serve every part of a spread runs:
+        # its backward drops each chunk's cache as it makes that chunk's gradient
         ph = sg.generate(sg.GenConfig())
         ds = sp.Dataset(ph.intensity, ph.synapses)
         cfg = tr.TrainConfig()
@@ -258,6 +259,19 @@ class TestHelpers:
         assert mp.active_children() == []
         for name in names[1:]:
             assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+    def test_direct_step_after_a_helped_run(self, tmp_path, monkeypatch):
+        # the state train() returns has no parts left, so the direct step makes its own, in this process
+        ds, cfg = tiny_dataset(), chunked_config(steps=5, log_every=1)
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 0)
+        one, rows = tr.train(cfg, ds, tmp_path / "one")
+
+        monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
+        state, _ = tr.train(chunked_config(steps=4, log_every=1), ds, tmp_path / "helped")
+        assert mp.active_children() == []
+        assert tr.train_step(state, ds, cfg) == rows[4]
+        assert [type(part) for part in state.parts] == [tr._Local]
+        assert all(state.params[k].tobytes() == one.params[k].tobytes() for k in one.params)
 
     def test_zero_projection_in_a_helper_chunk_is_the_same_train_error(self, tmp_path, monkeypatch):
         # view 6 of 8, in the chunk of views 5..7 that the helper runs, is all zero
