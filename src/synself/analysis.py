@@ -49,12 +49,13 @@ def embed_all(
 ) -> EmbeddingMatrix:
     """One h row per synapse, in table order, without augmentation; patch_side
     must be the checkpoint's."""
-    params, cfg = enc.load(checkpoint_path)
+    state, train_cfg = tr.load_train_state(checkpoint_path)
+    cfg = train_cfg.encoder
     if patch_side != cfg.patch_side:
         raise AnalysisError(
             f"requested patch_side {patch_side} != checkpoint patch_side {cfg.patch_side}"
         )
-    return embed_with_params(params, cfg, volume, synapses)
+    return embed_with_params(state.params, cfg, volume, synapses)
 
 
 def embed_with_params(

@@ -4,29 +4,18 @@
 training calls :func:`project` for the unit-norm z that the loss compares.
 
 Parameters are a name->tensor dict in a canonical order derived purely from
-``EncoderConfig``. A checkpoint is a bit-exact binary container: the magic
-line, one JSON config line, then length-prefixed named float64 tensors. The
-trainer module documents what a checkpoint holds in it.
+``EncoderConfig``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 
 from . import numcore as nc
-from .volume_io import _atomic_write, _check_fields, _json_line, _parse_json_line
-
-MAGIC = b"DCKPT1\n"
-
-
-class CheckpointError(ValueError):
-    """Unreadable or inconsistent checkpoint file."""
+from .volume_io import _check_fields
 
 
 @dataclass(frozen=True)
@@ -190,83 +179,11 @@ def views_per_chunk(cfg: EncoderConfig) -> int:
     return max(1, nc.SLAB_BYTES // (widest * 2 * (k - 1)))
 
 
-# ---------------------------------------------------------------------------
-# checkpoint container
-
-
-def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    def body(f):
-        f.write(MAGIC)
-        f.write(_json_line(config))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.astype("<f8", copy=False).tobytes())
-
-    _atomic_write(path, body)
-
-
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a checkpoint container; any malformed byte raises CheckpointError."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read_exact(n: int, what: str) -> bytes:
-            # bounded by the bytes left, so a corrupt length never asks for more
-            if n > size - f.tell():
-                raise CheckpointError(f"{path}: truncated {what}")
-            return f.read(n)
-
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: magic mismatch: got {magic!r}, want {MAGIC!r}")
-        line = f.readline()
-        if not line.endswith(b"\n"):
-            raise CheckpointError(f"{path}: truncated config line")
-        config = _parse_json_line(line, CheckpointError, f"{path}: bad config line")
-        tensors: dict[str, np.ndarray] = {}
-        while f.tell() < size:
-            (name_len,) = struct.unpack("<I", read_exact(4, "tensor record header"))
-            try:
-                name = read_exact(name_len, "tensor name").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from e
-            if name in tensors:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            what = f"tensor {name!r}"
-            (rank,) = struct.unpack("<I", read_exact(4, what))
-            shape = struct.unpack(f"<{rank}Q", read_exact(8 * rank, what))
-            data = read_exact(8 * math.prod(shape), what)
-            try:
-                tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-            except ValueError as e:  # an empty tensor with an absurd extent
-                raise CheckpointError(f"{path}: bad shape {shape} for {what}: {e}") from e
-    return config, tensors
-
-
-def _params_from(tensors: dict[str, np.ndarray], cfg: EncoderConfig, path, prefix: str = ""):
-    """name -> tensor ``prefix + name`` for every parameter of cfg; a missing or
-    misshapen tensor raises CheckpointError."""
-    out = {}
-    for name, shape in param_shapes(cfg).items():
-        key = prefix + name
-        if key not in tensors:
-            raise CheckpointError(f"{path}: config/shape disagreement: tensor {key!r} missing")
-        if tensors[key].shape != shape:
-            raise CheckpointError(
-                f"{path}: config/shape disagreement: tensor {key!r} has shape "
-                f"{tensors[key].shape}, config implies {shape}"
-            )
-        out[name] = tensors[key]
-    return out
-
-
 def load(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
-    """A checkpoint's parameters and EncoderConfig, as ``trainer.load_train_state`` checks and reads them."""
+    """A checkpoint's parameters and EncoderConfig, as ``trainer.load_train_state``
+    checks and reads them. Only perfbench's ``_check_pass`` calls it: ROADMAP
+    item 7a's perfbench revision moves that call to ``load_train_state`` and
+    deletes this."""
     from .trainer import load_train_state  # here, not at the top: trainer imports this module
 
     state, train_cfg = load_train_state(path)

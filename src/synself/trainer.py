@@ -5,11 +5,15 @@ rng and the logged metrics rows are owned by the train state and saved in
 checkpoints, the reduction order of the gradients is fixed, and
 metrics/checkpoint files carry no clocks or hostnames. A step's views run in
 chunks of ``encoder.views_per_chunk``: each chunk's backward sums its views'
-gradients, and the step sums the chunk gradients in chunk order. A checkpoint
-is the encoder's container: its JSON line is ``asdict`` of the run's
-TrainConfig plus a ``train_state`` key (step, sampler rng state, metrics rows),
-and its tensors are the parameters, then the Adam moments. Only
-:func:`save_train_state` writes one; encoder.load() reads its parameters.
+gradients, and the step sums the chunk gradients in chunk order.
+
+Checkpoints. Only :func:`save_train_state` writes one and :func:`load_train_state`
+reads one, raising CheckpointError for any malformed byte. The bytes are the
+magic line ``DCKPT1\\n``; one compact, key-sorted JSON line, ``asdict`` of the
+run's TrainConfig plus a ``train_state`` key (step, sampler rng state, metrics
+rows); then, per tensor, a ``<I`` name length, the UTF-8 name, a ``<I`` rank,
+``<Q`` extents and ``<f8`` data: the parameters in ``encoder.param_shapes``
+order, then the Adam moments ``adam.m.<name>`` and ``adam.v.<name>``.
 
 Spreads. :func:`train` spreads each step's chunks, and :func:`spread_rows`
 (which ``analysis.embed_with_params`` runs its chunks through) a set of
@@ -57,6 +61,7 @@ import mmap
 import multiprocessing as mp
 import os
 import signal
+import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from multiprocessing.connection import wait
@@ -67,7 +72,7 @@ import numpy as np
 from . import encoder as enc
 from . import ntxent
 from . import sampler as sp
-from .volume_io import _check_fields, _write_table
+from .volume_io import _atomic_write, _check_fields, _json_line, _parse_json_line, _write_table
 
 METRICS_COLUMNS = ("step", "loss", "grad_norm", "pos_cos", "neg_cos")
 # a resumed run may only extend these; every other TrainConfig field shapes the result
@@ -75,10 +80,15 @@ RESUMABLE_FIELDS = ("steps", "checkpoint_every")
 # Adam's moment decays and denominator term. ADAM_EPS > 0: with 0, a parameter
 # whose gradient is exactly 0 gets a 0/0 = NaN update
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+MAGIC = b"DCKPT1\n"
 
 
 class TrainError(RuntimeError):
     """Non-finite loss/gradient or unresumable state."""
+
+
+class CheckpointError(ValueError):
+    """Unreadable or inconsistent checkpoint file."""
 
 
 class HelperExitError(RuntimeError):
@@ -219,6 +229,77 @@ def _key_mismatch(saved: dict, full: dict, at: str = "") -> str | None:
     return None
 
 
+def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
+    def body(f):
+        f.write(MAGIC)
+        f.write(_json_line(config))
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<I", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<I", arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            f.write(arr.astype("<f8", copy=False).tobytes())
+
+    _atomic_write(path, body)
+
+
+def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse a checkpoint container; any malformed byte raises CheckpointError."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read_exact(n: int, what: str) -> bytes:
+            # bounded by the bytes left, so a corrupt length never asks for more
+            if n > size - f.tell():
+                raise CheckpointError(f"{path}: truncated {what}")
+            return f.read(n)
+
+        magic = f.read(len(MAGIC))
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: magic mismatch: got {magic!r}, want {MAGIC!r}")
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: truncated config line")
+        config = _parse_json_line(line, CheckpointError, f"{path}: bad config line")
+        tensors: dict[str, np.ndarray] = {}
+        while f.tell() < size:
+            (name_len,) = struct.unpack("<I", read_exact(4, "tensor record header"))
+            try:
+                name = read_exact(name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from e
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+            what = f"tensor {name!r}"
+            (rank,) = struct.unpack("<I", read_exact(4, what))
+            shape = struct.unpack(f"<{rank}Q", read_exact(8 * rank, what))
+            data = read_exact(8 * math.prod(shape), what)
+            try:
+                tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            except ValueError as e:  # an empty tensor with an absurd extent
+                raise CheckpointError(f"{path}: bad shape {shape} for {what}: {e}") from e
+    return config, tensors
+
+
+def _params_from(tensors: dict[str, np.ndarray], cfg: enc.EncoderConfig, path, prefix: str = ""):
+    """name -> tensor ``prefix + name`` for every parameter of cfg; a missing or
+    misshapen tensor raises CheckpointError."""
+    out = {}
+    for name, shape in enc.param_shapes(cfg).items():
+        key = prefix + name
+        if key not in tensors:
+            raise CheckpointError(f"{path}: config/shape disagreement: tensor {key!r} missing")
+        if tensors[key].shape != shape:
+            raise CheckpointError(
+                f"{path}: config/shape disagreement: tensor {key!r} has shape "
+                f"{tensors[key].shape}, config implies {shape}"
+            )
+        out[name] = tensors[key]
+    return out
+
+
 def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
     config = asdict(cfg)
     config["train_state"] = {"step": state.step, "rng_state": state.rng.bit_generator.state, "rows": state.rows}
@@ -227,7 +308,7 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
         tensors[f"adam.m.{k}"] = v
     for k, v in state.adam_v.items():
         tensors[f"adam.v.{k}"] = v
-    enc.write_container(path, config, tensors)
+    write_container(path, config, tensors)
 
 
 def load_train_state(path) -> tuple[TrainState, TrainConfig]:
@@ -235,37 +316,37 @@ def load_train_state(path) -> tuple[TrainState, TrainConfig]:
 
     Malformed bytes raise CheckpointError.
     """
-    config, tensors = enc.read_container(path)
+    config, tensors = read_container(path)
     ts = config.pop("train_state", None)
     if not isinstance(ts, dict) or set(ts) != {"step", "rng_state", "rows"}:
         got = sorted(ts) if isinstance(ts, dict) else type(ts).__name__
-        raise enc.CheckpointError(f"{path}: bad train_state: want the keys step, rng_state and rows, got {got}")
+        raise CheckpointError(f"{path}: bad train_state: want the keys step, rng_state and rows, got {got}")
     step, rows = ts["step"], ts["rows"]
     rng = np.random.default_rng(0)
     try:
         rng.bit_generator.state = ts["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise enc.CheckpointError(f"{path}: bad train_state: {e!r}") from e
+        raise CheckpointError(f"{path}: bad train_state: {e!r}") from e
     if type(step) is not int or step < 0:
-        raise enc.CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
+        raise CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
     if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
-        raise enc.CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
+        raise CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
     # asdict saved every field and no other: a missing one would take its default, which may shape another run
     mismatch = _key_mismatch(config, asdict(TrainConfig()))
     if mismatch:
-        raise enc.CheckpointError(f"{path}: bad config: {mismatch}")
+        raise CheckpointError(f"{path}: bad config: {mismatch}")
     try:
         train_cfg = TrainConfig(**config)
     except ValueError as e:
-        raise enc.CheckpointError(f"{path}: bad config: {e}") from e
+        raise CheckpointError(f"{path}: bad config: {e}") from e
     # the steps train logs up to this one, as _is_logged picks them; a resume would drop any
     # other row without a word. Lengths first, so that a corrupt huge step builds no list.
     steps, every = [r["step"] for r in rows], train_cfg.log_every
     logged, last = range(every, step + 1, every), [step] if step == train_cfg.steps and step % every else []
     if len(steps) != len(logged) + len(last) or steps != [*logged, *last]:
-        raise enc.CheckpointError(f"{path}: bad train_state: row steps {steps} are not the steps "
+        raise CheckpointError(f"{path}: bad train_state: row steps {steps} are not the steps "
                                   f"logged up to step {step} with log_every {every}")
-    params, adam_m, adam_v = (enc._params_from(tensors, train_cfg.encoder, path, prefix)
+    params, adam_m, adam_v = (_params_from(tensors, train_cfg.encoder, path, prefix)
                               for prefix in ("", "adam.m.", "adam.v."))
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg
 

@@ -1,40 +1,17 @@
 import dataclasses
 import math
-import struct
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from synself import encoder as enc
 from synself import numcore as nc
-from synself import trainer as tr
-from helpers import save_checkpoint
 from oracles import encoder_backward_from_pre, encoder_pre_activations, grad_close
 
 SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
 ONE_CONV = dataclasses.replace(SMALL, convs_per_block=1)
 THREE_CONVS = dataclasses.replace(SMALL, convs_per_block=3)
 DEFAULT = enc.EncoderConfig()
-
-
-def tensor_record(name: bytes, shape, data: bytes = b"") -> bytes:
-    """One raw container record, so a test can write what write_container never would."""
-    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
-            + struct.pack(f"<{len(shape)}Q", *shape) + data)
-
-
-def container_bytes(*records: bytes) -> bytes:
-    return enc.MAGIC + b"{}\n" + b"".join(records)
-
-
-def edit_encoder_config(path, **changes):
-    """Rewrite the encoder config in a checkpoint's JSON line with `changes` applied."""
-    config, tensors = enc.read_container(path)
-    config["encoder"].update(changes)
-    enc.write_container(path, config, tensors)
 
 
 def rand_patch(rng, s):
@@ -365,117 +342,3 @@ class TestActivationCache:
         collect(cache)
         owned = sum(a.nbytes for a in bases.values() if a is not patch)
         assert owned <= 0.75 * 2**20
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_identical(self, tmp_path):
-        params = init(7)
-        p = tmp_path / "ck.dckpt"
-        save_checkpoint(params, SMALL, p)
-        got, cfg = enc.load(p)
-        assert cfg == SMALL
-        assert set(got) == set(params)
-        assert all(got[k].tobytes() == params[k].tobytes() for k in params)
-
-    def test_truncated_tensor_named(self, tmp_path):
-        params = init(8)
-        p = tmp_path / "ck.dckpt"
-        save_checkpoint(params, SMALL, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-8])
-        with pytest.raises(enc.CheckpointError, match="truncated tensor 'adam.v.head_z.b'"):
-            enc.load(p)
-
-    def test_magic_mismatch(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        p.write_bytes(b"NOTCKPT\n{}\n")
-        with pytest.raises(enc.CheckpointError, match="magic"):
-            enc.load(p)
-
-    def test_config_line_not_an_object(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        p.write_bytes(enc.MAGIC + b"[]\n")
-        with pytest.raises(enc.CheckpointError, match="not a JSON object"):
-            enc.load(p)
-
-    @pytest.mark.parametrize("reader", [enc.load, tr.load_train_state], ids=["encoder.load", "load_train_state"])
-    @pytest.mark.parametrize("line", [
-        b"[" * 200_000,  # nested deeper than json's recursion limit
-        b'{"steps":' + b"1" * 5000 + b"}",  # more digits than int() converts
-        b'{"\xff":1}',
-    ], ids=["deep_nesting", "long_int", "not_utf8"])
-    def test_unparsable_config_line_typed_error(self, tmp_path, reader, line):
-        p = tmp_path / "ck.dckpt"
-        p.write_bytes(enc.MAGIC + line + b"\n")
-        with pytest.raises(enc.CheckpointError, match="bad config line"):
-            reader(p)
-
-    def test_edited_config_shape_disagreement(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        save_checkpoint(init(9), SMALL, p)
-        edit_encoder_config(p, channels=[2, 4])
-        with pytest.raises(enc.CheckpointError, match="config/shape disagreement"):
-            enc.load(p)
-
-    @pytest.mark.parametrize("field, value", [
-        ("patch_side", 8.0), ("channels", [2.5, 3]), ("convs_per_block", 2.0),
-        ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0), ("channels", [0, 8, 16]),
-    ])
-    def test_non_integer_config_field_named(self, tmp_path, field, value):
-        p = tmp_path / "ck.dckpt"
-        save_checkpoint(init(9), SMALL, p)
-        edit_encoder_config(p, **{field: value})
-        with pytest.raises(enc.CheckpointError, match=f"bad config: {field} must be"):
-            enc.load(p)
-
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(enc.EncoderConfig)])
-    def test_missing_config_field_named(self, tmp_path, field):
-        # without convs_per_block, a 3-conv checkpoint used to load as 2 convs: 12 of its 16 tensors
-        p = tmp_path / "ck.dckpt"
-        save_checkpoint(enc.init(THREE_CONVS), THREE_CONVS, p)
-        config, tensors = enc.read_container(p)
-        del config["encoder"][field]
-        enc.write_container(p, config, tensors)
-        with pytest.raises(enc.CheckpointError, match=f"missing field 'encoder.{field}'"):
-            enc.load(p)
-
-    def test_duplicate_tensor_name_rejected(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        one = np.ones(1).tobytes()
-        p.write_bytes(container_bytes(tensor_record(b"a", (1,), one), tensor_record(b"a", (1,), one)))
-        with pytest.raises(enc.CheckpointError, match="duplicate tensor 'a'"):
-            enc.read_container(p)
-
-    def test_non_utf8_name_rejected(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        p.write_bytes(container_bytes(tensor_record(b"\xff\xfe", (1,), np.ones(1).tobytes())))
-        with pytest.raises(enc.CheckpointError, match="not UTF-8"):
-            enc.read_container(p)
-
-    def test_corrupt_shape_rejected_before_reading(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        data = np.ones(4).tobytes()
-        for shape in [(2**62, 2), (4, 2**63 + 1), (0, 2**62)]:
-            p.write_bytes(container_bytes(tensor_record(b"a", shape, data)))
-            with pytest.raises(enc.CheckpointError, match="tensor 'a'"):
-                enc.read_container(p)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_truncated_or_bit_flipped_container_typed_error(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            p = f"{tmp}/ck.dckpt"
-            save_checkpoint(init(10), SMALL, p)
-            with open(p, "rb") as f:
-                raw = bytearray(f.read())
-            if data.draw(st.booleans(), label="truncate"):
-                raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-            else:
-                bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
-                raw[bit // 8] ^= 1 << (bit % 8)
-            with open(p, "wb") as f:
-                f.write(raw)
-            try:
-                enc.load(p)
-            except enc.CheckpointError:
-                pass

@@ -21,12 +21,13 @@ def test_every_script_entry_point_imports():
         assert callable(obj), name
 
 
-def test_benchmark_call_contract():
+def test_benchmark_call_contract(tmp_path):
     """The benchmark wraps trainer.train_step, encoder.forward and
     sampler.eligible_supervoxels by module attribute, sums len() of the
-    candidates that eligible_supervoxels returns, and calls trainer.train and
-    analysis.embed_all positionally; a change there breaks it without failing
-    its own tests here."""
+    candidates that eligible_supervoxels returns, calls trainer.train and
+    analysis.embed_all positionally, and reloads its final checkpoint through
+    encoder.load(path); a change there breaks it without failing its own tests
+    here."""
     import numpy as np
 
     from synself import analysis, encoder, sampler, trainer
@@ -38,6 +39,17 @@ def test_benchmark_call_contract():
     inspect.signature(sampler.eligible_supervoxels).bind("dataset", "cfg")
     inspect.signature(trainer.train).bind("cfg", "dataset", "out_dir")
     inspect.signature(analysis.embed_all).bind("ckpt", "vol", "syn", "side")
+    inspect.signature(encoder.load).bind("path")
+
+    enc_cfg = encoder.EncoderConfig(patch_side=8, channels=(2, 3), h_dim=5, z_dim=4)
+    train_cfg = trainer.TrainConfig(sampler=sampler.SamplerConfig(patch_side=8), encoder=enc_cfg)
+    path = tmp_path / "ckpt_final.dckpt"
+    trainer.save_train_state(trainer.init_state(train_cfg), train_cfg, path)
+    params, loaded_cfg = encoder.load(path)
+    state, saved_cfg = trainer.load_train_state(path)
+    assert loaded_cfg == saved_cfg.encoder == enc_cfg
+    assert list(params) == list(state.params)
+    assert all(params[k].tobytes() == state.params[k].tobytes() for k in params)
 
     vol = IntensityVolume(VolumeHeader((4, 4, 4)), np.zeros((4, 4, 4), np.uint8))
     recs = [SynapseRecord(i, (i, 0, 0), 1 + i // 2) for i in range(4)]
@@ -202,12 +214,18 @@ def _identifiers(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Attribute, ast.Name)) or isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
+def _called_name(call: ast.Call) -> str:
+    """The name a call calls: f of f(x), and m of obj.m(x)."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     """Whether the call opens a file for writing or writes one: os.open with a
     flag besides READ_FLAGS (or flags it cannot name), open or fdopen with a mode
     other than r, b and t, Path.write_text or write_bytes, np.save* or .tofile."""
     f = call.func
-    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+    name = _called_name(call)
     owner = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else None
     args = call.args + [k.value for k in call.keywords if k.arg in ("flags", "mode")]
     if name in ("write_text", "write_bytes", "tofile") or (owner in ("np", "numpy") and name.startswith("save")):
@@ -225,12 +243,13 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 def _calls(tree: ast.Module, stem: str, picks):
     """module.function of each call in the tree that ``picks`` selects, named by
-    its innermost def, and a method by its class as module.Class.method."""
+    its innermost def and every def and class around that: a method as
+    module.Class.method, a nested def as module.outer.inner."""
     def walk(node, where, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where, owner = f"{owner}.{node.name}", stem
+            where = owner = f"{owner}.{node.name}"
         elif isinstance(node, ast.ClassDef):
-            owner = f"{stem}.{node.name}"
+            owner = f"{owner}.{node.name}"
         if isinstance(node, ast.Call) and picks(node):
             yield where
         for child in ast.iter_child_nodes(node):
@@ -290,15 +309,14 @@ def _starts_a_process(call: ast.Call) -> bool:
     """Whether the call makes or starts a process: a Process or Pool, os.fork,
     forkpty, system or spawn*, a Popen, or any subprocess function."""
     f = call.func
-    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+    name = _called_name(call)
     owner = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else None
     return (name in ("Process", "Pool", "Popen", "fork", "forkpty", "system") or owner == "subprocess"
             or name.startswith(("spawn", "posix_spawn")))
 
 
 def _maps_memory(call: ast.Call) -> bool:
-    f = call.func
-    return (f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else "") == "mmap"
+    return _called_name(call) == "mmap"
 
 
 def test_one_place_forks_and_one_maps_shared_memory():
@@ -319,9 +337,43 @@ def _calls_the_encoder(call: ast.Call) -> bool:
 def test_one_chunk_path_in_the_trainer():
     """Every chunk of a training step runs through _chunk_server's serve,
     whichever part of a spread runs it, this process's own included: no other
-    trainer code calls enc.forward, enc.project or enc.backward. (_calls names
-    a nested function by its module, so the serve is trainer.serve.)"""
-    assert {w for w in _callers(_calls_the_encoder) if w.startswith("trainer.")} == {"trainer.serve"}
+    trainer code calls enc.forward, enc.project or enc.backward."""
+    assert {w for w in _callers(_calls_the_encoder) if w.startswith("trainer.")} == {"trainer._chunk_server.serve"}
+
+
+def _from_volume_io(tree: ast.Module) -> set[str]:
+    """The names the tree takes from volume_io, or "volume_io" for the module itself."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            taken = {a.name for a in n.names}
+            names |= taken if (n.module or "").rpartition(".")[2] == "volume_io" else taken & {"volume_io"}
+        elif isinstance(n, ast.Import):
+            names |= {"volume_io" for a in n.names if a.name.rpartition(".")[2] == "volume_io"}
+    return names
+
+
+def test_one_home_for_the_checkpoint_format():
+    """The checkpoint container is the trainer's: only trainer code calls
+    write_container or read_container, and encoder, the model alone, touches no
+    file: it takes nothing from volume_io but _check_fields, imports neither os
+    nor struct, and calls no open."""
+    assert {w.partition(".")[0] for w in _callers(
+        lambda call: _called_name(call) in ("write_container", "read_container"))} == {"trainer"}
+    tree = ast.parse((ROOT / "src" / "synself" / "encoder.py").read_text(encoding="utf-8"))
+    assert _from_volume_io(tree) == {"_check_fields"}
+    assert {name for name in _imported(tree) if _under(name, ("os", "struct"))} == set()
+    assert list(_calls(tree, "encoder", lambda call: _called_name(call) == "open")) == []
+
+
+@pytest.mark.parametrize("code, names", [
+    ("from .volume_io import _check_fields", {"_check_fields"}),
+    ("from synself.volume_io import _atomic_write, _check_fields", {"_atomic_write", "_check_fields"}),
+    ("from . import volume_io", {"volume_io"}), ("import synself.volume_io", {"volume_io"}),
+    ("from . import numcore as nc", set()), ("from .numcore import SLAB_BYTES", set()),
+])
+def test_volume_io_import_detector(code, names):
+    assert _from_volume_io(ast.parse(code)) == names
 
 
 @pytest.mark.parametrize("code, starts", [
@@ -345,7 +397,7 @@ def test_mmap_detector(code, maps):
 def test_calls_names_a_method_by_its_class():
     tree = ast.parse("def f():\n    g()\nclass C:\n    def m(self):\n        g()\n        def inner():\n"
                      "            g()\ng()\n")
-    assert sorted(_calls(tree, "mod", lambda call: True)) == ["mod.<module>", "mod.C.m", "mod.f", "mod.inner"]
+    assert sorted(_calls(tree, "mod", lambda call: True)) == ["mod.<module>", "mod.C.m", "mod.C.m.inner", "mod.f"]
 
 
 @pytest.mark.parametrize("code, calls", [

@@ -6,12 +6,16 @@ import os
 import re
 import signal
 import stat
+import struct
+import tempfile
 import time
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synself import encoder as enc
 from synself import ntxent
@@ -19,7 +23,7 @@ from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
 from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
-from helpers import IDENTITY_AUGMENT, time_limit
+from helpers import IDENTITY_AUGMENT, save_checkpoint, time_limit
 
 
 def tiny_dataset(seed=0, **kw):
@@ -495,7 +499,8 @@ class TestTrainLoop:
         ds = tiny_dataset()
         cfg = tiny_config(steps=3)
         state, _ = tr.train(cfg, ds, tmp_path / "run")
-        params, cfg_enc = enc.load(tmp_path / "run" / "ckpt_final.dckpt")
+        loaded, ck_cfg = tr.load_train_state(tmp_path / "run" / "ckpt_final.dckpt")
+        params, cfg_enc = loaded.params, ck_cfg.encoder
         assert cfg_enc == cfg.encoder
         assert all(params[k].tobytes() == state.params[k].tobytes() for k in params)
 
@@ -573,7 +578,7 @@ class TestTrainLoop:
     def test_malformed_train_state_rejected(self, tmp_path):
         cfg = tiny_config(steps=4, log_every=1)
         tr.train(cfg, tiny_dataset(), tmp_path / "run")
-        good, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        good, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         ts = good["train_state"]
         rng_state = ts["rng_state"]
 
@@ -602,8 +607,8 @@ class TestTrainLoop:
         ]
         p = tmp_path / "bad.dckpt"
         for bad in bad_states:
-            enc.write_container(p, {**good, "train_state": bad}, tensors)
-            with pytest.raises(enc.CheckpointError, match="bad train_state"):
+            tr.write_container(p, {**good, "train_state": bad}, tensors)
+            with pytest.raises(tr.CheckpointError, match="bad train_state"):
                 tr.load_train_state(p)
 
         config = {k: v for k, v in good.items() if k != "train_state"}
@@ -612,8 +617,8 @@ class TestTrainLoop:
             {**config, "sampler": {**config["sampler"], "augment": None}},
         ]
         for bad in bad_configs:
-            enc.write_container(p, {**bad, "train_state": ts}, tensors)
-            with pytest.raises(enc.CheckpointError, match="bad config"):
+            tr.write_container(p, {**bad, "train_state": ts}, tensors)
+            with pytest.raises(tr.CheckpointError, match="bad config"):
                 tr.load_train_state(p)
 
         # the first key path that one side lacks, each dict's missing keys before its unknown ones
@@ -631,19 +636,19 @@ class TestTrainLoop:
             ({**config, "momentum": 0.9, "sampler": {}}, "missing field 'sampler.patch_side'"),
         ]
         for bad, message in mismatched_keys:
-            enc.write_container(p, {**bad, "train_state": ts}, tensors)
-            with pytest.raises(enc.CheckpointError, match=re.escape(f"bad config: {message}")):
+            tr.write_container(p, {**bad, "train_state": ts}, tensors)
+            with pytest.raises(tr.CheckpointError, match=re.escape(f"bad config: {message}")):
                 tr.load_train_state(p)
 
     def test_rows_off_the_log_schedule_rejected(self, tmp_path):
         tr.train(tiny_config(steps=4, log_every=2), tiny_dataset(), tmp_path / "run")
-        good, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        good, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         ts = good["train_state"]
         assert [r["step"] for r in ts["rows"]] == [2, 4]
         rows = [{**r, "step": s} for r, s in zip(ts["rows"], (1, 3))]
         p = tmp_path / "bad.dckpt"
-        enc.write_container(p, {**good, "train_state": {**ts, "rows": rows}}, tensors)
-        with pytest.raises(enc.CheckpointError,
+        tr.write_container(p, {**good, "train_state": {**ts, "rows": rows}}, tensors)
+        with pytest.raises(tr.CheckpointError,
                            match=re.escape("row steps [1, 3] are not the steps logged up to step 4")):
             tr.load_train_state(p)
 
@@ -673,14 +678,14 @@ class TestTrainLoop:
     ])
     def test_bad_tensor_is_a_checkpoint_error(self, tmp_path, key, edit):
         tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
-        config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        config, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         if edit == "missing":
             del tensors[key]
         else:
             tensors[key] = np.zeros(tensors[key].shape + (1,))
         p = tmp_path / "bad.dckpt"
-        enc.write_container(p, config, tensors)
-        with pytest.raises(enc.CheckpointError, match=f"tensor '{key}'"):
+        tr.write_container(p, config, tensors)
+        with pytest.raises(tr.CheckpointError, match=f"tensor '{key}'"):
             tr.load_train_state(p)
 
     def test_existing_tmp_file_survives_metrics_write(self, tmp_path):
@@ -757,7 +762,7 @@ class TestCheckpointLayout:
         # the asdict form that a JSON config file of the same run holds
         cfg = tiny_config(steps=3)
         state, _ = tr.train(cfg, tiny_dataset(), tmp_path / "run")
-        config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        config, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         ts = config.pop("train_state")
         assert config == json.loads(json.dumps(asdict(cfg)))
         assert tr.TrainConfig(**config) == cfg
@@ -769,10 +774,10 @@ class TestCheckpointLayout:
     @pytest.mark.parametrize("edit, message", OTHER_LAYOUTS)
     def test_other_layouts_are_checkpoint_errors(self, tmp_path, reader, edit, message):
         tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
-        config, tensors = enc.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        config, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
         p = tmp_path / "bad.dckpt"
-        enc.write_container(p, edit(config), tensors)
-        with pytest.raises(enc.CheckpointError, match=re.escape(message)):
+        tr.write_container(p, edit(config), tensors)
+        with pytest.raises(tr.CheckpointError, match=re.escape(message)):
             reader(p)
 
     def test_step_0_checkpoint_bytes_are_pinned(self, tmp_path):
@@ -782,3 +787,144 @@ class TestCheckpointLayout:
         tr.save_train_state(tr.init_state(cfg), cfg, p)
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         assert digest == "784d2e52407b7270bf9b7cda7d2ab79d5742139379453416cdb1f2890e051401"
+
+
+# the encoder config of the container tests, and its parameters at init seed ``seed``
+SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
+THREE_CONVS = replace(SMALL, convs_per_block=3)
+
+
+def small_params(seed):
+    return enc.init(replace(SMALL, init_seed=seed))
+
+
+def tensor_record(name: bytes, shape, data: bytes = b"") -> bytes:
+    """One raw container record, so a test can write what write_container never would."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape) + data)
+
+
+def container_bytes(*records: bytes) -> bytes:
+    return tr.MAGIC + b"{}\n" + b"".join(records)
+
+
+def edit_encoder_config(path, **changes):
+    """Rewrite the encoder config in a checkpoint's JSON line with `changes` applied."""
+    config, tensors = tr.read_container(path)
+    config["encoder"].update(changes)
+    tr.write_container(path, config, tensors)
+
+
+class TestCheckpoint:
+    def test_round_trip_bit_identical(self, tmp_path):
+        params = small_params(7)
+        p = tmp_path / "ck.dckpt"
+        save_checkpoint(params, SMALL, p)
+        state, train_cfg = tr.load_train_state(p)
+        got, cfg = state.params, train_cfg.encoder
+        assert cfg == SMALL
+        assert set(got) == set(params)
+        assert all(got[k].tobytes() == params[k].tobytes() for k in params)
+
+    def test_truncated_tensor_named(self, tmp_path):
+        params = small_params(8)
+        p = tmp_path / "ck.dckpt"
+        save_checkpoint(params, SMALL, p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-8])
+        with pytest.raises(tr.CheckpointError, match="truncated tensor 'adam.v.head_z.b'"):
+            tr.load_train_state(p)
+
+    def test_magic_mismatch(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(b"NOTCKPT\n{}\n")
+        with pytest.raises(tr.CheckpointError, match="magic"):
+            tr.load_train_state(p)
+
+    def test_config_line_not_an_object(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(tr.MAGIC + b"[]\n")
+        with pytest.raises(tr.CheckpointError, match="not a JSON object"):
+            tr.load_train_state(p)
+
+    @pytest.mark.parametrize("reader", [enc.load, tr.load_train_state], ids=["encoder.load", "load_train_state"])
+    @pytest.mark.parametrize("line", [
+        b"[" * 200_000,  # nested deeper than json's recursion limit
+        b'{"steps":' + b"1" * 5000 + b"}",  # more digits than int() converts
+        b'{"\xff":1}',
+    ], ids=["deep_nesting", "long_int", "not_utf8"])
+    def test_unparsable_config_line_typed_error(self, tmp_path, reader, line):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(tr.MAGIC + line + b"\n")
+        with pytest.raises(tr.CheckpointError, match="bad config line"):
+            reader(p)
+
+    def test_edited_config_shape_disagreement(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        save_checkpoint(small_params(9), SMALL, p)
+        edit_encoder_config(p, channels=[2, 4])
+        with pytest.raises(tr.CheckpointError, match="config/shape disagreement"):
+            tr.load_train_state(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("patch_side", 8.0), ("channels", [2.5, 3]), ("convs_per_block", 2.0),
+        ("h_dim", 5.0), ("z_dim", 4.0), ("init_seed", 0.0), ("channels", [0, 8, 16]),
+    ])
+    def test_non_integer_config_field_named(self, tmp_path, field, value):
+        p = tmp_path / "ck.dckpt"
+        save_checkpoint(small_params(9), SMALL, p)
+        edit_encoder_config(p, **{field: value})
+        with pytest.raises(tr.CheckpointError, match=f"bad config: {field} must be"):
+            tr.load_train_state(p)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(enc.EncoderConfig)])
+    def test_missing_config_field_named(self, tmp_path, field):
+        # without convs_per_block, a 3-conv checkpoint used to load as 2 convs: 12 of its 16 tensors
+        p = tmp_path / "ck.dckpt"
+        save_checkpoint(enc.init(THREE_CONVS), THREE_CONVS, p)
+        config, tensors = tr.read_container(p)
+        del config["encoder"][field]
+        tr.write_container(p, config, tensors)
+        with pytest.raises(tr.CheckpointError, match=f"missing field 'encoder.{field}'"):
+            tr.load_train_state(p)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        one = np.ones(1).tobytes()
+        p.write_bytes(container_bytes(tensor_record(b"a", (1,), one), tensor_record(b"a", (1,), one)))
+        with pytest.raises(tr.CheckpointError, match="duplicate tensor 'a'"):
+            tr.read_container(p)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        p.write_bytes(container_bytes(tensor_record(b"\xff\xfe", (1,), np.ones(1).tobytes())))
+        with pytest.raises(tr.CheckpointError, match="not UTF-8"):
+            tr.read_container(p)
+
+    def test_corrupt_shape_rejected_before_reading(self, tmp_path):
+        p = tmp_path / "ck.dckpt"
+        data = np.ones(4).tobytes()
+        for shape in [(2**62, 2), (4, 2**63 + 1), (0, 2**62)]:
+            p.write_bytes(container_bytes(tensor_record(b"a", shape, data)))
+            with pytest.raises(tr.CheckpointError, match="tensor 'a'"):
+                tr.read_container(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_container_typed_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = f"{tmp}/ck.dckpt"
+            save_checkpoint(small_params(10), SMALL, p)
+            with open(p, "rb") as f:
+                raw = bytearray(f.read())
+            if data.draw(st.booleans(), label="truncate"):
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+            else:
+                bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+                raw[bit // 8] ^= 1 << (bit % 8)
+            with open(p, "wb") as f:
+                f.write(raw)
+            try:
+                tr.load_train_state(p)
+            except tr.CheckpointError:
+                pass
