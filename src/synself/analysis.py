@@ -68,9 +68,10 @@ def embed_with_params(
 
     Synapses go through the encoder in chunks of ``encoder.views_per_chunk``,
     spread over the CPUs this process may use by :func:`trainer.spread_rows`:
-    the parent embeds the first chunks, forked helpers the later ones, with
-    OpenBLAS on one thread in each. Each row has the bits of a one-view
-    forward, wherever its chunk runs. The bounds check runs before any fork.
+    the parent embeds the first chunks, forked helpers the later ones and
+    send their rows back in their replies, with OpenBLAS on one thread in
+    each. Each row has the bits of a one-view forward, wherever its chunk
+    runs. The bounds check runs before any fork.
     """
     if not synapses:
         raise AnalysisError("no synapses to embed")
@@ -80,7 +81,7 @@ def embed_with_params(
         patches = np.stack([sp.extract_patch(volume, rec.pos, cfg.patch_side) for rec in synapses[lo:hi]])
         return enc.forward(params, patches, cfg)[0]
 
-    values = tr.spread_rows(len(synapses), enc.views_per_chunk(cfg), cfg.h_dim, rows)
+    values = tr.spread_rows(len(synapses), enc.views_per_chunk(cfg), rows)
     return EmbeddingMatrix([r.id for r in synapses], values)
 
 

@@ -167,16 +167,11 @@ def backward(params: dict[str, np.ndarray], cache: dict, d_z: np.ndarray) -> dic
 
 
 def views_per_chunk(cfg: EncoderConfig) -> int:
-    """The most views per forward whose widest conv, the one with the most column
-    bytes per plane, still runs in z-slabs of at least k-1 planes, so that no slab
-    refills more halo planes than it computes: 5 at 8^3, 1 at 16^3 and 80^3.
-    Training and embedding both run their views in chunks of this many.
-
-    B views run in slabs of ``SLAB_BYTES // (bytes_per_plane * B) - (k-1)`` planes.
-    """
-    k = 3
-    widest = max(8 * c_in * k * k * side * side for _, c_in, _, side, _ in _convs(cfg))
-    return max(1, nc.SLAB_BYTES // (widest * 2 * (k - 1)))
+    """The most views per forward that every conv still runs in z-slabs of at
+    least k-1 planes, the least ``numcore.slab_views`` over the convs: 5 at
+    8^3, 1 at 16^3 and 80^3. Training and embedding both run their views in
+    chunks of this many."""
+    return min(nc.slab_views(c_in, side, side, 3) for _, c_in, _, side, _ in _convs(cfg))
 
 
 def load(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:

@@ -97,6 +97,14 @@ class ShapeError(ValueError):
 # x[c, z+dz-p, y+dy-p, x+dx-p, v], or 0 outside x.
 
 
+def slab_views(c: int, h: int, w: int, k: int) -> int:
+    """The most views, at least 1, that :func:`_column_slabs` fills in z-slabs
+    of at least k-1 planes for a k^3 conv of c channels of h x w planes, so
+    that no slab refills more halo planes than it computes: B views give
+    ``SLAB_BYTES // (8 * c * k * k * h * w * B) - (k-1)`` planes a slab."""
+    return max(1, SLAB_BYTES // (8 * c * k * k * h * w * 2 * (k - 1)))
+
+
 def _column_slabs(x: Tensor, k: int):
     """Yield (z0, nz, cols) over the output z-slabs of a same-padded conv of x.
 

@@ -22,28 +22,30 @@ A spread's parts each run a contiguous run of whole chunks through the
 same serve: this process the first run, as a :class:`_Local`, and one
 forked helper per further CPU a later run (no helper where ``fork`` is
 missing or no OpenBLAS thread count can be set). Each part takes a request
-and gives a reply, raising what serving the request raised; a helper
-replies None or that exception, and one that exits before it replies
-raises HelperExitError. Helpers ignore SIGINT, so Ctrl-C reaches the
-parent alone, which joins every helper before it returns or raises,
-killing them first when it raises. Arrays pass through one anonymous
-shared mmap made before the fork, and the pipes carry only small messages.
-While a spread runs, OpenBLAS runs on one thread in every process of it
-(each would otherwise take one thread per CPU), and the parent's own count
-comes back afterwards.
+and gives as its reply what serving it returned, raising what serving it
+raised; a helper that exits before it replies raises HelperExitError.
+Helpers ignore SIGINT, so Ctrl-C reaches the parent alone, which joins
+every helper before it returns or raises, killing them first when it
+raises. The parameters, the views and the gradient sum pass through one
+anonymous shared mmap made before the fork; the messages carry the
+requests, the z rows, d_z, the embedding rows and the exceptions. A serve
+never returns an exception object, since a reply raises any exception it
+receives. While a spread runs, OpenBLAS runs on one thread in every
+process of it (each would otherwise take one thread per CPU), and the
+parent's own count comes back afterwards.
 
 Training's helpers live as long as the :func:`train` call, since a fork and
 join cost about 5 ms, a fifth of a helped dense_sv step. Each step every
-part serves ("forward", step), which forwards and projects its chunks into
-shared z rows, then "backward", then "add", which adds its chunk gradients
-in chunk order, part after part, to a shared sum begun from zeros. So the
-step's gradient is the same chain of additions in the same order wherever
-its chunks run, and keeps every bit: each chunk's forward, projection and
-backward run the same code on the same bytes in every process. A direct
-:func:`train_step` call runs the same serve over every chunk in this
-process. :func:`spread_rows`'s parts serve one request, which writes their
-rows; a chunk's rows sum nothing across chunks, so every row keeps its
-bits.
+part serves ("forward", step), which forwards and projects its chunks and
+returns their z rows, then ("backward", d_z), then "add", which adds its
+chunk gradients in chunk order, part after part, to a shared sum begun
+from zeros. So the step's gradient is the same chain of additions in the
+same order wherever its chunks run, and keeps every bit: each chunk's
+forward, projection and backward run the same code on the same bytes in
+every process. A direct :func:`train_step` call runs the same serve over
+every chunk in this process. :func:`spread_rows`'s parts serve one request,
+which returns their rows; a chunk's rows sum nothing across chunks, so
+every row keeps its bits.
 
 Fork safety, not yet verified: with ``OPENBLAS_NUM_THREADS`` unset, the
 parent still has two OS threads when it forks, because setting OpenBLAS to
@@ -149,10 +151,11 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
     """Advance one step in place; returns the step's metrics dict. Each of
     the state's parts runs its chunks through the same serve, the first in
     this process; a direct call, outside :func:`train`, makes one such part
-    for every chunk the first time and keeps it on the state."""
-    if not state.parts:
+    for every chunk when the state has none for cfg, and keeps it on the
+    state."""
+    if state.shared is None or state.shared.cfg != cfg:
         state.shared = _Shared(cfg)
-        state.parts = [_Local(_chunk_server(state.shared, cfg, 0, 2 * cfg.sampler.batch_pairs))]
+        state.parts = [_Local(_chunk_server(state.shared, 0, 2 * cfg.sampler.batch_pairs))]
     parts, shared, t = state.parts, state.shared, state.step + 1
     batch = sp.sample_batch(dataset, cfg.sampler, state.rng)
     np.concatenate([batch.views_a, batch.views_b], axis=0, out=shared.views)
@@ -160,11 +163,10 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         shared.params[k][...] = p
     for part in parts:
         part.send(("forward", t))
-    for part in parts:  # in chunk order, so the first zero projection is the one reported
-        part.reply()
-    value, shared.d_z[...] = ntxent.loss(shared.z, cfg.temperature)
+    z = np.concatenate([part.reply() for part in parts])  # in chunk order: the first zero projection is raised
+    value, d_z = ntxent.loss(z, cfg.temperature)
     for part in parts:
-        part.send("backward")
+        part.send(("backward", d_z))
     for part in parts:
         part.reply()
     grads = shared.grads
@@ -194,7 +196,7 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         state.params[k] -= cfg.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     state.step = t
 
-    pos_cos, neg_cos = ntxent.batch_cosine_stats(shared.z)
+    pos_cos, neg_cos = ntxent.batch_cosine_stats(z)
     return {
         "step": t,
         "loss": value,
@@ -365,17 +367,18 @@ def _shared_arrays(shapes) -> list[np.ndarray]:
 
 
 class _Shared:
-    """The arrays a step passes between processes: the parameters, the views,
-    the z rows and their loss gradients, and the running gradient sum, from
-    :func:`_shared_arrays`."""
+    """The arrays a step passes between processes, from :func:`_shared_arrays`:
+    the parameters, the views and the running gradient sum, for the steps of
+    cfg."""
 
     def __init__(self, cfg: TrainConfig):
-        n, s, z_dim = 2 * cfg.sampler.batch_pairs, cfg.sampler.patch_side, cfg.encoder.z_dim
+        n, s = 2 * cfg.sampler.batch_pairs, cfg.sampler.patch_side
         shapes = enc.param_shapes(cfg.encoder)
-        arrays = _shared_arrays([*shapes.values(), *shapes.values(), (n, s, s, s), (n, z_dim), (n, z_dim)])
+        arrays = _shared_arrays([*shapes.values(), *shapes.values(), (n, s, s, s)])
+        self.cfg = cfg
         self.params = dict(zip(shapes, arrays))
         self.grads = dict(zip(shapes, arrays[len(shapes):]))
-        self.views, self.z, self.d_z = arrays[-3:]
+        self.views = arrays[-1]
 
 
 def _spare_cpus() -> int:
@@ -431,24 +434,12 @@ def _one_blas_thread():
         set_(own)
 
 
-def _split(n_views: int, chunk: int, parts: int) -> list[int]:
-    """The first view of each of parts contiguous runs of whole chunks, the
-    first run at view 0, so that each run holds about n_views / parts views;
-    parts is at most the chunk count."""
-    n_chunks = -(-n_views // chunk)
-    firsts = [0]
-    for k in range(1, parts):
-        at = round(k * n_views / parts / chunk)
-        firsts.append(chunk * min(max(at, firsts[-1] // chunk + 1), n_chunks - parts + k))
-    return firsts
-
-
 class _Local:
     """The part of a spread that this process runs: it takes requests as a
-    :class:`_Helper` does, but reply() serves the last one here, raising what
-    serving it raised. Replies are read in part order after every part was
-    sent its request, so this process serves its own while the helpers serve
-    theirs."""
+    :class:`_Helper` does, but reply() serves the last one here, returning
+    what serving it returned or raising what it raised. Replies are read in
+    part order after every part was sent its request, so this process serves
+    its own while the helpers serve theirs."""
 
     def __init__(self, serve):
         self.serve, self.request = serve, None
@@ -456,8 +447,8 @@ class _Local:
     def send(self, request) -> None:
         self.request = request
 
-    def reply(self) -> None:
-        self.serve(self.request)
+    def reply(self):
+        return self.serve(self.request)
 
 
 class _Helper:
@@ -481,23 +472,24 @@ class _Helper:
         except ConnectionError:  # its end of the pipe (a socket pair) closed as it exited
             raise self._died() from None
 
-    def reply(self) -> None:
-        """Wait for the reply to the last request; raise what serving it raised,
-        as the chunks run here would have."""
+    def reply(self):
+        """Wait for the reply to the last request and return it; raise what
+        serving it raised, as the chunks run here would have."""
         if self.conn not in wait([self.conn, self.proc.sentinel]):
             raise self._died()
         try:
-            e = self.conn.recv()
+            result = self.conn.recv()
         except (EOFError, ConnectionError):  # reset, when it exited before reading all that was sent
             raise self._died() from None
-        if e is not None:
-            raise e
+        if isinstance(result, Exception):
+            raise result
+        return result
 
 
 def _work(conn, parent_ends, serve) -> None:
-    """A helper's loop: receive a request, call serve(request), and reply None
-    or the exception it raised. Returns at EOF, once the parent closed its end
-    or exited."""
+    """A helper's loop: receive a request, call serve(request), and reply what
+    it returned or the exception it raised. Returns at EOF, once the parent
+    closed its end or exited."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the parent, which stops the helpers
     for end in parent_ends:
         end.close()
@@ -505,11 +497,10 @@ def _work(conn, parent_ends, serve) -> None:
         while True:
             request = conn.recv()
             try:
-                serve(request)
+                result = serve(request)
             except Exception as e:  # the parent raises it
-                conn.send(e)
-            else:
-                conn.send(None)
+                result = e
+            conn.send(result)
     except (EOFError, ConnectionError):
         return
 
@@ -517,18 +508,20 @@ def _work(conn, parent_ends, serve) -> None:
 @contextmanager
 def _spread(n: int, chunk: int, serve_run):
     """Yield the parts of a spread of the chunks of chunk items in range(n),
-    in item order: a :class:`_Local` that serves serve_run(0, first) for the
-    first run of :func:`_split`, then one forked :class:`_Helper` per spare
-    CPU (see :func:`_spare_cpus`), but no more parts than chunks, serving
-    serve_run(lo, hi) for each later run [lo, hi). Only the local part, of
-    serve_run(0, n), when nothing is spread. On the way out close and join
-    the helpers, killing them first if the body raised; OpenBLAS runs on one
-    thread meanwhile."""
-    parts = 1 + min(_spare_cpus(), -(-n // chunk) - 1)
+    in item order, one per CPU this process may use (see :func:`_spare_cpus`)
+    but no more than chunks. Of P parts over C chunks, part k serves
+    serve_run(lo, hi) for the items [lo, hi) from chunk k * C // P to the
+    next part's first: the first part is a :class:`_Local`, each later one a
+    forked :class:`_Helper`. Only the local part, of serve_run(0, n), when
+    nothing is spread. On the way out close and join the helpers, killing
+    them first if the body raised; OpenBLAS runs on one thread meanwhile."""
+    n_chunks = -(-n // chunk)
+    parts = 1 + min(_spare_cpus(), n_chunks - 1)
     if parts <= 1:
         yield [_Local(serve_run(0, n))]
         return
-    ctx, bounds, helpers = mp.get_context("fork"), [*_split(n, chunk, parts), n], []
+    ctx, helpers = mp.get_context("fork"), []
+    bounds = [*(chunk * (k * n_chunks // parts) for k in range(parts)), n]
     with _one_blas_thread():
         try:
             for lo, hi in zip(bounds[1:], bounds[2:]):
@@ -544,67 +537,64 @@ def _spread(n: int, chunk: int, serve_run):
                 h.proc.join()
 
 
-def _chunk_server(shared: _Shared, cfg: TrainConfig, lo: int, hi: int):
+def _chunk_server(shared: _Shared, lo: int, hi: int):
     """The serve of the part of a spread that runs views [lo, hi) of every
-    step, on the shared arrays. ("forward", step) forwards and projects its
-    chunks and writes their z rows, raising a TrainError for a zero
-    projection; "backward" backwards each chunk with its d_z rows, dropping
-    each chunk's cache as it makes its gradient; "add" adds the chunk
-    gradients to the shared sum in chunk order."""
+    step of shared.cfg, on the shared arrays. ("forward", step) forwards and
+    projects its chunks and returns their z rows in chunk order, raising a
+    TrainError for a zero projection; ("backward", d_z) backwards each chunk
+    with its rows of the step's d_z, dropping each chunk's cache as it makes
+    its gradient; "add" adds the chunk gradients to the shared sum in chunk
+    order."""
+    cfg = shared.cfg
     chunk = enc.views_per_chunk(cfg.encoder)
     starts = range(lo, hi, chunk)
     caches, grads = [], []
 
-    def serve(request) -> None:
+    def serve(request):
         nonlocal caches, grads
-        if request == "backward":
-            grads = [enc.backward(shared.params, caches.pop(0), shared.d_z[i:i + chunk]) for i in starts]
-        elif request == "add":
+        if request == "add":
             for g in grads:
                 for k, total in shared.grads.items():
                     total += g[k]
             grads = []
-        else:
-            _, step = request
-            caches = []
-            for i in starts:
-                _, cache = enc.forward(shared.params, shared.views[i:i + chunk], cfg.encoder)
-                try:
-                    shared.z[i:i + chunk] = enc.project(shared.params, cache)
-                except ValueError as e:
-                    raise TrainError(f"zero projection at step {step} "
-                                     f"(batch fingerprint {_batch_fingerprint(shared.views)}): {e}") from e
-                caches.append(cache)
+            return None
+        stage, arg = request
+        if stage == "backward":
+            grads = [enc.backward(shared.params, caches.pop(0), arg[i:i + chunk]) for i in starts]
+            return None
+        caches, z = [], []
+        for i in starts:
+            _, cache = enc.forward(shared.params, shared.views[i:i + chunk], cfg.encoder)
+            try:
+                z.append(enc.project(shared.params, cache))
+            except ValueError as e:
+                raise TrainError(f"zero projection at step {arg} "
+                                 f"(batch fingerprint {_batch_fingerprint(shared.views)}): {e}") from e
+            caches.append(cache)
+        return np.concatenate(z)
 
     return serve
 
 
-def spread_rows(n: int, chunk: int, width: int, rows) -> np.ndarray:
-    """The (n, width) float64 array of rows(lo, hi), the rows of items
-    [lo, hi), over the chunks [0, chunk), [chunk, 2 chunk), ... of range(n),
-    stacked in order. Each chunk runs alone, so its rows have the same bits
-    wherever it runs.
+def spread_rows(n: int, chunk: int, rows) -> np.ndarray:
+    """The rows(lo, hi), the rows of items [lo, hi), over the chunks [0,
+    chunk), [chunk, 2 chunk), ... of range(n), stacked in order into a new
+    array. Each chunk runs alone, so its rows have the same bits wherever it
+    runs.
 
     The chunks are spread through :func:`_spread`, as train's steps are:
-    each part, this process's first, serves one request by writing the rows
-    of its run into one anonymous shared mmap. An exception a part's chunks
-    raise is raised here, and a helper that exits before it replies raises
-    HelperExitError.
+    each part, this process's first, serves one request by returning the
+    rows of its run stacked in chunk order, and the parts' replies are
+    stacked in part order. An exception a part's chunks raise is raised
+    here, and a helper that exits before it replies raises HelperExitError.
     """
-    (out,) = _shared_arrays([(n, width)])
-
     def serve_run(lo: int, hi: int):
-        def serve(_) -> None:
-            for i in range(lo, hi, chunk):
-                out[i:i + chunk] = rows(i, min(i + chunk, n))
-        return serve
+        return lambda _: np.concatenate([rows(i, min(i + chunk, n)) for i in range(lo, hi, chunk)])
 
     with _spread(n, chunk, serve_run) as parts:
         for part in parts:
             part.send("rows")
-        for part in parts:
-            part.reply()
-    return out.copy()
+        return np.concatenate([part.reply() for part in parts])
 
 
 def train(
@@ -623,7 +613,9 @@ def train(
 
     The steps' later chunks run in helper processes forked here through
     :func:`_spread`, one per CPU this process may use past the first, which
-    live until it returns or raises. The run writes the bytes of a one-process
+    live until it returns or raises. Each step they read the parameters and
+    views from the shared mmap, reply with their z rows, and add their
+    gradients to the shared sum. The run writes the bytes of a one-process
     run. An exception a helper's chunks raise is raised here, and a helper
     that exits before it replies raises HelperExitError.
     """
@@ -643,7 +635,7 @@ def train(
     metrics_path = os.path.join(out_dir, "metrics.csv")
     shared = _Shared(cfg)
     with _spread(2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder),
-                 lambda lo, hi: _chunk_server(shared, cfg, lo, hi)) as parts:
+                 lambda lo, hi: _chunk_server(shared, lo, hi)) as parts:
         state.parts, state.shared = parts, shared
         while state.step < cfg.steps:
             metrics = train_step(state, dataset, cfg)

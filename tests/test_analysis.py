@@ -137,7 +137,7 @@ class TestSpreadEmbedding:
 
     # 17 synapses at 8^3 run in chunks of 5, 5, 5 and 2; at 16^3 a chunk is one synapse
     @pytest.mark.parametrize("side, m, spare, parent_forwards", [
-        (8, 17, 0, [5, 5, 5, 2]), (8, 17, 1, [5, 5]), (8, 17, 2, [5]), (16, 5, 2, [1, 1]),
+        (8, 17, 0, [5, 5, 5, 2]), (8, 17, 1, [5, 5]), (8, 17, 2, [5]), (16, 5, 2, [1]),
     ])
     def test_helpers_write_the_bytes_of_one_process(self, monkeypatch, side, m, spare, parent_forwards):
         params, cfg, vol, recs = random_embedding(side, m)
@@ -152,7 +152,7 @@ class TestSpreadEmbedding:
         assert forwards == parent_forwards  # the helpers ran every later chunk
         assert helped.synapse_ids == one.synapse_ids == [r.id for r in recs]
         assert helped.values.tobytes() == one.values.tobytes()
-        # an ordinary array, not a view of the shared mmap the helpers wrote
+        # an ordinary array of its own, not a view of any part's reply
         assert helped.values.flags.writeable and helped.values.base is None
 
     def test_exception_in_a_helper_chunk_reaches_the_caller(self, monkeypatch):

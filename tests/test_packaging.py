@@ -328,6 +328,13 @@ def test_one_place_forks_and_one_maps_shared_memory():
     assert _callers(_maps_memory) == {"trainer._shared_arrays"}
 
 
+def test_one_shared_layout():
+    """Only _Shared lays out shared arrays, the parameters, the views and the
+    gradient sum of a training step: the results of a spread's parts, z rows
+    and embedding rows, come back in their replies."""
+    assert _callers(lambda call: _called_name(call) == "_shared_arrays") == {"trainer._Shared.__init__"}
+
+
 def _calls_the_encoder(call: ast.Call) -> bool:
     f = call.func
     return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in ("enc", "encoder")

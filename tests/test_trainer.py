@@ -155,6 +155,18 @@ class TestTrainStep:
             )
             assert np.sqrt(delta_sq) <= cfg.lr * np.sqrt(n_params) * (1 + 1e-6)
 
+    def test_direct_step_after_a_config_change(self, tmp_path):
+        # the state made its part for 2 pairs; a step at 3 pairs makes one for 3
+        ds, cfg = tiny_dataset(), tiny_config()
+        wider = replace(cfg, sampler=replace(cfg.sampler, batch_pairs=3))
+        state = tr.init_state(cfg)
+        tr.train_step(state, ds, cfg)
+        tr.save_train_state(state, cfg, tmp_path / "step1.dckpt")
+        metrics = tr.train_step(state, ds, wider)
+        reloaded, _ = tr.load_train_state(tmp_path / "step1.dckpt")
+        assert tr.train_step(reloaded, ds, wider) == metrics
+        assert all(state.params[k].tobytes() == reloaded.params[k].tobytes() for k in state.params)
+
     def test_zero_projection_is_a_train_error(self):
         # all-zero views under zero biases give z_pre = 0: no unit direction exists
         dims = (32, 32, 16)
@@ -277,6 +289,27 @@ class TestHelpers:
         assert [type(part) for part in state.parts] == [tr._Local]
         assert all(state.params[k].tobytes() == one.params[k].tobytes() for k in one.params)
 
+    def test_a_reply_is_what_the_serve_returned_or_raised(self):
+        def serve(request):
+            if request == "fail":
+                raise FloatingPointError("serving 'fail' failed")
+            return np.arange(3.0) * request
+
+        helper = tr._Helper(mp.get_context("fork"), serve, [])
+        try:
+            for part in (tr._Local(serve), helper):
+                part.send(2.0)
+                assert part.reply().tolist() == [0.0, 2.0, 4.0]
+                part.send("fail")
+                with pytest.raises(FloatingPointError) as raised:
+                    part.reply()
+                assert type(raised.value) is FloatingPointError
+                assert str(raised.value) == "serving 'fail' failed"
+        finally:
+            helper.conn.close()
+            helper.proc.join()
+        assert mp.active_children() == []
+
     def test_zero_projection_in_a_helper_chunk_is_the_same_train_error(self, tmp_path, monkeypatch):
         # view 6 of 8, in the chunk of views 5..7 that the helper runs, is all zero
         cfg = chunked_config()
@@ -396,7 +429,7 @@ class TestOneBlasThread:
 
     def test_spread_rows(self, monkeypatch, blas_threads):
         monkeypatch.setattr(tr, "_spare_cpus", lambda: 1)
-        rows = tr.spread_rows(4, 1, 2, lambda lo, hi: np.array([[blas_threads(), os.getpid()]] * (hi - lo), float))
+        rows = tr.spread_rows(4, 1, lambda lo, hi: np.array([[blas_threads(), os.getpid()]] * (hi - lo), float))
         assert mp.active_children() == []
         assert rows[:, 0].tolist() == [1, 1, 1, 1]
         assert rows[:2, 1].tolist() == [os.getpid()] * 2 and os.getpid() not in rows[2:, 1]  # the helper ran 2 and 3
