@@ -245,9 +245,9 @@ def ari(a, b) -> float:
     sum_a = float(comb2(table.sum(axis=1).astype(np.float64)).sum())
     sum_b = float(comb2(table.sum(axis=0).astype(np.float64)).sum())
     total = comb2(float(n))
-    expected = sum_a * sum_b / total
+    expected = sum_a * sum_b / total if total else 0.0  # one element has no pair
     max_index = (sum_a + sum_b) / 2.0
-    if max_index == expected:  # both partitions trivial: identical by construction
+    if max_index == expected:  # both partitions trivial, or one element: identical by construction
         return 1.0
     return (sum_ij - expected) / (max_index - expected)
 

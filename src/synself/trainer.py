@@ -11,9 +11,11 @@ Checkpoints. Only :func:`save_train_state` writes one and :func:`load_train_stat
 reads one, raising CheckpointError for any malformed byte. The bytes are the
 magic line ``DCKPT1\\n``; one compact, key-sorted JSON line, ``asdict`` of the
 run's TrainConfig plus a ``train_state`` key (step, sampler rng state, metrics
-rows); then, per tensor, a ``<I`` name length, the UTF-8 name, a ``<I`` rank,
-``<Q`` extents and ``<f8`` data: the parameters in ``encoder.param_shapes``
-order, then the Adam moments ``adam.m.<name>`` and ``adam.v.<name>``.
+rows); then a record per tensor in :func:`_layout` order, the parameters in
+``encoder.param_shapes`` order and then the Adam moments ``adam.m.<name>``
+and ``adam.v.<name>``: a ``<I`` name length, the UTF-8 name, a ``<I`` rank,
+``<Q`` extents and ``<f8`` data. Other, reordered, extra or trailing records
+are refused.
 
 Spreads. :func:`train` spreads each step's chunks, and :func:`spread_rows`
 (which ``analysis.embed_with_params`` runs its chunks through) a set of
@@ -231,24 +233,38 @@ def _key_mismatch(saved: dict, full: dict, at: str = "") -> str | None:
     return None
 
 
-def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
+def _layout(cfg: TrainConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each tensor of a checkpoint of cfg, in file order: the
+    parameters in ``encoder.param_shapes`` order, then Adam's m, then Adam's v."""
+    shapes = enc.param_shapes(cfg.encoder)
+    return [(prefix + name, shape) for prefix in ("", "adam.m.", "adam.v.") for name, shape in shapes.items()]
+
+
+def _record_header(name: str, shape) -> bytes:
+    nb = name.encode("utf-8")
+    return struct.pack(f"<I{len(nb)}sI{len(shape)}Q", len(nb), nb, len(shape), *shape)
+
+
+def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
+    config = asdict(cfg)
+    config["train_state"] = {"step": state.step, "rng_state": state.rng.bit_generator.state, "rows": state.rows}
+    arrays = [group[k] for group in (state.params, state.adam_m, state.adam_v) for k in enc.param_shapes(cfg.encoder)]
+
     def body(f):
-        f.write(MAGIC)
-        f.write(_json_line(config))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.astype("<f8", copy=False).tobytes())
+        f.write(MAGIC + _json_line(config))
+        for (name, _), arr in zip(_layout(cfg), arrays, strict=True):
+            f.write(_record_header(name, np.shape(arr)))
+            f.write(np.asarray(arr, dtype="<f8").tobytes())  # in C order, whatever arr's layout
 
     _atomic_write(path, body)
 
 
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a checkpoint container; any malformed byte raises CheckpointError."""
+def load_train_state(path) -> tuple[TrainState, TrainConfig]:
+    """Resume state from a checkpoint, with the TrainConfig it was saved under.
+
+    Malformed bytes raise CheckpointError, and so does every tensor record
+    but the ones save_train_state writes for that config, in its order.
+    """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -265,91 +281,50 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not line.endswith(b"\n"):
             raise CheckpointError(f"{path}: truncated config line")
         config = _parse_json_line(line, CheckpointError, f"{path}: bad config line")
-        tensors: dict[str, np.ndarray] = {}
-        while f.tell() < size:
-            (name_len,) = struct.unpack("<I", read_exact(4, "tensor record header"))
-            try:
-                name = read_exact(name_len, "tensor name").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from e
-            if name in tensors:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            what = f"tensor {name!r}"
-            (rank,) = struct.unpack("<I", read_exact(4, what))
-            shape = struct.unpack(f"<{rank}Q", read_exact(8 * rank, what))
-            data = read_exact(8 * math.prod(shape), what)
-            try:
-                tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-            except ValueError as e:  # an empty tensor with an absurd extent
-                raise CheckpointError(f"{path}: bad shape {shape} for {what}: {e}") from e
-    return config, tensors
-
-
-def _params_from(tensors: dict[str, np.ndarray], cfg: enc.EncoderConfig, path, prefix: str = ""):
-    """name -> tensor ``prefix + name`` for every parameter of cfg; a missing or
-    misshapen tensor raises CheckpointError."""
-    out = {}
-    for name, shape in enc.param_shapes(cfg).items():
-        key = prefix + name
-        if key not in tensors:
-            raise CheckpointError(f"{path}: config/shape disagreement: tensor {key!r} missing")
-        if tensors[key].shape != shape:
-            raise CheckpointError(
-                f"{path}: config/shape disagreement: tensor {key!r} has shape "
-                f"{tensors[key].shape}, config implies {shape}"
-            )
-        out[name] = tensors[key]
-    return out
-
-
-def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
-    config = asdict(cfg)
-    config["train_state"] = {"step": state.step, "rng_state": state.rng.bit_generator.state, "rows": state.rows}
-    tensors = dict(state.params)
-    for k, v in state.adam_m.items():
-        tensors[f"adam.m.{k}"] = v
-    for k, v in state.adam_v.items():
-        tensors[f"adam.v.{k}"] = v
-    write_container(path, config, tensors)
-
-
-def load_train_state(path) -> tuple[TrainState, TrainConfig]:
-    """Resume state from a checkpoint, with the TrainConfig it was saved under.
-
-    Malformed bytes raise CheckpointError.
-    """
-    config, tensors = read_container(path)
-    ts = config.pop("train_state", None)
-    if not isinstance(ts, dict) or set(ts) != {"step", "rng_state", "rows"}:
-        got = sorted(ts) if isinstance(ts, dict) else type(ts).__name__
-        raise CheckpointError(f"{path}: bad train_state: want the keys step, rng_state and rows, got {got}")
-    step, rows = ts["step"], ts["rows"]
-    rng = np.random.default_rng(0)
-    try:
-        rng.bit_generator.state = ts["rng_state"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise CheckpointError(f"{path}: bad train_state: {e!r}") from e
-    if type(step) is not int or step < 0:
-        raise CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
-    if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
-        raise CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
-    # asdict saved every field and no other: a missing one would take its default, which may shape another run
-    mismatch = _key_mismatch(config, asdict(TrainConfig()))
-    if mismatch:
-        raise CheckpointError(f"{path}: bad config: {mismatch}")
-    try:
-        train_cfg = TrainConfig(**config)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: bad config: {e}") from e
-    # the steps train logs up to this one, as _is_logged picks them; a resume would drop any
-    # other row without a word. Lengths first, so that a corrupt huge step builds no list.
-    steps, every = [r["step"] for r in rows], train_cfg.log_every
-    logged, last = range(every, step + 1, every), [step] if step == train_cfg.steps and step % every else []
-    if len(steps) != len(logged) + len(last) or steps != [*logged, *last]:
-        raise CheckpointError(f"{path}: bad train_state: row steps {steps} are not the steps "
+        ts = config.pop("train_state", None)
+        if not isinstance(ts, dict) or set(ts) != {"step", "rng_state", "rows"}:
+            got = sorted(ts) if isinstance(ts, dict) else type(ts).__name__
+            raise CheckpointError(f"{path}: bad train_state: want the keys step, rng_state and rows, got {got}")
+        step, rows = ts["step"], ts["rows"]
+        rng = np.random.default_rng(0)
+        try:
+            rng.bit_generator.state = ts["rng_state"]
+            if rng.bit_generator.state != ts["rng_state"]:  # numpy truncates a float such as 1.5
+                raise ValueError(f"rng_state {ts['rng_state']} is held as {rng.bit_generator.state}")
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise CheckpointError(f"{path}: bad train_state: {e!r}") from e
+        if type(step) is not int or step < 0:
+            raise CheckpointError(f"{path}: bad train_state: step {step!r} is not an integer >= 0")
+        if not isinstance(rows, list) or not all(_valid_row(r) for r in rows):
+            raise CheckpointError(f"{path}: bad train_state: rows are not metrics rows")
+        # asdict saved every field and no other: a missing one would take its default, which may shape another run
+        mismatch = _key_mismatch(config, asdict(TrainConfig()))
+        if mismatch:
+            raise CheckpointError(f"{path}: bad config: {mismatch}")
+        try:
+            train_cfg = TrainConfig(**config)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: bad config: {e}") from e
+        # the steps train logs up to this one, as _is_logged picks them; a resume would drop any
+        # other row without a word. Lengths first, so that a corrupt huge step builds no list.
+        steps, every = [r["step"] for r in rows], train_cfg.log_every
+        logged, last = range(every, step + 1, every), [step] if step == train_cfg.steps and step % every else []
+        if len(steps) != len(logged) + len(last) or steps != [*logged, *last]:
+            raise CheckpointError(f"{path}: bad train_state: row steps {steps} are not the steps "
                                   f"logged up to step {step} with log_every {every}")
-    params, adam_m, adam_v = (_params_from(tensors, train_cfg.encoder, path, prefix)
-                              for prefix in ("", "adam.m.", "adam.v."))
+        # each record byte for byte as save_train_state writes it, so its extents are the config's
+        tensors = []
+        for name, shape in _layout(train_cfg):
+            what, header = f"tensor {name!r}", _record_header(name, shape)
+            got = read_exact(len(header), what)
+            if got != header:
+                raise CheckpointError(f"{path}: config/shape disagreement: want {what} of shape {shape} "
+                                      f"next, got the record header {got!r}")
+            tensors.append(np.frombuffer(read_exact(8 * math.prod(shape), what), dtype="<f8").reshape(shape).copy())
+        if f.read(1):
+            raise CheckpointError(f"{path}: bytes after the last tensor {name!r}")
+    n = len(tensors) // 3  # the parameters, Adam's m and Adam's v, each in param_shapes order
+    params, adam_m, adam_v = (dict(zip(enc.param_shapes(train_cfg.encoder), tensors[i:i + n])) for i in (0, n, 2 * n))
     return TrainState(step, params, adam_m, adam_v, rng, rows), train_cfg
 
 

@@ -389,6 +389,11 @@ class TestAgreementMetrics:
         assert an.nmi(a, b) == 0.0
         assert an.ari(a, b) == 0.0
 
+    @pytest.mark.parametrize("a, b", [([0], [0]), ([1], [2])])
+    def test_one_element_ari_matches_oracle(self, a, b):
+        # comb2(1) = 0 pairs: the ratio was 0/0, a bare ZeroDivisionError
+        assert an.ari(a, b) == ari_pair_loops(a, b) == 1.0
+
     def test_matches_contingency_oracles_random(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -398,10 +403,11 @@ class TestAgreementMetrics:
             assert abs(an.ari(a, b) - ari_pair_loops(a, b)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=40), st.integers(0, 10**6))
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(0, 10**6))
     def test_symmetry_and_permutation_invariance(self, a, seed):
         rng = np.random.default_rng(seed)
         b = rng.integers(0, 4, size=len(a)).tolist()
+        assert abs(an.ari(a, b) - ari_pair_loops(a, b)) <= 1e-12
         assert abs(an.nmi(a, b) - an.nmi(b, a)) <= 1e-12
         assert abs(an.ari(a, b) - an.ari(b, a)) <= 1e-12
         # relabeling is irrelevant

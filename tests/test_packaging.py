@@ -361,12 +361,14 @@ def _from_volume_io(tree: ast.Module) -> set[str]:
 
 
 def test_one_home_for_the_checkpoint_format():
-    """The checkpoint container is the trainer's: only trainer code calls
-    write_container or read_container, and encoder, the model alone, touches no
-    file: it takes nothing from volume_io but _check_fields, imports neither os
-    nor struct, and calls no open."""
-    assert {w.partition(".")[0] for w in _callers(
-        lambda call: _called_name(call) in ("write_container", "read_container"))} == {"trainer"}
+    """The checkpoint format is the trainer's: only trainer.save_train_state
+    and trainer.load_train_state lay out tensor records, through _layout and
+    _record_header, and encoder, the model alone, touches no file: it takes
+    nothing from volume_io but _check_fields, imports neither os nor struct,
+    and calls no open."""
+    assert {".".join(w.split(".")[:2]) for w in _callers(
+        lambda call: _called_name(call) in ("_layout", "_record_header"))} == {
+        "trainer.save_train_state", "trainer.load_train_state"}
     tree = ast.parse((ROOT / "src" / "synself" / "encoder.py").read_text(encoding="utf-8"))
     assert _from_volume_io(tree) == {"_check_fields"}
     assert {name for name in _imported(tree) if _under(name, ("os", "struct"))} == set()

@@ -11,6 +11,7 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,7 +612,7 @@ class TestTrainLoop:
     def test_malformed_train_state_rejected(self, tmp_path):
         cfg = tiny_config(steps=4, log_every=1)
         tr.train(cfg, tiny_dataset(), tmp_path / "run")
-        good, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        good, records = split_checkpoint(tmp_path / "run" / "ckpt_final.dckpt")
         ts = good["train_state"]
         rng_state = ts["rng_state"]
 
@@ -626,6 +627,9 @@ class TestTrainLoop:
             {**ts, "rng_state": "PCG64"},
             {**ts, "rng_state": {**rng_state, "bit_generator": "MT19937"}},
             {**ts, "rng_state": {**rng_state, "state": {"state": -1, "inc": 1}}},
+            # numpy would hold these as 1, a state the file does not hold
+            {**ts, "rng_state": {**rng_state, "state": {**rng_state["state"], "state": 1.5}}},
+            {**ts, "rng_state": {**rng_state, "uinteger": 1.5}},
             [2, rng_state],
             {k: v for k, v in ts.items() if k != "step"},
             {k: v for k, v in ts.items() if k != "rows"},
@@ -640,7 +644,7 @@ class TestTrainLoop:
         ]
         p = tmp_path / "bad.dckpt"
         for bad in bad_states:
-            tr.write_container(p, {**good, "train_state": bad}, tensors)
+            p.write_bytes(container_bytes({**good, "train_state": bad}, records))
             with pytest.raises(tr.CheckpointError, match="bad train_state"):
                 tr.load_train_state(p)
 
@@ -650,7 +654,7 @@ class TestTrainLoop:
             {**config, "sampler": {**config["sampler"], "augment": None}},
         ]
         for bad in bad_configs:
-            tr.write_container(p, {**bad, "train_state": ts}, tensors)
+            p.write_bytes(container_bytes({**bad, "train_state": ts}, records))
             with pytest.raises(tr.CheckpointError, match="bad config"):
                 tr.load_train_state(p)
 
@@ -669,18 +673,18 @@ class TestTrainLoop:
             ({**config, "momentum": 0.9, "sampler": {}}, "missing field 'sampler.patch_side'"),
         ]
         for bad, message in mismatched_keys:
-            tr.write_container(p, {**bad, "train_state": ts}, tensors)
+            p.write_bytes(container_bytes({**bad, "train_state": ts}, records))
             with pytest.raises(tr.CheckpointError, match=re.escape(f"bad config: {message}")):
                 tr.load_train_state(p)
 
     def test_rows_off_the_log_schedule_rejected(self, tmp_path):
         tr.train(tiny_config(steps=4, log_every=2), tiny_dataset(), tmp_path / "run")
-        good, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        good, records = split_checkpoint(tmp_path / "run" / "ckpt_final.dckpt")
         ts = good["train_state"]
         assert [r["step"] for r in ts["rows"]] == [2, 4]
         rows = [{**r, "step": s} for r, s in zip(ts["rows"], (1, 3))]
         p = tmp_path / "bad.dckpt"
-        tr.write_container(p, {**good, "train_state": {**ts, "rows": rows}}, tensors)
+        p.write_bytes(container_bytes({**good, "train_state": {**ts, "rows": rows}}, records))
         with pytest.raises(tr.CheckpointError,
                            match=re.escape("row steps [1, 3] are not the steps logged up to step 4")):
             tr.load_train_state(p)
@@ -710,15 +714,32 @@ class TestTrainLoop:
         ("adam.m.block0.conv0.w", "misshapen"),
     ])
     def test_bad_tensor_is_a_checkpoint_error(self, tmp_path, key, edit):
-        tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
-        config, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        state, _ = tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
+        config, _ = split_checkpoint(tmp_path / "run" / "ckpt_final.dckpt")
+        tensors = checkpoint_tensors(state)
         if edit == "missing":
             del tensors[key]
         else:
             tensors[key] = np.zeros(tensors[key].shape + (1,))
         p = tmp_path / "bad.dckpt"
-        tr.write_container(p, config, tensors)
+        p.write_bytes(container_bytes(config, *records_of(tensors)))
         with pytest.raises(tr.CheckpointError, match=f"tensor '{key}'"):
+            tr.load_train_state(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda records: [*records, tensor_record(b"extra", (1,), np.ones(1).tobytes())],
+         "bytes after the last tensor 'adam.v.head_z.b'"),
+        # a record named '' of shape () to a reader that takes any records
+        (lambda records: [*records, bytes(16)], "bytes after the last tensor 'adam.v.head_z.b'"),
+        (lambda records: [records[1], records[0], *records[2:]],
+         "config/shape disagreement: want tensor 'block0.conv0.w'"),
+    ], ids=["appended_tensor", "trailing_bytes", "swapped_tensors"])
+    def test_records_off_the_layout_rejected(self, tmp_path, edit, message):
+        state, _ = tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
+        config, _ = split_checkpoint(tmp_path / "run" / "ckpt_final.dckpt")
+        p = tmp_path / "bad.dckpt"
+        p.write_bytes(container_bytes(config, *edit(records_of(checkpoint_tensors(state)))))
+        with pytest.raises(tr.CheckpointError, match=re.escape(message)):
             tr.load_train_state(p)
 
     def test_existing_tmp_file_survives_metrics_write(self, tmp_path):
@@ -795,21 +816,20 @@ class TestCheckpointLayout:
         # the asdict form that a JSON config file of the same run holds
         cfg = tiny_config(steps=3)
         state, _ = tr.train(cfg, tiny_dataset(), tmp_path / "run")
-        config, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        config, records = split_checkpoint(tmp_path / "run" / "ckpt_final.dckpt")
         ts = config.pop("train_state")
         assert config == json.loads(json.dumps(asdict(cfg)))
         assert tr.TrainConfig(**config) == cfg
         assert sorted(ts) == ["rng_state", "rows", "step"] and ts["step"] == 3
-        assert list(tensors) == (list(state.params) + [f"adam.m.{k}" for k in state.params]
-                                 + [f"adam.v.{k}" for k in state.params])
+        assert records == b"".join(records_of(checkpoint_tensors(state)))
 
     @pytest.mark.parametrize("reader", [enc.load, tr.load_train_state], ids=["encoder.load", "load_train_state"])
     @pytest.mark.parametrize("edit, message", OTHER_LAYOUTS)
     def test_other_layouts_are_checkpoint_errors(self, tmp_path, reader, edit, message):
         tr.train(tiny_config(steps=2), tiny_dataset(), tmp_path / "run")
-        config, tensors = tr.read_container(tmp_path / "run" / "ckpt_final.dckpt")
+        config, records = split_checkpoint(tmp_path / "run" / "ckpt_final.dckpt")
         p = tmp_path / "bad.dckpt"
-        tr.write_container(p, edit(config), tensors)
+        p.write_bytes(container_bytes(edit(config), records))
         with pytest.raises(tr.CheckpointError, match=re.escape(message)):
             reader(p)
 
@@ -822,7 +842,7 @@ class TestCheckpointLayout:
         assert digest == "784d2e52407b7270bf9b7cda7d2ab79d5742139379453416cdb1f2890e051401"
 
 
-# the encoder config of the container tests, and its parameters at init seed ``seed``
+# the encoder config of the checkpoint tests, and its parameters at init seed ``seed``
 SMALL = enc.EncoderConfig(patch_side=8, channels=(2, 3), convs_per_block=2, h_dim=5, z_dim=4)
 THREE_CONVS = replace(SMALL, convs_per_block=3)
 
@@ -832,20 +852,40 @@ def small_params(seed):
 
 
 def tensor_record(name: bytes, shape, data: bytes = b"") -> bytes:
-    """One raw container record, so a test can write what write_container never would."""
+    """One raw checkpoint record, so a test can write what save_train_state never would."""
     return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
             + struct.pack(f"<{len(shape)}Q", *shape) + data)
 
 
-def container_bytes(*records: bytes) -> bytes:
-    return tr.MAGIC + b"{}\n" + b"".join(records)
+def checkpoint_tensors(state) -> dict[str, np.ndarray]:
+    """name -> tensor of each tensor of state, in the order a checkpoint holds them."""
+    return {**state.params, **{f"adam.m.{k}": v for k, v in state.adam_m.items()},
+            **{f"adam.v.{k}": v for k, v in state.adam_v.items()}}
+
+
+def records_of(tensors: dict[str, np.ndarray]) -> list[bytes]:
+    """The record of each tensor, as save_train_state writes it."""
+    return [tensor_record(k.encode(), v.shape, v.astype("<f8").tobytes()) for k, v in tensors.items()]
+
+
+def container_bytes(config: dict, *records: bytes) -> bytes:
+    """A checkpoint file: the magic, config as the JSON line, then the records."""
+    return tr.MAGIC + json.dumps(config).encode() + b"\n" + b"".join(records)
+
+
+def split_checkpoint(path) -> tuple[dict, bytes]:
+    """A checkpoint's JSON line, parsed, and the records after it: the line
+    ends at the first newline after the magic."""
+    raw = Path(path).read_bytes()
+    end = raw.index(b"\n", len(tr.MAGIC)) + 1
+    return json.loads(raw[len(tr.MAGIC):end]), raw[end:]
 
 
 def edit_encoder_config(path, **changes):
     """Rewrite the encoder config in a checkpoint's JSON line with `changes` applied."""
-    config, tensors = tr.read_container(path)
+    config, records = split_checkpoint(path)
     config["encoder"].update(changes)
-    tr.write_container(path, config, tensors)
+    Path(path).write_bytes(container_bytes(config, records))
 
 
 class TestCheckpoint:
@@ -915,32 +955,43 @@ class TestCheckpoint:
         # without convs_per_block, a 3-conv checkpoint used to load as 2 convs: 12 of its 16 tensors
         p = tmp_path / "ck.dckpt"
         save_checkpoint(enc.init(THREE_CONVS), THREE_CONVS, p)
-        config, tensors = tr.read_container(p)
+        config, records = split_checkpoint(p)
         del config["encoder"][field]
-        tr.write_container(p, config, tensors)
+        p.write_bytes(container_bytes(config, records))
         with pytest.raises(tr.CheckpointError, match=f"missing field 'encoder.{field}'"):
             tr.load_train_state(p)
 
-    def test_duplicate_tensor_name_rejected(self, tmp_path):
+    def _with_record(self, tmp_path, at: int, name: bytes | None = None, shape=None) -> Path:
+        """A checkpoint of small_params(11) whose record number ``at`` has the
+        given name or shape in its header, and its own data."""
         p = tmp_path / "ck.dckpt"
-        one = np.ones(1).tobytes()
-        p.write_bytes(container_bytes(tensor_record(b"a", (1,), one), tensor_record(b"a", (1,), one)))
-        with pytest.raises(tr.CheckpointError, match="duplicate tensor 'a'"):
-            tr.read_container(p)
+        save_checkpoint(small_params(11), SMALL, p)
+        config, _ = split_checkpoint(p)
+        state, _ = tr.load_train_state(p)
+        tensors = checkpoint_tensors(state)
+        records = records_of(tensors)
+        own_name, value = list(tensors.items())[at]
+        records[at] = tensor_record(name or own_name.encode(), shape or value.shape, value.tobytes())
+        p.write_bytes(container_bytes(config, *records))
+        return p
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        # block0.conv0.w a second time, where block0.conv0.b is next
+        p = self._with_record(tmp_path, 1, name=b"block0.conv0.w")
+        with pytest.raises(tr.CheckpointError, match="want tensor 'block0.conv0.b'"):
+            tr.load_train_state(p)
 
     def test_non_utf8_name_rejected(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        p.write_bytes(container_bytes(tensor_record(b"\xff\xfe", (1,), np.ones(1).tobytes())))
-        with pytest.raises(tr.CheckpointError, match="not UTF-8"):
-            tr.read_container(p)
+        p = self._with_record(tmp_path, 0, name=b"\xff\xfe")
+        with pytest.raises(tr.CheckpointError, match="want tensor 'block0.conv0.w'"):
+            tr.load_train_state(p)
 
     def test_corrupt_shape_rejected_before_reading(self, tmp_path):
-        p = tmp_path / "ck.dckpt"
-        data = np.ones(4).tobytes()
+        # refused at the header, before any data is read, not as a truncated tensor
         for shape in [(2**62, 2), (4, 2**63 + 1), (0, 2**62)]:
-            p.write_bytes(container_bytes(tensor_record(b"a", shape, data)))
-            with pytest.raises(tr.CheckpointError, match="tensor 'a'"):
-                tr.read_container(p)
+            p = self._with_record(tmp_path, 0, shape=shape)
+            with pytest.raises(tr.CheckpointError, match="config/shape disagreement: want tensor 'block0.conv0.w'"):
+                tr.load_train_state(p)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
