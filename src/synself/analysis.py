@@ -334,6 +334,9 @@ PALETTE = (
 SVG_SIZE = (640, 480)
 SVG_MARGIN_FRAC = 0.05
 POINT_RADIUS = 3.0
+# XML's escapes for text content; xml.sax.saxutils.escape writes the same, but
+# importing it loads urllib.request and ssl, about 7 MB of resident memory
+XML_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def emit_scatter(coords: np.ndarray, labels, path) -> None:
@@ -378,7 +381,7 @@ def emit_scatter(coords: np.ndarray, labels, path) -> None:
         parts.append(
             f'<g class="legend"><circle cx="{plot_w + 16}" cy="{ly}" r="5" fill="{color[lab]}"/>'
             f'<text x="{plot_w + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{lab}</text></g>'
+            f'font-size="12">{lab.translate(XML_TEXT_ESCAPES)}</text></g>'
         )
     parts.append("</svg>")
     _atomic_write(path, lambda f: f.write("\n".join(parts).encode("utf-8")))

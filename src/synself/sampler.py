@@ -96,10 +96,9 @@ def extract_patch(vol: IntensityVolume, center: tuple[int, int, int], side: int)
     lo = (cz - half, cy - half, cx - half)
     src = []
     dst = []
-    for axis, (l, n) in enumerate(zip(lo, (nz, ny, nx))):
-        s0, s1 = max(l, 0), min(l + side, n)
-        if s0 >= s1:
-            return patch
+    for l, n in zip(lo, (nz, ny, nx)):
+        s0 = max(l, 0)
+        s1 = max(s0, min(l + side, n))  # s0 where the patch misses the volume: two empty slices
         src.append(slice(s0, s1))
         dst.append(slice(s0 - l, s1 - l))
     patch[tuple(dst)] = vol.voxels[tuple(src)] / 255.0
@@ -118,11 +117,8 @@ OCTAHEDRAL_GROUP: list[tuple[tuple[int, int, int], tuple[bool, bool, bool]]] = [
 
 def apply_octahedral(patch: np.ndarray, element: int) -> np.ndarray:
     perm, flips = OCTAHEDRAL_GROUP[element]
-    out = np.transpose(patch, perm)
     axes = tuple(i for i, f in enumerate(flips) if f)
-    if axes:
-        out = np.flip(out, axis=axes)
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(np.flip(np.transpose(patch, perm), axis=axes))
 
 
 def augment(patch: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -145,13 +141,6 @@ def augment(patch: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     if cfg.noise_sigma > 0:
         out = out + rng.normal(0.0, cfg.noise_sigma / 255.0, size=out.shape)
     return np.clip(out, 0.0, 1.0)
-
-
-def _jittered_center(pos, max_jitter, rng):
-    if max_jitter <= 0:
-        return pos
-    off = rng.integers(-max_jitter, max_jitter + 1, size=3)
-    return (pos[0] + int(off[0]), pos[1] + int(off[1]), pos[2] + int(off[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +211,24 @@ def eligible_supervoxels(dataset, cfg: SamplerConfig) -> dict[int, Sequence]:
     return out
 
 
-def sample_batch(dataset, cfg: SamplerConfig, rng: np.random.Generator) -> PairBatch:
-    """Draw batch_pairs supervoxels without replacement and one positive pair each."""
+def batchable_supervoxels(dataset, cfg: SamplerConfig) -> dict[int, Sequence]:
+    """:func:`eligible_supervoxels`, or SamplingError if fewer than batch_pairs are eligible."""
     eligible = eligible_supervoxels(dataset, cfg)
-    n = cfg.batch_pairs
-    if len(eligible) < n:
+    if len(eligible) < cfg.batch_pairs:
         raise SamplingError(
-            f"need {n} eligible supervoxels, found {len(eligible)} "
+            f"need {cfg.batch_pairs} eligible supervoxels, found {len(eligible)} "
             f"(mode={cfg.pair_mode}, max_pair_dist_nm={cfg.max_pair_dist_nm})"
         )
+    return eligible
+
+
+def sample_batch(dataset, cfg: SamplerConfig, rng: np.random.Generator) -> PairBatch:
+    """Draw batch_pairs supervoxels without replacement and one positive pair each."""
+    eligible = batchable_supervoxels(dataset, cfg)
+    n = cfg.batch_pairs
     sv_ids = sorted(eligible)
     chosen = rng.choice(len(sv_ids), size=n, replace=False)
-    s = cfg.patch_side
+    s, jitter = cfg.patch_side, cfg.augment.max_jitter_vox
     views_a = np.empty((n, s, s, s))
     views_b = np.empty((n, s, s, s))
     out_ids = np.empty(n, dtype=np.int64)
@@ -242,7 +237,7 @@ def sample_batch(dataset, cfg: SamplerConfig, rng: np.random.Generator) -> PairB
         pairs = eligible[sv]
         rec_a, rec_b = pairs[int(rng.integers(len(pairs)))]
         for rec, dest in ((rec_a, views_a), (rec_b, views_b)):
-            center = _jittered_center(rec.pos, cfg.augment.max_jitter_vox, rng)
+            center = np.add(rec.pos, rng.integers(-jitter, jitter + 1, size=3))
             patch = extract_patch(dataset.intensity, center, s)
             dest[row] = augment(patch, cfg.augment, rng)
         out_ids[row] = sv

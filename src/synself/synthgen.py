@@ -139,9 +139,13 @@ def _factor_triples(v: int):
 
 
 def grid_shape(n_cells: int, dims: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Factor n_cells into (gx,gy,gz) giving the most cube-like cells for dims."""
+    """Factor n_cells into (gx,gy,gz) giving the most cube-like cells for dims.
+
+    An axis of d voxels holds at most d // MIN_CELL_SPAN cells, so a larger
+    count is refused before the factoring, which takes time linear in it."""
     best, best_score = None, None
-    for g in _factor_triples(n_cells):
+    fits = n_cells <= math.prod(d // MIN_CELL_SPAN for d in dims)
+    for g in _factor_triples(n_cells) if fits else ():
         spans = [d / gi for d, gi in zip(dims, g)]
         if min(d // gi for d, gi in zip(dims, g)) < MIN_CELL_SPAN:
             continue
@@ -158,8 +162,7 @@ def grid_shape(n_cells: int, dims: tuple[int, int, int]) -> tuple[int, int, int]
 def _jittered_cuts(n: int, g: int, rng: np.random.Generator) -> np.ndarray:
     cuts = np.array([round(i * n / g) for i in range(g + 1)], dtype=np.int64)
     j = (n // g) // 6
-    if j > 0 and g > 1:
-        cuts[1:-1] += rng.integers(-j, j + 1, size=g - 1)
+    cuts[1:-1] += rng.integers(-j, j + 1, size=g - 1)
     for i in range(1, g + 1):  # re-impose monotonicity with minimum span
         cuts[i] = max(cuts[i], cuts[i - 1] + MIN_CELL_SPAN)
     cuts[g] = n
@@ -277,8 +280,7 @@ def generate(cfg: GenConfig) -> Phantom:
     plane = np.empty((ny, nx), dtype=np.float64)
     for z in range(nz):
         np.take(lut, codes[z], out=plane)
-        if cfg.noise_sigma > 0:
-            plane += rng.normal(0.0, cfg.noise_sigma, size=plane.shape)
+        plane += rng.normal(0.0, cfg.noise_sigma, size=plane.shape)
         np.clip(plane, 0.0, 255.0, out=plane)
         voxels[z] = np.rint(plane, out=plane)
 

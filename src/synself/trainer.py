@@ -606,7 +606,8 @@ def train(
                 raise TrainError(f"{resume_from}: checkpoint {name} config {ck} != train config {want}")
         # the earlier run also logged its last step, which this run may not log
         state.rows = [r for r in state.rows if _is_logged(r["step"], cfg)]
-    os.makedirs(out_dir, exist_ok=True)  # after the checks, so a refused resume leaves no directory
+    sp.batchable_supervoxels(dataset, cfg.sampler)  # SamplingError if no batch can be drawn
+    os.makedirs(out_dir, exist_ok=True)  # after the checks, so a refused run leaves no directory
     metrics_path = os.path.join(out_dir, "metrics.csv")
     shared = _Shared(cfg)
     with _spread(2 * cfg.sampler.batch_pairs, enc.views_per_chunk(cfg.encoder),

@@ -24,7 +24,7 @@ import os
 import re
 import secrets
 import typing
-from dataclasses import dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
@@ -54,11 +54,21 @@ class VolumeHeader:
 
 
 class IntensityVolume:
-    """u8 voxel grid; ``voxels`` has shape (nz, ny, nx) so voxel (x, y, z) is ``voxels[z, y, x]``."""
+    """u8 voxel grid; ``voxels`` has shape (nz, ny, nx) so voxel (x, y, z) is ``voxels[z, y, x]``.
+
+    Voxels of another dtype are cast to u8, and VolumeFormatError is raised
+    for one the cast would change (out of [0, 255], fractional or NaN)."""
 
     def __init__(self, header: VolumeHeader, voxels: np.ndarray):
         nx, ny, nz = header.dims
-        voxels = np.asarray(voxels, dtype=np.uint8)
+        voxels = np.asarray(voxels)
+        if voxels.dtype != np.uint8:
+            with np.errstate(invalid="ignore"):  # NaN or out of range: the comparison refuses it
+                cast = voxels.astype(np.uint8)
+            bad = cast != voxels
+            if bad.any():
+                raise VolumeFormatError(f"voxel value {voxels[bad][0].item()!r} is not an integer in [0, 255]")
+            voxels = cast
         if voxels.shape != (nz, ny, nx):
             raise VolumeFormatError(
                 f"voxel array shape {voxels.shape} does not match dims (nx,ny,nz)={header.dims}"
@@ -227,12 +237,7 @@ def _atomic_write(path, write_fn) -> None:
 
 
 def write_volume(vol: IntensityVolume, path) -> None:
-    header = vol.header
-    head = {
-        "dims": list(header.dims),
-        "dtype": "u8",
-        "voxel_size_nm": list(header.voxel_size_nm),
-    }
+    head = {**asdict(vol.header), "dtype": "u8"}
 
     def body(f):
         f.write(_json_line(head))

@@ -564,6 +564,15 @@ class TestScatter:
         # (coords are written with 3 decimals, hence the loose tolerance)
         assert (max(xs) - min(xs)) / (640 - 120) == pytest.approx(1 / 1.1, rel=1e-4)
 
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        # "a<b" and "c&d" were written as they are, which no XML parser reads
+        labels = ["a<b", "c&d", "e>f"]
+        p = tmp_path / "s.svg"
+        an.emit_scatter(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]), labels, p)
+        root = ET.fromstring(p.read_text())
+        ns = "{http://www.w3.org/2000/svg}"
+        assert [g.find(f"{ns}text").text for g in root.findall(f"{ns}g")] == labels
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, tmp_path, value):
         # one NaN y wrote cy="nan" for every point

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -394,3 +395,23 @@ class TestCandidatePairs:
         assert len(eligible[1]) == want
         assert all(math.dist(a.pos, b.pos) <= 1 for a, b in eligible[1])
         assert peak < 4 << 20  # the 12.5M pair distances at once would take 100 MB
+
+
+def test_batch_stream_and_octahedral_images_are_pinned():
+    # three batches with no jitter and three with jitter 1, each with the default
+    # octahedral elements and noise, then a draw that pins the generator state
+    # they leave; then the 48 images of a cube
+    ds = clustered_dataset([3] * 6)  # synapses anywhere in the volume, so patches cross its faces
+    digest = hashlib.sha256()
+    for jitter in (0, 1):
+        cfg = sp.SamplerConfig(patch_side=8, batch_pairs=4, augment=sp.AugmentConfig(max_jitter_vox=jitter))
+        rng = np.random.default_rng(jitter)
+        for _ in range(3):
+            batch = sp.sample_batch(ds, cfg, rng)
+            for a in (batch.views_a, batch.views_b, batch.supervoxel_ids):
+                digest.update(a.tobytes())
+        digest.update(rng.integers(2 ** 63, size=1).tobytes())
+    cube = np.arange(125.0).reshape(5, 5, 5)
+    for element in range(len(sp.OCTAHEDRAL_GROUP)):
+        digest.update(sp.apply_octahedral(cube, element).tobytes())
+    assert digest.hexdigest() == "7603a06230b8003990ddfde1a8e9ddd837ddbc32573e64915a7ecdfbe3330f6b"

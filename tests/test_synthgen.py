@@ -10,7 +10,7 @@ import pytest
 from synself import synthgen as sg
 from synself.volume_io import read_synapse_table, read_volume
 import oracles
-from helpers import assert_phantom_invariants
+from helpers import assert_phantom_invariants, time_limit
 from oracles import generate_voxels_loops, place_sites_loops
 
 # the phantom of the dense_sv benchmark workload: 256 synapses on each of 16 supervoxels
@@ -300,6 +300,11 @@ class TestGridShape:
             g = sg.grid_shape(v, (180, 144, 108))
             assert g[0] * g[1] * g[2] == v
 
+    def test_count_past_the_cells_that_fit_refused_at_once(self):
+        # factoring 10**9 before the refusal took minutes
+        with time_limit(5), pytest.raises(sg.GenerationError, match="cannot partition dims"):
+            sg.generate(sg.GenConfig(n_supervoxels=10 ** 9))
+
     def test_sixty_is_5_4_3(self):
         assert sg.grid_shape(60, (180, 144, 108)) == (5, 4, 3)
 
@@ -316,7 +321,8 @@ class TestPersistence:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["intensity.vol", "synapses.csv"]
 
     def test_default_phantom_files_are_pinned(self, tmp_path):
-        # the default phantom, then the dense_sv benchmark's
+        # the default phantom, the dense_sv benchmark's, then a noiseless one whose
+        # grid is (3, 1, 1), so two of its axes have a single cell and no cut to jitter
         for name, cfg, want in [
             ("default", sg.GenConfig(seed=0), {
                 "intensity.vol": "4d81527320e82ce465d8610a115e31d5f3ff35dee59e0427ede1cb6a48b3d23e",
@@ -325,6 +331,11 @@ class TestPersistence:
             ("dense_sv", DENSE_SV, {
                 "intensity.vol": "e9139394d804b670b1159019b52aac176c39b8fc7ef15c8124f783f0da167343",
                 "synapses.csv": "d28253de34b0d19c4b132fee28b49ba237791570aeefd2419a395cf9789e41bb",
+            }),
+            ("single_cell_axes", sg.GenConfig(seed=3, dims=(90, 30, 30), n_supervoxels=3,
+                                              synapses_per_supervoxel=2, noise_sigma=0.0), {
+                "intensity.vol": "d901656f2bddaadfeac3ed5064529d7d4676c89b64ca9fe4c40dd02b70b14002",
+                "synapses.csv": "5c21398439616eb7adf12760cbadd8858db79050b88631bb2b92004be2f17409",
             }),
         ]:
             sg.save_phantom(sg.generate(cfg), tmp_path / name)

@@ -602,6 +602,24 @@ class TestTrainLoop:
             tr.train(tiny_config(steps=2), ds, tmp_path / "x", resume_from=tmp_path / "run" / "ckpt_final.dckpt")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_too_few_supervoxels_refused_before_the_run_is_built(self, tmp_path, monkeypatch, resume):
+        # 9 pairs from 8 eligible supervoxels: the parent made out_dir, mapped the
+        # shared arrays and forked a helper before the first batch raised
+        cfg = tiny_config(steps=2, sampler=sp.SamplerConfig(patch_side=8, batch_pairs=9))
+        ckpt = None
+        if resume:
+            tr.train(cfg, tiny_dataset(n_supervoxels=9), tmp_path / "run")
+            ckpt = tmp_path / "run" / "ckpt_final.dckpt"
+
+        def refuse(shapes):
+            raise AssertionError("shared arrays mapped for a run that cannot draw a batch")
+
+        monkeypatch.setattr(tr, "_shared_arrays", refuse)
+        with pytest.raises(sp.SamplingError, match="need 9 eligible supervoxels, found 8"):
+            tr.train(replace(cfg, steps=4), tiny_dataset(n_supervoxels=8), tmp_path / "x", resume_from=ckpt)
+        assert not (tmp_path / "x").exists()
+
     def test_resume_with_equal_steps_rewrites_the_same_files(self, tmp_path):
         ds = tiny_dataset()
         tr.train(tiny_config(steps=4), ds, tmp_path / "run")

@@ -170,6 +170,15 @@ class TestHeaderInvariants:
         with pytest.raises(VolumeFormatError):
             VolumeHeader((1, 1, 1), (8.0, 0.0, 8.0))
 
+    @pytest.mark.parametrize("value, shown", [
+        (300.0, "300.0"), (2.7, "2.7"), (-1, "-1"), (math.nan, "nan"),
+    ])
+    def test_voxel_the_u8_cast_would_change_rejected(self, value, shown):
+        # 300.0 became 44, 2.7 became 2, -1 became 255 and NaN 0
+        voxels = np.array([[[7, value]]])
+        with pytest.raises(VolumeFormatError, match=f"voxel value {shown} is not an integer in"):
+            IntensityVolume(VolumeHeader((2, 1, 1)), voxels)
+
     def test_default_voxel_size_is_8nm(self):
         assert VolumeHeader((1, 1, 1)).voxel_size_nm == (8.0, 8.0, 8.0)
 
