@@ -10,6 +10,7 @@ on every principal axis, and a stable SVG emitter.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,6 +338,9 @@ POINT_RADIUS = 3.0
 # XML's escapes for text content; xml.sax.saxutils.escape writes the same, but
 # importing it loads urllib.request and ssl, about 7 MB of resident memory
 XML_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# a character outside XML 1.0's Char production, which no escape can write:
+# C0 controls but tab, LF and CR, lone surrogates, U+FFFE and U+FFFF
+XML_FORBIDDEN_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def emit_scatter(coords: np.ndarray, labels, path) -> None:
@@ -349,6 +353,9 @@ def emit_scatter(coords: np.ndarray, labels, path) -> None:
     if len(labels) != coords.shape[0]:
         raise AnalysisError(f"{len(labels)} labels for {coords.shape[0]} points")
     uniq = sorted(set(labels))
+    for lab in uniq:
+        if bad := XML_FORBIDDEN_CHAR.search(lab):
+            raise AnalysisError(f"label {lab!r} holds U+{ord(bad.group()):04X}, which XML 1.0 does not allow")
     color = {lab: PALETTE[i % len(PALETTE)] for i, lab in enumerate(uniq)}
 
     width, height = SVG_SIZE

@@ -24,9 +24,11 @@ occupancy grid is unset, where each accepted site has set every offset closer
 than the minimum separation; that is the exact integer distance test against
 every accepted site, so the sites are the same too. The codes are then turned
 into bytes one z-plane at a time: look up the intensities, add that plane's
-Gaussian noise, clip to [0, 255] and round. Drawing the noise plane by plane
-gives the same values as one draw of the whole volume, so the bytes equal those
-of a float canvas finished at once.
+Gaussian noise, clip to [0, 255] and round. Each plane is finished in place,
+its bytes written over the codes they were looked up from, so the code array
+becomes the volume's voxels and no second volume is allocated. Drawing the
+noise plane by plane gives the same values as one draw of the whole volume, so
+the bytes equal those of a float canvas finished at once.
 """
 
 from __future__ import annotations
@@ -276,14 +278,15 @@ def generate(cfg: GenConfig) -> Phantom:
             records.append(SynapseRecord(next_id, site, label, class_of[label]))
             next_id += 1
 
-    voxels = np.empty((nz, ny, nx), dtype=np.uint8)
     plane = np.empty((ny, nx), dtype=np.float64)
-    for z in range(nz):
+    for z in range(nz):  # each plane's codes are read before its bytes overwrite them
         np.take(lut, codes[z], out=plane)
         plane += rng.normal(0.0, cfg.noise_sigma, size=plane.shape)
         np.clip(plane, 0.0, 255.0, out=plane)
-        voxels[z] = np.rint(plane, out=plane)
+        codes[z] = np.rint(plane, out=plane)
 
+    # the same array when the codes are u8, as they are for up to 85 classes
+    voxels = codes.astype(np.uint8, copy=False)
     return Phantom(IntensityVolume(VolumeHeader(cfg.dims), voxels), records, cells)
 
 

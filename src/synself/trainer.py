@@ -146,7 +146,7 @@ def init_state(cfg: TrainConfig) -> TrainState:
 
 
 def _batch_fingerprint(views: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(views).tobytes()).hexdigest()[:12]
+    return hashlib.sha256(np.ascontiguousarray(views)).hexdigest()[:12]  # the array's own buffer, in C order
 
 
 def train_step(state: TrainState, dataset, cfg: TrainConfig):
@@ -254,7 +254,7 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
         f.write(MAGIC + _json_line(config))
         for (name, _), arr in zip(_layout(cfg), arrays, strict=True):
             f.write(_record_header(name, np.shape(arr)))
-            f.write(np.asarray(arr, dtype="<f8").tobytes())  # in C order, whatever arr's layout
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))  # in C order, whatever arr's layout
 
     _atomic_write(path, body)
 

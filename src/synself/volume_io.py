@@ -77,10 +77,12 @@ class IntensityVolume:
         self.voxels = np.ascontiguousarray(voxels)
 
     def __eq__(self, other) -> bool:
+        # plane by plane, so no bool array the size of the volume is made
         return (
             type(other) is type(self)
             and other.header == self.header
-            and np.array_equal(other.voxels, self.voxels)
+            and other.voxels.shape == self.voxels.shape
+            and all(map(np.array_equal, other.voxels, self.voxels))
         )
 
 
@@ -237,16 +239,21 @@ def _atomic_write(path, write_fn) -> None:
 
 
 def write_volume(vol: IntensityVolume, path) -> None:
+    """Write the header line, then the voxel array's own C-ordered buffer: the
+    payload is not copied."""
     head = {**asdict(vol.header), "dtype": "u8"}
 
     def body(f):
         f.write(_json_line(head))
-        f.write(vol.voxels.tobytes())
+        f.write(vol.voxels)
 
     _atomic_write(path, body)
 
 
 def read_volume(path) -> IntensityVolume:
+    """The volume of a file write_volume wrote. The payload length is checked
+    against the file's size before the voxel array is allocated, and the payload
+    is read straight into that array, with no copy."""
     with open(path, "rb") as f:
         line = f.readline(HEADER_MAX_BYTES)
         if not line.endswith(b"\n"):
@@ -267,14 +274,17 @@ def read_volume(path) -> IntensityVolume:
             raise VolumeFormatError(f"{path}: malformed header at byte offset 0: {e}") from e
         payload_offset = len(line)
         expected = header.n_voxels
-        data = f.read()
-    if len(data) != expected:
+        got = os.fstat(f.fileno()).st_size - payload_offset
+        if got == expected:
+            nx, ny, nz = header.dims
+            voxels = np.empty((nz, ny, nx), dtype=np.uint8)
+            got = f.readinto(voxels)  # short if the file shrank since fstat
+    if got != expected:
         raise VolumeFormatError(
             f"{path}: payload length mismatch at byte offset {payload_offset}: "
-            f"expected {expected} bytes, got {len(data)}"
+            f"expected {expected} bytes, got {got}"
         )
-    nx, ny, nz = header.dims
-    return IntensityVolume(header, np.frombuffer(data, dtype=np.uint8).reshape(nz, ny, nx).copy())
+    return IntensityVolume(header, voxels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Fixtures shared by the tests: the augmentation-free config, a checkpoint
 written the one way every checkpoint is written, the invariants of a
-generated phantom, and a time limit for tests that fork helper processes."""
+generated phantom, a time limit for tests that fork helper processes, and
+the traced peak of a call."""
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,3 +54,13 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes tracemalloc traces while fn() runs, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -573,6 +573,22 @@ class TestScatter:
         ns = "{http://www.w3.org/2000/svg}"
         assert [g.find(f"{ns}text").text for g in root.findall(f"{ns}g")] == labels
 
+    @pytest.mark.parametrize("labels", [["a&b", "<c>"], ["tab\tand\nline", "\U0010ffff\ud7ff\ue000\ufffd"]],
+                             ids=["markup", "edges_of_xml_chars"])
+    def test_labels_xml_allows_parse(self, tmp_path, labels):
+        p = tmp_path / "s.svg"
+        an.emit_scatter(np.array([[0.0, 0.0], [1.0, 2.0]]), labels, p)
+        assert ET.fromstring(p.read_bytes()).tag == "{http://www.w3.org/2000/svg}svg"
+
+    @pytest.mark.parametrize("label, code", [("a\x01b", "U+0001"), ("\ud800", "U+D800"), ("x\uffff", "U+FFFF")],
+                             ids=["control", "lone_surrogate", "noncharacter"])
+    def test_label_xml_forbids_rejected_before_writing(self, tmp_path, label, code):
+        # "a\x01b" made an SVG no XML parser reads; "\ud800" raised UnicodeEncodeError
+        with pytest.raises(an.AnalysisError) as e:
+            an.emit_scatter(np.array([[0.0, 0.0], [1.0, 2.0]]), [label, "c"], tmp_path / "s.svg")
+        assert repr(label) in str(e.value) and code in str(e.value)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, tmp_path, value):
         # one NaN y wrote cy="nan" for every point

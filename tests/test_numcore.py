@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from synself import numcore as nc
+from helpers import traced_peak
 from oracles import (central_diff, column_slabs_loops, conv3d_flat_grid, conv3d_loops,
                      conv3d_weight_grad_taps, grad_close, maxpool3d_backward_loops, maxpool3d_loops)
 
@@ -81,15 +80,6 @@ def _slab_bytes_exceeded(c_in, k, spatial):
     return 8 * c_in * k * k * (d + k - 1) * h * w > nc.SLAB_BYTES
 
 
-def _traced_peak(f):
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -154,7 +144,7 @@ class TestConvSlabs:
             for _ in nc._column_slabs(x, 3):
                 pass
 
-        assert _traced_peak(drain) <= buf_bytes + src_bytes + 8192
+        assert traced_peak(drain) <= buf_bytes + src_bytes + 8192
 
     @pytest.mark.parametrize("c_in,c_out,k,spatial", SLAB_CASES)
     def test_bytes_match_one_flat_grid(self, c_in, c_out, k, spatial):
@@ -201,13 +191,13 @@ class TestConvSlabs:
         rng = np.random.default_rng(15)
         x, w, b = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
         # one whole-grid column matrix alone is 72 x 18 x 16^2 x 8 B = 2.65 MB
-        assert _traced_peak(lambda: nc.conv3d_forward(x, w, b)) < 2_000_000
+        assert traced_peak(lambda: nc.conv3d_forward(x, w, b)) < 2_000_000
 
     def test_backward_peak_memory_under_2_mb(self):
         rng = np.random.default_rng(15)
         x, w, _ = rand_conv_case(rng, c_in=8, c_out=8, spatial=(16, 16, 16))
         d_y = rng.normal(size=(8, 16, 16, 16, 1))
-        assert _traced_peak(lambda: nc.conv3d_backward(x, w, d_y)) < 2_000_000
+        assert traced_peak(lambda: nc.conv3d_backward(x, w, d_y)) < 2_000_000
 
 
 # (c_in, c_out, k, (D,H,W)) run with several views side by side: small shape

@@ -270,6 +270,12 @@ def test_only_atomic_write_writes_files():
     assert _callers(_writes_a_file) == {"volume_io._atomic_write"}
 
 
+def test_no_array_is_copied_to_bytes():
+    """synself writes and hashes an array's own buffer: no code calls .tobytes(),
+    which copies the whole array, a volume's voxels included."""
+    assert _callers(lambda call: _called_name(call) == "tobytes") == set()
+
+
 def _imported(tree: ast.Module) -> set[str]:
     """The dotted name of each module, and of each name taken from a module, that the tree imports."""
     names = set()

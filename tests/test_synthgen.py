@@ -1,16 +1,15 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from synself import synthgen as sg
-from synself.volume_io import read_synapse_table, read_volume
+from synself.volume_io import read_synapse_table, read_volume, write_volume
 import oracles
-from helpers import assert_phantom_invariants, time_limit
+from helpers import assert_phantom_invariants, time_limit, traced_peak
 from oracles import generate_voxels_loops, place_sites_loops
 
 # the phantom of the dense_sv benchmark workload: 256 synapses on each of 16 supervoxels
@@ -130,6 +129,16 @@ class TestGenerate:
         # the sites overlap, so the result depends on painting them in order
         assert not np.array_equal(want, generate_voxels_loops(cfg, reverse=True))
 
+    def test_more_classes_than_u8_codes_match_the_float_canvas_renderer(self):
+        # 86 classes need codes up to 258, so the planes are finished into u16
+        # codes, which are then cast to the u8 voxels
+        params = tuple(sg.ClassParams(1.0, 0.5, 1.0, 100.0 + k, 60.0 + k / 2) for k in range(86))
+        cfg = sg.GenConfig(seed=5, dims=(110, 40, 20), n_supervoxels=88, synapses_per_supervoxel=1,
+                           class_params=params)
+        voxels = sg.generate(cfg).intensity.voxels
+        assert voxels.dtype == np.uint8
+        assert voxels.tobytes() == generate_voxels_loops(cfg).tobytes()
+
     @pytest.mark.parametrize("cfg", [
         sg.GenConfig(seed=0),
         sg.GenConfig(seed=0, dims=(96, 96, 48), n_supervoxels=4, synapses_per_supervoxel=64),
@@ -146,16 +155,10 @@ class TestGenerate:
         # three supervoxels make the largest cells, so the largest placement grids
         for n_supervoxels in (8, 3):
             cfg = sg.GenConfig(seed=0, dims=(96, 96, 96), n_supervoxels=n_supervoxels)
-            tracemalloc.start()
-            try:
-                sg.generate(cfg)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # one byte of codes and one of intensities per voxel, plus per-plane floats
-            # (a placement grid of a byte per cell voxel is freed before the intensities);
+            # one byte of codes per voxel, finished in place into intensities, plus
+            # per-plane floats and a placement grid of a byte per cell voxel;
             # a float64 canvas with its noise and sum takes over 24
-            assert peak < 4 * 96 ** 3, n_supervoxels
+            assert traced_peak(lambda: sg.generate(cfg)) < 4 * 96 ** 3, n_supervoxels
 
     def test_sites_respect_min_separation(self):
         cfg = small_config(seed=9, synapses_per_supervoxel=4, dims=(64, 64, 32))
@@ -342,3 +345,32 @@ class TestPersistence:
             got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (tmp_path / name).iterdir()}
             assert got == want, name
+
+
+class TestVolumeTracedPeaks:
+    """What each stage of the dense_sv volume's path allocates at its peak: one
+    buffer per volume, from generation to disk and back, and no array the size
+    of the volume for a comparison."""
+
+    MIB = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def phantom(self):
+        return sg.generate(DENSE_SV)
+
+    def test_generate_holds_one_and_a_half_volumes_at_most(self, phantom):
+        # the code array, finished in place, plus planes and placement grids
+        assert traced_peak(lambda: sg.generate(DENSE_SV)) <= 1.5 * phantom.intensity.voxels.nbytes
+
+    def test_write_and_read_copy_no_payload(self, phantom, tmp_path):
+        path = tmp_path / "intensity.vol"
+        assert traced_peak(lambda: write_volume(phantom.intensity, path)) < self.MIB
+        assert traced_peak(lambda: read_volume(path)) <= phantom.intensity.voxels.nbytes + self.MIB
+
+    def test_equality_compares_without_a_volume_of_bools(self, phantom, tmp_path):
+        path = tmp_path / "intensity.vol"
+        write_volume(phantom.intensity, path)
+        vol = read_volume(path)
+        equal = []
+        assert traced_peak(lambda: equal.append(vol == phantom.intensity)) < self.MIB
+        assert equal == [True]

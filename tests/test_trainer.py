@@ -9,7 +9,6 @@ import stat
 import struct
 import tempfile
 import time
-import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from synself import sampler as sp
 from synself import synthgen as sg
 from synself import trainer as tr
 from synself.volume_io import IntensityVolume, SynapseRecord, VolumeHeader
-from helpers import IDENTITY_AUGMENT, save_checkpoint, time_limit
+from helpers import IDENTITY_AUGMENT, save_checkpoint, time_limit, traced_peak
 
 
 def tiny_dataset(seed=0, **kw):
@@ -216,13 +215,7 @@ class TestTrainStep:
         ds = sp.Dataset(ph.intensity, ph.synapses)
         cfg = tr.TrainConfig()
         state = tr.init_state(cfg)
-        tracemalloc.start()
-        try:
-            tr.train_step(state, ds, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 << 20
+        assert traced_peak(lambda: tr.train_step(state, ds, cfg)) < 32 << 20
 
     def test_moments_stay_finite(self):
         ds = tiny_dataset()

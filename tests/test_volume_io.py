@@ -91,13 +91,34 @@ class TestVolumeRoundTrip:
                 for x in range(4):
                     assert raw[offset + x + nx * (y + ny * z)] == vals[z, y, x]
 
+    @pytest.mark.parametrize("at", [(0, 0, 0), (1, 2, 3), (2, 3, 4)])
+    def test_volumes_differing_in_one_voxel_are_unequal(self, at):
+        vol = make_intensity((5, 4, 3), np.arange(60))
+        other = make_intensity((5, 4, 3), np.arange(60))
+        assert vol == other
+        other.voxels[at] += 1
+        assert vol != other
+
+    def test_volumes_of_other_headers_are_unequal(self):
+        vol = make_intensity((5, 4, 3), np.zeros(60))
+        assert vol != make_intensity((3, 4, 5), np.zeros(60))
+        assert vol != IntensityVolume(VolumeHeader((5, 4, 3), (8.0, 8.0, 4.0)), vol.voxels)
+
 
 class TestVolumeErrors:
-    def test_payload_length_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("dims, payload", [
+        ((3, 3, 3), 26),
+        ((3, 3, 3), 28),
+        ((10 ** 5, 10 ** 4, 10 ** 4), 26),  # about 10**13 voxels: refused before any allocation
+    ], ids=["one_short", "one_long", "huge_header"])
+    def test_payload_length_mismatch(self, tmp_path, dims, payload):
         p = tmp_path / "bad.vol"
-        p.write_bytes(b'{"dims":[3,3,3],"dtype":"u8","voxel_size_nm":[8,8,8]}\n' + bytes(26))
-        with pytest.raises(VolumeFormatError, match="payload length mismatch"):
+        line = json.dumps({"dims": dims, "dtype": "u8", "voxel_size_nm": [8, 8, 8]}).encode() + b"\n"
+        p.write_bytes(line + bytes(payload))
+        with pytest.raises(VolumeFormatError) as e:
             read_volume(p)
+        assert str(e.value) == (f"{p}: payload length mismatch at byte offset {len(line)}: "
+                                f"expected {math.prod(dims)} bytes, got {payload}")
 
     def test_unknown_dtype(self, tmp_path):
         p = tmp_path / "bad.vol"
