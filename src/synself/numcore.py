@@ -63,9 +63,15 @@ whole-grid GEMM does, but a training run's loss can differ in its last digits
 from a run under another grouping.
 
 Pooling takes the max of the two halves of each axis in turn (x, then y, then
-z) over strided views, with no copy of the windows. Its backward sends each
-window's gradient to the lowest linear index holding the max, through one
-flat scatter.
+z) over strided views, with no copy of the windows. Training keeps a pool's
+route, :func:`maxpool3d_route`, in place of its input: one uint8 per window
+naming the slot of the lowest linear index that holds the max, the argmax
+over the window's eight slots, 1/64 of the input's bytes. The backward takes
+the route and sends each window's gradient to that slot through one flat
+scatter. The relu before a pool is masked in its output: the max
+of a window is > 0 exactly where its routed voxel is, so a caller that
+multiplies d_output by ``pooled > 0`` before the scatter gets the bits of
+masking the scattered gradient by ``x > 0`` after it.
 """
 
 from __future__ import annotations
@@ -278,16 +284,26 @@ def maxpool3d_forward(x: Tensor) -> Tensor:
     return np.maximum(m[:, 0::2], m[:, 1::2])
 
 
-def maxpool3d_backward(x: Tensor, d_output: Tensor) -> Tensor:
+def maxpool3d_route(x: Tensor) -> Tensor:
+    """Each window's argmax slot, 4*dz + 2*dy + dx, as uint8 of the pooled
+    shape: the lowest linear index holding the window's max (or its first
+    NaN), the voxel :func:`maxpool3d_backward` sends the window's gradient to."""
     c, d2, h2, w2, b = _pooled_shape(x)
-    if d_output.shape != (c, d2, h2, w2, b):
-        raise ShapeError(f"maxpool3d d_output shape {d_output.shape} != {(c, d2, h2, w2, b)}")
     win = x.reshape(c, d2, 2, h2, 2, w2, 2, b).transpose(0, 1, 3, 5, 7, 2, 4, 6).reshape(-1, 8)
-    first, offset = _pool_index(*x.shape)
-    d_x = np.zeros(x.size, dtype=x.dtype)
-    # ties: argmax takes the first slot, the lowest linear index
-    d_x[first + offset[win.argmax(axis=1)]] = d_output.reshape(-1)
-    return d_x.reshape(x.shape)
+    return win.argmax(axis=1).astype(np.uint8).reshape(c, d2, h2, w2, b)
+
+
+def maxpool3d_backward(route: Tensor, d_output: Tensor) -> Tensor:
+    """d_input of a pool whose :func:`maxpool3d_route` is route: each
+    window's d_output at its routed voxel, 0 elsewhere."""
+    if route.ndim != 5 or d_output.shape != route.shape:
+        raise ShapeError(f"maxpool3d d_output shape {d_output.shape} != route shape {route.shape}")
+    c, d2, h2, w2, b = route.shape
+    shape = (c, 2 * d2, 2 * h2, 2 * w2, b)
+    first, offset = _pool_index(*shape)
+    d_x = np.zeros(shape)
+    d_x.reshape(-1)[first + offset[route.reshape(-1)]] = d_output.reshape(-1)
+    return d_x
 
 
 # ---------------------------------------------------------------------------

@@ -270,18 +270,20 @@ def generate(cfg: GenConfig) -> Phantom:
         b = cfg.class_params[class_of[label] - 1].half_width_vox
         lo, hi = cells[label]
         sites = _place_sites(lo, hi, b, cfg.synapses_per_supervoxel, min_sep, rng, label)
-        for site in sites:
-            c, axis = class_of[label] - 1, int(rng.integers(3))
+        c = class_of[label] - 1
+        for site, axis in zip(sites, rng.integers(3, size=len(sites)).tolist()):
             x, y, z = site
             np.copyto(codes[z - b:z + b + 1, y - b:y + b + 1, x - b:x + b + 1], stamps[c][axis],
                       where=masks[c][axis])
             records.append(SynapseRecord(next_id, site, label, class_of[label]))
             next_id += 1
 
-    plane = np.empty((ny, nx), dtype=np.float64)
+    plane, noise = np.empty((ny, nx)), np.empty((ny, nx))
     for z in range(nz):  # each plane's codes are read before its bytes overwrite them
         np.take(lut, codes[z], out=plane)
-        plane += rng.normal(0.0, cfg.noise_sigma, size=plane.shape)
+        rng.standard_normal(out=noise)  # times sigma: the values and rng state of rng.normal(0, sigma)
+        noise *= cfg.noise_sigma
+        plane += noise
         np.clip(plane, 0.0, 255.0, out=plane)
         codes[z] = np.rint(plane, out=plane)
 

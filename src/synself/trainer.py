@@ -39,12 +39,14 @@ parent's own count comes back afterwards.
 Training's helpers live as long as the :func:`train` call, since a fork and
 join cost about 5 ms, a fifth of a helped dense_sv step. Each step every
 part serves ("forward", step), which forwards and projects its chunks and
-returns their z rows, then ("backward", d_z), then "add", which adds its
-chunk gradients in chunk order, part after part, to a shared sum begun
-from zeros. So the step's gradient is the same chain of additions in the
-same order wherever its chunks run, and keeps every bit: each chunk's
-forward, projection and backward run the same code on the same bytes in
-every process. A direct :func:`train_step` call runs the same serve over
+returns their z rows, and then, once the shared gradient sum is zeroed,
+("backward", d_z). The first part, whose run starts at chunk 0, adds each
+of its chunk gradients to the sum as its backward makes it, so it holds
+none; every later part keeps its own until "add", which adds them in chunk
+order, part after part. So the step's gradient is the same chain of
+additions in the same order wherever its chunks run, and keeps every bit:
+each chunk's forward, projection and backward run the same code on the
+same bytes in every process. A direct :func:`train_step` call runs the same serve over
 every chunk in this process. :func:`spread_rows`'s parts serve one request,
 which returns their rows; a chunk's rows sum nothing across chunks, so
 every row keeps its bits.
@@ -167,14 +169,14 @@ def train_step(state: TrainState, dataset, cfg: TrainConfig):
         part.send(("forward", t))
     z = np.concatenate([part.reply() for part in parts])  # in chunk order: the first zero projection is raised
     value, d_z = ntxent.loss(z, cfg.temperature)
-    for part in parts:
-        part.send(("backward", d_z))
-    for part in parts:
-        part.reply()
     grads = shared.grads
     for g in grads.values():
         g[...] = 0.0
-    for part in parts:  # each adds its chunk gradients to the sum so far, in chunk order
+    for part in parts:  # the first adds its chunk gradients to the sum as it makes them
+        part.send(("backward", d_z))
+    for part in parts:
+        part.reply()
+    for part in parts[1:]:  # each later one adds its own to the sum so far, in chunk order
         part.send("add")
         part.reply()
 
@@ -519,23 +521,29 @@ def _chunk_server(shared: _Shared, lo: int, hi: int):
     TrainError for a zero projection; ("backward", d_z) backwards each chunk
     with its rows of the step's d_z, dropping each chunk's cache as it makes
     its gradient; "add" adds the chunk gradients to the shared sum in chunk
-    order."""
+    order. The part at chunk 0 adds each gradient to the shared sum, which
+    the step zeroed, as its backward makes it, and so keeps none for "add"."""
     cfg = shared.cfg
     chunk = enc.views_per_chunk(cfg.encoder)
     starts = range(lo, hi, chunk)
     caches, grads = [], []
 
+    def add(g):
+        for k, total in shared.grads.items():
+            total += g[k]
+
     def serve(request):
-        nonlocal caches, grads
+        nonlocal caches
         if request == "add":
             for g in grads:
-                for k, total in shared.grads.items():
-                    total += g[k]
-            grads = []
+                add(g)
+            grads.clear()
             return None
         stage, arg = request
         if stage == "backward":
-            grads = [enc.backward(shared.params, caches.pop(0), arg[i:i + chunk]) for i in starts]
+            made = add if lo == 0 else grads.append
+            for i in starts:
+                made(enc.backward(shared.params, caches.pop(0), arg[i:i + chunk]))
             return None
         caches, z = [], []
         for i in starts:
@@ -590,9 +598,10 @@ def train(
     :func:`_spread`, one per CPU this process may use past the first, which
     live until it returns or raises. Each step they read the parameters and
     views from the shared mmap, reply with their z rows, and add their
-    gradients to the shared sum. The run writes the bytes of a one-process
-    run. An exception a helper's chunks raise is raised here, and a helper
-    that exits before it replies raises HelperExitError.
+    gradients to the shared sum after this process's. The run writes the
+    bytes of a one-process run. An exception a helper's chunks raise is
+    raised here, and a helper that exits before it replies raises
+    HelperExitError.
     """
     if resume_from is None:
         state = init_state(cfg)

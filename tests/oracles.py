@@ -58,6 +58,26 @@ def maxpool3d_loops(x):
     return out
 
 
+def maxpool3d_route_loops(x):
+    """Nested-loop slot 4*dz + 2*dy + dx of each window's max: its first slot
+    holding the max, or its first NaN, as ``np.argmax`` picks them."""
+    c, d, h, w, n_views = x.shape
+    route = np.empty((c, d // 2, h // 2, w // 2, n_views), dtype=np.uint8)
+    for v in range(n_views):
+        for ci in range(c):
+            for z in range(d // 2):
+                for y in range(h // 2):
+                    for xx in range(w // 2):
+                        at, best = 0, x[ci, 2 * z, 2 * y, 2 * xx, v]
+                        for slot in range(1, 8):
+                            dz, dy, dx = slot >> 2, slot >> 1 & 1, slot & 1
+                            val = x[ci, 2 * z + dz, 2 * y + dy, 2 * xx + dx, v]
+                            if not math.isnan(best) and (math.isnan(val) or val > best):
+                                at, best = slot, val
+                        route[ci, z, y, xx, v] = at
+    return route
+
+
 def maxpool3d_backward_loops(x, d_output):
     """Nested-loop pool gradient: each window's gradient goes to its first voxel,
     in (dz, dy, dx) order, that holds the window's max."""
@@ -171,9 +191,12 @@ def encoder_backward_from_pre(params, cache, d_z):
     """The encoder backward that reads each relu mask from the pre-activation.
 
     Not a loop oracle: it runs the same ``numcore`` layers as
-    ``encoder.backward`` and differs only in feeding ``relu_backward`` the
-    recomputed pre-activations where ``encoder.backward`` feeds it the cached
-    relu outputs, so the two must agree byte for byte. The heads run view by
+    ``encoder.backward`` and differs only in its relu masks, so the two must
+    agree byte for byte. It feeds ``relu_backward`` the recomputed
+    pre-activations where ``encoder.backward`` feeds it the cached relu
+    outputs, and masks a conv that a pool follows after the pool's scatter,
+    by its pre-activation, where ``encoder.backward`` masks the gradient
+    before the scatter by the pool's output. The heads run view by
     view on one-row slices, and their gradients add in view order, so the
     batched head rows of ``encoder.backward`` are checked against one-row calls.
     """
@@ -192,7 +215,7 @@ def encoder_backward_from_pre(params, cache, d_z):
             grads[name] = grads[name] + g if v else g
     d_x = d_flat.T.reshape(cache["pooled_shape"])
     for i, (name, x) in reversed(list(enumerate(cache["inputs"]))):
-        if name is None:
+        if name is None:  # x is the pool's route, as project leaves it
             d_x = nc.maxpool3d_backward(x, d_x)
         else:
             d_x, grads[f"{name}.w"], grads[f"{name}.b"] = nc.conv3d_backward(

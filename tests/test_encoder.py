@@ -198,9 +198,11 @@ def check_backward_from_pre_activations(cfg, case, views):
     if case == "zero":
         assert not any(pre.any() for pre in conv_pre.values())
     inputs = cache["inputs"]
-    for (name, _), (_, out) in zip(inputs, inputs[1:]):  # a conv's relu output is the next layer's input
+    for (name, _), (next_name, out) in zip(inputs, inputs[1:]):
         if name is not None:
-            assert np.maximum(conv_pre[name], 0.0).tobytes() == out.tobytes()
+            # a conv's relu output is the next layer's input, which project swapped for its route at a pool
+            relu = np.maximum(conv_pre[name], 0.0)
+            assert (relu if next_name is not None else nc.maxpool3d_route(relu)).tobytes() == out.tobytes()
     assert np.maximum(h_pre, 0.0).tobytes() == cache["h"].tobytes()
 
     d_z = rng.normal(size=(views, cfg.z_dim))
@@ -320,7 +322,8 @@ class TestBackward:
             if i == 0:
                 assert a is inputs[0][1]
             else:
-                assert a is not inputs[i][1] and a.shape == inputs[i + 1][1].shape, inputs[i][0]
+                name, x = inputs[i]
+                assert a is not x and a.shape == params[f"{name}.w"].shape[:1] + x.shape[1:], name  # d_output's
 
 
 class TestActivationCache:
@@ -339,6 +342,13 @@ class TestActivationCache:
                 for item in (obj.values() if isinstance(obj, dict) else obj):
                     collect(item)
 
-        collect(cache)
-        owned = sum(a.nbytes for a in bases.values() if a is not patch)
-        assert owned <= 0.75 * 2**20
+        def owned():
+            bases.clear()
+            collect(cache)
+            return sum(a.nbytes for a in bases.values() if a is not patch)
+
+        assert owned() <= 0.75 * 2**20
+        # project swaps each pool's input for its route, a byte per window: 0.41 MiB
+        # with the forward's copy of the patch
+        enc.project(enc.init(DEFAULT), cache)
+        assert owned() <= 0.42 * 2**20

@@ -4,7 +4,8 @@ import pytest
 from synself import numcore as nc
 from helpers import traced_peak
 from oracles import (central_diff, column_slabs_loops, conv3d_flat_grid, conv3d_loops,
-                     conv3d_weight_grad_taps, grad_close, maxpool3d_backward_loops, maxpool3d_loops)
+                     conv3d_weight_grad_taps, grad_close, maxpool3d_backward_loops, maxpool3d_loops,
+                     maxpool3d_route_loops)
 
 
 def rand_conv_case(rng, c_in=None, c_out=None, k=3, spatial=None, views=1):
@@ -255,11 +256,12 @@ class TestViewAxis:
         x = np.maximum(rng.integers(-3, 3, shape), 0).astype(float)  # ties in most windows
         d_y = rng.normal(size=(3,) + tuple(e // 2 for e in spatial) + (views,))
         y = nc.maxpool3d_forward(x)
-        d_x = nc.maxpool3d_backward(x, d_y)
+        d_x = nc.maxpool3d_backward(nc.maxpool3d_route(x), d_y)
         assert np.array_equal(y, maxpool3d_loops(x))
         assert np.array_equal(d_x, maxpool3d_backward_loops(x, d_y))
         for v in range(views):
-            assert d_x[..., v:v + 1].tobytes() == nc.maxpool3d_backward(_one_view(x, v), _one_view(d_y, v)).tobytes()
+            one = nc.maxpool3d_backward(nc.maxpool3d_route(_one_view(x, v)), _one_view(d_y, v))
+            assert d_x[..., v:v + 1].tobytes() == one.tobytes()
 
 
 class TestConvBackward:
@@ -378,7 +380,8 @@ class TestMaxPool:
         y = nc.maxpool3d_forward(x)
         assert np.array_equal(y, np.full((1, 2, 2, 2, 1), 2.5))
         d_y = np.ones((1, 2, 2, 2, 1))
-        d_x = nc.maxpool3d_backward(x, d_y)
+        assert not nc.maxpool3d_route(x).any()
+        d_x = nc.maxpool3d_backward(nc.maxpool3d_route(x), d_y)
         # gradient routed to the first (lowest linear index) voxel of each window
         want = np.zeros_like(x)
         want[0, ::2, ::2, ::2] = 1.0
@@ -391,23 +394,51 @@ class TestMaxPool:
             x = rng.normal(size=(c, 4, 6, 2, 1))
             assert np.array_equal(nc.maxpool3d_forward(x), maxpool3d_loops(x))
 
-    @pytest.mark.parametrize("shape", [(8, 16, 16, 16, 1), (16, 8, 8, 8, 1), (32, 4, 4, 4, 1),
-                                       (8, 8, 8, 8, 1), (16, 4, 4, 4, 1), (32, 2, 2, 2, 1),
-                                       (3, 4, 6, 2, 1)])
-    def test_tie_heavy_input_matches_loop_oracles(self, shape):
+    @pytest.mark.parametrize("views", [1, 5])
+    @pytest.mark.parametrize("shape", [(8, 16, 16, 16), (16, 8, 8, 8), (32, 4, 4, 4),
+                                       (8, 8, 8, 8), (16, 4, 4, 4), (32, 2, 2, 2), (3, 4, 6, 2)])
+    def test_tie_heavy_input_matches_loop_oracles(self, shape, views):
         # the encoder's six pool shapes and a non-cubic one; most windows hold
-        # several voxels equal to their max
+        # several voxels equal to their max, 0 in many (relu outputs)
         rng = np.random.default_rng(16)
-        x = np.maximum(rng.integers(-3, 3, shape), 0).astype(float)
-        d_y = rng.normal(size=(shape[0],) + tuple(e // 2 for e in shape[1:4]) + shape[4:])
-        assert np.array_equal(nc.maxpool3d_forward(x), maxpool3d_loops(x))
-        assert np.array_equal(nc.maxpool3d_backward(x, d_y), maxpool3d_backward_loops(x, d_y))
+        x = np.maximum(rng.integers(-3, 3, shape + (views,)), 0).astype(float)
+        x[0, :2, :2, :2] = 0.0
+        y = nc.maxpool3d_forward(x)
+        d_y = rng.normal(size=y.shape)
+        d_y[0, 0, 0, 0] = -1.0
+        route = nc.maxpool3d_route(x)
+        assert route.dtype == np.uint8 and route.tobytes() == maxpool3d_route_loops(x).tobytes()
+        assert np.array_equal(y, maxpool3d_loops(x))
+        want = maxpool3d_backward_loops(x, d_y)
+        assert nc.maxpool3d_backward(route, d_y).tobytes() == want.tobytes()
+        # the relu before the pool masked in its output before the scatter, as the
+        # encoder's backward does, gives the bits of masking in x after it
+        masked = nc.relu_backward(x, want)
+        assert np.signbit(masked[masked == 0]).any()  # -0.0 where a negative gradient met a 0 max
+        assert nc.maxpool3d_backward(route, nc.relu_backward(y, d_y)).tobytes() == masked.tobytes()
+
+    def test_route_matches_loop_oracle_with_nans(self):
+        # argmax's rule: the first NaN of a window, else its first slot holding the max
+        rng = np.random.default_rng(17)
+        x = rng.integers(-2, 2, (3, 4, 6, 2, 2)).astype(float)
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        x[0, :2, :2, :2, 0] = np.nan
+        x[0, :2, :2, :2, 1] = -np.inf
+        got = nc.maxpool3d_route(x)
+        assert got.tobytes() == maxpool3d_route_loops(x).tobytes()
+        assert got[0, 0, 0, 0].tolist() == [0, 0]
+        assert set(np.unique(got)) == set(range(8))
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(nc.ShapeError):
             nc.maxpool3d_forward(np.zeros((1, 3, 4, 4, 1)))
         with pytest.raises(nc.ShapeError, match=r"\(C,D,H,W,B\)"):
             nc.maxpool3d_forward(np.zeros((1, 4, 4, 4)))
+        with pytest.raises(nc.ShapeError, match=r"\(C,D,H,W,B\)"):
+            nc.maxpool3d_route(np.zeros((1, 4, 4, 4)))
+        with pytest.raises(nc.ShapeError, match="route shape"):
+            nc.maxpool3d_backward(np.zeros((1, 2, 2, 2, 1), np.uint8), np.zeros((1, 2, 2, 2, 2)))
 
     def test_finite_differences_non_tied(self):
         rng = np.random.default_rng(5)
@@ -415,7 +446,7 @@ class TestMaxPool:
             # inputs spaced well apart so FD never crosses a tie
             x = rng.permutation(np.arange(2 * 4 * 4 * 4, dtype=float)).reshape(2, 4, 4, 4, 1)
             d_y = rng.normal(size=(2, 2, 2, 2, 1))
-            d_x = nc.maxpool3d_backward(x, d_y)
+            d_x = nc.maxpool3d_backward(nc.maxpool3d_route(x), d_y)
 
             def loss(xv):
                 return float(np.sum(nc.maxpool3d_forward(xv) * d_y))
@@ -574,7 +605,7 @@ class TestPurity:
         nc.conv3d_forward(x16, w16, b16)
         nc.conv3d_backward(x16, w16, d_y16)
         nc.maxpool3d_forward(x)
-        nc.maxpool3d_backward(x, np.ones((x.shape[0], 2, 2, 2, 1)))
+        nc.maxpool3d_backward(nc.maxpool3d_route(x), np.ones((x.shape[0], 2, 2, 2, 1)))
         nc.relu_backward(x, x)
         nc.dense_forward(rows, dense_w, dense_b)
         nc.dense_backward(rows, dense_w, d_rows)

@@ -354,6 +354,17 @@ def test_one_chunk_path_in_the_trainer():
     assert {w for w in _callers(_calls_the_encoder) if w.startswith("trainer.")} == {"trainer._chunk_server.serve"}
 
 
+def test_only_training_takes_pool_routes():
+    """Only encoder.project, which training alone calls, takes the pools'
+    routes, so an embedding does no route work; and numcore has one pool
+    backward, which scatters through a route: only maxpool3d_route takes a
+    window's argmax, and only maxpool3d_backward scatters through _pool_index."""
+    assert _callers(lambda call: _called_name(call) == "maxpool3d_route") == {"encoder.project"}
+    in_numcore = {w for w in _callers(lambda call: _called_name(call) == "argmax") if w.startswith("numcore.")}
+    assert in_numcore == {"numcore.maxpool3d_route"}
+    assert _callers(lambda call: _called_name(call) == "_pool_index") == {"numcore.maxpool3d_backward"}
+
+
 def _from_volume_io(tree: ast.Module) -> set[str]:
     """The names the tree takes from volume_io, or "volume_io" for the module itself."""
     names = set()
